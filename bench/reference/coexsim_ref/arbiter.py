@@ -1,0 +1,153 @@
+"""Co-located radio arbiter.
+
+All radio interfaces on one platform ask a single controller for
+permission before transmitting, receiving, or going idle.  The controller
+holds one of three states — Sleep, Receive, Transmit — and only grants
+requests that keep every granted interface in a compatible mode:
+simultaneous transmits are fine, simultaneous receives are fine, but a
+transmit never coexists with a receive on the same board, because the
+transmitter's spillage lands straight in the co-located receiver.
+
+Grant bookkeeping is reference counted: the controller returns to Sleep
+only when the last holder releases, so one interface cannot yank the
+state from under another.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import IntEnum
+from typing import Optional, Sequence
+
+from .wimax import DL, FrameMap, UL
+
+
+class ArbiterState(IntEnum):
+    S = 0   # sleep: nothing going on
+    RX = 1  # reception going on
+    TX = 2  # transmission going on
+
+
+GRANT = "grant"
+DENY = "deny"
+
+
+@dataclass(frozen=True)
+class InterfaceRequest:
+    interface: str
+    desired: ArbiterState
+    priority: int = 0
+    span_us: Optional[tuple[int, int]] = None  # absolute interval, for schedule checks
+    is_wimax: bool = False
+
+
+@dataclass
+class GrantLedger:
+    """Who holds what. State is derived: TX iff any tx holder, RX iff any rx."""
+
+    held: dict[str, ArbiterState] = field(default_factory=dict)
+
+    @property
+    def rx_count(self) -> int:
+        return sum(1 for s in self.held.values() if s is ArbiterState.RX)
+
+    @property
+    def tx_count(self) -> int:
+        return sum(1 for s in self.held.values() if s is ArbiterState.TX)
+
+    def state(self) -> ArbiterState:
+        if self.tx_count > 0:
+            return ArbiterState.TX
+        if self.rx_count > 0:
+            return ArbiterState.RX
+        return ArbiterState.S
+
+    def copy(self) -> "GrantLedger":
+        return GrantLedger(dict(self.held))
+
+
+def release_all_check(ledger: GrantLedger) -> ArbiterState:
+    """State the controller settles in given the ledger's holders."""
+    return ledger.state()
+
+
+def request(ledger: GrantLedger, req: InterfaceRequest) -> tuple[str, GrantLedger]:
+    """Apply one request against the transition rules.
+
+    From S anything is granted.  From RX a transmit is denied; from TX a
+    receive is denied.  A request that persists the current state is always
+    accepted.  A granted sleep releases that interface's hold.  Denials
+    leave the ledger untouched.
+    """
+    state = ledger.state()
+    want = req.desired
+    if want is ArbiterState.S:
+        new = ledger.copy()
+        new.held.pop(req.interface, None)
+        return GRANT, new
+    if (state is ArbiterState.RX and want is ArbiterState.TX) or \
+       (state is ArbiterState.TX and want is ArbiterState.RX):
+        return DENY, ledger
+    new = ledger.copy()
+    new.held[req.interface] = want
+    return GRANT, new
+
+
+class RadioArbiter:
+    """Stateful wrapper serializing requests for one platform."""
+
+    def __init__(self, interfaces: Sequence[str]):
+        self._known = set(interfaces)
+        self.ledger = GrantLedger()
+
+    @property
+    def state(self) -> ArbiterState:
+        return self.ledger.state()
+
+    def request(self, req: InterfaceRequest) -> str:
+        if req.interface not in self._known:
+            raise LookupError(f"interface not registered: {req.interface!r}")
+        decision, self.ledger = request(self.ledger, req)
+        return decision
+
+    def release(self, interface: str) -> None:
+        self.request(InterfaceRequest(interface, ArbiterState.S))
+
+
+def schedule_aware_check(req: InterfaceRequest, frame_map: FrameMap,
+                         frame_start_us: int, ss: str) -> str:
+    """Deny a WiFi request that lands on a conflicting scheduled slot.
+
+    The co-located WiFi must not transmit over an interval in which the
+    subscriber station is scheduled to receive (a DL grant), nor receive
+    over a scheduled transmission (a UL grant).  Requests with no span or
+    entirely in unscheduled airtime are allowed.
+    """
+    if req.span_us is None:
+        return GRANT
+    lo, hi = req.span_us
+    if req.desired is ArbiterState.TX:
+        conflicting = DL  # station receiving
+    elif req.desired is ArbiterState.RX:
+        conflicting = UL  # station transmitting
+    else:
+        return GRANT
+    for g in frame_map.grants_for(ss):
+        if g.direction != conflicting:
+            continue
+        g_lo = frame_start_us + g.offset_us
+        g_hi = g_lo + g.len_us
+        if max(lo, g_lo) < min(hi, g_hi):
+            return DENY
+    return GRANT
+
+
+def priority_resolve(contenders: Sequence[InterfaceRequest]) -> InterfaceRequest:
+    """Pick the winner among simultaneous requests.
+
+    Highest priority first; ties go to WiMAX over WiFi, then to the lowest
+    interface id.
+    """
+    if not contenders:
+        raise ValueError("no contenders")
+    return min(contenders, key=lambda r: (-r.priority, 0 if r.is_wimax else 1, r.interface))

@@ -1,0 +1,950 @@
+"""Deterministic discrete-event simulation core.
+
+Virtual time is integer microseconds.  Events pop in (time, phase, seq)
+order; the phase layering makes same-microsecond interactions
+deterministic and physical: frame ends land before control decisions,
+control decisions before scheduled transmission starts, and contention
+attempts last, so a station whose backoff expires the instant a
+scheduled emission begins defers to it, while two data stations whose
+backoffs expire in the same slot collide.
+
+All randomness flows from one seeded PRNG, drawn only for WiFi backoff,
+in event order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import heapq
+import itertools
+import math
+import random
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional
+
+from . import arbiter as arb
+from .medium import (CORRUPTED, DECODED, FrameKind, MediumModel, RadioInterface,
+                     Transmission, delivery_result)
+from .reservation import (EvalState, InterfererEstimate, PacingState, QosTarget,
+                          build_cts_train, estimate_interferers, evaluate_performance,
+                          reservation_power, update_pacing)
+from .scenario import ScenarioConfig
+from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
+                   data_airtime_us)
+from .wimax import DL, UL, FrameMap, SsDemand, build_frame_map
+
+P_END = 0      # frame ends, deliveries, NAV updates, releases
+P_CTRL = 1     # frame boundaries, ticks, arrivals, reservation decisions
+P_START = 2    # scheduled transmission starts (bursts, CTS)
+P_ACCESS = 3   # WiFi contention attempts
+
+_WIMAX_ARRIVAL_TICK_US = 10_000
+
+
+def jain_index(shares: list[float]) -> float:
+    """Fairness of a share vector: (sum x)^2 / (n * sum x^2), 1 when equal."""
+    if not shares:
+        raise ValueError("no shares")
+    if any(s < 0 for s in shares):
+        raise ValueError("shares must be non-negative")
+    sq = sum(s * s for s in shares)
+    if sq == 0:
+        raise ValueError("all shares are zero")
+    total = sum(shares)
+    return (total * total) / (len(shares) * sq)
+
+
+@dataclass
+class LinkStats:
+    offered_bytes: int = 0
+    delivered_bytes: int = 0
+    corrupted_frames: int = 0
+    retransmissions: int = 0
+    dropped_frames: int = 0
+    airtime_us: int = 0
+    delay_samples: list = field(default_factory=list)
+
+    def to_dict(self, measure_us: int) -> dict:
+        mean_delay = (sum(self.delay_samples) / len(self.delay_samples)
+                      if self.delay_samples else 0.0)
+        return {
+            "offered_bytes": self.offered_bytes,
+            "delivered_bytes": self.delivered_bytes,
+            "corrupted_frames": self.corrupted_frames,
+            "retransmissions": self.retransmissions,
+            "dropped_frames": self.dropped_frames,
+            "airtime_us": self.airtime_us,
+            "airtime_share": self.airtime_us / measure_us if measure_us else 0.0,
+            "throughput_bytes_per_s": self.delivered_bytes * 1e6 / measure_us if measure_us else 0.0,
+            "mean_delay_us": mean_delay,
+            "delay_samples": list(self.delay_samples),
+        }
+
+
+@dataclass
+class RunResult:
+    seed: int
+    duration_us: int
+    warmup_us: int
+    links: dict
+    system_airtime_us: dict
+    system_delivered_bytes: dict
+    fairness_index: float
+    colocated_conflict_us: int
+    cts_count: int
+    cts_airtime_us: int
+    trace_hash: str
+
+    @property
+    def measure_us(self) -> int:
+        return self.duration_us - self.warmup_us
+
+    def system_share(self, system: str) -> float:
+        return self.system_airtime_us[system] / self.measure_us
+
+    def to_dict(self) -> dict:
+        measure = self.measure_us
+        return {
+            "seed": self.seed,
+            "duration_us": self.duration_us,
+            "warmup_us": self.warmup_us,
+            "links": {lid: st.to_dict(measure) for lid, st in sorted(self.links.items())},
+            "systems": {
+                sys: {
+                    "airtime_us": air,
+                    "share": air / measure if measure else 0.0,
+                    "delivered_bytes": self.system_delivered_bytes[sys],
+                    "throughput_bytes_per_s": (self.system_delivered_bytes[sys] * 1e6 / measure
+                                               if measure else 0.0),
+                }
+                for sys, air in sorted(self.system_airtime_us.items())
+            },
+            "fairness_index": self.fairness_index,
+            "colocated_conflict_us": self.colocated_conflict_us,
+            "cts_count": self.cts_count,
+            "cts_airtime_us": self.cts_airtime_us,
+            "trace_hash": self.trace_hash,
+        }
+
+
+class _TxRec:
+    __slots__ = ("tx", "link", "served_bytes", "missed", "overlappers",
+                 "release_tx", "release_rx", "train_owner")
+
+    def __init__(self, tx: Transmission, link: Optional[str] = None,
+                 served_bytes: int = 0):
+        self.tx = tx
+        self.link = link
+        self.served_bytes = served_bytes
+        self.missed = False          # addressee was not listening (arbiter denial)
+        self.overlappers: list[Transmission] = []
+        self.release_tx: Optional[str] = None  # iface holding a TX grant to drop at end
+        self.release_rx: Optional[str] = None
+        self.train_owner: Optional[str] = None   # subscriber station owning this CTS chunk
+
+
+class _WifiRt:
+    __slots__ = ("node", "station", "link", "needs_resched", "armed_token")
+
+    def __init__(self, node, station):
+        self.node = node
+        self.station = station
+        self.link = f"{node.id}->{node.peer}" if node.peer else None
+        self.needs_resched = False
+        self.armed_token: Optional[int] = None
+
+
+class _ByteQueue:
+    """FIFO of (enqueue time, bytes) items with partial consumption."""
+
+    __slots__ = ("items", "total")
+
+    def __init__(self):
+        self.items: deque = deque()
+        self.total = 0
+
+    def push(self, t: int, nbytes: int) -> None:
+        self.items.append([t, nbytes])
+        self.total += nbytes
+
+    def consume(self, nbytes: int, now: int) -> list[int]:
+        """Remove nbytes; returns delay samples of fully served items."""
+        delays = []
+        remaining = nbytes
+        while remaining > 0 and self.items:
+            head = self.items[0]
+            if head[1] <= remaining:
+                remaining -= head[1]
+                self.total -= head[1]
+                delays.append(now - head[0])
+                self.items.popleft()
+            else:
+                head[1] -= remaining
+                self.total -= remaining
+                remaining = 0
+        return delays
+
+
+class _SsRt:
+    __slots__ = ("node", "bs_id", "coordinator", "ul_queue", "pacing", "eval",
+                 "estimate", "heard", "next_claim_at", "reservation_scale",
+                 "last_retx_cum", "share_points", "delivered_points", "delay_window",
+                 "train_chunks_left")
+
+    def __init__(self, node, bs_id, coordinator, reservation_cfg):
+        self.node = node
+        self.bs_id = bs_id
+        self.coordinator = coordinator  # wifi runtime or None
+        self.ul_queue = _ByteQueue()
+        self.pacing = PacingState(
+            claim_interval_us=reservation_cfg.claim_interval_init_us,
+            window_us=reservation_cfg.share_window_us)
+        qos = None
+        if reservation_cfg.qos is not None:
+            qos = QosTarget(reservation_cfg.qos.min_throughput_bytes_per_s,
+                            reservation_cfg.qos.max_mean_delay_us)
+        self.eval = EvalState(min_reservation_us=reservation_cfg.min_reservation_us, qos=qos)
+        self.estimate = InterfererEstimate()
+        self.heard: deque = deque()          # (t, source, rx power)
+        self.next_claim_at = 0
+        self.reservation_scale = 1.0
+        self.last_retx_cum = 0
+        self.share_points: deque = deque()   # (t, cumulative system airtime)
+        self.delivered_points: deque = deque()
+        self.delay_window: deque = deque()   # (t, delay sample)
+        self.train_chunks_left = 0
+
+
+class _Cell:
+    __slots__ = ("bs_node", "ss_ids", "dl_queues", "maps")
+
+    def __init__(self, bs_node, ss_ids):
+        self.bs_node = bs_node
+        self.ss_ids = ss_ids
+        self.dl_queues = {ss: _ByteQueue() for ss in ss_ids}
+        self.maps: dict[int, FrameMap] = {}
+
+
+class Engine:
+    """One scenario run over an event queue. Use :func:`run` for the one-liner."""
+
+    def __init__(self, config: ScenarioConfig, seed: Optional[int] = None,
+                 collect_trace: bool = False):
+        self.cfg = config
+        self.seed = config.seed if seed is None else seed
+        self.rng = random.Random(self.seed)
+        self.now = 0
+        self._heap: list = []
+        self._seq = itertools.count()
+        self._hash = hashlib.sha256()
+        self._trace: Optional[list[str]] = [] if collect_trace else None
+        self.delivery_log: list[tuple[int, str, int]] = []  # (end us, link, bytes)
+
+        self.medium: MediumModel = config.medium.model()
+        self.interfaces: dict[str, RadioInterface] = config.interfaces()
+        self._loss_cache: dict[tuple[str, str], float] = {}
+        self.dcf = config.wifi.dcf_params()
+
+        self.stations: dict[str, _WifiRt] = {}
+        for n in config.nodes:
+            if n.kind == "wifi":
+                self.stations[n.id] = _WifiRt(n, WifiStation(self.interfaces[n.id],
+                                                             self.dcf, self.rng))
+        self.cells: dict[str, _Cell] = {}
+        self.sses: dict[str, _SsRt] = {}
+        plats = config.platforms()
+        for n in config.nodes:
+            if n.kind == "wimax-bs":
+                ss_ids = sorted(m.id for m in config.nodes
+                                if m.kind == "wimax-ss" and m.bs == n.id)
+                self.cells[n.id] = _Cell(n, ss_ids)
+        for n in config.nodes:
+            if n.kind == "wimax-ss":
+                coord = None
+                plat = plats[n.id]
+                if plat is not None:
+                    for m in config.nodes:
+                        if m.id != n.id and plats[m.id] == plat and m.kind == "wifi":
+                            coord = self.stations[m.id]
+                            break
+                self.sses[n.id] = _SsRt(n, n.bs, coord, config.reservation)
+
+        self.arbiters: dict[str, arb.RadioArbiter] = {}
+        if config.arbiter.enabled:
+            groups: dict[str, list[str]] = {}
+            for nid, plat in plats.items():
+                if plat is not None:
+                    groups.setdefault(plat, []).append(nid)
+            for plat, members in sorted(groups.items()):
+                self.arbiters[plat] = arb.RadioArbiter(sorted(members))
+
+        self.links: dict[str, LinkStats] = {}
+        for rt in self.stations.values():
+            if rt.link:
+                self.links[rt.link] = LinkStats()
+        for ss_id, ss in self.sses.items():
+            self.links[f"{ss.bs_id}->{ss_id}"] = LinkStats()
+            self.links[f"{ss_id}->{ss.bs_id}"] = LinkStats()
+
+        self.system_of: dict[str, str] = {n.id: n.system for n in config.nodes}
+        systems = sorted({n.system for n in config.nodes})
+        self.system_airtime: dict[str, int] = {s: 0 for s in systems}
+        self.system_delivered: dict[str, int] = {s: 0 for s in systems}
+        self._sys_air_cum: dict[str, int] = {s: 0 for s in systems}   # unclipped
+        self._sys_delivered_cum: dict[str, int] = {s: 0 for s in systems}
+        self._sys_retx_cum: dict[str, int] = {s: 0 for s in systems}
+
+        self.active: dict[int, _TxRec] = {}
+        self._tx_ids = itertools.count()
+        self._plat_tx: dict[str, list] = {}
+        self._plat_rx: dict[str, list] = {}
+        self.conflict_us = 0
+        self.cts_count = 0
+        self.cts_airtime_us = 0
+
+        self._handlers = {
+            "warmup": self._on_warmup,
+            "arrival": self._on_arrival,
+            "boundary": self._on_boundary,
+            "reserve": self._on_reserve,
+            "inject": self._on_inject,
+            "burst": self._on_burst,
+            "cts": self._on_cts,
+            "access": self._on_access,
+            "txend": self._on_txend,
+            "pacing": self._on_pacing_tick,
+            "eval": self._on_eval_tick,
+            "retry": self._on_retry,
+        }
+
+    # ------------------------------------------------------------------ utils
+
+    def _push(self, time_us: int, phase: int, kind: str, data) -> None:
+        assert time_us >= self.now, f"{kind} scheduled in the past"
+        heapq.heappush(self._heap, (time_us, phase, next(self._seq), kind, data))
+
+    def _note(self, line: str) -> None:
+        self._hash.update(line.encode())
+        self._hash.update(b"\n")
+        if self._trace is not None:
+            self._trace.append(line)
+
+    def _loss(self, src: str, dst: str) -> float:
+        key = (src, dst)
+        loss = self._loss_cache.get(key)
+        if loss is None:
+            loss = self.medium.link_loss_db(self.interfaces[src], self.interfaces[dst])
+            self._loss_cache[key] = loss
+        return loss
+
+    def _rx(self, tx: Transmission, dst: str) -> float:
+        return tx.power_dbm - self._loss(tx.source, dst)
+
+    def _clip(self, start: int, end: int) -> int:
+        lo = max(start, self.cfg.warmup_us)
+        hi = min(end, self.cfg.duration_us)
+        return max(0, hi - lo)
+
+    # ------------------------------------------------------------------ run
+
+    def run(self) -> RunResult:
+        cfg = self.cfg
+        self._push(cfg.warmup_us, P_END, "warmup", None)
+        for n in cfg.nodes:  # config order keeps event sequencing reproducible
+            t = n.traffic
+            if n.kind == "wifi":
+                if t.kind in ("saturated", "paced"):
+                    self._push(0, P_CTRL, "arrival", n.id)
+                elif t.kind == "cts-inject":
+                    self._push(t.at_us, P_CTRL, "inject", n.id)
+            elif n.kind == "wimax-ss" and t.kind == "wimax":
+                if t.dl_bytes_per_s or t.ul_bytes_per_s:
+                    self._push(0, P_CTRL, "arrival", n.id)
+        for bs_id in sorted(self.cells):
+            self._push(0, P_CTRL, "boundary", bs_id)
+        if cfg.reservation.enabled:
+            for ss_id in sorted(self.sses):
+                self._push(cfg.reservation.pacing_tick_us, P_CTRL, "pacing", ss_id)
+                self._push(cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
+
+        while self._heap and self._heap[0][0] <= cfg.duration_us:
+            time_us, phase, _, kind, data = heapq.heappop(self._heap)
+            self.now = time_us
+            self._note(f"{time_us}|{phase}|{kind}|{data if isinstance(data, str) else ''}")
+            self._handlers[kind](data)
+
+        shares = [self.system_airtime[s] / (cfg.duration_us - cfg.warmup_us)
+                  for s in sorted(self.system_airtime)]
+        try:
+            fairness = jain_index(shares)
+        except ValueError:
+            fairness = 0.0
+        return RunResult(
+            seed=self.seed, duration_us=cfg.duration_us, warmup_us=cfg.warmup_us,
+            links=self.links, system_airtime_us=dict(self.system_airtime),
+            system_delivered_bytes=dict(self.system_delivered),
+            fairness_index=fairness, colocated_conflict_us=self.conflict_us,
+            cts_count=self.cts_count, cts_airtime_us=self.cts_airtime_us,
+            trace_hash=self._hash.hexdigest())
+
+    @property
+    def trace(self) -> list[str]:
+        if self._trace is None:
+            raise RuntimeError("run engine with collect_trace=True")
+        return self._trace
+
+    # ------------------------------------------------------------------ stats
+
+    def _on_warmup(self, _data) -> None:
+        for rt in self.stations.values():
+            if rt.link:
+                st = self.links[rt.link]
+                queued = sum(f.frame_bytes for f in rt.station.queue)
+                self.links[rt.link] = LinkStats(offered_bytes=queued,
+                                                airtime_us=st.airtime_us)
+        for ss_id, ss in self.sses.items():
+            dl = self.links[f"{ss.bs_id}->{ss_id}"]
+            self.links[f"{ss.bs_id}->{ss_id}"] = LinkStats(
+                offered_bytes=self.cells[ss.bs_id].dl_queues[ss_id].total,
+                airtime_us=dl.airtime_us)
+            ul = self.links[f"{ss_id}->{ss.bs_id}"]
+            self.links[f"{ss_id}->{ss.bs_id}"] = LinkStats(
+                offered_bytes=ss.ul_queue.total, airtime_us=ul.airtime_us)
+        for s in self.system_delivered:
+            self.system_delivered[s] = 0
+
+    def _count_delivery(self, link: str, system: str, nbytes: int,
+                        delays: list[int]) -> None:
+        st = self.links[link]
+        st.delivered_bytes += nbytes
+        st.delay_samples.extend(delays)
+        self.system_delivered[system] += nbytes
+        self._sys_delivered_cum[system] += nbytes
+        self.delivery_log.append((self.now, link, nbytes))
+
+    # ------------------------------------------------------------------ traffic
+
+    def _on_arrival(self, node_id: str) -> None:
+        node = self.cfg.node(node_id)
+        t = node.traffic
+        if node.kind == "wifi":
+            rt = self.stations[node_id]
+            rt.station.enqueue(self.now, t.frame_bytes)
+            if rt.link:
+                self.links[rt.link].offered_bytes += t.frame_bytes
+            self._schedule_access(rt)
+            if t.kind == "paced":
+                self._push(self.now + t.interval_us, P_CTRL, "arrival", node_id)
+            return
+        # wimax-ss paced arrivals in fixed ticks
+        ss = self.sses[node_id]
+        if t.dl_bytes_per_s:
+            nbytes = t.dl_bytes_per_s * _WIMAX_ARRIVAL_TICK_US // 1_000_000
+            self.cells[ss.bs_id].dl_queues[node_id].push(self.now, nbytes)
+            self.links[f"{ss.bs_id}->{node_id}"].offered_bytes += nbytes
+        if t.ul_bytes_per_s:
+            nbytes = t.ul_bytes_per_s * _WIMAX_ARRIVAL_TICK_US // 1_000_000
+            ss.ul_queue.push(self.now, nbytes)
+            self.links[f"{node_id}->{ss.bs_id}"].offered_bytes += nbytes
+        self._push(self.now + _WIMAX_ARRIVAL_TICK_US, P_CTRL, "arrival", node_id)
+
+    def _top_up_saturated(self, cell: _Cell) -> None:
+        target = int(self.cfg.wimax.capacity_bytes_per_us * self.cfg.wimax.frame_us) * 2
+        for ss_id in cell.ss_ids:
+            t = self.cfg.node(ss_id).traffic
+            if t.kind != "wimax":
+                continue
+            if t.dl_saturated:
+                q = cell.dl_queues[ss_id]
+                if q.total < target:
+                    add = target - q.total
+                    q.push(self.now, add)
+                    self.links[f"{cell.bs_node.id}->{ss_id}"].offered_bytes += add
+            if t.ul_saturated:
+                q = self.sses[ss_id].ul_queue
+                if q.total < target:
+                    add = target - q.total
+                    q.push(self.now, add)
+                    self.links[f"{ss_id}->{cell.bs_node.id}"].offered_bytes += add
+
+    # ------------------------------------------------------------------ wimax
+
+    def _on_boundary(self, bs_id: str) -> None:
+        cfg = self.cfg
+        cell = self.cells[bs_id]
+        frame_start = self.now + cfg.wimax.frame_us
+        self._top_up_saturated(cell)
+        demands = []
+        claiming = []
+        for ss_id in cell.ss_ids:
+            ss = self.sses[ss_id]
+            claims = True
+            if cfg.reservation.enabled and cfg.reservation.pacing:
+                claims = frame_start >= ss.next_claim_at
+            if claims:
+                claiming.append(ss_id)
+                demands.append(SsDemand(ss_id, cell.dl_queues[ss_id].total, DL))
+                demands.append(SsDemand(ss_id, ss.ul_queue.total, UL))
+            else:
+                demands.append(SsDemand(ss_id, 0, DL))
+                demands.append(SsDemand(ss_id, 0, UL))
+        frame_map = build_frame_map(demands, cfg.wimax.frame_us, cfg.wimax.dl_ratio,
+                                    cfg.wimax.capacity_bytes_per_us,
+                                    cfg.wimax.preamble_us, cfg.wimax.ttg_us)
+        cell.maps[frame_start] = frame_map
+        for start in [s for s in cell.maps if s + cfg.wimax.frame_us < self.now]:
+            del cell.maps[start]
+        for g in frame_map.grants:
+            self._push(frame_start + g.offset_us, P_START, "burst", (bs_id, g, frame_start))
+        for ss_id in claiming:
+            grants = frame_map.grants_for(ss_id)
+            if not grants:
+                continue
+            ss = self.sses[ss_id]
+            ss.next_claim_at = frame_start + ss.pacing.claim_interval_us
+            if cfg.reservation.enabled and ss.coordinator is not None:
+                if cfg.reservation.performance_gating and not ss.eval.cts_enabled:
+                    continue
+                first = frame_start + min(g.offset_us for g in grants)
+                last = frame_start + max(g.offset_us + g.len_us for g in grants)
+                self._push(first - cfg.reservation.lead_us, P_CTRL, "reserve",
+                           (ss_id, first, last))
+        self._push(self.now + cfg.wimax.frame_us, P_CTRL, "boundary", bs_id)
+
+    def _on_burst(self, data) -> None:
+        bs_id, grant, frame_start = data
+        cfg = self.cfg
+        cell = self.cells[bs_id]
+        ss = self.sses[grant.ss]
+        capacity = cfg.wimax.capacity_bytes_per_us
+        if grant.direction == UL:
+            src, dst = grant.ss, bs_id
+            queue = ss.ul_queue
+        else:
+            src, dst = bs_id, grant.ss
+            queue = cell.dl_queues[grant.ss]
+        serve = min(queue.total, int(grant.len_us * capacity))
+        if serve <= 0:
+            return
+        release_tx = None
+        if grant.direction == UL:
+            decision = self._arbiter_request(src, arb.ArbiterState.TX,
+                                             span=(self.now, self.now + grant.len_us),
+                                             is_wimax=True)
+            if decision == arb.DENY:
+                self._note(f"{self.now}|deny|ul|{src}")
+                return
+            if decision == arb.GRANT:
+                release_tx = src
+        airtime = max(1, min(grant.len_us, math.ceil(serve / capacity)))
+        src_if = self.interfaces[src]
+        tx = Transmission(source=src, kind=FrameKind.WIMAX_BURST, start_us=self.now,
+                          airtime_us=airtime, power_dbm=src_if.tx_power_dbm,
+                          channel_mhz=src_if.channel_mhz, dest=dst)
+        rec = _TxRec(tx, link=f"{src}->{dst}", served_bytes=serve)
+        rec.release_tx = release_tx
+        self._begin_tx(rec)
+
+    # ------------------------------------------------------------------ reservation
+
+    def _on_reserve(self, data) -> None:
+        ss_id, first, last = data
+        cfg = self.cfg.reservation
+        ss = self.sses[ss_id]
+        if ss.train_chunks_left > 0:
+            return  # the previous train is still on air
+        coord = ss.coordinator
+        st = coord.station
+        start = max(self.now, st.busy_until_us)
+        airtime = self.dcf.cts_airtime_us
+        span = last - (start + airtime)
+        if span <= 0:
+            return
+        reservation = int(span * ss.reservation_scale)
+        min_res = cfg.min_reservation_us if cfg.performance_gating else 0
+        if cfg.power_sizing:
+            power = reservation_power(ss.estimate.max_distance_m,
+                                      st.iface.cca_threshold_dbm,
+                                      self.medium.path_loss_model)
+        else:
+            power = cfg.cts_power_dbm
+        chunks = build_cts_train(reservation, power, start, source=st.iface.id,
+                                 channel_mhz=st.iface.channel_mhz,
+                                 min_reservation_us=min_res, cts_airtime_us=airtime)
+        if not chunks:
+            self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
+            return
+        decision = self._arbiter_request(st.iface.id, arb.ArbiterState.TX,
+                                         span=(start, chunks[-1].end_us), is_wimax=False)
+        if decision == arb.DENY:
+            self._note(f"{self.now}|deny|reserve|{ss_id}")
+            return
+        ss.train_chunks_left = len(chunks)
+        for chunk in chunks:
+            self._push(chunk.start_us, P_START, "cts",
+                       (chunk, ss_id, decision == arb.GRANT))
+
+    def _on_inject(self, node_id: str) -> None:
+        node = self.cfg.node(node_id)
+        t = node.traffic
+        st = self.stations[node_id].station
+        start = max(self.now, st.busy_until_us)
+        power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
+        chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
+                                 channel_mhz=node.channel_mhz,
+                                 cts_airtime_us=self.dcf.cts_airtime_us)
+        for chunk in chunks:
+            self._push(chunk.start_us, P_START, "cts", (chunk, None, False))
+        if t.repeat_us:
+            self._push(self.now + t.repeat_us, P_CTRL, "inject", node_id)
+
+    def _on_cts(self, data) -> None:
+        chunk, ss_id, held = data
+        src_rt = self.stations[chunk.source]
+        rec = _TxRec(chunk)
+        rec.train_owner = ss_id
+        if ss_id is not None and held:
+            ss = self.sses[ss_id]
+            if ss.train_chunks_left == 1:
+                rec.release_tx = chunk.source
+        self.cts_count += 1
+        self.cts_airtime_us += chunk.airtime_us
+        # own radio is occupied while the chunk is on air
+        self._sense_busy(src_rt, chunk.start_us, chunk.end_us, FrameKind.CTS)
+        self._begin_tx(rec)
+
+    # ------------------------------------------------------------------ arbiter
+
+    def _arbiter_request(self, iface_id: str, desired, span=None,
+                         is_wimax: bool = False) -> str:
+        """Returns GRANT/DENY, or "off" when no controller governs the radio."""
+        plat = self.interfaces[iface_id].platform
+        if plat is None or plat not in self.arbiters:
+            return "off"
+        acfg = self.cfg.arbiter
+        req = arb.InterfaceRequest(iface_id, desired, span_us=span, is_wimax=is_wimax)
+        if acfg.schedule_aware and not is_wimax and span is not None:
+            for ss_id, ss in self.sses.items():
+                if self.interfaces[ss_id].platform != plat:
+                    continue
+                cell = self.cells[ss.bs_id]
+                for frame_start, fmap in cell.maps.items():
+                    if frame_start <= span[1] and span[0] <= frame_start + fmap.frame_len_us:
+                        if arb.schedule_aware_check(req, fmap, frame_start, ss_id) == arb.DENY:
+                            return arb.DENY
+        decision = self.arbiters[plat].request(req)
+        self._note(f"{self.now}|arb|{iface_id}|{desired.name}|{decision}")
+        return decision
+
+    def _arbiter_release(self, iface_id: str) -> None:
+        plat = self.interfaces[iface_id].platform
+        if plat is not None and plat in self.arbiters:
+            self.arbiters[plat].release(iface_id)
+
+    # ------------------------------------------------------------------ medium
+
+    def _sense_busy(self, rt: _WifiRt, start: int, end: int, kind: FrameKind) -> None:
+        """Physical carrier sense at one station, keeping attempt bookkeeping in step."""
+        had = rt.armed_token is not None and rt.station.attempt_valid(rt.armed_token)
+        rt.station.on_medium_busy(start, end, kind)
+        if had and not rt.station.attempt_valid(rt.armed_token):
+            rt.armed_token = None
+            rt.needs_resched = True
+
+    def _record_conflict_interval(self, plat: str, iface_id: str, start: int,
+                                  end: int, is_tx: bool) -> None:
+        mine = self._plat_tx if is_tx else self._plat_rx
+        other = self._plat_rx if is_tx else self._plat_tx
+        lst = other.setdefault(plat, [])
+        lst[:] = [iv for iv in lst if iv[1] > self.now]
+        for o_start, o_end, o_iface in lst:
+            if o_iface == iface_id:
+                continue
+            lo, hi = max(start, o_start), min(end, o_end)
+            if lo < hi:
+                self.conflict_us += self._clip(lo, hi)
+        mine.setdefault(plat, []).append((start, end, iface_id))
+
+    def _begin_tx(self, rec: _TxRec) -> None:
+        tx = rec.tx
+        for other in self.active.values():
+            other.overlappers.append(tx)
+            rec.overlappers.append(other.tx)
+        self.active[next(self._tx_ids)] = rec
+
+        system = self.system_of[tx.source]
+        clipped = self._clip(tx.start_us, tx.end_us)
+        self.system_airtime[system] += clipped
+        self._sys_air_cum[system] += tx.airtime_us
+        if rec.link:
+            self.links[rec.link].airtime_us += clipped
+
+        src_if = self.interfaces[tx.source]
+        if src_if.platform is not None:
+            self._record_conflict_interval(src_if.platform, tx.source,
+                                           tx.start_us, tx.end_us, is_tx=True)
+
+        # addressee side: is anyone listening?
+        if tx.dest is not None:
+            dst_if = self.interfaces[tx.dest]
+            if self._rx(tx, tx.dest) >= dst_if.decode_sensitivity_dbm:
+                decision = self._arbiter_request(tx.dest, arb.ArbiterState.RX,
+                                                 span=(tx.start_us, tx.end_us),
+                                                 is_wimax=dst_if.kind.value != "wifi")
+                if decision == arb.DENY:
+                    rec.missed = True
+                else:
+                    if decision == arb.GRANT:
+                        rec.release_rx = tx.dest
+                    if dst_if.platform is not None:
+                        self._record_conflict_interval(dst_if.platform, tx.dest,
+                                                       tx.start_us, tx.end_us,
+                                                       is_tx=False)
+
+        # physical carrier sense at every other WiFi radio
+        for sid, rt in self.stations.items():
+            if sid == tx.source:
+                continue
+            if self._rx(tx, sid) >= rt.station.iface.cca_threshold_dbm:
+                self._sense_busy(rt, tx.start_us, tx.end_us, tx.kind)
+        self._push(tx.end_us, P_END, "txend", rec)
+        self._note(f"{tx.start_us}|air|{tx.kind.value}|{tx.source}>{tx.dest}|{tx.airtime_us}")
+
+    def _on_txend(self, rec: _TxRec) -> None:
+        tx = rec.tx
+        for key, val in list(self.active.items()):
+            if val is rec:
+                del self.active[key]
+                break
+        if rec.release_tx:
+            self._arbiter_release(rec.release_tx)
+        if rec.release_rx:
+            self._arbiter_release(rec.release_rx)
+        if rec.train_owner is not None:
+            ss = self.sses[rec.train_owner]
+            ss.train_chunks_left = max(0, ss.train_chunks_left - 1)
+
+        outcome = None
+        if tx.dest is not None:
+            outcome = delivery_result(tx, [tx] + rec.overlappers, self.interfaces,
+                                      (tx.start_us, tx.end_us), self.medium)
+            decoded = outcome.result == DECODED and not rec.missed
+            if tx.kind is FrameKind.WIMAX_BURST:
+                self._finish_burst(rec, decoded, outcome)
+            elif tx.kind is FrameKind.DATA:
+                self._finish_wifi_data(rec, decoded, outcome)
+            self._note(f"{self.now}|outcome|{tx.source}>{tx.dest}|"
+                       f"{'missed' if rec.missed else outcome.result}")
+
+        # decode-level overhearing (NAV from CTS) at stations not party to the frame
+        if tx.kind is FrameKind.CTS:
+            for sid, rt in self.stations.items():
+                if sid == tx.source:
+                    continue
+                rx = self._rx(tx, sid)
+                if rx < rt.station.iface.decode_sensitivity_dbm:
+                    continue
+                if not self._overheard_decodes(tx, rec.overlappers, sid, rx):
+                    continue
+                had_nav = rt.station.nav_expiry_us
+                had = rt.station.attempt_valid(rt.armed_token) if rt.armed_token else False
+                rt.station.on_overheard(tx, rx, self.now)
+                if rt.station.nav_expiry_us != had_nav:
+                    self._note(f"{self.now}|nav|{sid}|{rt.station.nav_expiry_us}")
+                if had and not rt.station.attempt_valid(rt.armed_token):
+                    rt.armed_token = None
+                    rt.needs_resched = True
+
+        # neighborhood monitoring by collocated coordinators
+        src_plat = self.interfaces[tx.source].platform
+        for ss in self.sses.values():
+            coord = ss.coordinator
+            if coord is None or coord.station.iface.id == tx.source:
+                continue
+            if src_plat is not None and src_plat == coord.station.iface.platform:
+                continue
+            rx = self._rx(tx, coord.station.iface.id)
+            if rx >= coord.station.iface.decode_sensitivity_dbm:
+                ss.heard.append((self.now, tx.source, rx))
+
+        # wake frozen stations
+        for rt in self.stations.values():
+            if rt.needs_resched:
+                rt.needs_resched = False
+                self._schedule_access(rt)
+
+    def _overheard_decodes(self, tx: Transmission, overlappers: list[Transmission],
+                           listener: str, rx: float) -> bool:
+        for u in overlappers:
+            if max(u.start_us, tx.start_us) >= min(u.end_us, tx.end_us):
+                continue
+            if u.source == listener:
+                return False
+            if rx - self._rx(u, listener) < self.medium.sinr_threshold_db:
+                return False
+        return True
+
+    def _finish_burst(self, rec: _TxRec, decoded: bool, outcome) -> None:
+        tx = rec.tx
+        ss_id = tx.dest if tx.dest in self.sses else tx.source
+        ss = self.sses[ss_id]
+        if tx.source == ss.bs_id:
+            queue = self.cells[ss.bs_id].dl_queues[ss_id]
+        else:
+            queue = ss.ul_queue
+        link = rec.link
+        system = self.system_of[tx.source]
+        if decoded:
+            delays = queue.consume(rec.served_bytes, self.now)
+            self._count_delivery(link, system, rec.served_bytes, delays)
+            for d in delays:
+                ss.delay_window.append((self.now, d))
+        else:
+            st = self.links[link]
+            st.retransmissions += 1
+            self._sys_retx_cum[system] += 1
+            if outcome.result == CORRUPTED and not rec.missed:
+                st.corrupted_frames += 1
+
+    def _finish_wifi_data(self, rec: _TxRec, decoded: bool, outcome) -> None:
+        tx = rec.tx
+        rt = self.stations[tx.source]
+        st = rt.station
+        stats = self.links[rec.link]
+        system = self.system_of[tx.source]
+        head = st.head
+        if decoded:
+            delay = self.now - head.enqueued_us
+            res = st.on_tx_outcome(True, self.now)
+            self._count_delivery(rec.link, system, rec.served_bytes, [delay])
+        else:
+            res = st.on_tx_outcome(False, self.now)
+            if res == OUTCOME_RETRY:
+                stats.retransmissions += 1
+                self._sys_retx_cum[system] += 1
+            elif res == OUTCOME_DROP:
+                stats.dropped_frames += 1
+            if outcome.result == CORRUPTED and not rec.missed:
+                stats.corrupted_frames += 1
+        if rt.node.traffic.kind == "saturated" and res in (OUTCOME_DONE, OUTCOME_DROP):
+            st.enqueue(self.now, rt.node.traffic.frame_bytes)
+            stats.offered_bytes += rt.node.traffic.frame_bytes
+        self._schedule_access(rt)
+
+    # ------------------------------------------------------------------ wifi access
+
+    def _schedule_access(self, rt: _WifiRt) -> None:
+        st = rt.station
+        if rt.armed_token is not None and st.attempt_valid(rt.armed_token):
+            return
+        armed = st.arm_attempt(self.now)
+        if armed is None:
+            rt.armed_token = None
+            return
+        token, start = armed
+        rt.armed_token = token
+        self._push(start, P_ACCESS, "access", (st.iface.id, token))
+
+    def _on_access(self, data) -> None:
+        sid, token = data
+        rt = self.stations[sid]
+        st = rt.station
+        if rt.armed_token != token or not st.attempt_valid(token):
+            return
+        rt.armed_token = None
+        st.clear_attempt()
+        head = st.head
+        if head is None or st.transmitting:
+            return
+        airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
+        decision = self._arbiter_request(sid, arb.ArbiterState.TX,
+                                         span=(self.now, self.now + airtime),
+                                         is_wimax=False)
+        if decision == arb.DENY:
+            self._push(self.now + self.cfg.arbiter.retry_us, P_CTRL, "retry", sid)
+            return
+        st.transmitting = True
+        iface = st.iface
+        tx = Transmission(source=sid, kind=FrameKind.DATA, start_us=self.now,
+                          airtime_us=airtime, power_dbm=iface.tx_power_dbm,
+                          channel_mhz=iface.channel_mhz, dest=rt.node.peer)
+        rec = _TxRec(tx, link=rt.link, served_bytes=head.frame_bytes)
+        if decision == arb.GRANT:
+            rec.release_tx = sid
+        self._begin_tx(rec)
+
+    def _on_retry(self, sid: str) -> None:
+        self._schedule_access(self.stations[sid])
+
+    # ------------------------------------------------------------------ feedback ticks
+
+    def _windowed(self, points: deque, cum_now: int, window_us: int) -> float:
+        """Rate per second over the last window, from cumulative checkpoints."""
+        points.append((self.now, cum_now))
+        floor = self.now - window_us
+        while len(points) > 1 and points[1][0] <= floor:
+            points.popleft()
+        t0, c0 = points[0]
+        span = self.now - t0
+        if span <= 0:
+            return 0.0
+        return (cum_now - c0) * 1e6 / span
+
+    def _on_pacing_tick(self, ss_id: str) -> None:
+        cfg = self.cfg.reservation
+        ss = self.sses[ss_id]
+        floor = self.now - cfg.monitor_window_us
+        while ss.heard and ss.heard[0][0] < floor:
+            ss.heard.popleft()
+        ss.estimate = estimate_interferers([(s, rx) for _, s, rx in ss.heard],
+                                           cfg.monitor_window_us,
+                                           cfg.assumed_tx_power_dbm,
+                                           self.medium.path_loss_model)
+        system = self.system_of[ss_id]
+        share_rate = self._windowed(ss.share_points, self._sys_air_cum[system],
+                                    cfg.share_window_us)
+        share = min(1.0, share_rate / 1e6)
+        if self.cfg.reservation.pacing:
+            ss.pacing = update_pacing(ss.pacing, ss.estimate, share, self.now,
+                                      delta=cfg.share_delta,
+                                      interval_min_us=cfg.claim_interval_min_us,
+                                      interval_max_us=cfg.claim_interval_max_us)
+            self._note(f"{self.now}|pacing|{ss_id}|{ss.estimate.active_systems}|"
+                       f"{share:.4f}|{ss.pacing.claim_interval_us}")
+        self._push(self.now + cfg.pacing_tick_us, P_CTRL, "pacing", ss_id)
+
+    def _on_eval_tick(self, ss_id: str) -> None:
+        cfg = self.cfg.reservation
+        ss = self.sses[ss_id]
+        system = self.system_of[ss_id]
+        retx_now = self._sys_retx_cum[system]
+        retx_in_window = retx_now - ss.last_retx_cum
+        ss.last_retx_cum = retx_now
+        throughput = self._windowed(ss.delivered_points,
+                                    self._sys_delivered_cum[system],
+                                    cfg.eval_window_us)
+        floor = self.now - cfg.eval_window_us
+        while ss.delay_window and ss.delay_window[0][0] < floor:
+            ss.delay_window.popleft()
+        mean_delay = (sum(d for _, d in ss.delay_window) / len(ss.delay_window)
+                      if ss.delay_window else 0.0)
+        if self.cfg.reservation.performance_gating:
+            before = ss.eval
+            ss.eval = evaluate_performance(before, retx_in_window, throughput,
+                                           mean_delay, self.now,
+                                           enable_retx_threshold=cfg.retx_enable_threshold,
+                                           eval_window_us=cfg.eval_window_us,
+                                           hold_us=cfg.hold_us)
+            if ss.eval.cts_enabled != before.cts_enabled:
+                self._note(f"{self.now}|gate|{ss_id}|{'on' if ss.eval.cts_enabled else 'off'}")
+            if ss.eval.qos_violated:
+                ss.reservation_scale = min(cfg.qos_growth_cap,
+                                           ss.reservation_scale * (1 + cfg.qos_growth_step))
+        self._push(self.now + cfg.eval_tick_us, P_CTRL, "eval", ss_id)
+
+
+def run(config: ScenarioConfig, seed: Optional[int] = None,
+        collect_trace: bool = False) -> RunResult:
+    """Run one scenario to completion; bit-identical for equal (config, seed)."""
+    return Engine(config, seed=seed, collect_trace=collect_trace).run()

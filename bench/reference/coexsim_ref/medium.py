@@ -1,0 +1,293 @@
+"""Radio medium model.
+
+Propagation loss, adjacent-channel rejection, link budgets and per-receiver
+delivery outcomes.  Everything in this module is a pure function of its
+inputs: no clocks, no randomness, no shared state.
+
+Conventions: distances in meters, powers in dBm, losses in dB, frequencies
+in MHz, times in integer microseconds of virtual clock.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Mapping, Optional, Sequence
+
+# 20*log10(4*pi/c) for d in meters and f in MHz
+_FSPL_CONST_DB = 27.55
+
+FREE_SPACE = "free-space"
+LOG_DISTANCE = "log-distance"
+
+
+@dataclass(frozen=True)
+class Position:
+    """A point on the desk-scale plane."""
+
+    x: float
+    y: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("coordinates must be finite")
+
+    def distance_to(self, other: "Position") -> float:
+        return math.hypot(self.x - other.x, self.y - other.y)
+
+
+@dataclass(frozen=True)
+class PathLossModel:
+    """Free-space or log-distance attenuation.
+
+    ``reference_loss_db`` is the loss at 1 m.  For the free-space model the
+    exponent is pinned to 2.0 and the loss is computed from ``frequency_mhz``
+    directly; for log-distance the loss is
+    ``reference_loss_db + 10 * exponent * log10(d / 1 m)``.
+    """
+
+    kind: str = FREE_SPACE
+    exponent: float = 2.0
+    reference_loss_db: float = 40.05
+    frequency_mhz: float = 2400.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in (FREE_SPACE, LOG_DISTANCE):
+            raise ValueError(f"unknown path loss kind: {self.kind!r}")
+        if self.kind == FREE_SPACE and self.exponent != 2.0:
+            raise ValueError("free-space model has a fixed exponent of 2.0")
+        if self.exponent < 2.0:
+            raise ValueError("exponent must be >= 2.0")
+        if self.reference_loss_db <= 0:
+            raise ValueError("reference_loss_db must be positive")
+        if self.frequency_mhz <= 0:
+            raise ValueError("frequency_mhz must be positive")
+
+
+def path_loss(distance_m: float, model: PathLossModel) -> float:
+    """Attenuation in dB over ``distance_m``.
+
+    Distances below 1 m clamp to the 1 m loss so that near-field geometry
+    cannot produce negative loss.
+    """
+    if distance_m <= 0:
+        raise ValueError("distance must be positive")
+    d = max(distance_m, 1.0)
+    if model.kind == FREE_SPACE:
+        return 20.0 * math.log10(d) + 20.0 * math.log10(model.frequency_mhz) - _FSPL_CONST_DB
+    return model.reference_loss_db + 10.0 * model.exponent * math.log10(d)
+
+
+def invert_path_loss(loss_db: float, model: PathLossModel) -> float:
+    """Distance in meters at which the model produces ``loss_db``.
+
+    Inverse of :func:`path_loss` without the 1 m clamp; losses below the
+    1 m value map to distances below 1 m.
+    """
+    if model.kind == FREE_SPACE:
+        return 10.0 ** ((loss_db - 20.0 * math.log10(model.frequency_mhz) + _FSPL_CONST_DB) / 20.0)
+    return 10.0 ** ((loss_db - model.reference_loss_db) / (10.0 * model.exponent))
+
+
+@dataclass(frozen=True)
+class SpillageTable:
+    """Adjacent-channel rejection versus channel-center separation.
+
+    Rejection is linearly interpolated between entries and clamped to the
+    first/last entry outside the table.  Zero separation (co-channel) is
+    always 0 dB rejection.
+    """
+
+    entries: tuple[tuple[float, float], ...] = ((32.0, 41.0), (114.0, 55.0))
+
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("spillage table needs at least one entry")
+        seps = [e[0] for e in self.entries]
+        rejs = [e[1] for e in self.entries]
+        if any(s <= 0 for s in seps):
+            raise ValueError("channel separations must be positive")
+        if sorted(seps) != seps or len(set(seps)) != len(seps):
+            raise ValueError("entries must be sorted by separation, no duplicates")
+        if any(r < 0 for r in rejs):
+            raise ValueError("rejection must be non-negative")
+        if any(b < a for a, b in zip(rejs, rejs[1:])):
+            raise ValueError("rejection must be non-decreasing with separation")
+
+    def rejection_db(self, separation_mhz: float) -> float:
+        sep = abs(separation_mhz)
+        if sep == 0:
+            return 0.0
+        entries = self.entries
+        if sep <= entries[0][0]:
+            return entries[0][1]
+        if sep >= entries[-1][0]:
+            return entries[-1][1]
+        for (s0, r0), (s1, r1) in zip(entries, entries[1:]):
+            if s0 <= sep <= s1:
+                return r0 + (r1 - r0) * (sep - s0) / (s1 - s0)
+        raise AssertionError("unreachable")
+
+
+class RadioKind(str, Enum):
+    WIFI = "wifi"
+    WIMAX_SS = "wimax-ss"
+    WIMAX_BS = "wimax-bs"
+
+
+class FrameKind(str, Enum):
+    DATA = "data"
+    CTS = "cts"
+    ACK = "ack"
+    WIMAX_BURST = "wimax-burst"
+
+
+@dataclass(frozen=True)
+class RadioInterface:
+    """A positioned transceiver."""
+
+    id: str
+    kind: RadioKind
+    position: Position
+    channel_mhz: float
+    tx_power_dbm: float
+    decode_sensitivity_dbm: float
+    cca_threshold_dbm: float
+    platform: Optional[str] = None  # shared id marks co-located interfaces
+
+
+@dataclass(frozen=True)
+class Transmission:
+    """An on-air emission over [start_us, start_us + airtime_us)."""
+
+    source: str
+    kind: FrameKind
+    start_us: int
+    airtime_us: int
+    power_dbm: float
+    channel_mhz: float
+    dest: Optional[str] = None
+    nav_duration_us: int = 0  # CTS only: medium time reserved past frame end
+
+    def __post_init__(self) -> None:
+        if self.airtime_us < 1:
+            raise ValueError("airtime must be at least 1 us")
+        if self.nav_duration_us < 0:
+            raise ValueError("nav duration must be non-negative")
+
+    @property
+    def end_us(self) -> int:
+        return self.start_us + self.airtime_us
+
+
+DECODED = "decoded"
+CORRUPTED = "corrupted"
+BELOW_SENSITIVITY = "below-sensitivity"
+
+
+@dataclass(frozen=True)
+class DeliveryOutcome:
+    receiver: str
+    result: str  # decoded | corrupted | below-sensitivity
+    rx_power_dbm: float
+
+
+@dataclass(frozen=True)
+class MediumModel:
+    """Bundle of propagation parameters shared by one scenario.
+
+    ``colocated_coupling_db`` replaces path loss between interfaces on the
+    same platform, where the geometric distance would be 0 m.
+    """
+
+    path_loss_model: PathLossModel = field(default_factory=PathLossModel)
+    spillage: SpillageTable = field(default_factory=SpillageTable)
+    sinr_threshold_db: float = 10.0
+    colocated_coupling_db: float = 20.0
+
+    def link_loss_db(self, src: RadioInterface, dst: RadioInterface,
+                     tx_channel_mhz: Optional[float] = None) -> float:
+        """Total loss from src to dst: propagation plus channel rejection."""
+        tx_ch = src.channel_mhz if tx_channel_mhz is None else tx_channel_mhz
+        if src.platform is not None and src.platform == dst.platform:
+            loss = self.colocated_coupling_db
+        else:
+            loss = path_loss(src.position.distance_to(dst.position), self.path_loss_model)
+        return loss + self.spillage.rejection_db(tx_ch - dst.channel_mhz)
+
+    def rx_power_dbm(self, tx: Transmission, src: RadioInterface, dst: RadioInterface) -> float:
+        return tx.power_dbm - self.link_loss_db(src, dst, tx.channel_mhz)
+
+
+def received_power(tx_power_dbm: float, src: Position, dst: Position,
+                   tx_channel_mhz: float, rx_channel_mhz: float,
+                   model: PathLossModel, spillage: SpillageTable,
+                   coupling_db: Optional[float] = None) -> float:
+    """In-band power at a receiver tuned to ``rx_channel_mhz``.
+
+    ``coupling_db`` substitutes for path loss when the radios share a
+    platform (distance 0 m would otherwise be out of the model's domain).
+    """
+    if coupling_db is not None:
+        loss = coupling_db
+    else:
+        loss = path_loss(src.distance_to(dst), model)
+    return tx_power_dbm - loss - spillage.rejection_db(tx_channel_mhz - rx_channel_mhz)
+
+
+def required_isolation(spillage_level_dbm: float, victim_tolerance_dbm: float) -> float:
+    """Attenuation needed to push a spillage level below a victim's tolerance."""
+    return spillage_level_dbm - victim_tolerance_dbm
+
+
+def _addressed(active: Sequence[Transmission], interfaces: Mapping[str, RadioInterface]):
+    for tx in active:
+        if tx.dest is not None and tx.dest in interfaces:
+            yield tx
+
+
+def delivery_result(tx: Transmission, active: Sequence[Transmission],
+                    interfaces: Mapping[str, RadioInterface],
+                    t_window: tuple[int, int], medium: MediumModel) -> DeliveryOutcome:
+    """Outcome of one addressed transmission against a set of overlappers.
+
+    The receiver decodes iff the frame is above its sensitivity and, at every
+    instant the frame overlaps ``t_window``, the margin over the strongest
+    single in-band interferer meets the SINR threshold.  A receiver that is
+    itself on air during the frame never decodes.
+    """
+    rx_iface = interfaces[tx.dest]
+    src_iface = interfaces[tx.source]
+    signal = medium.rx_power_dbm(tx, src_iface, rx_iface)
+    if signal < rx_iface.decode_sensitivity_dbm:
+        return DeliveryOutcome(tx.dest, BELOW_SENSITIVITY, signal)
+    w0, w1 = t_window
+    lo = max(tx.start_us, w0)
+    hi = min(tx.end_us, w1)
+    for other in active:
+        if other is tx:
+            continue
+        if max(other.start_us, lo) >= min(other.end_us, hi):
+            continue
+        if other.source == tx.dest:
+            # half-duplex: the receiver was transmitting over this frame
+            return DeliveryOutcome(tx.dest, CORRUPTED, signal)
+        interferer = medium.rx_power_dbm(other, interfaces[other.source], rx_iface)
+        if signal - interferer < medium.sinr_threshold_db:
+            return DeliveryOutcome(tx.dest, CORRUPTED, signal)
+    return DeliveryOutcome(tx.dest, DECODED, signal)
+
+
+def resolve_deliveries(active: Sequence[Transmission],
+                       interfaces: Mapping[str, RadioInterface],
+                       t_window: tuple[int, int],
+                       medium: MediumModel) -> list[DeliveryOutcome]:
+    """Delivery outcome for every addressed transmission in ``active``.
+
+    Deterministic: outcomes are listed in (start, source, dest) order of the
+    addressed transmissions, and depend only on the arguments.
+    """
+    ordered = sorted(_addressed(active, interfaces),
+                     key=lambda t: (t.start_us, t.source, t.dest))
+    return [delivery_result(tx, active, interfaces, t_window, medium) for tx in ordered]

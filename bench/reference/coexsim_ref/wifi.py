@@ -1,0 +1,168 @@
+"""Simplified 802.11 DCF station.
+
+Carrier sense with binary exponential backoff, NAV maintenance from
+overheard CTS frames, and bounded retransmission.  Acknowledgment is
+modeled as an instantaneous success notification when the data frame
+decodes at its addressee; no ACK frame goes on air.
+
+The station is a passive state machine: the simulation engine feeds it
+medium-busy intervals and overheard frames and asks when it may transmit.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from collections import deque
+from dataclasses import dataclass
+
+from .medium import FrameKind, RadioInterface, Transmission
+
+
+@dataclass(frozen=True)
+class DcfParams:
+    slot_us: int = 20
+    difs_us: int = 50
+    sifs_us: int = 10
+    cw_min: int = 15
+    cw_max: int = 1023
+    retry_limit: int = 7
+    phy_rate_mbps: float = 6.0
+    cts_airtime_us: int = 44
+
+
+def data_airtime_us(frame_bytes: int, phy_rate_mbps: float) -> int:
+    return max(1, math.ceil(frame_bytes * 8 / phy_rate_mbps))
+
+
+@dataclass
+class QueuedFrame:
+    enqueued_us: int
+    frame_bytes: int
+
+
+OUTCOME_DONE = "done"
+OUTCOME_RETRY = "retry"
+OUTCOME_DROP = "drop"
+
+
+class WifiStation:
+    """One DCF transmitter/receiver tied to a radio interface."""
+
+    def __init__(self, iface: RadioInterface, params: DcfParams, rng: random.Random):
+        self.iface = iface
+        self.params = params
+        self.rng = rng
+        self.nav_expiry_us = 0
+        self.busy_until_us = 0
+        self.contention_window = params.cw_min
+        self.pending_slots = 0
+        self.retry_count = 0
+        self.queue: deque[QueuedFrame] = deque()
+        # current access attempt: (token, contend_begin, planned_start)
+        self._attempt: tuple[int, int, int] | None = None
+        self._token = 0
+        self.transmitting = False
+
+    # -- queue ---------------------------------------------------------
+
+    def enqueue(self, now_us: int, frame_bytes: int) -> None:
+        self.queue.append(QueuedFrame(now_us, frame_bytes))
+
+    @property
+    def head(self) -> QueuedFrame | None:
+        return self.queue[0] if self.queue else None
+
+    # -- medium observations --------------------------------------------
+
+    def on_medium_busy(self, start_us: int, until_us: int, kind: FrameKind = FrameKind.DATA) -> None:
+        """Physical carrier sense: the medium is occupied over [start, until)."""
+        if until_us > self.busy_until_us:
+            self.busy_until_us = until_us
+        self._interrupt(start_us, kind)
+
+    def on_overheard(self, frame: Transmission, rx_power_dbm: float, now_us: int) -> None:
+        """Decode-level observation, called when the frame leaves the air.
+
+        Frames below decode sensitivity are invisible.  A CTS extends the NAV
+        to max(current, frame end + duration field); other frames carry no
+        virtual-carrier-sense information (their airtime was already sensed).
+        """
+        if rx_power_dbm < self.iface.decode_sensitivity_dbm:
+            return
+        if frame.kind is not FrameKind.CTS or frame.source == self.iface.id:
+            return
+        expiry = frame.end_us + frame.nav_duration_us
+        if expiry > self.nav_expiry_us:
+            self.nav_expiry_us = expiry
+            self._interrupt(now_us, FrameKind.CTS)
+
+    # -- channel access --------------------------------------------------
+
+    def try_access(self, now_us: int) -> int | None:
+        """Earliest possible transmission start, or None with nothing queued.
+
+        The start accounts for medium busy, NAV, a DIFS of idle air and the
+        remaining backoff slots.
+        """
+        if not self.queue or self.transmitting:
+            return None
+        contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
+        return contend + self.params.difs_us + self.pending_slots * self.params.slot_us
+
+    def arm_attempt(self, now_us: int) -> tuple[int, int] | None:
+        """Register an access attempt; returns (token, start time)."""
+        start = self.try_access(now_us)
+        if start is None:
+            return None
+        contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
+        self._token += 1
+        self._attempt = (self._token, contend, start)
+        return self._token, start
+
+    def attempt_valid(self, token: int) -> bool:
+        return self._attempt is not None and self._attempt[0] == token
+
+    def clear_attempt(self) -> None:
+        self._attempt = None
+
+    def _interrupt(self, at_us: int, kind: FrameKind) -> None:
+        """Freeze the countdown: credit slots elapsed while idle, void the attempt.
+
+        A busy period starting exactly at the planned start does not void a
+        data attempt — both stations committed to the same slot and collide.
+        Scheduled emissions (CTS, WiMAX bursts) win such ties instead.
+        """
+        if self._attempt is None:
+            return
+        token, contend, start = self._attempt
+        if at_us > start:
+            return
+        if at_us == start and kind is FrameKind.DATA:
+            return
+        countdown_from = contend + self.params.difs_us
+        elapsed = max(0, (at_us - countdown_from) // self.params.slot_us)
+        self.pending_slots = max(0, self.pending_slots - elapsed)
+        self._attempt = None
+
+    # -- transmission outcome ---------------------------------------------
+
+    def on_tx_outcome(self, acked: bool, now_us: int) -> str:
+        """Apply the ack/no-ack retry rules to the frame just transmitted."""
+        self.transmitting = False
+        if acked:
+            self.queue.popleft()
+            self.contention_window = self.params.cw_min
+            self.retry_count = 0
+            self.pending_slots = self.rng.randint(0, self.contention_window)
+            return OUTCOME_DONE
+        self.retry_count += 1
+        if self.retry_count > self.params.retry_limit:
+            self.queue.popleft()
+            self.contention_window = self.params.cw_min
+            self.retry_count = 0
+            self.pending_slots = self.rng.randint(0, self.contention_window)
+            return OUTCOME_DROP
+        self.contention_window = min(self.contention_window * 2 + 1, self.params.cw_max)
+        self.pending_slots = self.rng.randint(0, self.contention_window)
+        return OUTCOME_RETRY

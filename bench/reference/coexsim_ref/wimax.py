@@ -1,0 +1,125 @@
+"""Scheduled TDM MAC for one base station and its subscriber stations.
+
+Fixed-length frames split into a downlink and an uplink subframe.  Grants
+are sized from per-station demand and packed in station-id order, so a
+station keeps its relative position while its slot enlarges or contracts.
+A short preamble region at the frame start and a turnaround gap between
+the subframes stay unallocated.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from .medium import FrameKind, RadioInterface, Transmission
+
+DL = "DL"
+UL = "UL"
+
+
+@dataclass(frozen=True)
+class Grant:
+    ss: str
+    direction: str  # DL | UL
+    offset_us: int  # from frame start
+    len_us: int
+
+
+@dataclass(frozen=True)
+class SsDemand:
+    ss: str
+    queued_bytes: int
+    direction: str
+
+    def __post_init__(self) -> None:
+        if self.queued_bytes < 0:
+            raise ValueError("queued_bytes must be non-negative")
+        if self.direction not in (DL, UL):
+            raise ValueError(f"bad direction: {self.direction!r}")
+
+
+@dataclass(frozen=True)
+class FrameMap:
+    """One frame's slot layout. Grants are ordered and non-overlapping."""
+
+    frame_len_us: int
+    dl_end_us: int
+    grants: tuple[Grant, ...]
+    ss_ids: tuple[str, ...]
+
+    def grants_for(self, ss: str) -> list[Grant]:
+        if ss not in self.ss_ids:
+            raise LookupError(f"unknown subscriber station: {ss!r}")
+        return [g for g in self.grants if g.ss == ss]
+
+
+def _pack(demands: list[SsDemand], window_start: int, window_len: int,
+          capacity_bytes_per_us: float, direction: str) -> list[Grant]:
+    claimants = sorted((d for d in demands if d.queued_bytes > 0), key=lambda d: d.ss)
+    if not claimants or window_len <= 0:
+        return []
+    needed = {d.ss: math.ceil(d.queued_bytes / capacity_bytes_per_us) for d in claimants}
+    total = sum(needed.values())
+    grants = []
+    cursor = window_start
+    for d in claimants:
+        if total <= window_len:
+            length = needed[d.ss]
+        else:
+            length = (window_len * needed[d.ss]) // total
+        if length <= 0:
+            continue
+        grants.append(Grant(d.ss, direction, cursor, length))
+        cursor += length
+    return grants
+
+
+def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: float,
+                    capacity_bytes_per_us: float = 2.0,
+                    preamble_us: int = 200, ttg_us: int = 100) -> FrameMap:
+    """Allocate one frame's slots proportionally to demand.
+
+    DL grants live in [preamble_us, dl_end); UL grants in
+    [dl_end + ttg_us, frame_len).  When aggregate demand exceeds a subframe
+    the window is split proportionally, rounding down, in ascending
+    station-id order.  Zero-demand stations get no slot.
+    """
+    if frame_len_us <= 0:
+        raise ValueError("frame_len_us must be positive")
+    if not 0 < dl_ratio < 1:
+        raise ValueError("dl_ratio must be in (0, 1)")
+    if capacity_bytes_per_us <= 0:
+        raise ValueError("capacity must be positive")
+    dl_end = int(frame_len_us * dl_ratio)
+    if not preamble_us <= dl_end <= frame_len_us - ttg_us:
+        raise ValueError("subframe split leaves no room for preamble/turnaround")
+    dl = _pack([d for d in demands if d.direction == DL],
+               preamble_us, dl_end - preamble_us, capacity_bytes_per_us, DL)
+    ul = _pack([d for d in demands if d.direction == UL],
+               dl_end + ttg_us, frame_len_us - dl_end - ttg_us, capacity_bytes_per_us, UL)
+    roster = tuple(sorted({d.ss for d in demands}))
+    return FrameMap(frame_len_us, dl_end, tuple(dl + ul), roster)
+
+
+def ss_burst(frame_map: FrameMap, ss: str, frame_start_us: int,
+             ss_iface: RadioInterface, bs_iface: RadioInterface) -> list[Transmission]:
+    """Transmissions realizing one station's grants for one frame.
+
+    UL bursts originate at the subscriber station, DL bursts at the base
+    station.  Raises LookupError when ``ss`` is not part of the map's roster;
+    a known station with no grants yields an empty list.
+    """
+    bursts = []
+    for g in frame_map.grants_for(ss):
+        if g.direction == UL:
+            src, dst = ss_iface, bs_iface
+        else:
+            src, dst = bs_iface, ss_iface
+        bursts.append(Transmission(
+            source=src.id, kind=FrameKind.WIMAX_BURST,
+            start_us=frame_start_us + g.offset_us, airtime_us=g.len_us,
+            power_dbm=src.tx_power_dbm, channel_mhz=src.channel_mhz,
+            dest=dst.id))
+    return bursts
