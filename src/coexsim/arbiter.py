@@ -36,9 +36,7 @@ DENY = "deny"
 class InterfaceRequest:
     interface: str
     desired: ArbiterState
-    priority: int = 0
     span_us: Optional[tuple[int, int]] = None  # absolute interval, for schedule checks
-    is_wimax: bool = False
 
 
 @dataclass
@@ -64,11 +62,6 @@ class GrantLedger:
 
     def copy(self) -> "GrantLedger":
         return GrantLedger(dict(self.held))
-
-
-def release_all_check(ledger: GrantLedger) -> ArbiterState:
-    """State the controller settles in given the ledger's holders."""
-    return ledger.state()
 
 
 def request(ledger: GrantLedger, req: InterfaceRequest) -> tuple[str, GrantLedger]:
@@ -140,14 +133,3 @@ def schedule_aware_check(req: InterfaceRequest, frame_map: FrameMap,
         if max(lo, g_lo) < min(hi, g_hi):
             return DENY
     return GRANT
-
-
-def priority_resolve(contenders: Sequence[InterfaceRequest]) -> InterfaceRequest:
-    """Pick the winner among simultaneous requests.
-
-    Highest priority first; ties go to WiMAX over WiFi, then to the lowest
-    interface id.
-    """
-    if not contenders:
-        raise ValueError("no contenders")
-    return min(contenders, key=lambda r: (-r.priority, 0 if r.is_wimax else 1, r.interface))

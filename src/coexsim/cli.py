@@ -11,7 +11,7 @@ import io
 import json
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import Engine, RunResult, run
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, toggled
@@ -131,9 +131,14 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def run_command(scenario_path: str, seed: Optional[int] = None,
-                duration_us: Optional[int] = None, out: Optional[str] = None,
-                fmt: str = "json", trace_path: Optional[str] = None) -> int:
+def _execute(scenario_path: str, work: Callable[[ScenarioConfig], None],
+             duration_us: Optional[int] = None) -> int:
+    """Load the scenario, apply a duration override, and run ``work`` on it.
+
+    An unreadable or invalid scenario exits 2.  Any exception out of the
+    engine or the rendering exits 3 with a one-line message, since the
+    command line promises exit codes, not tracebacks.
+    """
     try:
         cfg = load_scenario(scenario_path)
     except OSError as exc:
@@ -149,6 +154,18 @@ def run_command(scenario_path: str, seed: Optional[int] = None,
             return EXIT_VALIDATION
         cfg = replace(cfg, duration_us=duration_us)
     try:
+        work(cfg)
+    except Exception as exc:  # the command-line boundary: one line, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
+
+
+def run_command(scenario_path: str, seed: Optional[int] = None,
+                duration_us: Optional[int] = None, out: Optional[str] = None,
+                fmt: str = "json", trace_path: Optional[str] = None) -> int:
+    def work(cfg: ScenarioConfig) -> None:
         engine = Engine(cfg, seed=seed, collect_trace=trace_path is not None)
         result = engine.run()
         text = render_run_json(result) if fmt == "json" else render_run_csv(result)
@@ -156,31 +173,18 @@ def run_command(scenario_path: str, seed: Optional[int] = None,
         if trace_path is not None:
             with open(trace_path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(engine.trace) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+
+    return _execute(scenario_path, work, duration_us)
 
 
 def compare_command(scenario_path: str, mechanism: str, seeds: list[int],
                     out: Optional[str] = None, fmt: str = "json") -> int:
-    try:
-        cfg = load_scenario(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ScenarioError as exc:
-        for e in exc.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+    def work(cfg: ScenarioConfig) -> None:
         report = compare_report(cfg, mechanism, seeds)
         text = render_compare_json(report) if fmt == "json" else render_compare_csv(report)
         _emit(text, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+
+    return _execute(scenario_path, work)
 
 
 class _Parser(argparse.ArgumentParser):

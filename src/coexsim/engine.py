@@ -26,9 +26,9 @@ from typing import Optional
 from . import arbiter as arb
 from .medium import (CORRUPTED, DECODED, FrameKind, MediumModel, RadioInterface,
                      Transmission, delivery_result)
-from .reservation import (EvalState, InterfererEstimate, PacingState, QosTarget,
-                          build_cts_train, estimate_interferers, evaluate_performance,
-                          reservation_power, update_pacing)
+from .reservation import (EvalState, InterfererEstimate, PacingState, build_cts_train,
+                          estimate_interferers, evaluate_performance, reservation_power,
+                          update_pacing)
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
                    data_airtime_us)
@@ -197,14 +197,8 @@ class _SsRt:
         self.bs_id = bs_id
         self.coordinator = coordinator  # wifi runtime or None
         self.ul_queue = _ByteQueue()
-        self.pacing = PacingState(
-            claim_interval_us=reservation_cfg.claim_interval_init_us,
-            window_us=reservation_cfg.share_window_us)
-        qos = None
-        if reservation_cfg.qos is not None:
-            qos = QosTarget(reservation_cfg.qos.min_throughput_bytes_per_s,
-                            reservation_cfg.qos.max_mean_delay_us)
-        self.eval = EvalState(min_reservation_us=reservation_cfg.min_reservation_us, qos=qos)
+        self.pacing = PacingState(claim_interval_us=reservation_cfg.claim_interval_init_us)
+        self.eval = EvalState(qos=reservation_cfg.qos)
         self.estimate = InterfererEstimate()
         self.heard: deque = deque()          # (t, source, rx power)
         self.next_claim_at = 0
@@ -244,7 +238,7 @@ class Engine:
         self.medium: MediumModel = config.medium.model()
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
         self._loss_cache: dict[tuple[str, str], float] = {}
-        self.dcf = config.wifi.dcf_params()
+        self.dcf = config.wifi
 
         self.stations: dict[str, _WifiRt] = {}
         for n in config.nodes:
@@ -623,7 +617,7 @@ class Engine:
         if plat is None or plat not in self.arbiters:
             return "off"
         acfg = self.cfg.arbiter
-        req = arb.InterfaceRequest(iface_id, desired, span_us=span, is_wimax=is_wimax)
+        req = arb.InterfaceRequest(iface_id, desired, span_us=span)
         if acfg.schedule_aware and not is_wimax and span is not None:
             for ss_id, ss in self.sses.items():
                 if self.interfaces[ss_id].platform != plat:

@@ -45,12 +45,14 @@ class PathLossModel:
     exponent is pinned to 2.0 and the loss is computed from ``frequency_mhz``
     directly; for log-distance the loss is
     ``reference_loss_db + 10 * exponent * log10(d / 1 m)``.
+
+    Field metadata holds the bounds a scenario file may set.
     """
 
-    kind: str = FREE_SPACE
-    exponent: float = 2.0
-    reference_loss_db: float = 40.05
-    frequency_mhz: float = 2400.0
+    kind: str = field(default=FREE_SPACE, metadata={"choices": (FREE_SPACE, LOG_DISTANCE)})
+    exponent: float = field(default=2.0, metadata={"lo": 2.0, "hi": 6.0})
+    reference_loss_db: float = field(default=40.05, metadata={"lo": 1.0, "hi": 200.0})
+    frequency_mhz: float = field(default=2400.0, metadata={"lo": 400.0, "hi": 7125.0})
 
     def __post_init__(self) -> None:
         if self.kind not in (FREE_SPACE, LOG_DISTANCE):
@@ -139,7 +141,6 @@ class RadioKind(str, Enum):
 class FrameKind(str, Enum):
     DATA = "data"
     CTS = "cts"
-    ACK = "ack"
     WIMAX_BURST = "wimax-burst"
 
 

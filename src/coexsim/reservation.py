@@ -22,7 +22,7 @@ Three feedback mechanisms shape when and how the reservation is made:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .medium import FrameKind, PathLossModel, Transmission, invert_path_loss, path_loss
@@ -93,9 +93,7 @@ class PacingState:
     """Medium-acquisition pacing toward an equal-share utilization goal."""
 
     utilization_goal: float = 1.0
-    achieved: float = 0.0
     claim_interval_us: int = 8000
-    window_us: int = 2_000_000
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_goal <= 1:
@@ -121,8 +119,7 @@ def update_pacing(state: PacingState, estimate: InterfererEstimate,
         interval = max(interval_min_us, interval // 2)
     elif measured_share > goal + delta:
         interval = min(interval_max_us, interval * 2)
-    return replace(state, utilization_goal=goal, achieved=measured_share,
-                   claim_interval_us=interval)
+    return replace(state, utilization_goal=goal, claim_interval_us=interval)
 
 
 def reservation_power(reach_m: float, cca_threshold_dbm: float,
@@ -142,8 +139,11 @@ def reservation_power(reach_m: float, cca_threshold_dbm: float,
 
 @dataclass(frozen=True)
 class QosTarget:
-    min_throughput_bytes_per_s: float
-    max_mean_delay_us: float
+    """The scenario's optional ``reservation.qos`` section; field metadata
+    holds the bounds a scenario file may set."""
+
+    min_throughput_bytes_per_s: float = field(default=0.0, metadata={"lo": 0.0})
+    max_mean_delay_us: float = field(default=1e12, metadata={"lo": 0.0})
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,6 @@ class EvalState:
     """On/off feedback for CTS emission, driven by delivered throughput."""
 
     cts_enabled: bool = False
-    min_reservation_us: int = 2000
-    retx_window_count: int = 0
     throughput_before: float = 0.0
     throughput_after: float = 0.0
     qos: Optional[QosTarget] = None
@@ -179,7 +177,7 @@ def evaluate_performance(state: EvalState, retx_in_window: int,
     violated = state.qos is not None and (
         throughput_bytes_per_s < state.qos.min_throughput_bytes_per_s
         or mean_delay_us > state.qos.max_mean_delay_us)
-    new = replace(state, retx_window_count=retx_in_window, qos_violated=violated)
+    new = replace(state, qos_violated=violated)
     if not new.cts_enabled:
         if retx_in_window >= enable_retx_threshold and now_us >= new.hold_until_us:
             return replace(new, cts_enabled=True, enabled_at_us=now_us,

@@ -3,27 +3,33 @@
 A scenario is one YAML document.  Unknown keys are errors, every reported
 problem names the offending path, and parsing an emitted config yields an
 equivalent config.  See README.md for the full schema reference.
+
+Each section of the schema is a dataclass: its field names are the allowed
+keys, its field defaults are the schema defaults, and each field's metadata
+holds the bounds (``lo``, ``hi``) and allowed values (``choices``) that
+validation enforces.  One generic parser and one generic emitter read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Optional, get_args, get_type_hints
 
 import yaml
 
-from .medium import (FREE_SPACE, LOG_DISTANCE, MediumModel, PathLossModel, Position,
-                     RadioInterface, RadioKind, SpillageTable)
+from .medium import (FREE_SPACE, MediumModel, PathLossModel, Position, RadioInterface,
+                     RadioKind, SpillageTable)
+from .reservation import QosTarget
 from .wifi import DcfParams
 
 TRAFFIC_KINDS = ("none", "saturated", "paced", "cts-inject", "wimax")
 NODE_KINDS = ("wifi", "wimax-ss", "wimax-bs")
 
-# (tx power, decode sensitivity, cca threshold, channel) by node kind
+# radio defaults that depend on the node kind
 _NODE_DEFAULTS = {
-    "wifi": (20.0, -85.0, -82.0, 2412.0),
-    "wimax-ss": (23.0, -90.0, -82.0, 2380.0),
-    "wimax-bs": (30.0, -90.0, -82.0, 2380.0),
+    "wifi": {"tx_power_dbm": 20.0, "decode_sensitivity_dbm": -85.0, "channel_mhz": 2412.0},
+    "wimax-ss": {"tx_power_dbm": 23.0, "decode_sensitivity_dbm": -90.0, "channel_mhz": 2380.0},
+    "wimax-bs": {"tx_power_dbm": 30.0, "decode_sensitivity_dbm": -90.0, "channel_mhz": 2380.0},
 }
 
 # victim interference tolerances per calibration preset, dBm
@@ -43,28 +49,32 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    kind: str = "none"
-    frame_bytes: int = 1500
-    interval_us: int = 10000            # paced
-    at_us: int = 0                      # cts-inject
-    reservation_us: int = 32767         # cts-inject
-    power_dbm: Optional[float] = None   # cts-inject; None -> node tx power
-    repeat_us: int = 0                  # cts-inject; 0 = once
-    dl_bytes_per_s: int = 0             # wimax
-    ul_bytes_per_s: int = 0             # wimax
-    dl_saturated: bool = False          # wimax
-    ul_saturated: bool = False          # wimax
+    kind: str = field(default="none", metadata={"choices": TRAFFIC_KINDS})
+    frame_bytes: int = field(default=1500, metadata={"lo": 1, "hi": 60_000})
+    interval_us: int = field(default=10000, metadata={"lo": 1})        # paced
+    at_us: int = field(default=0, metadata={"lo": 0})                  # cts-inject
+    reservation_us: int = field(default=32767, metadata={"lo": 1})     # cts-inject
+    # cts-inject; None -> node tx power
+    power_dbm: Optional[float] = field(default=None, metadata={"lo": -60.0, "hi": 36.0})
+    repeat_us: int = field(default=0, metadata={"lo": 0})              # cts-inject; 0 = once
+    dl_bytes_per_s: int = field(default=0, metadata={"lo": 0})         # wimax
+    ul_bytes_per_s: int = field(default=0, metadata={"lo": 0})         # wimax
+    dl_saturated: bool = False                                         # wimax
+    ul_saturated: bool = False                                         # wimax
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NodeConfig:
+    """One radio.  The radio fields without a default take theirs from
+    ``_NODE_DEFAULTS`` by kind; ``system`` defaults as ``_parse_node`` says."""
+
     id: str
-    kind: str
+    kind: str = field(default="wifi", metadata={"choices": NODE_KINDS})
     position: Position
-    channel_mhz: float
-    tx_power_dbm: float
-    decode_sensitivity_dbm: float
-    cca_threshold_dbm: float
+    channel_mhz: float = field(metadata={"lo": 400.0, "hi": 7125.0})
+    tx_power_dbm: float = field(metadata={"lo": -60.0, "hi": 36.0})
+    decode_sensitivity_dbm: float = field(metadata={"lo": -150.0, "hi": 0.0})
+    cca_threshold_dbm: float = field(default=-82.0, metadata={"lo": -150.0, "hi": 0.0})
     system: str
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     peer: Optional[str] = None
@@ -73,12 +83,22 @@ class NodeConfig:
 
 
 @dataclass(frozen=True)
+class _SpillageEntry:
+    """One row of ``medium.spillage``; SpillageTable keeps rows as tuples."""
+
+    separation_mhz: float = field(default=1.0, metadata={"lo": 0.1})
+    rejection_db: float = field(default=0.0, metadata={"lo": 0.0})
+
+
+@dataclass(frozen=True)
 class MediumConfig:
-    preset: str = "staccato"
+    preset: str = field(default="staccato", metadata={"choices": tuple(PRESETS)})
     path_loss: PathLossModel = field(default_factory=PathLossModel)
     spillage: SpillageTable = field(default_factory=SpillageTable)
-    sinr_threshold_db: float = 10.0
-    colocated_coupling_db: float = 20.0
+    sinr_threshold_db: float = field(default=MediumModel.sinr_threshold_db,
+                                     metadata={"lo": 0.0, "hi": 60.0})
+    colocated_coupling_db: float = field(default=MediumModel.colocated_coupling_db,
+                                         metadata={"lo": 0.0, "hi": 120.0})
 
     def model(self) -> MediumModel:
         return MediumModel(self.path_loss, self.spillage,
@@ -89,35 +109,12 @@ class MediumConfig:
 
 
 @dataclass(frozen=True)
-class WifiConfig:
-    slot_us: int = 20
-    difs_us: int = 50
-    sifs_us: int = 10
-    cw_min: int = 15
-    cw_max: int = 1023
-    retry_limit: int = 7
-    phy_rate_mbps: float = 6.0
-    cts_airtime_us: int = 44
-
-    def dcf_params(self) -> DcfParams:
-        return DcfParams(self.slot_us, self.difs_us, self.sifs_us, self.cw_min,
-                         self.cw_max, self.retry_limit, self.phy_rate_mbps,
-                         self.cts_airtime_us)
-
-
-@dataclass(frozen=True)
 class WimaxConfig:
-    frame_us: int = 5000
-    dl_ratio: float = 0.6
-    capacity_bytes_per_us: float = 2.0
-    preamble_us: int = 200
-    ttg_us: int = 100
-
-
-@dataclass(frozen=True)
-class QosConfig:
-    min_throughput_bytes_per_s: float
-    max_mean_delay_us: float
+    frame_us: int = field(default=5000, metadata={"lo": 100})
+    dl_ratio: float = field(default=0.6, metadata={"lo": 0.05, "hi": 0.95})
+    capacity_bytes_per_us: float = field(default=2.0, metadata={"lo": 0.01})
+    preamble_us: int = field(default=200, metadata={"lo": 0})
+    ttg_us: int = field(default=100, metadata={"lo": 0})
 
 
 @dataclass(frozen=True)
@@ -126,42 +123,40 @@ class ReservationConfig:
     pacing: bool = True
     power_sizing: bool = True
     performance_gating: bool = True
-    min_reservation_us: int = 2000
-    claim_interval_init_us: int = 8000
-    claim_interval_min_us: int = 1000
-    claim_interval_max_us: int = 64000
-    share_delta: float = 0.02
-    share_window_us: int = 2_000_000
-    pacing_tick_us: int = 500_000
-    eval_tick_us: int = 100_000
-    retx_enable_threshold: int = 3
-    eval_window_us: int = 1_000_000
-    hold_us: int = 2_000_000
-    guard_us: int = 200
-    lead_us: int = 2500
-    assumed_tx_power_dbm: float = 20.0
-    monitor_window_us: int = 2_000_000
-    cts_power_dbm: float = 20.0
-    qos: Optional[QosConfig] = None
-    qos_growth_step: float = 0.25
-    qos_growth_cap: float = 2.0
+    min_reservation_us: int = field(default=2000, metadata={"lo": 1})
+    claim_interval_init_us: int = field(default=8000, metadata={"lo": 1})
+    claim_interval_min_us: int = field(default=1000, metadata={"lo": 1})
+    claim_interval_max_us: int = field(default=64000, metadata={"lo": 1})
+    share_delta: float = field(default=0.02, metadata={"lo": 0.0, "hi": 0.49})
+    share_window_us: int = field(default=2_000_000, metadata={"lo": 1000})
+    pacing_tick_us: int = field(default=500_000, metadata={"lo": 1000})
+    eval_tick_us: int = field(default=100_000, metadata={"lo": 1000})
+    retx_enable_threshold: int = field(default=3, metadata={"lo": 1})
+    eval_window_us: int = field(default=1_000_000, metadata={"lo": 1000})
+    hold_us: int = field(default=2_000_000, metadata={"lo": 0})
+    lead_us: int = field(default=2500, metadata={"lo": 100})
+    assumed_tx_power_dbm: float = field(default=20.0, metadata={"lo": -60.0, "hi": 36.0})
+    monitor_window_us: int = field(default=2_000_000, metadata={"lo": 1000})
+    cts_power_dbm: float = field(default=20.0, metadata={"lo": -60.0, "hi": 36.0})
+    qos: Optional[QosTarget] = None
+    qos_growth_step: float = field(default=0.25, metadata={"lo": 0.0, "hi": 4.0})
+    qos_growth_cap: float = field(default=2.0, metadata={"lo": 1.0, "hi": 16.0})
 
 
 @dataclass(frozen=True)
 class ArbiterConfig:
     enabled: bool = False
     schedule_aware: bool = False
-    priority: bool = False
-    retry_us: int = 500
+    retry_us: int = field(default=500, metadata={"lo": 1})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    duration_us: int = 30_000_000
-    warmup_us: int = 1_000_000
+    duration_us: int = field(default=30_000_000, metadata={"lo": 1})
+    warmup_us: int = field(default=1_000_000, metadata={"lo": 0})
     seed: int = 1
     medium: MediumConfig = field(default_factory=MediumConfig)
-    wifi: WifiConfig = field(default_factory=WifiConfig)
+    wifi: DcfParams = field(default_factory=DcfParams)
     wimax: WimaxConfig = field(default_factory=WimaxConfig)
     reservation: ReservationConfig = field(default_factory=ReservationConfig)
     arbiter: ArbiterConfig = field(default_factory=ArbiterConfig)
@@ -209,6 +204,37 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
+# field tables, built once at import
+
+_SCALAR_TYPES = (bool, int, float, str)
+
+
+def _scalar_fields(cls: type) -> tuple:
+    """(name, type, default, lo, hi, choices) of each scalar field of ``cls``.
+
+    Fields holding a section or a special type (position, spillage, nodes)
+    are left to their own parsers.  A field without a default reads as None
+    when absent.
+    """
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        kind = next((a for a in get_args(hint) if a is not type(None)), hint)  # Optional[T] -> T
+        if kind in _SCALAR_TYPES:
+            out.append((f.name, kind, None if f.default is MISSING else f.default,
+                        f.metadata.get("lo"), f.metadata.get("hi"), f.metadata.get("choices")))
+    return tuple(out)
+
+
+_SECTIONS = (ScenarioConfig, MediumConfig, PathLossModel, _SpillageEntry, DcfParams,
+             WimaxConfig, ReservationConfig, QosTarget, ArbiterConfig, NodeConfig,
+             TrafficConfig)
+_SCALARS = {cls: _scalar_fields(cls) for cls in _SECTIONS}
+_KEYS = {cls: frozenset(f.name for f in fields(cls)) for cls in _SECTIONS}
+
+
+# ---------------------------------------------------------------------------
 # validation walker
 
 
@@ -219,7 +245,7 @@ class _Walker:
     def fail(self, path: str, msg: str) -> None:
         self.errors.append(f"{path}: {msg}")
 
-    def mapping(self, raw: Any, path: str, allowed: set[str]) -> dict:
+    def mapping(self, raw: Any, path: str, allowed: frozenset[str]) -> dict:
         if raw is None:
             return {}
         if not isinstance(raw, dict):
@@ -231,7 +257,8 @@ class _Walker:
         return raw
 
     def get(self, raw: dict, key: str, path: str, kind: type, default: Any,
-            lo: float | None = None, hi: float | None = None) -> Any:
+            lo: float | None = None, hi: float | None = None,
+            choices: tuple | None = None) -> Any:
         if key not in raw or raw[key] is None:
             return default
         val = raw[key]
@@ -249,34 +276,33 @@ class _Walker:
         if hi is not None and val > hi:
             self.fail(f"{path}.{key}", f"must be <= {hi}")
             return default
+        if choices is not None and val not in choices:
+            self.fail(f"{path}.{key}", f"must be one of {sorted(choices)}")
+            return default
         return val
 
 
+def _scalars(w: _Walker, m: dict, path: str, cls: type) -> dict:
+    """Validated scalar fields of section ``cls`` from the mapping ``m``."""
+    return {name: w.get(m, name, path, kind, default, lo, hi, choices)
+            for name, kind, default, lo, hi, choices in _SCALARS[cls]}
+
+
+def _section(w: _Walker, raw: Any, path: str, cls: type) -> Any:
+    """A section made only of scalar fields."""
+    return cls(**_scalars(w, w.mapping(raw, path, _KEYS[cls]), path, cls))
+
+
 def _parse_medium(w: _Walker, raw: Any) -> MediumConfig:
-    m = w.mapping(raw, "medium", {"preset", "path_loss", "spillage",
-                                  "sinr_threshold_db", "colocated_coupling_db"})
-    preset = w.get(m, "preset", "medium", str, "staccato")
-    if preset not in PRESETS:
-        w.fail("medium.preset", f"must be one of {sorted(PRESETS)}")
-        preset = "staccato"
-    pl_raw = w.mapping(m.get("path_loss"), "medium.path_loss",
-                       {"kind", "exponent", "reference_loss_db", "frequency_mhz"})
-    kind = w.get(pl_raw, "kind", "medium.path_loss", str, FREE_SPACE)
-    if kind not in (FREE_SPACE, LOG_DISTANCE):
-        w.fail("medium.path_loss.kind", f"must be {FREE_SPACE!r} or {LOG_DISTANCE!r}")
-        kind = FREE_SPACE
-    exponent = w.get(pl_raw, "exponent", "medium.path_loss", float,
-                     2.0, lo=2.0, hi=6.0)
-    if kind == FREE_SPACE and "exponent" in pl_raw and exponent != 2.0:
-        w.fail("medium.path_loss.exponent", "free-space pins the exponent to 2.0")
-        exponent = 2.0
+    m = w.mapping(raw, "medium", _KEYS[MediumConfig])
+    pl_raw = w.mapping(m.get("path_loss"), "medium.path_loss", _KEYS[PathLossModel])
+    pl = _scalars(w, pl_raw, "medium.path_loss", PathLossModel)
+    pinned = PathLossModel.exponent
+    if pl["kind"] == FREE_SPACE and pl["exponent"] != pinned:
+        w.fail("medium.path_loss.exponent", f"free-space pins the exponent to {pinned}")
+        pl["exponent"] = pinned
     try:
-        path_loss_model = PathLossModel(
-            kind=kind, exponent=exponent,
-            reference_loss_db=w.get(pl_raw, "reference_loss_db", "medium.path_loss",
-                                    float, 40.05, lo=1.0, hi=200.0),
-            frequency_mhz=w.get(pl_raw, "frequency_mhz", "medium.path_loss",
-                                float, 2400.0, lo=400.0, hi=7125.0))
+        path_loss_model = PathLossModel(**pl)
     except ValueError as exc:
         w.fail("medium.path_loss", str(exc))
         path_loss_model = PathLossModel()
@@ -286,62 +312,38 @@ def _parse_medium(w: _Walker, raw: Any) -> MediumConfig:
         if not isinstance(raw_entries, list):
             w.fail("medium.spillage", "expected a list of entries")
         else:
-            entries = []
-            for i, e in enumerate(raw_entries):
-                em = w.mapping(e, f"medium.spillage[{i}]", {"separation_mhz", "rejection_db"})
-                entries.append((
-                    w.get(em, "separation_mhz", f"medium.spillage[{i}]", float, 1.0, lo=0.1),
-                    w.get(em, "rejection_db", f"medium.spillage[{i}]", float, 0.0, lo=0.0)))
+            entries = tuple(astuple(_section(w, e, f"medium.spillage[{i}]", _SpillageEntry))
+                            for i, e in enumerate(raw_entries))
             try:
-                spillage = SpillageTable(tuple(entries))
+                spillage = SpillageTable(entries)
             except ValueError as exc:
                 w.fail("medium.spillage", str(exc))
-    return MediumConfig(
-        preset=preset, path_loss=path_loss_model, spillage=spillage,
-        sinr_threshold_db=w.get(m, "sinr_threshold_db", "medium", float, 10.0, lo=0.0, hi=60.0),
-        colocated_coupling_db=w.get(m, "colocated_coupling_db", "medium", float,
-                                    20.0, lo=0.0, hi=120.0))
-
-
-def _parse_traffic(w: _Walker, raw: Any, path: str) -> TrafficConfig:
-    t = w.mapping(raw, path, {"kind", "frame_bytes", "interval_us", "at_us",
-                              "reservation_us", "power_dbm", "repeat_us",
-                              "dl_bytes_per_s", "ul_bytes_per_s",
-                              "dl_saturated", "ul_saturated"})
-    kind = w.get(t, "kind", path, str, "none")
-    if kind not in TRAFFIC_KINDS:
-        w.fail(f"{path}.kind", f"must be one of {sorted(TRAFFIC_KINDS)}")
-        kind = "none"
-    power = None
-    if t.get("power_dbm") is not None:
-        power = w.get(t, "power_dbm", path, float, None, lo=-60.0, hi=36.0)
-    return TrafficConfig(
-        kind=kind,
-        frame_bytes=w.get(t, "frame_bytes", path, int, 1500, lo=1, hi=60_000),
-        interval_us=w.get(t, "interval_us", path, int, 10000, lo=1),
-        at_us=w.get(t, "at_us", path, int, 0, lo=0),
-        reservation_us=w.get(t, "reservation_us", path, int, 32767, lo=1),
-        power_dbm=power,
-        repeat_us=w.get(t, "repeat_us", path, int, 0, lo=0),
-        dl_bytes_per_s=w.get(t, "dl_bytes_per_s", path, int, 0, lo=0),
-        ul_bytes_per_s=w.get(t, "ul_bytes_per_s", path, int, 0, lo=0),
-        dl_saturated=w.get(t, "dl_saturated", path, bool, False),
-        ul_saturated=w.get(t, "ul_saturated", path, bool, False))
+    return MediumConfig(path_loss=path_loss_model, spillage=spillage,
+                        **_scalars(w, m, "medium", MediumConfig))
 
 
 def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:
     path = f"nodes[{index}]"
-    n = w.mapping(raw, path, {"id", "kind", "position", "channel_mhz", "tx_power_dbm",
-                              "decode_sensitivity_dbm", "cca_threshold_dbm", "system",
-                              "traffic", "peer", "bs", "collocated_with"})
-    node_id = w.get(n, "id", path, str, None)
-    if not node_id:
+    n = w.mapping(raw, path, _KEYS[NodeConfig])
+    vals = _scalars(w, n, path, NodeConfig)
+    if not vals["id"]:
         w.fail(f"{path}.id", "required")
         return None
-    kind = w.get(n, "kind", path, str, "wifi")
-    if kind not in NODE_KINDS:
-        w.fail(f"{path}.kind", f"must be one of {sorted(NODE_KINDS)}")
-        kind = "wifi"
+    kind = vals["kind"]
+    for key, default in _NODE_DEFAULTS[kind].items():
+        if vals[key] is None:
+            vals[key] = default
+    if not vals["system"]:
+        # WiMAX cells group under their base station, WiFi stations under
+        # their peer (the access point's id)
+        if kind == "wimax-bs":
+            vals["system"] = f"wimax:{vals['id']}"
+        elif kind == "wimax-ss":
+            vals["system"] = f"wimax:{vals['bs']}"
+        elif vals["peer"] is not None:
+            vals["system"] = vals["peer"]
+        else:
+            vals["system"] = vals["id"]
     pos_raw = n.get("position")
     position = Position(0.0, 0.0)
     if not (isinstance(pos_raw, list) and len(pos_raw) == 2
@@ -352,40 +354,8 @@ def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:
             position = Position(float(pos_raw[0]), float(pos_raw[1]))
         except ValueError as exc:
             w.fail(f"{path}.position", str(exc))
-    d_tx, d_sens, d_cca, d_chan = _NODE_DEFAULTS[kind]
-    traffic = _parse_traffic(w, n.get("traffic"), f"{path}.traffic")
-    return NodeConfig(
-        id=node_id, kind=kind, position=position,
-        channel_mhz=w.get(n, "channel_mhz", path, float, d_chan, lo=400.0, hi=7125.0),
-        tx_power_dbm=w.get(n, "tx_power_dbm", path, float, d_tx, lo=-60.0, hi=36.0),
-        decode_sensitivity_dbm=w.get(n, "decode_sensitivity_dbm", path, float,
-                                     d_sens, lo=-150.0, hi=0.0),
-        cca_threshold_dbm=w.get(n, "cca_threshold_dbm", path, float,
-                                d_cca, lo=-150.0, hi=0.0),
-        system=w.get(n, "system", path, str, ""),
-        traffic=traffic,
-        peer=w.get(n, "peer", path, str, None),
-        bs=w.get(n, "bs", path, str, None),
-        collocated_with=w.get(n, "collocated_with", path, str, None))
-
-
-def _resolve_systems(nodes: list[NodeConfig]) -> list[NodeConfig]:
-    """Fill defaulted system labels: WiMAX cells group under their base
-    station, WiFi stations under their peer (the access point's id)."""
-    out = []
-    for n in nodes:
-        system = n.system
-        if not system:
-            if n.kind == "wimax-bs":
-                system = f"wimax:{n.id}"
-            elif n.kind == "wimax-ss":
-                system = f"wimax:{n.bs}"
-            elif n.peer is not None:
-                system = n.peer
-            else:
-                system = n.id
-        out.append(replace(n, system=system))
-    return out
+    traffic = _section(w, n.get("traffic"), f"{path}.traffic", TrafficConfig)
+    return NodeConfig(position=position, traffic=traffic, **vals)
 
 
 def _check_node_relations(w: _Walker, nodes: list[NodeConfig]) -> None:
@@ -426,113 +396,40 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig]) -> None:
             w.fail(f"{path}.traffic.kind", "base stations carry no traffic")
 
 
-_TOP_KEYS = {"duration_us", "warmup_us", "seed", "medium", "wifi", "wimax",
-             "reservation", "arbiter", "nodes"}
-
-
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document; raise ScenarioError on problems."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"(syntax): {exc}"]) from exc
-    if raw is None:
-        raw = {}
     w = _Walker()
-    top = w.mapping(raw, "(top)", _TOP_KEYS)
-
-    duration = w.get(top, "duration_us", "(top)", int, 30_000_000, lo=1)
-    warmup = w.get(top, "warmup_us", "(top)", int, 1_000_000, lo=0)
-    if warmup >= duration:
+    top = w.mapping(raw, "(top)", _KEYS[ScenarioConfig])
+    run = _scalars(w, top, "(top)", ScenarioConfig)
+    if run["warmup_us"] >= run["duration_us"]:
         w.fail("warmup_us", "warm-up must be shorter than the run")
-    seed = w.get(top, "seed", "(top)", int, 1)
 
     medium = _parse_medium(w, top.get("medium"))
 
-    wf = w.mapping(top.get("wifi"), "wifi", {"slot_us", "difs_us", "sifs_us", "cw_min",
-                                             "cw_max", "retry_limit", "phy_rate_mbps",
-                                             "cts_airtime_us"})
-    wifi = WifiConfig(
-        slot_us=w.get(wf, "slot_us", "wifi", int, 20, lo=1),
-        difs_us=w.get(wf, "difs_us", "wifi", int, 50, lo=1),
-        sifs_us=w.get(wf, "sifs_us", "wifi", int, 10, lo=1),
-        cw_min=w.get(wf, "cw_min", "wifi", int, 15, lo=1),
-        cw_max=w.get(wf, "cw_max", "wifi", int, 1023, lo=1),
-        retry_limit=w.get(wf, "retry_limit", "wifi", int, 7, lo=0),
-        phy_rate_mbps=w.get(wf, "phy_rate_mbps", "wifi", float, 6.0, lo=0.1),
-        cts_airtime_us=w.get(wf, "cts_airtime_us", "wifi", int, 44, lo=1))
+    wifi = _section(w, top.get("wifi"), "wifi", DcfParams)
     if wifi.cw_max < wifi.cw_min:
         w.fail("wifi.cw_max", "must be >= cw_min")
 
-    wm = w.mapping(top.get("wimax"), "wimax", {"frame_us", "dl_ratio",
-                                               "capacity_bytes_per_us",
-                                               "preamble_us", "ttg_us"})
-    wimax = WimaxConfig(
-        frame_us=w.get(wm, "frame_us", "wimax", int, 5000, lo=100),
-        dl_ratio=w.get(wm, "dl_ratio", "wimax", float, 0.6, lo=0.05, hi=0.95),
-        capacity_bytes_per_us=w.get(wm, "capacity_bytes_per_us", "wimax", float, 2.0, lo=0.01),
-        preamble_us=w.get(wm, "preamble_us", "wimax", int, 200, lo=0),
-        ttg_us=w.get(wm, "ttg_us", "wimax", int, 100, lo=0))
+    wimax = _section(w, top.get("wimax"), "wimax", WimaxConfig)
+    dl_end = int(wimax.frame_us * wimax.dl_ratio)
+    if not wimax.preamble_us <= dl_end <= wimax.frame_us - wimax.ttg_us:
+        w.fail("wimax.dl_ratio", "subframe split leaves no room for preamble/turnaround: "
+               "need preamble_us <= int(frame_us * dl_ratio) <= frame_us - ttg_us")
 
-    rv = w.mapping(top.get("reservation"), "reservation",
-                   {"enabled", "pacing", "power_sizing", "performance_gating",
-                    "min_reservation_us", "claim_interval_init_us",
-                    "claim_interval_min_us", "claim_interval_max_us", "share_delta",
-                    "share_window_us", "pacing_tick_us", "eval_tick_us",
-                    "retx_enable_threshold", "eval_window_us", "hold_us", "guard_us",
-                    "lead_us", "assumed_tx_power_dbm", "monitor_window_us",
-                    "cts_power_dbm", "qos", "qos_growth_step", "qos_growth_cap"})
+    rv = w.mapping(top.get("reservation"), "reservation", _KEYS[ReservationConfig])
     qos = None
     if rv.get("qos") is not None:
-        qm = w.mapping(rv["qos"], "reservation.qos",
-                       {"min_throughput_bytes_per_s", "max_mean_delay_us"})
-        qos = QosConfig(
-            min_throughput_bytes_per_s=w.get(qm, "min_throughput_bytes_per_s",
-                                             "reservation.qos", float, 0.0, lo=0.0),
-            max_mean_delay_us=w.get(qm, "max_mean_delay_us",
-                                    "reservation.qos", float, 1e12, lo=0.0))
-    reservation = ReservationConfig(
-        enabled=w.get(rv, "enabled", "reservation", bool, False),
-        pacing=w.get(rv, "pacing", "reservation", bool, True),
-        power_sizing=w.get(rv, "power_sizing", "reservation", bool, True),
-        performance_gating=w.get(rv, "performance_gating", "reservation", bool, True),
-        min_reservation_us=w.get(rv, "min_reservation_us", "reservation", int, 2000, lo=1),
-        claim_interval_init_us=w.get(rv, "claim_interval_init_us", "reservation",
-                                     int, 8000, lo=1),
-        claim_interval_min_us=w.get(rv, "claim_interval_min_us", "reservation",
-                                    int, 1000, lo=1),
-        claim_interval_max_us=w.get(rv, "claim_interval_max_us", "reservation",
-                                    int, 64000, lo=1),
-        share_delta=w.get(rv, "share_delta", "reservation", float, 0.02, lo=0.0, hi=0.49),
-        share_window_us=w.get(rv, "share_window_us", "reservation", int, 2_000_000, lo=1000),
-        pacing_tick_us=w.get(rv, "pacing_tick_us", "reservation", int, 500_000, lo=1000),
-        eval_tick_us=w.get(rv, "eval_tick_us", "reservation", int, 100_000, lo=1000),
-        retx_enable_threshold=w.get(rv, "retx_enable_threshold", "reservation", int, 3, lo=1),
-        eval_window_us=w.get(rv, "eval_window_us", "reservation", int, 1_000_000, lo=1000),
-        hold_us=w.get(rv, "hold_us", "reservation", int, 2_000_000, lo=0),
-        guard_us=w.get(rv, "guard_us", "reservation", int, 200, lo=0),
-        lead_us=w.get(rv, "lead_us", "reservation", int, 2500, lo=100),
-        assumed_tx_power_dbm=w.get(rv, "assumed_tx_power_dbm", "reservation",
-                                   float, 20.0, lo=-60.0, hi=36.0),
-        monitor_window_us=w.get(rv, "monitor_window_us", "reservation",
-                                int, 2_000_000, lo=1000),
-        cts_power_dbm=w.get(rv, "cts_power_dbm", "reservation", float, 20.0,
-                            lo=-60.0, hi=36.0),
-        qos=qos,
-        qos_growth_step=w.get(rv, "qos_growth_step", "reservation", float, 0.25,
-                              lo=0.0, hi=4.0),
-        qos_growth_cap=w.get(rv, "qos_growth_cap", "reservation", float, 2.0,
-                             lo=1.0, hi=16.0))
+        qos = _section(w, rv["qos"], "reservation.qos", QosTarget)
+    reservation = ReservationConfig(qos=qos, **_scalars(w, rv, "reservation",
+                                                        ReservationConfig))
     if reservation.claim_interval_max_us < reservation.claim_interval_min_us:
         w.fail("reservation.claim_interval_max_us", "must be >= claim_interval_min_us")
 
-    ab = w.mapping(top.get("arbiter"), "arbiter",
-                   {"enabled", "schedule_aware", "priority", "retry_us"})
-    arbiter = ArbiterConfig(
-        enabled=w.get(ab, "enabled", "arbiter", bool, False),
-        schedule_aware=w.get(ab, "schedule_aware", "arbiter", bool, False),
-        priority=w.get(ab, "priority", "arbiter", bool, False),
-        retry_us=w.get(ab, "retry_us", "arbiter", int, 500, lo=1))
+    arbiter = _section(w, top.get("arbiter"), "arbiter", ArbiterConfig)
 
     nodes_raw = top.get("nodes", [])
     if nodes_raw is None:
@@ -550,11 +447,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     if w.errors:
         raise ScenarioError(w.errors)
-    nodes = _resolve_systems(nodes)
-    return ScenarioConfig(duration_us=duration, warmup_us=warmup, seed=seed,
-                          medium=medium, wifi=wifi, wimax=wimax,
-                          reservation=reservation, arbiter=arbiter,
-                          nodes=tuple(nodes))
+    return ScenarioConfig(medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
+                          arbiter=arbiter, nodes=tuple(nodes), **run)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -562,89 +456,28 @@ def load_scenario(path: str) -> ScenarioConfig:
         return parse_scenario(fh.read())
 
 
-def _traffic_dict(t: TrafficConfig) -> dict:
-    out: dict[str, Any] = {"kind": t.kind}
-    if t.kind in ("saturated", "paced"):
-        out["frame_bytes"] = t.frame_bytes
-    if t.kind == "paced":
-        out["interval_us"] = t.interval_us
-    if t.kind == "cts-inject":
-        out["at_us"] = t.at_us
-        out["reservation_us"] = t.reservation_us
-        if t.power_dbm is not None:
-            out["power_dbm"] = t.power_dbm
-        if t.repeat_us:
-            out["repeat_us"] = t.repeat_us
-    if t.kind == "wimax":
-        out.update(dl_bytes_per_s=t.dl_bytes_per_s, ul_bytes_per_s=t.ul_bytes_per_s,
-                   dl_saturated=t.dl_saturated, ul_saturated=t.ul_saturated)
-    return out
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    nodes = []
-    for n in cfg.nodes:
-        d: dict[str, Any] = {
-            "id": n.id, "kind": n.kind, "position": [n.position.x, n.position.y],
-            "channel_mhz": n.channel_mhz, "tx_power_dbm": n.tx_power_dbm,
-            "decode_sensitivity_dbm": n.decode_sensitivity_dbm,
-            "cca_threshold_dbm": n.cca_threshold_dbm, "system": n.system,
-            "traffic": _traffic_dict(n.traffic),
-        }
-        if n.peer is not None:
-            d["peer"] = n.peer
-        if n.bs is not None:
-            d["bs"] = n.bs
-        if n.collocated_with is not None:
-            d["collocated_with"] = n.collocated_with
-        nodes.append(d)
-    out = {
-        "duration_us": cfg.duration_us,
-        "warmup_us": cfg.warmup_us,
-        "seed": cfg.seed,
-        "medium": {
-            "preset": cfg.medium.preset,
-            "path_loss": {
-                "kind": cfg.medium.path_loss.kind,
-                "exponent": cfg.medium.path_loss.exponent,
-                "reference_loss_db": cfg.medium.path_loss.reference_loss_db,
-                "frequency_mhz": cfg.medium.path_loss.frequency_mhz,
-            },
-            "spillage": [{"separation_mhz": s, "rejection_db": r}
-                         for s, r in cfg.medium.spillage.entries],
-            "sinr_threshold_db": cfg.medium.sinr_threshold_db,
-            "colocated_coupling_db": cfg.medium.colocated_coupling_db,
-        },
-        "wifi": {k: getattr(cfg.wifi, k) for k in
-                 ("slot_us", "difs_us", "sifs_us", "cw_min", "cw_max",
-                  "retry_limit", "phy_rate_mbps", "cts_airtime_us")},
-        "wimax": {k: getattr(cfg.wimax, k) for k in
-                  ("frame_us", "dl_ratio", "capacity_bytes_per_us",
-                   "preamble_us", "ttg_us")},
-        "reservation": {k: getattr(cfg.reservation, k) for k in
-                        ("enabled", "pacing", "power_sizing", "performance_gating",
-                         "min_reservation_us", "claim_interval_init_us",
-                         "claim_interval_min_us", "claim_interval_max_us",
-                         "share_delta", "share_window_us", "pacing_tick_us",
-                         "eval_tick_us", "retx_enable_threshold", "eval_window_us",
-                         "hold_us", "guard_us", "lead_us", "assumed_tx_power_dbm",
-                         "monitor_window_us", "cts_power_dbm", "qos_growth_step",
-                         "qos_growth_cap")},
-        "arbiter": {k: getattr(cfg.arbiter, k) for k in
-                    ("enabled", "schedule_aware", "priority", "retry_us")},
-        "nodes": nodes,
-    }
-    if cfg.reservation.qos is not None:
-        out["reservation"]["qos"] = {
-            "min_throughput_bytes_per_s": cfg.reservation.qos.min_throughput_bytes_per_s,
-            "max_mean_delay_us": cfg.reservation.qos.max_mean_delay_us,
-        }
-    return out
+def _plain(value: Any) -> Any:
+    """Schema form of a config value: a section becomes a mapping of every
+    field in declaration order, leaving out optional fields that are unset."""
+    if isinstance(value, Position):
+        return [value.x, value.y]
+    if isinstance(value, SpillageTable):
+        return [_plain(_SpillageEntry(*entry)) for entry in value.entries]
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            if v is not None:
+                out[f.name] = _plain(v)
+        return out
+    return value
 
 
 def emit_scenario(cfg: ScenarioConfig) -> str:
     """Serialize a config so that parse_scenario(emit_scenario(c)) == c."""
-    return yaml.safe_dump(scenario_to_dict(cfg), sort_keys=False)
+    return yaml.safe_dump(_plain(cfg), sort_keys=False)
 
 
 def toggled(cfg: ScenarioConfig, mechanism: str, enabled: bool) -> ScenarioConfig:

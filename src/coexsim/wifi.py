@@ -14,21 +14,23 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .medium import FrameKind, RadioInterface, Transmission
 
 
 @dataclass(frozen=True)
 class DcfParams:
-    slot_us: int = 20
-    difs_us: int = 50
-    sifs_us: int = 10
-    cw_min: int = 15
-    cw_max: int = 1023
-    retry_limit: int = 7
-    phy_rate_mbps: float = 6.0
-    cts_airtime_us: int = 44
+    """DCF constants; the scenario's ``wifi`` section.  Field metadata holds
+    the bounds a scenario file may set."""
+
+    slot_us: int = field(default=20, metadata={"lo": 1})
+    difs_us: int = field(default=50, metadata={"lo": 1})
+    cw_min: int = field(default=15, metadata={"lo": 1})
+    cw_max: int = field(default=1023, metadata={"lo": 1})
+    retry_limit: int = field(default=7, metadata={"lo": 0})
+    phy_rate_mbps: float = field(default=6.0, metadata={"lo": 0.1})
+    cts_airtime_us: int = field(default=44, metadata={"lo": 1})
 
 
 def data_airtime_us(frame_bytes: int, phy_rate_mbps: float) -> int:

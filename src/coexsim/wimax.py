@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .medium import FrameKind, RadioInterface, Transmission
-
 DL = "DL"
 UL = "UL"
 
@@ -101,25 +99,3 @@ def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: fl
                dl_end + ttg_us, frame_len_us - dl_end - ttg_us, capacity_bytes_per_us, UL)
     roster = tuple(sorted({d.ss for d in demands}))
     return FrameMap(frame_len_us, dl_end, tuple(dl + ul), roster)
-
-
-def ss_burst(frame_map: FrameMap, ss: str, frame_start_us: int,
-             ss_iface: RadioInterface, bs_iface: RadioInterface) -> list[Transmission]:
-    """Transmissions realizing one station's grants for one frame.
-
-    UL bursts originate at the subscriber station, DL bursts at the base
-    station.  Raises LookupError when ``ss`` is not part of the map's roster;
-    a known station with no grants yields an empty list.
-    """
-    bursts = []
-    for g in frame_map.grants_for(ss):
-        if g.direction == UL:
-            src, dst = ss_iface, bs_iface
-        else:
-            src, dst = bs_iface, ss_iface
-        bursts.append(Transmission(
-            source=src.id, kind=FrameKind.WIMAX_BURST,
-            start_us=frame_start_us + g.offset_us, airtime_us=g.len_us,
-            power_dbm=src.tx_power_dbm, channel_mhz=src.channel_mhz,
-            dest=dst.id))
-    return bursts

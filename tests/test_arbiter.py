@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coexsim.arbiter import (DENY, GRANT, ArbiterState, GrantLedger, InterfaceRequest,
-                             RadioArbiter, priority_resolve, release_all_check,
-                             request, schedule_aware_check)
+                             RadioArbiter, request, schedule_aware_check)
 from coexsim.wimax import DL, UL, FrameMap, Grant
 
 S, RX, TX = ArbiterState.S, ArbiterState.RX, ArbiterState.TX
@@ -54,7 +53,7 @@ class TestTransitionTable:
 
 class TestReleaseSemantics:
     def test_empty_ledger_sleeps(self):
-        assert release_all_check(GrantLedger()) is S
+        assert GrantLedger().state() is S
 
     def test_last_release_turns_the_light_off(self):
         a = arbiter_in_state(RX)
@@ -126,28 +125,3 @@ class TestScheduleAware:
     def test_unscheduled_airtime_allowed(self):
         req = InterfaceRequest("wifi1", TX, span_us=(10_000, 10_150))
         assert schedule_aware_check(req, self.FMAP, 10_000, "ss1") == GRANT
-
-
-class TestPriority:
-    def test_scheduled_radio_beats_contender(self):
-        wifi = InterfaceRequest("wifi1", TX, priority=1)
-        wimax = InterfaceRequest("ss1", TX, priority=2, is_wimax=True)
-        assert priority_resolve([wifi, wimax]) is wimax
-
-    def test_equal_priority_tie_goes_to_wimax(self):
-        wifi = InterfaceRequest("wifi1", TX, priority=1)
-        wimax = InterfaceRequest("ss1", TX, priority=1, is_wimax=True)
-        assert priority_resolve([wifi, wimax]) is wimax
-
-    def test_singleton(self):
-        only = InterfaceRequest("wifi1", TX)
-        assert priority_resolve([only]) is only
-
-    def test_same_kind_lowest_id_wins(self):
-        a = InterfaceRequest("radio-a", TX)
-        b = InterfaceRequest("radio-b", TX)
-        assert priority_resolve([b, a]) is a
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            priority_resolve([])

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from coexsim.cli import (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, compare_command,
-                         main, run_command)
+from coexsim.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
+                         compare_command, main, run_command)
+from coexsim.engine import Engine
 from conftest import scenario_path
 
 
@@ -142,3 +143,23 @@ class TestMain:
 
     def test_bad_format_rejected(self):
         assert main(["run", "x.yaml", "--format", "xml"]) == EXIT_USAGE
+
+    def test_subframe_geometry_is_a_validation_error(self, tmp_path, capsys):
+        # accepted by earlier versions, then crashed in the first frame map
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("wimax: {frame_us: 100, ttg_us: 100}\n"
+                       "nodes:\n  - {id: bs, kind: wimax-bs, position: [0.0, 0.0]}\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert "error: wimax." in capsys.readouterr().err
+
+    def test_engine_failure_is_a_one_line_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def fail(self):
+            raise RuntimeError("engine gave up\nat some depth")
+
+        monkeypatch.setattr(Engine, "run", fail)
+        out = tmp_path / "r.json"
+        assert main(["run", scenario_path("emulation"), "--out", str(out)]) == EXIT_RUNTIME
+        assert not out.exists()
+        assert compare_command(scenario_path("colocated"), "arbiter", [1]) == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: RuntimeError: engine gave up at some depth"] * 2

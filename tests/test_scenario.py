@@ -1,13 +1,34 @@
-import pytest
+import pathlib
+from dataclasses import fields
+from typing import Optional, get_type_hints
 
-from coexsim.scenario import (ScenarioError, emit_scenario, load_scenario,
-                              parse_scenario, toggled)
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from coexsim.medium import FREE_SPACE, PathLossModel, Position, SpillageTable
+from coexsim.reservation import QosTarget
+from coexsim.scenario import (ArbiterConfig, MediumConfig, NodeConfig, ReservationConfig,
+                              ScenarioConfig, ScenarioError, TrafficConfig, WimaxConfig,
+                              emit_scenario, load_scenario, parse_scenario, toggled)
+from coexsim.wifi import DcfParams
 from conftest import scenario_path
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """
 nodes:
   - {id: a, kind: wifi, position: [0.0, 0.0], traffic: {kind: none}}
 """
+
+# scenarios written inline, round-tripped next to the shipped files
+INLINE = {
+    # fields the traffic kind does not use are still part of the config
+    "unused_traffic_fields": """
+nodes:
+  - {id: a, kind: wifi, position: [0.0, 0.0], traffic: {kind: none, frame_bytes: 100}}
+""",
+}
 
 
 class TestCanonicalFiles:
@@ -39,10 +60,20 @@ class TestCanonicalFiles:
         assert plats["ss1"] == plats["wifi1"]
         assert plats["ap"] is None
 
-    @pytest.mark.parametrize("name", ["emulation", "conference_room", "colocated"])
+    @pytest.mark.parametrize("name", ["emulation", "conference_room", "colocated",
+                                      "unused_traffic_fields"])
     def test_round_trip(self, name):
-        cfg = load_scenario(scenario_path(name))
+        if name in INLINE:
+            cfg = parse_scenario(INLINE[name])
+        else:
+            cfg = load_scenario(scenario_path(name))
         assert parse_scenario(emit_scenario(cfg)) == cfg
+
+    def test_readme_schema_block_is_the_defaults(self):
+        text = README.read_text(encoding="utf-8").split("## Scenario schema", 1)[1]
+        doc = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+        del doc["nodes"]
+        assert parse_scenario(yaml.safe_dump(doc)) == parse_scenario("")
 
 
 class TestValidation:
@@ -125,6 +156,20 @@ nodes:
             parse_scenario(text)
         assert any("tx_power_dbm" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("text", ["wifi: {sifs_us: 10}\n",
+                                      "reservation: {guard_us: 200}\n",
+                                      "arbiter: {priority: false}\n"])
+    def test_removed_keys_are_unknown(self, text):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert any("unknown key" in e for e in err.value.errors)
+
+    def test_subframe_split_must_fit_the_frame(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("wimax: {frame_us: 100, ttg_us: 100}\n")
+        assert any(e.startswith("wimax.") and "subframe" in e for e in err.value.errors)
+        parse_scenario("wimax: {frame_us: 100, preamble_us: 10, ttg_us: 40}\n")
+
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):
             parse_scenario("duration_us: 1000\nwarmup_us: 1000\n")
@@ -149,3 +194,82 @@ class TestToggle:
     def test_unknown_mechanism(self, conference_cfg):
         with pytest.raises(ValueError):
             toggled(conference_cfg, "warp-drive", True)
+
+
+
+# ---------------------------------------------------------------------------
+# round trip of configs drawn inside each field's metadata bounds
+
+
+def scalars(cls, skip=()):
+    """Strategy for a dict of the scalar fields of ``cls``, each inside its
+    metadata bounds.  Free-form strings and nested sections are left out."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        meta, hint = f.metadata, hints[f.name]
+        if f.name in skip:
+            continue
+        if "choices" in meta:
+            out[f.name] = st.sampled_from(meta["choices"])
+        elif hint is bool:
+            out[f.name] = st.booleans()
+        elif hint is int:
+            out[f.name] = st.integers(meta.get("lo"), meta.get("hi"))
+        elif hint in (float, Optional[float]):
+            value = st.floats(meta.get("lo"), meta.get("hi"),
+                              allow_nan=False, allow_infinity=False)
+            out[f.name] = value if hint is float else st.none() | value
+    return st.fixed_dictionaries(out)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid configs: every cross-field rule is met by adjusting one field
+    inside its bounds."""
+    def radio(node_id, kind, traffic_kinds, **links):
+        traffic = TrafficConfig(kind=draw(st.sampled_from(traffic_kinds)),
+                                **draw(scalars(TrafficConfig, skip={"kind"})))
+        coord = st.floats(-1e3, 1e3)
+        return NodeConfig(id=node_id, kind=kind, position=Position(draw(coord), draw(coord)),
+                          system=draw(st.text("abxyz:-", min_size=1, max_size=4)),
+                          traffic=traffic, **draw(scalars(NodeConfig, skip={"kind"})), **links)
+
+    nodes = (radio("bs", "wimax-bs", ["none"]),
+             radio("ss", "wimax-ss", ["none", "wimax"], bs="bs"),
+             radio("sta", "wifi", ["none", "saturated", "paced", "cts-inject"],
+                   peer="ap", collocated_with="ss"),
+             radio("ap", "wifi", ["none", "cts-inject"]))
+    path_loss = draw(scalars(PathLossModel))
+    if path_loss["kind"] == FREE_SPACE:
+        path_loss["exponent"] = PathLossModel.exponent
+    separations = sorted(draw(st.lists(st.floats(0.1, 1e3), min_size=1, max_size=3,
+                                       unique=True)))
+    rejections = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=len(separations),
+                                      max_size=len(separations))))
+    medium = MediumConfig(path_loss=PathLossModel(**path_loss),
+                          spillage=SpillageTable(tuple(zip(separations, rejections))),
+                          **draw(scalars(MediumConfig)))
+    wifi = draw(scalars(DcfParams))
+    wifi["cw_max"] = max(wifi["cw_max"], wifi["cw_min"])
+    wimax = draw(scalars(WimaxConfig))
+    dl_end = int(wimax["frame_us"] * wimax["dl_ratio"])
+    wimax["preamble_us"] = min(wimax["preamble_us"], dl_end)
+    wimax["ttg_us"] = min(wimax["ttg_us"], wimax["frame_us"] - dl_end)
+    reservation = draw(scalars(ReservationConfig))
+    reservation["claim_interval_max_us"] = max(reservation["claim_interval_max_us"],
+                                               reservation["claim_interval_min_us"])
+    qos = draw(st.none() | scalars(QosTarget).map(lambda d: QosTarget(**d)))
+    top = draw(scalars(ScenarioConfig))
+    top["duration_us"] = max(top["duration_us"], top["warmup_us"] + 1)
+    return ScenarioConfig(medium=medium, wifi=DcfParams(**wifi), wimax=WimaxConfig(**wimax),
+                          reservation=ReservationConfig(qos=qos, **reservation),
+                          arbiter=ArbiterConfig(**draw(scalars(ArbiterConfig))),
+                          nodes=nodes, **top)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(scenarios())
+    def test_configs_inside_the_bounds_round_trip(self, cfg):
+        assert parse_scenario(emit_scenario(cfg)) == cfg
