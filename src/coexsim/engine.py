@@ -129,12 +129,13 @@ class RunResult:
 
 
 class _TxRec:
-    __slots__ = ("tx", "link", "served_bytes", "missed", "overlappers",
+    __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers",
                  "release_tx", "release_rx", "train_owner")
 
     def __init__(self, tx: Transmission, link: Optional[str] = None,
                  served_bytes: int = 0):
         self.tx = tx
+        self.key = -1                # its key in Engine.active while on air
         self.link = link
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
@@ -145,14 +146,35 @@ class _TxRec:
 
 
 class _WifiRt:
-    __slots__ = ("node", "station", "link", "needs_resched", "armed_token")
+    __slots__ = ("node", "station", "order", "link", "armed_token")
 
-    def __init__(self, node, station):
+    def __init__(self, node, station, order: int):
         self.node = node
         self.station = station
+        self.order = order           # config order among the WiFi stations
         self.link = f"{node.id}->{node.peer}" if node.peer else None
-        self.needs_resched = False
         self.armed_token: Optional[int] = None
+
+
+class _LossRow(dict):
+    """Source id -> link loss in dB towards one receiver, filled on first use.
+
+    Positions and channels are static and every emission goes out on its
+    source interface's channel, so one entry serves every emission of that
+    source.
+    """
+
+    __slots__ = ("medium", "interfaces", "dst")
+
+    def __init__(self, medium: MediumModel, interfaces: dict, dst: RadioInterface):
+        super().__init__()
+        self.medium = medium
+        self.interfaces = interfaces
+        self.dst = dst
+
+    def __missing__(self, src: str) -> float:
+        loss = self[src] = self.medium.link_loss_db(self.interfaces[src], self.dst)
+        return loss
 
 
 class _ByteQueue:
@@ -237,14 +259,20 @@ class Engine:
 
         self.medium: MediumModel = config.medium.model()
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
-        self._loss_cache: dict[tuple[str, str], float] = {}
+        self._loss_rows: dict[str, _LossRow] = {}
+        # (source, power) -> WiFi stations that sense such an emission, config order
+        self._sensing: dict[tuple[str, float], tuple[_WifiRt, ...]] = {}
         self.dcf = config.wifi
 
         self.stations: dict[str, _WifiRt] = {}
         for n in config.nodes:
             if n.kind == "wifi":
                 self.stations[n.id] = _WifiRt(n, WifiStation(self.interfaces[n.id],
-                                                             self.dcf, self.rng))
+                                                             self.dcf, self.rng),
+                                              len(self.stations))
+        # stations whose attempt the medium voided, by config order; they
+        # re-arm at the next frame end
+        self._resched: dict[int, _WifiRt] = {}
         self.cells: dict[str, _Cell] = {}
         self.sses: dict[str, _SsRt] = {}
         plats = config.platforms()
@@ -319,21 +347,35 @@ class Engine:
         heapq.heappush(self._heap, (time_us, phase, next(self._seq), kind, data))
 
     def _note(self, line: str) -> None:
-        self._hash.update(line.encode())
-        self._hash.update(b"\n")
+        self._hash.update(f"{line}\n".encode())
         if self._trace is not None:
             self._trace.append(line)
 
-    def _loss(self, src: str, dst: str) -> float:
-        key = (src, dst)
-        loss = self._loss_cache.get(key)
-        if loss is None:
-            loss = self.medium.link_loss_db(self.interfaces[src], self.interfaces[dst])
-            self._loss_cache[key] = loss
-        return loss
+    def _losses_to(self, dst: str) -> _LossRow:
+        row = self._loss_rows.get(dst)
+        if row is None:
+            row = self._loss_rows[dst] = _LossRow(self.medium, self.interfaces,
+                                                  self.interfaces[dst])
+        return row
 
     def _rx(self, tx: Transmission, dst: str) -> float:
-        return tx.power_dbm - self._loss(tx.source, dst)
+        return tx.power_dbm - self._losses_to(dst)[tx.source]
+
+    def _sensers(self, src: str, power_dbm: float) -> tuple[_WifiRt, ...]:
+        """WiFi stations other than ``src`` whose carrier sense an emission
+        from ``src`` at ``power_dbm`` trips, in config order; memoised."""
+        key = (src, power_dbm)
+        found = self._sensing.get(key)
+        if found is None:
+            found = self._sensing[key] = tuple(
+                rt for sid, rt in self.stations.items()
+                if sid != src and power_dbm - self._losses_to(sid)[src]
+                >= rt.station.iface.cca_threshold_dbm)
+        return found
+
+    def _mark_resched(self, rt: _WifiRt) -> None:
+        rt.armed_token = None
+        self._resched[rt.order] = rt
 
     def _clip(self, start: int, end: int) -> int:
         lo = max(start, self.cfg.warmup_us)
@@ -643,8 +685,7 @@ class Engine:
         had = rt.armed_token is not None and rt.station.attempt_valid(rt.armed_token)
         rt.station.on_medium_busy(start, end, kind)
         if had and not rt.station.attempt_valid(rt.armed_token):
-            rt.armed_token = None
-            rt.needs_resched = True
+            self._mark_resched(rt)
 
     def _record_conflict_interval(self, plat: str, iface_id: str, start: int,
                                   end: int, is_tx: bool) -> None:
@@ -665,7 +706,8 @@ class Engine:
         for other in self.active.values():
             other.overlappers.append(tx)
             rec.overlappers.append(other.tx)
-        self.active[next(self._tx_ids)] = rec
+        rec.key = next(self._tx_ids)
+        self.active[rec.key] = rec
 
         system = self.system_of[tx.source]
         clipped = self._clip(tx.start_us, tx.end_us)
@@ -697,20 +739,15 @@ class Engine:
                                                        is_tx=False)
 
         # physical carrier sense at every other WiFi radio
-        for sid, rt in self.stations.items():
-            if sid == tx.source:
-                continue
-            if self._rx(tx, sid) >= rt.station.iface.cca_threshold_dbm:
-                self._sense_busy(rt, tx.start_us, tx.end_us, tx.kind)
+        start, end = tx.start_us, tx.end_us
+        for rt in self._sensers(tx.source, tx.power_dbm):
+            self._sense_busy(rt, start, end, tx.kind)
         self._push(tx.end_us, P_END, "txend", rec)
         self._note(f"{tx.start_us}|air|{tx.kind.value}|{tx.source}>{tx.dest}|{tx.airtime_us}")
 
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx
-        for key, val in list(self.active.items()):
-            if val is rec:
-                del self.active[key]
-                break
+        del self.active[rec.key]
         if rec.release_tx:
             self._arbiter_release(rec.release_tx)
         if rec.release_rx:
@@ -722,7 +759,8 @@ class Engine:
         outcome = None
         if tx.dest is not None:
             outcome = delivery_result(tx, [tx] + rec.overlappers, self.interfaces,
-                                      (tx.start_us, tx.end_us), self.medium)
+                                      (tx.start_us, tx.end_us), self.medium,
+                                      self._losses_to(tx.dest))
             decoded = outcome.result == DECODED and not rec.missed
             if tx.kind is FrameKind.WIMAX_BURST:
                 self._finish_burst(rec, decoded, outcome)
@@ -747,8 +785,7 @@ class Engine:
                 if rt.station.nav_expiry_us != had_nav:
                     self._note(f"{self.now}|nav|{sid}|{rt.station.nav_expiry_us}")
                 if had and not rt.station.attempt_valid(rt.armed_token):
-                    rt.armed_token = None
-                    rt.needs_resched = True
+                    self._mark_resched(rt)
 
         # neighborhood monitoring by collocated coordinators
         src_plat = self.interfaces[tx.source].platform
@@ -763,9 +800,10 @@ class Engine:
                 ss.heard.append((self.now, tx.source, rx))
 
         # wake frozen stations
-        for rt in self.stations.values():
-            if rt.needs_resched:
-                rt.needs_resched = False
+        if self._resched:
+            waking = [self._resched[order] for order in sorted(self._resched)]
+            self._resched.clear()
+            for rt in waking:
                 self._schedule_access(rt)
 
     def _overheard_decodes(self, tx: Transmission, overlappers: list[Transmission],

@@ -250,22 +250,31 @@ def _addressed(active: Sequence[Transmission], interfaces: Mapping[str, RadioInt
 
 def delivery_result(tx: Transmission, active: Sequence[Transmission],
                     interfaces: Mapping[str, RadioInterface],
-                    t_window: tuple[int, int], medium: MediumModel) -> DeliveryOutcome:
+                    t_window: tuple[int, int], medium: MediumModel,
+                    loss_db: Optional[Mapping[str, float]] = None) -> DeliveryOutcome:
     """Outcome of one addressed transmission against a set of overlappers.
 
     The receiver decodes iff the frame is above its sensitivity and, at every
     instant the frame overlaps ``t_window``, the margin over the strongest
     single in-band interferer meets the SINR threshold.  A receiver that is
     itself on air during the frame never decodes.
+
+    ``loss_db``, if given, maps a source id to ``medium.link_loss_db`` from
+    that source's interface to ``tx.dest`` on the source's own channel.  It
+    replaces the per-frame loss, so pass it only where every emission is on
+    its source interface's channel, as in the engine.
     """
     rx_iface = interfaces[tx.dest]
-    src_iface = interfaces[tx.source]
-    signal = medium.rx_power_dbm(tx, src_iface, rx_iface)
+    if loss_db is None:
+        signal = medium.rx_power_dbm(tx, interfaces[tx.source], rx_iface)
+    else:
+        signal = tx.power_dbm - loss_db[tx.source]
     if signal < rx_iface.decode_sensitivity_dbm:
         return DeliveryOutcome(tx.dest, BELOW_SENSITIVITY, signal)
     w0, w1 = t_window
     lo = max(tx.start_us, w0)
     hi = min(tx.end_us, w1)
+    threshold = medium.sinr_threshold_db
     for other in active:
         if other is tx:
             continue
@@ -274,8 +283,11 @@ def delivery_result(tx: Transmission, active: Sequence[Transmission],
         if other.source == tx.dest:
             # half-duplex: the receiver was transmitting over this frame
             return DeliveryOutcome(tx.dest, CORRUPTED, signal)
-        interferer = medium.rx_power_dbm(other, interfaces[other.source], rx_iface)
-        if signal - interferer < medium.sinr_threshold_db:
+        if loss_db is None:
+            interferer = medium.rx_power_dbm(other, interfaces[other.source], rx_iface)
+        else:
+            interferer = other.power_dbm - loss_db[other.source]
+        if signal - interferer < threshold:
             return DeliveryOutcome(tx.dest, CORRUPTED, signal)
     return DeliveryOutcome(tx.dest, DECODED, signal)
 

@@ -12,7 +12,8 @@ validation enforces.  One generic parser and one generic emitter read them.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import Any, Optional, get_args, get_type_hints
 
 import yaml
@@ -84,10 +85,11 @@ class NodeConfig:
 
 @dataclass(frozen=True)
 class _SpillageEntry:
-    """One row of ``medium.spillage``; SpillageTable keeps rows as tuples."""
+    """One row of ``medium.spillage``; SpillageTable keeps rows as tuples.
+    Both keys are required."""
 
-    separation_mhz: float = field(default=1.0, metadata={"lo": 0.1})
-    rejection_db: float = field(default=0.0, metadata={"lo": 0.0})
+    separation_mhz: float = field(metadata={"lo": 0.1})
+    rejection_db: float = field(metadata={"lo": 0.0})
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,13 @@ class ScenarioConfig:
     arbiter: ArbiterConfig = field(default_factory=ArbiterConfig)
     nodes: tuple[NodeConfig, ...] = ()
 
+    @cached_property
+    def _by_id(self) -> dict[str, NodeConfig]:
+        return {n.id: n for n in self.nodes}
+
     def node(self, node_id: str) -> NodeConfig:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        """The node with this id; KeyError if there is none."""
+        return self._by_id[node_id]
 
     def platforms(self) -> dict[str, Optional[str]]:
         """Node id -> platform id (None for standalone radios)."""
@@ -207,6 +211,10 @@ class ScenarioConfig:
 # field tables, built once at import
 
 _SCALAR_TYPES = (bool, int, float, str)
+
+# libyaml's parser when PyYAML was built with it: same safe constructors and
+# tag resolution as SafeLoader, several times faster on large files
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _scalar_fields(cls: type) -> tuple:
@@ -312,12 +320,20 @@ def _parse_medium(w: _Walker, raw: Any) -> MediumConfig:
         if not isinstance(raw_entries, list):
             w.fail("medium.spillage", "expected a list of entries")
         else:
-            entries = tuple(astuple(_section(w, e, f"medium.spillage[{i}]", _SpillageEntry))
-                            for i, e in enumerate(raw_entries))
-            try:
-                spillage = SpillageTable(entries)
-            except ValueError as exc:
-                w.fail("medium.spillage", str(exc))
+            entries = []
+            for i, e in enumerate(raw_entries):
+                path = f"medium.spillage[{i}]"
+                given = w.mapping(e, path, _KEYS[_SpillageEntry])
+                row = _scalars(w, given, path, _SpillageEntry)
+                for key in row:
+                    if given.get(key) is None:
+                        w.fail(f"{path}.{key}", "required")
+                entries.append(tuple(row.values()))
+            if all(None not in e for e in entries):
+                try:
+                    spillage = SpillageTable(tuple(entries))
+                except ValueError as exc:
+                    w.fail("medium.spillage", str(exc))
     return MediumConfig(path_loss=path_loss_model, spillage=spillage,
                         **_scalars(w, m, "medium", MediumConfig))
 
@@ -399,7 +415,7 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig]) -> None:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document; raise ScenarioError on problems."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"(syntax): {exc}"]) from exc
     w = _Walker()

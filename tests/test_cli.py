@@ -152,6 +152,13 @@ class TestMain:
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert "error: wimax." in capsys.readouterr().err
 
+    def test_incomplete_spillage_entry_is_a_validation_error(self, tmp_path, capsys):
+        # earlier versions read a missing separation_mhz as 1.0 MHz
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("medium: {spillage: [{rejection_db: 30.0}]}\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert "medium.spillage[0].separation_mhz: required" in capsys.readouterr().err
+
     def test_engine_failure_is_a_one_line_runtime_error(self, tmp_path, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("engine gave up\nat some depth")

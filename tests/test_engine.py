@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from coexsim.engine import Engine, jain_index, run
+from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
+                            delivery_result)
+from coexsim.reservation import reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from oracles import dcf_saturation_share
 
@@ -28,6 +32,110 @@ nodes:
      traffic: {kind: saturated, frame_bytes: 1500}}
   - {id: apb, kind: wifi, position: [3.0, 5.0], system: cell-b, traffic: {kind: none}}
 """
+
+
+
+def pairs_grid(pairs: int = 20, side: int = 5, spacing_m: float = 40.0) -> str:
+    """Saturated WiFi pairs on a grid around a WiMAX station that reserves
+    with power-sized CTS (no gating, so it claims from the start), plus a CTS
+    injector at a fixed power at the grid's edge."""
+    c = (side // 2 - 0.5) * spacing_m
+    lines = [
+        "duration_us: 600000",
+        "warmup_us: 200000",
+        "medium: {path_loss: {kind: log-distance, exponent: 3.0}}",
+        "reservation: {enabled: true, performance_gating: false, pacing_tick_us: 100000,",
+        "              assumed_tx_power_dbm: 10.0}",
+        "nodes:",
+        f"  - {{id: bs, kind: wimax-bs, position: [{c + 150.0}, {c}]}}",
+        f"  - {{id: ss, kind: wimax-ss, position: [{c}, {c}], bs: bs,",
+        "     traffic: {kind: wimax, dl_saturated: true, ul_saturated: true}}",
+        f"  - {{id: ss_wifi, kind: wifi, position: [{c}, {c}], collocated_with: ss}}",
+        f"  - {{id: jam, kind: wifi, position: [{c}, -20.0], traffic: {{kind: cts-inject,",
+        "     at_us: 250000, reservation_us: 3000, power_dbm: 12.0, repeat_us: 50000}}",
+    ]
+    for i in range(pairs):
+        x, y = (i % side) * spacing_m, (i // side) * spacing_m
+        lines.append(f"  - {{id: sta{i}, kind: wifi, position: [{x}, {y}], peer: ap{i},"
+                     " traffic: {kind: saturated}}")
+        lines.append(f"  - {{id: ap{i}, kind: wifi, position: [{x + 5.0}, {y}]}}")
+    return "\n".join(lines) + "\n"
+
+
+# Seed-1 trace hashes.  A change that moves one on purpose updates it here
+# and says why in CHANGES.md.
+PINNED_HASHES = {
+    "emulation_cfg": "7d8c3083456621b815ddab983f3cd23a23bdb35fdfa894f37bed91e958b72fd7",
+    "conference_cfg": "c8d616d04531caf5b0a1ddef7c1a88546efd48e6efdb4b8e1ea2cb64f8855e6b",
+    "colocated_cfg": "b70ab4234863516cc81d5dd1814c43c112d84ca654fb570d4b264cb7e595d114",
+}
+GRID_HASH = "3034f04af04a4762db961100252162072a3734f6379328fb2c18f3665c1bf2eb"
+
+
+class TestPinnedHashes:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_shipped_scenario(self, fixture, request):
+        result = run(request.getfixturevalue(fixture), seed=1)
+        assert result.trace_hash == PINNED_HASHES[fixture]
+
+    def test_pairs_grid(self):
+        result = run(parse_scenario(pairs_grid()), seed=1)
+        assert result.cts_count == 57  # injected and power-sized trains both ran
+        assert result.trace_hash == GRID_HASH
+
+
+class TestCachedFastPaths:
+    """The engine's memoised carrier sense and cached link losses agree with
+    computing every loss afresh."""
+
+    @pytest.fixture(params=["grid", "colocated"])
+    def engine(self, request, colocated_cfg):
+        cfg = parse_scenario(pairs_grid()) if request.param == "grid" else colocated_cfg
+        return Engine(cfg, seed=1)
+
+    def test_cached_delivery_equals_uncached(self, engine):
+        ifaces, medium = engine.interfaces, engine.medium
+        ids = sorted(ifaces)
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            active = []
+            for _ in range(rng.randint(1, 8)):
+                src = rng.choice(ids)
+                iface = ifaces[src]
+                active.append(Transmission(
+                    source=src, kind=rng.choice(list(FrameKind)),
+                    start_us=rng.randint(0, 60), airtime_us=rng.randint(1, 40),
+                    power_dbm=rng.choice((iface.tx_power_dbm, rng.uniform(-30.0, 20.0))),
+                    channel_mhz=iface.channel_mhz,
+                    dest=rng.choice([i for i in ids if i != src])))
+            for tx in active:
+                window = (tx.start_us, tx.end_us)
+                fresh = delivery_result(tx, active, ifaces, window, medium)
+                cached = delivery_result(tx, active, ifaces, window, medium,
+                                         engine._losses_to(tx.dest))
+                assert cached == fresh
+                seen.add(fresh.result)
+        assert seen == {DECODED, CORRUPTED, BELOW_SENSITIVITY}
+
+    def test_memoised_sensing_equals_a_scan(self, engine):
+        ifaces, medium = engine.interfaces, engine.medium
+        sized = {reservation_power(d, -82.0, medium.path_loss_model)
+                 for d in (0.0, 3.0, 20.0, 60.0, 150.0)}
+        powers = sorted({i.tx_power_dbm for i in ifaces.values()} | sized | {12.0})
+        coupled = 0
+        for src in ifaces:
+            for power in powers:
+                scan = [sid for sid in engine.stations if sid != src and
+                        power - medium.link_loss_db(ifaces[src], ifaces[sid])
+                        >= ifaces[sid].cca_threshold_dbm]
+                memo = engine._sensers(src, power)
+                assert [rt.node.id for rt in memo] == scan
+                assert engine._sensers(src, power) is memo
+                coupled += sum(ifaces[src].platform is not None
+                               and ifaces[sid].platform == ifaces[src].platform
+                               for sid in scan)
+        assert coupled > 0  # co-located coupling decided some of them
 
 
 class TestJainIndex:

@@ -41,6 +41,9 @@ class TestCanonicalFiles:
         assert emulation_cfg.node("node3").position.distance_to(coord.position) == pytest.approx(40.0)
         assert emulation_cfg.medium.path_loss.kind == "log-distance"
         assert emulation_cfg.medium.path_loss.exponent == 3.0
+        assert [emulation_cfg.node(n.id) for n in emulation_cfg.nodes] == list(emulation_cfg.nodes)
+        with pytest.raises(KeyError):
+            emulation_cfg.node("ghost")
 
     def test_conference_room_shape(self, conference_cfg):
         assert conference_cfg.reservation.enabled
@@ -169,6 +172,16 @@ nodes:
             parse_scenario("wimax: {frame_us: 100, ttg_us: 100}\n")
         assert any(e.startswith("wimax.") and "subframe" in e for e in err.value.errors)
         parse_scenario("wimax: {frame_us: 100, preamble_us: 10, ttg_us: 40}\n")
+
+    @pytest.mark.parametrize("entry, missing", [
+        ("{rejection_db: 30.0}", ["separation_mhz"]),
+        ("{separation_mhz: 20.0}", ["rejection_db"]),
+        ("{}", ["separation_mhz", "rejection_db"]),
+    ], ids=["no_separation", "no_rejection", "empty"])
+    def test_spillage_entry_keys_are_required(self, entry, missing):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(f"medium: {{spillage: [{entry}]}}\n")
+        assert err.value.errors == [f"medium.spillage[0].{k}: required" for k in missing]
 
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):
