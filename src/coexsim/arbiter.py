@@ -15,7 +15,7 @@ state from under another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
 
@@ -39,69 +39,46 @@ class InterfaceRequest:
     span_us: Optional[tuple[int, int]] = None  # absolute interval, for schedule checks
 
 
-@dataclass
-class GrantLedger:
-    """Who holds what. State is derived: TX iff any tx holder, RX iff any rx."""
-
-    held: dict[str, ArbiterState] = field(default_factory=dict)
-
-    @property
-    def rx_count(self) -> int:
-        return sum(1 for s in self.held.values() if s is ArbiterState.RX)
-
-    @property
-    def tx_count(self) -> int:
-        return sum(1 for s in self.held.values() if s is ArbiterState.TX)
-
-    def state(self) -> ArbiterState:
-        if self.tx_count > 0:
-            return ArbiterState.TX
-        if self.rx_count > 0:
-            return ArbiterState.RX
-        return ArbiterState.S
-
-    def copy(self) -> "GrantLedger":
-        return GrantLedger(dict(self.held))
-
-
-def request(ledger: GrantLedger, req: InterfaceRequest) -> tuple[str, GrantLedger]:
-    """Apply one request against the transition rules.
-
-    From S anything is granted.  From RX a transmit is denied; from TX a
-    receive is denied.  A request that persists the current state is always
-    accepted.  A granted sleep releases that interface's hold.  Denials
-    leave the ledger untouched.
-    """
-    state = ledger.state()
-    want = req.desired
-    if want is ArbiterState.S:
-        new = ledger.copy()
-        new.held.pop(req.interface, None)
-        return GRANT, new
-    if (state is ArbiterState.RX and want is ArbiterState.TX) or \
-       (state is ArbiterState.TX and want is ArbiterState.RX):
-        return DENY, ledger
-    new = ledger.copy()
-    new.held[req.interface] = want
-    return GRANT, new
-
-
 class RadioArbiter:
-    """Stateful wrapper serializing requests for one platform."""
+    """The controller of one platform.
+
+    ``held`` maps each interface holding a grant to its mode.  The state is
+    derived from it: TX iff any interface holds TX, RX iff any holds RX.
+    """
 
     def __init__(self, interfaces: Sequence[str]):
         self._known = set(interfaces)
-        self.ledger = GrantLedger()
+        self.held: dict[str, ArbiterState] = {}
 
     @property
     def state(self) -> ArbiterState:
-        return self.ledger.state()
+        modes = self.held.values()
+        if ArbiterState.TX in modes:
+            return ArbiterState.TX
+        if ArbiterState.RX in modes:
+            return ArbiterState.RX
+        return ArbiterState.S
 
     def request(self, req: InterfaceRequest) -> str:
+        """Apply one request against the transition rules.
+
+        From S anything is granted.  From RX a transmit is denied; from TX a
+        receive is denied.  A request that persists the current state is
+        always accepted.  A granted sleep releases that interface's hold.
+        Denials leave ``held`` untouched.
+        """
         if req.interface not in self._known:
             raise LookupError(f"interface not registered: {req.interface!r}")
-        decision, self.ledger = request(self.ledger, req)
-        return decision
+        want = req.desired
+        if want is ArbiterState.S:
+            self.held.pop(req.interface, None)
+            return GRANT
+        state = self.state
+        if (state is ArbiterState.RX and want is ArbiterState.TX) or \
+           (state is ArbiterState.TX and want is ArbiterState.RX):
+            return DENY
+        self.held[req.interface] = want
+        return GRANT
 
     def release(self, interface: str) -> None:
         self.request(InterfaceRequest(interface, ArbiterState.S))

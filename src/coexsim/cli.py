@@ -24,6 +24,8 @@ EXIT_RUNTIME = 3
 _LINK_COLUMNS = ["link", "offered_bytes", "delivered_bytes", "corrupted_frames",
                  "retransmissions", "dropped_frames", "airtime_us", "airtime_share",
                  "throughput_bytes_per_s", "mean_delay_us"]
+# the per-link counters the TOTAL row sums; its share and throughput derive from them
+_SUMMED_COLUMNS = _LINK_COLUMNS[1:_LINK_COLUMNS.index("airtime_share")]
 _SUMMARY_COLUMNS = ["fairness_index", "colocated_conflict_us", "cts_count",
                     "cts_airtime_us", "trace_hash"]
 
@@ -42,24 +44,17 @@ def render_run_csv(result: RunResult) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_LINK_COLUMNS + _SUMMARY_COLUMNS)
-    totals = {k: 0 for k in _LINK_COLUMNS[1:8]}
+    totals = dict.fromkeys(_SUMMED_COLUMNS, 0)
     for lid, st in d["links"].items():
-        writer.writerow([lid, st["offered_bytes"], st["delivered_bytes"],
-                         st["corrupted_frames"], st["retransmissions"],
-                         st["dropped_frames"], st["airtime_us"], st["airtime_share"],
-                         st["throughput_bytes_per_s"], st["mean_delay_us"]]
+        writer.writerow([lid] + [st[k] for k in _LINK_COLUMNS[1:]]
                         + [""] * len(_SUMMARY_COLUMNS))
-        for k in ("offered_bytes", "delivered_bytes", "corrupted_frames",
-                  "retransmissions", "dropped_frames", "airtime_us"):
+        for k in _SUMMED_COLUMNS:
             totals[k] += st[k]
     measure = d["duration_us"] - d["warmup_us"]
-    writer.writerow(["TOTAL", totals["offered_bytes"], totals["delivered_bytes"],
-                     totals["corrupted_frames"], totals["retransmissions"],
-                     totals["dropped_frames"], totals["airtime_us"],
+    writer.writerow(["TOTAL", *totals.values(),
                      totals["airtime_us"] / measure if measure else 0.0,
                      totals["delivered_bytes"] * 1e6 / measure if measure else 0.0, "",
-                     d["fairness_index"], d["colocated_conflict_us"],
-                     d["cts_count"], d["cts_airtime_us"], d["trace_hash"]])
+                     *(d[k] for k in _SUMMARY_COLUMNS)])
     return buf.getvalue()
 
 

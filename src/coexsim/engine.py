@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import arbiter as arb
-from .medium import (CORRUPTED, DECODED, FrameKind, MediumModel, RadioInterface,
-                     Transmission, delivery_result)
+from .medium import (CORRUPTED, DECODED, FrameKind, LossRow, MediumModel, RadioInterface,
+                     RadioKind, Transmission, delivery_result)
 from .reservation import (EvalState, InterfererEstimate, PacingState, build_cts_train,
                           estimate_interferers, evaluate_performance, reservation_power,
                           update_pacing)
@@ -146,35 +146,13 @@ class _TxRec:
 
 
 class _WifiRt:
-    __slots__ = ("node", "station", "order", "link", "armed_token")
+    __slots__ = ("node", "station", "order", "link")
 
     def __init__(self, node, station, order: int):
         self.node = node
         self.station = station
         self.order = order           # config order among the WiFi stations
         self.link = f"{node.id}->{node.peer}" if node.peer else None
-        self.armed_token: Optional[int] = None
-
-
-class _LossRow(dict):
-    """Source id -> link loss in dB towards one receiver, filled on first use.
-
-    Positions and channels are static and every emission goes out on its
-    source interface's channel, so one entry serves every emission of that
-    source.
-    """
-
-    __slots__ = ("medium", "interfaces", "dst")
-
-    def __init__(self, medium: MediumModel, interfaces: dict, dst: RadioInterface):
-        super().__init__()
-        self.medium = medium
-        self.interfaces = interfaces
-        self.dst = dst
-
-    def __missing__(self, src: str) -> float:
-        loss = self[src] = self.medium.link_loss_db(self.interfaces[src], self.dst)
-        return loss
 
 
 class _ByteQueue:
@@ -259,7 +237,7 @@ class Engine:
 
         self.medium: MediumModel = config.medium.model()
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
-        self._loss_rows: dict[str, _LossRow] = {}
+        self._loss_rows: dict[str, LossRow] = {}
         # (source, power) -> WiFi stations that sense such an emission, config order
         self._sensing: dict[tuple[str, float], tuple[_WifiRt, ...]] = {}
         self.dcf = config.wifi
@@ -351,11 +329,11 @@ class Engine:
         if self._trace is not None:
             self._trace.append(line)
 
-    def _losses_to(self, dst: str) -> _LossRow:
+    def _losses_to(self, dst: str) -> LossRow:
         row = self._loss_rows.get(dst)
         if row is None:
-            row = self._loss_rows[dst] = _LossRow(self.medium, self.interfaces,
-                                                  self.interfaces[dst])
+            row = self._loss_rows[dst] = LossRow(self.medium, self.interfaces,
+                                                 self.interfaces[dst])
         return row
 
     def _rx(self, tx: Transmission, dst: str) -> float:
@@ -372,10 +350,6 @@ class Engine:
                 if sid != src and power_dbm - self._losses_to(sid)[src]
                 >= rt.station.iface.cca_threshold_dbm)
         return found
-
-    def _mark_resched(self, rt: _WifiRt) -> None:
-        rt.armed_token = None
-        self._resched[rt.order] = rt
 
     def _clip(self, start: int, end: int) -> int:
         lo = max(start, self.cfg.warmup_us)
@@ -566,8 +540,7 @@ class Engine:
         release_tx = None
         if grant.direction == UL:
             decision = self._arbiter_request(src, arb.ArbiterState.TX,
-                                             span=(self.now, self.now + grant.len_us),
-                                             is_wimax=True)
+                                             (self.now, self.now + grant.len_us))
             if decision == arb.DENY:
                 self._note(f"{self.now}|deny|ul|{src}")
                 return
@@ -612,7 +585,7 @@ class Engine:
             self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
             return
         decision = self._arbiter_request(st.iface.id, arb.ArbiterState.TX,
-                                         span=(start, chunks[-1].end_us), is_wimax=False)
+                                         (start, chunks[-1].end_us))
         if decision == arb.DENY:
             self._note(f"{self.now}|deny|reserve|{ss_id}")
             return
@@ -652,15 +625,16 @@ class Engine:
 
     # ------------------------------------------------------------------ arbiter
 
-    def _arbiter_request(self, iface_id: str, desired, span=None,
-                         is_wimax: bool = False) -> str:
-        """Returns GRANT/DENY, or "off" when no controller governs the radio."""
-        plat = self.interfaces[iface_id].platform
+    def _arbiter_request(self, iface_id: str, desired, span: tuple[int, int]) -> str:
+        """Returns GRANT/DENY, or "off" when no controller governs the radio.
+        A schedule-aware arbiter also checks a WiFi radio's span against its
+        platform's frame maps."""
+        iface = self.interfaces[iface_id]
+        plat = iface.platform
         if plat is None or plat not in self.arbiters:
             return "off"
-        acfg = self.cfg.arbiter
         req = arb.InterfaceRequest(iface_id, desired, span_us=span)
-        if acfg.schedule_aware and not is_wimax and span is not None:
+        if self.cfg.arbiter.schedule_aware and iface.kind is RadioKind.WIFI:
             for ss_id, ss in self.sses.items():
                 if self.interfaces[ss_id].platform != plat:
                     continue
@@ -681,11 +655,10 @@ class Engine:
     # ------------------------------------------------------------------ medium
 
     def _sense_busy(self, rt: _WifiRt, start: int, end: int, kind: FrameKind) -> None:
-        """Physical carrier sense at one station, keeping attempt bookkeeping in step."""
-        had = rt.armed_token is not None and rt.station.attempt_valid(rt.armed_token)
-        rt.station.on_medium_busy(start, end, kind)
-        if had and not rt.station.attempt_valid(rt.armed_token):
-            self._mark_resched(rt)
+        """Physical carrier sense at one station; a voided attempt re-arms at
+        the next frame end."""
+        if rt.station.on_medium_busy(start, end, kind):
+            self._resched[rt.order] = rt
 
     def _record_conflict_interval(self, plat: str, iface_id: str, start: int,
                                   end: int, is_tx: bool) -> None:
@@ -726,8 +699,7 @@ class Engine:
             dst_if = self.interfaces[tx.dest]
             if self._rx(tx, tx.dest) >= dst_if.decode_sensitivity_dbm:
                 decision = self._arbiter_request(tx.dest, arb.ArbiterState.RX,
-                                                 span=(tx.start_us, tx.end_us),
-                                                 is_wimax=dst_if.kind.value != "wifi")
+                                                 (tx.start_us, tx.end_us))
                 if decision == arb.DENY:
                     rec.missed = True
                 else:
@@ -756,11 +728,11 @@ class Engine:
             ss = self.sses[rec.train_owner]
             ss.train_chunks_left = max(0, ss.train_chunks_left - 1)
 
-        outcome = None
+        active = [tx] + rec.overlappers
+        window = (tx.start_us, tx.end_us)
         if tx.dest is not None:
-            outcome = delivery_result(tx, [tx] + rec.overlappers, self.interfaces,
-                                      (tx.start_us, tx.end_us), self.medium,
-                                      self._losses_to(tx.dest))
+            outcome = delivery_result(tx, active, self.interfaces[tx.dest], window,
+                                      self.medium, self._losses_to(tx.dest))
             decoded = outcome.result == DECODED and not rec.missed
             if tx.kind is FrameKind.WIMAX_BURST:
                 self._finish_burst(rec, decoded, outcome)
@@ -774,18 +746,16 @@ class Engine:
             for sid, rt in self.stations.items():
                 if sid == tx.source:
                     continue
-                rx = self._rx(tx, sid)
-                if rx < rt.station.iface.decode_sensitivity_dbm:
+                st = rt.station
+                heard = delivery_result(tx, active, st.iface, window, self.medium,
+                                        self._losses_to(sid))
+                if heard.result != DECODED:
                     continue
-                if not self._overheard_decodes(tx, rec.overlappers, sid, rx):
-                    continue
-                had_nav = rt.station.nav_expiry_us
-                had = rt.station.attempt_valid(rt.armed_token) if rt.armed_token else False
-                rt.station.on_overheard(tx, rx, self.now)
-                if rt.station.nav_expiry_us != had_nav:
-                    self._note(f"{self.now}|nav|{sid}|{rt.station.nav_expiry_us}")
-                if had and not rt.station.attempt_valid(rt.armed_token):
-                    self._mark_resched(rt)
+                had_nav = st.nav_expiry_us
+                if st.on_overheard(tx, heard.rx_power_dbm, self.now):
+                    self._resched[rt.order] = rt
+                if st.nav_expiry_us != had_nav:
+                    self._note(f"{self.now}|nav|{sid}|{st.nav_expiry_us}")
 
         # neighborhood monitoring by collocated coordinators
         src_plat = self.interfaces[tx.source].platform
@@ -805,17 +775,6 @@ class Engine:
             self._resched.clear()
             for rt in waking:
                 self._schedule_access(rt)
-
-    def _overheard_decodes(self, tx: Transmission, overlappers: list[Transmission],
-                           listener: str, rx: float) -> bool:
-        for u in overlappers:
-            if max(u.start_us, tx.start_us) >= min(u.end_us, tx.end_us):
-                continue
-            if u.source == listener:
-                return False
-            if rx - self._rx(u, listener) < self.medium.sinr_threshold_db:
-                return False
-        return True
 
     def _finish_burst(self, rec: _TxRec, decoded: bool, outcome) -> None:
         tx = rec.tx
@@ -868,31 +827,26 @@ class Engine:
 
     def _schedule_access(self, rt: _WifiRt) -> None:
         st = rt.station
-        if rt.armed_token is not None and st.attempt_valid(rt.armed_token):
+        if st.armed:
             return
-        armed = st.arm_attempt(self.now)
-        if armed is None:
-            rt.armed_token = None
-            return
-        token, start = armed
-        rt.armed_token = token
-        self._push(start, P_ACCESS, "access", (st.iface.id, token))
+        attempt = st.arm_attempt(self.now)
+        if attempt is not None:
+            token, start = attempt
+            self._push(start, P_ACCESS, "access", (st.iface.id, token))
 
     def _on_access(self, data) -> None:
         sid, token = data
         rt = self.stations[sid]
         st = rt.station
-        if rt.armed_token != token or not st.attempt_valid(token):
+        if not st.attempt_valid(token):
             return
-        rt.armed_token = None
         st.clear_attempt()
         head = st.head
         if head is None or st.transmitting:
             return
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
         decision = self._arbiter_request(sid, arb.ArbiterState.TX,
-                                         span=(self.now, self.now + airtime),
-                                         is_wimax=False)
+                                         (self.now, self.now + airtime))
         if decision == arb.DENY:
             self._push(self.now + self.cfg.arbiter.retry_us, P_CTRL, "retry", sid)
             return
@@ -938,7 +892,7 @@ class Engine:
                                     cfg.share_window_us)
         share = min(1.0, share_rate / 1e6)
         if self.cfg.reservation.pacing:
-            ss.pacing = update_pacing(ss.pacing, ss.estimate, share, self.now,
+            ss.pacing = update_pacing(ss.pacing, ss.estimate, share,
                                       delta=cfg.share_delta,
                                       interval_min_us=cfg.claim_interval_min_us,
                                       interval_max_us=cfg.claim_interval_max_us)

@@ -160,7 +160,11 @@ class RadioInterface:
 
 @dataclass(frozen=True)
 class Transmission:
-    """An on-air emission over [start_us, start_us + airtime_us)."""
+    """An on-air emission over [start_us, start_us + airtime_us).
+
+    ``channel_mhz`` equals the source interface's channel: link budgets
+    take the channel from the interface (see :class:`LossRow`).
+    """
 
     source: str
     kind: FrameKind
@@ -207,25 +211,43 @@ class MediumModel:
     sinr_threshold_db: float = 10.0
     colocated_coupling_db: float = 20.0
 
-    def link_loss_db(self, src: RadioInterface, dst: RadioInterface,
-                     tx_channel_mhz: Optional[float] = None) -> float:
+    def link_loss_db(self, src: RadioInterface, dst: RadioInterface) -> float:
         """Total loss from src to dst: propagation plus channel rejection."""
-        tx_ch = src.channel_mhz if tx_channel_mhz is None else tx_channel_mhz
         if src.platform is not None and src.platform == dst.platform:
             loss = self.colocated_coupling_db
         else:
             loss = path_loss(src.position.distance_to(dst.position), self.path_loss_model)
-        return loss + self.spillage.rejection_db(tx_ch - dst.channel_mhz)
+        return loss + self.spillage.rejection_db(src.channel_mhz - dst.channel_mhz)
 
-    def rx_power_dbm(self, tx: Transmission, src: RadioInterface, dst: RadioInterface) -> float:
-        return tx.power_dbm - self.link_loss_db(src, dst, tx.channel_mhz)
+
+class LossRow(dict):
+    """Source id -> ``link_loss_db`` towards one receiver, filled on first use.
+
+    Positions and channels are static and every emission goes out on its
+    source interface's channel, so one entry serves every emission of that
+    source.  Lazy on purpose: the receiver's own emissions never ask for a
+    loss to itself, which has no distance.
+    """
+
+    __slots__ = ("medium", "interfaces", "dst")
+
+    def __init__(self, medium: MediumModel, interfaces: Mapping[str, RadioInterface],
+                 dst: RadioInterface):
+        super().__init__()
+        self.medium = medium
+        self.interfaces = interfaces
+        self.dst = dst
+
+    def __missing__(self, src: str) -> float:
+        loss = self[src] = self.medium.link_loss_db(self.interfaces[src], self.dst)
+        return loss
 
 
 def received_power(tx_power_dbm: float, src: Position, dst: Position,
-                   tx_channel_mhz: float, rx_channel_mhz: float,
+                   src_channel_mhz: float, dst_channel_mhz: float,
                    model: PathLossModel, spillage: SpillageTable,
                    coupling_db: Optional[float] = None) -> float:
-    """In-band power at a receiver tuned to ``rx_channel_mhz``.
+    """In-band power at a receiver tuned to ``dst_channel_mhz``.
 
     ``coupling_db`` substitutes for path loss when the radios share a
     platform (distance 0 m would otherwise be out of the model's domain).
@@ -234,43 +256,32 @@ def received_power(tx_power_dbm: float, src: Position, dst: Position,
         loss = coupling_db
     else:
         loss = path_loss(src.distance_to(dst), model)
-    return tx_power_dbm - loss - spillage.rejection_db(tx_channel_mhz - rx_channel_mhz)
+    return tx_power_dbm - loss - spillage.rejection_db(src_channel_mhz - dst_channel_mhz)
 
 
-def required_isolation(spillage_level_dbm: float, victim_tolerance_dbm: float) -> float:
+def required_isolation(spillage_level_dbm: float, tolerance_dbm: float) -> float:
     """Attenuation needed to push a spillage level below a victim's tolerance."""
-    return spillage_level_dbm - victim_tolerance_dbm
-
-
-def _addressed(active: Sequence[Transmission], interfaces: Mapping[str, RadioInterface]):
-    for tx in active:
-        if tx.dest is not None and tx.dest in interfaces:
-            yield tx
+    return spillage_level_dbm - tolerance_dbm
 
 
 def delivery_result(tx: Transmission, active: Sequence[Transmission],
-                    interfaces: Mapping[str, RadioInterface],
-                    t_window: tuple[int, int], medium: MediumModel,
-                    loss_db: Optional[Mapping[str, float]] = None) -> DeliveryOutcome:
-    """Outcome of one addressed transmission against a set of overlappers.
+                    receiver: RadioInterface, t_window: tuple[int, int],
+                    medium: MediumModel, loss_db: Mapping[str, float]) -> DeliveryOutcome:
+    """Outcome of ``tx`` at ``receiver`` against a set of overlappers.
 
     The receiver decodes iff the frame is above its sensitivity and, at every
     instant the frame overlaps ``t_window``, the margin over the strongest
     single in-band interferer meets the SINR threshold.  A receiver that is
-    itself on air during the frame never decodes.
+    itself on air during the frame never decodes.  The receiver is the
+    addressee for a delivery, or any listener for overhearing.
 
-    ``loss_db``, if given, maps a source id to ``medium.link_loss_db`` from
-    that source's interface to ``tx.dest`` on the source's own channel.  It
-    replaces the per-frame loss, so pass it only where every emission is on
-    its source interface's channel, as in the engine.
+    ``loss_db`` maps a source id to the link loss from that source to the
+    receiver, as a :class:`LossRow` does.
     """
-    rx_iface = interfaces[tx.dest]
-    if loss_db is None:
-        signal = medium.rx_power_dbm(tx, interfaces[tx.source], rx_iface)
-    else:
-        signal = tx.power_dbm - loss_db[tx.source]
-    if signal < rx_iface.decode_sensitivity_dbm:
-        return DeliveryOutcome(tx.dest, BELOW_SENSITIVITY, signal)
+    rid = receiver.id
+    signal = tx.power_dbm - loss_db[tx.source]
+    if signal < receiver.decode_sensitivity_dbm:
+        return DeliveryOutcome(rid, BELOW_SENSITIVITY, signal)
     w0, w1 = t_window
     lo = max(tx.start_us, w0)
     hi = min(tx.end_us, w1)
@@ -280,16 +291,12 @@ def delivery_result(tx: Transmission, active: Sequence[Transmission],
             continue
         if max(other.start_us, lo) >= min(other.end_us, hi):
             continue
-        if other.source == tx.dest:
+        if other.source == rid:
             # half-duplex: the receiver was transmitting over this frame
-            return DeliveryOutcome(tx.dest, CORRUPTED, signal)
-        if loss_db is None:
-            interferer = medium.rx_power_dbm(other, interfaces[other.source], rx_iface)
-        else:
-            interferer = other.power_dbm - loss_db[other.source]
-        if signal - interferer < threshold:
-            return DeliveryOutcome(tx.dest, CORRUPTED, signal)
-    return DeliveryOutcome(tx.dest, DECODED, signal)
+            return DeliveryOutcome(rid, CORRUPTED, signal)
+        if signal - (other.power_dbm - loss_db[other.source]) < threshold:
+            return DeliveryOutcome(rid, CORRUPTED, signal)
+    return DeliveryOutcome(rid, DECODED, signal)
 
 
 def resolve_deliveries(active: Sequence[Transmission],
@@ -299,8 +306,17 @@ def resolve_deliveries(active: Sequence[Transmission],
     """Delivery outcome for every addressed transmission in ``active``.
 
     Deterministic: outcomes are listed in (start, source, dest) order of the
-    addressed transmissions, and depend only on the arguments.
+    addressed transmissions, and depend only on the arguments.  Each
+    emission is taken to be on its source interface's channel.
     """
-    ordered = sorted(_addressed(active, interfaces),
+    ordered = sorted((tx for tx in active if tx.dest is not None and tx.dest in interfaces),
                      key=lambda t: (t.start_us, t.source, t.dest))
-    return [delivery_result(tx, active, interfaces, t_window, medium) for tx in ordered]
+    rows: dict[str, LossRow] = {}
+    out = []
+    for tx in ordered:
+        rx = interfaces[tx.dest]
+        row = rows.get(tx.dest)
+        if row is None:
+            row = rows[tx.dest] = LossRow(medium, interfaces, rx)
+        out.append(delivery_result(tx, active, rx, t_window, medium, row))
+    return out

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .medium import FrameKind, PathLossModel, Transmission, invert_path_loss, path_loss
+from .wifi import DcfParams
 
 NAV_FIELD_CAP_US = 32767
 
@@ -36,7 +37,7 @@ CTS_POWER_CEILING_DBM = 20.0
 def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
                     source: str, channel_mhz: float,
                     min_reservation_us: int = 0,
-                    cts_airtime_us: int = 44) -> list[Transmission]:
+                    cts_airtime_us: int = DcfParams.cts_airtime_us) -> list[Transmission]:
     """CTS frames whose NAV fields cover ``reservation_us`` without a gap.
 
     Returns no frames when the reservation is shorter than
@@ -92,8 +93,8 @@ def estimate_interferers(overheard: Sequence[tuple[str, float]], window_us: int,
 class PacingState:
     """Medium-acquisition pacing toward an equal-share utilization goal."""
 
+    claim_interval_us: int
     utilization_goal: float = 1.0
-    claim_interval_us: int = 8000
 
     def __post_init__(self) -> None:
         if not 0 < self.utilization_goal <= 1:
@@ -101,10 +102,8 @@ class PacingState:
 
 
 def update_pacing(state: PacingState, estimate: InterfererEstimate,
-                  measured_share: float, now_us: int,
-                  delta: float = 0.02,
-                  interval_min_us: int = 1000,
-                  interval_max_us: int = 64000) -> PacingState:
+                  measured_share: float, delta: float,
+                  interval_min_us: int, interval_max_us: int) -> PacingState:
     """One pacing step: refresh the goal, then adapt the claim interval.
 
     The interval halves (down to the floor) while the measured share runs
@@ -161,10 +160,8 @@ class EvalState:
 
 def evaluate_performance(state: EvalState, retx_in_window: int,
                          throughput_bytes_per_s: float, mean_delay_us: float,
-                         now_us: int,
-                         enable_retx_threshold: int = 3,
-                         eval_window_us: int = 1_000_000,
-                         hold_us: int = 2_000_000) -> EvalState:
+                         now_us: int, enable_retx_threshold: int,
+                         eval_window_us: int, hold_us: int) -> EvalState:
     """One evaluation step of the CTS on/off feedback loop.
 
     Off + a window with ``enable_retx_threshold`` or more retransmissions

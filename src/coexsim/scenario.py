@@ -33,12 +33,6 @@ _NODE_DEFAULTS = {
     "wimax-bs": {"tx_power_dbm": 30.0, "decode_sensitivity_dbm": -90.0, "channel_mhz": 2380.0},
 }
 
-# victim interference tolerances per calibration preset, dBm
-PRESETS = {
-    "staccato": {"wimax": -118.0, "wifi": -118.0},
-    "intel": {"wimax": -121.0, "wifi": -117.0},
-}
-
 
 class ScenarioError(ValueError):
     """Validation failure; ``errors`` lists 'path: problem' strings."""
@@ -94,7 +88,6 @@ class _SpillageEntry:
 
 @dataclass(frozen=True)
 class MediumConfig:
-    preset: str = field(default="staccato", metadata={"choices": tuple(PRESETS)})
     path_loss: PathLossModel = field(default_factory=PathLossModel)
     spillage: SpillageTable = field(default_factory=SpillageTable)
     sinr_threshold_db: float = field(default=MediumModel.sinr_threshold_db,
@@ -105,9 +98,6 @@ class MediumConfig:
     def model(self) -> MediumModel:
         return MediumModel(self.path_loss, self.spillage,
                            self.sinr_threshold_db, self.colocated_coupling_db)
-
-    def victim_tolerance_dbm(self, system: str) -> float:
-        return PRESETS[self.preset][system]
 
 
 @dataclass(frozen=True)

@@ -77,32 +77,42 @@ class WifiStation:
 
     # -- medium observations --------------------------------------------
 
-    def on_medium_busy(self, start_us: int, until_us: int, kind: FrameKind = FrameKind.DATA) -> None:
-        """Physical carrier sense: the medium is occupied over [start, until)."""
+    def on_medium_busy(self, start_us: int, until_us: int,
+                       kind: FrameKind = FrameKind.DATA) -> bool:
+        """Physical carrier sense: the medium is occupied over [start, until).
+        Returns whether this voided the access attempt."""
         if until_us > self.busy_until_us:
             self.busy_until_us = until_us
-        self._interrupt(start_us, kind)
+        return self._interrupt(start_us, kind)
 
-    def on_overheard(self, frame: Transmission, rx_power_dbm: float, now_us: int) -> None:
+    def on_overheard(self, frame: Transmission, rx_power_dbm: float, now_us: int) -> bool:
         """Decode-level observation, called when the frame leaves the air.
 
         Frames below decode sensitivity are invisible.  A CTS extends the NAV
         to max(current, frame end + duration field); other frames carry no
         virtual-carrier-sense information (their airtime was already sensed).
+        Returns whether this voided the access attempt.
         """
         if rx_power_dbm < self.iface.decode_sensitivity_dbm:
-            return
+            return False
         if frame.kind is not FrameKind.CTS or frame.source == self.iface.id:
-            return
+            return False
         expiry = frame.end_us + frame.nav_duration_us
-        if expiry > self.nav_expiry_us:
-            self.nav_expiry_us = expiry
-            self._interrupt(now_us, FrameKind.CTS)
+        if expiry <= self.nav_expiry_us:
+            return False
+        self.nav_expiry_us = expiry
+        return self._interrupt(now_us, FrameKind.CTS)
 
     # -- channel access --------------------------------------------------
 
-    def try_access(self, now_us: int) -> int | None:
-        """Earliest possible transmission start, or None with nothing queued.
+    @property
+    def armed(self) -> bool:
+        """Whether an access attempt is pending."""
+        return self._attempt is not None
+
+    def arm_attempt(self, now_us: int) -> tuple[int, int] | None:
+        """Register an access attempt; returns (token, start time), or None
+        with nothing to send.
 
         The start accounts for medium busy, NAV, a DIFS of idle air and the
         remaining backoff slots.
@@ -110,14 +120,7 @@ class WifiStation:
         if not self.queue or self.transmitting:
             return None
         contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
-        return contend + self.params.difs_us + self.pending_slots * self.params.slot_us
-
-    def arm_attempt(self, now_us: int) -> tuple[int, int] | None:
-        """Register an access attempt; returns (token, start time)."""
-        start = self.try_access(now_us)
-        if start is None:
-            return None
-        contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
+        start = contend + self.params.difs_us + self.pending_slots * self.params.slot_us
         self._token += 1
         self._attempt = (self._token, contend, start)
         return self._token, start
@@ -128,24 +131,24 @@ class WifiStation:
     def clear_attempt(self) -> None:
         self._attempt = None
 
-    def _interrupt(self, at_us: int, kind: FrameKind) -> None:
-        """Freeze the countdown: credit slots elapsed while idle, void the attempt.
+    def _interrupt(self, at_us: int, kind: FrameKind) -> bool:
+        """Freeze the countdown: credit slots elapsed while idle, void the
+        attempt.  Returns whether an attempt was voided.
 
         A busy period starting exactly at the planned start does not void a
         data attempt — both stations committed to the same slot and collide.
         Scheduled emissions (CTS, WiMAX bursts) win such ties instead.
         """
         if self._attempt is None:
-            return
-        token, contend, start = self._attempt
-        if at_us > start:
-            return
-        if at_us == start and kind is FrameKind.DATA:
-            return
+            return False
+        _, contend, start = self._attempt
+        if at_us > start or (at_us == start and kind is FrameKind.DATA):
+            return False
         countdown_from = contend + self.params.difs_us
         elapsed = max(0, (at_us - countdown_from) // self.params.slot_us)
         self.pending_slots = max(0, self.pending_slots - elapsed)
         self._attempt = None
+        return True
 
     # -- transmission outcome ---------------------------------------------
 

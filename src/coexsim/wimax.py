@@ -75,8 +75,8 @@ def _pack(demands: list[SsDemand], window_start: int, window_len: int,
 
 
 def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: float,
-                    capacity_bytes_per_us: float = 2.0,
-                    preamble_us: int = 200, ttg_us: int = 100) -> FrameMap:
+                    capacity_bytes_per_us: float, preamble_us: int,
+                    ttg_us: int) -> FrameMap:
     """Allocate one frame's slots proportionally to demand.
 
     DL grants live in [preamble_us, dl_end); UL grants in

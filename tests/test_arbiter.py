@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.arbiter import (DENY, GRANT, ArbiterState, GrantLedger, InterfaceRequest,
-                             RadioArbiter, request, schedule_aware_check)
+from coexsim.arbiter import (DENY, GRANT, ArbiterState, InterfaceRequest, RadioArbiter,
+                             schedule_aware_check)
 from coexsim.wimax import DL, UL, FrameMap, Grant
 
 S, RX, TX = ArbiterState.S, ArbiterState.RX, ArbiterState.TX
@@ -44,16 +44,16 @@ class TestTransitionTable:
             a.request(InterfaceRequest("ghost", TX))
 
     def test_denial_leaves_ledger_untouched(self):
-        ledger = GrantLedger({"radio-a": RX})
-        decision, after = request(ledger, InterfaceRequest("radio-b", TX))
-        assert decision == DENY
-        assert after is ledger
-        assert after.held == {"radio-a": RX}
+        a = arbiter_in_state(RX)
+        assert a.request(InterfaceRequest("radio-b", TX)) == DENY
+        assert a.held == {"radio-a": RX}
 
 
 class TestReleaseSemantics:
     def test_empty_ledger_sleeps(self):
-        assert GrantLedger().state() is S
+        a = RadioArbiter(["radio-a"])
+        assert a.held == {}
+        assert a.state is S
 
     def test_last_release_turns_the_light_off(self):
         a = arbiter_in_state(RX)
@@ -87,7 +87,7 @@ class TestProperties:
         a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
         for iface, desired in stream:
             a.request(InterfaceRequest(iface, desired))
-            assert not (a.ledger.tx_count > 0 and a.ledger.rx_count > 0)
+            assert not (TX in a.held.values() and RX in a.held.values())
 
     @given(request_stream())
     def test_release_all_returns_to_sleep(self, stream):

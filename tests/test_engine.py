@@ -8,7 +8,7 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
                             delivery_result)
 from coexsim.reservation import reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
-from oracles import dcf_saturation_share
+from oracles import brute_force_outcomes, dcf_saturation_share
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -94,9 +94,12 @@ class TestCachedFastPaths:
         return Engine(cfg, seed=1)
 
     def test_cached_delivery_equals_uncached(self, engine):
+        """Deliveries through the engine's loss rows match the per-microsecond
+        oracle, which recomputes every received power."""
         ifaces, medium = engine.interfaces, engine.medium
         ids = sorted(ifaces)
         rng = random.Random(7)
+        window = (0, 100)
         seen = set()
         for _ in range(300):
             active = []
@@ -109,13 +112,15 @@ class TestCachedFastPaths:
                     power_dbm=rng.choice((iface.tx_power_dbm, rng.uniform(-30.0, 20.0))),
                     channel_mhz=iface.channel_mhz,
                     dest=rng.choice([i for i in ids if i != src])))
-            for tx in active:
-                window = (tx.start_us, tx.end_us)
-                fresh = delivery_result(tx, active, ifaces, window, medium)
-                cached = delivery_result(tx, active, ifaces, window, medium,
-                                         engine._losses_to(tx.dest))
-                assert cached == fresh
-                seen.add(fresh.result)
+            want = brute_force_outcomes(active, ifaces, window, medium)
+            ordered = sorted(active, key=lambda t: (t.start_us, t.source, t.dest))
+            got = [delivery_result(tx, active, ifaces[tx.dest], window, medium,
+                                   engine._losses_to(tx.dest)) for tx in ordered]
+            assert [(o.receiver, o.result) for o in got] == \
+                [(o.receiver, o.result) for o in want]
+            for g, w in zip(got, want):
+                assert g.rx_power_dbm == pytest.approx(w.rx_power_dbm, abs=1e-9)
+            seen.update(o.result for o in got)
         assert seen == {DECODED, CORRUPTED, BELOW_SENSITIVITY}
 
     def test_memoised_sensing_equals_a_scan(self, engine):

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind,
+from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, LossRow,
                             MediumModel, PathLossModel, Position, RadioInterface,
-                            RadioKind, SpillageTable, Transmission, invert_path_loss,
-                            path_loss, received_power, required_isolation,
-                            resolve_deliveries)
+                            RadioKind, SpillageTable, Transmission, delivery_result,
+                            invert_path_loss, path_loss, received_power,
+                            required_isolation, resolve_deliveries)
 
 FREE = PathLossModel(kind="free-space", frequency_mhz=2400.0)
 LOGD = PathLossModel(kind="log-distance", exponent=3.0, reference_loss_db=40.05)
@@ -191,3 +191,38 @@ class TestResolveDeliveries:
         assert {o.receiver for o in first} == {"a", "b"}
         for o in first:
             assert o.result in (DECODED, CORRUPTED, BELOW_SENSITIVITY)
+
+
+class TestOverhearing:
+    """The decode rule at a listener that is not the frame's addressee."""
+
+    def setup_method(self):
+        self.medium = MediumModel(path_loss_model=LOGD)
+        self.ifaces = {"coord": wifi_iface("coord", 0, 0), "lst": wifi_iface("lst", 5, 0),
+                       "near": wifi_iface("near", 6, 0), "far": wifi_iface("far", 400, 0)}
+        self.cts = Transmission("coord", FrameKind.CTS, 0, 44, 20.0, 2412.0,
+                                nav_duration_us=5000)
+
+    def heard(self, *others):
+        lst = self.ifaces["lst"]
+        return delivery_result(self.cts, [self.cts, *others], lst, (0, 44), self.medium,
+                               LossRow(self.medium, self.ifaces, lst))
+
+    def test_clear_channel_decodes(self):
+        out = self.heard()
+        assert (out.receiver, out.result) == ("lst", DECODED)
+        assert out.rx_power_dbm == pytest.approx(
+            20.0 - self.medium.link_loss_db(self.ifaces["coord"], self.ifaces["lst"]))
+
+    def test_listener_on_air_is_corrupted(self):
+        own = Transmission("lst", FrameKind.DATA, 10, 2000, 20.0, 2412.0, dest="near")
+        assert self.heard(own).result == CORRUPTED
+
+    def test_strong_overlapper_corrupts(self):
+        loud = Transmission("near", FrameKind.DATA, 20, 2000, 20.0, 2412.0, dest="coord")
+        assert self.heard(loud).result == CORRUPTED
+
+    def test_weak_or_disjoint_overlapper_is_harmless(self):
+        weak = Transmission("far", FrameKind.DATA, 20, 2000, 20.0, 2412.0, dest="coord")
+        later = Transmission("near", FrameKind.DATA, 44, 2000, 20.0, 2412.0, dest="coord")
+        assert self.heard(weak, later).result == DECODED

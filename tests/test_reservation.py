@@ -11,6 +11,10 @@ from coexsim.reservation import (CTS_POWER_CEILING_DBM, CTS_POWER_FLOOR_DBM, NAV
                                  update_pacing)
 
 LOGD = PathLossModel(kind="log-distance", exponent=3.0, reference_loss_db=40.05)
+# delta and claim-interval bounds of the scenario defaults
+PACING = dict(delta=0.02, interval_min_us=1000, interval_max_us=64_000)
+# retransmission trigger, evaluation window and hold of the scenario defaults
+GATE = dict(enable_retx_threshold=3, eval_window_us=1_000_000, hold_us=2_000_000)
 
 
 class TestCtsTrain:
@@ -78,25 +82,24 @@ class TestInterfererEstimate:
 
 class TestPacing:
     def test_equal_share_goals(self):
-        s = update_pacing(PacingState(), InterfererEstimate(2, 3.0), 0.33, 0)
+        s = update_pacing(PacingState(8000), InterfererEstimate(2, 3.0), 0.33, **PACING)
         assert s.utilization_goal == pytest.approx(1 / 3)
-        s = update_pacing(PacingState(), InterfererEstimate(0, 0.0), 0.9, 0)
+        s = update_pacing(PacingState(8000), InterfererEstimate(0, 0.0), 0.9, **PACING)
         assert s.utilization_goal == 1.0
 
     def test_undershoot_halves_interval(self):
         state = PacingState(utilization_goal=0.33, claim_interval_us=8000)
-        out = update_pacing(state, InterfererEstimate(2, 3.0), 0.20, 0,
-                            delta=0.02, interval_min_us=1000)
+        out = update_pacing(state, InterfererEstimate(2, 3.0), 0.20, **PACING)
         assert out.claim_interval_us == 4000
 
     def test_overshoot_doubles_interval(self):
         state = PacingState(claim_interval_us=8000)
-        out = update_pacing(state, InterfererEstimate(2, 3.0), 0.60, 0)
+        out = update_pacing(state, InterfererEstimate(2, 3.0), 0.60, **PACING)
         assert out.claim_interval_us == 16000
 
     def test_dead_band_holds(self):
         state = PacingState(claim_interval_us=8000)
-        out = update_pacing(state, InterfererEstimate(2, 3.0), 1 / 3, 0)
+        out = update_pacing(state, InterfererEstimate(2, 3.0), 1 / 3, **PACING)
         assert out.claim_interval_us == 8000
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
@@ -105,13 +108,12 @@ class TestPacing:
         state = PacingState(claim_interval_us=8000)
         est = InterfererEstimate(systems, 2.0)
         for share in shares:
-            state = update_pacing(state, est, share, 0,
-                                  interval_min_us=1000, interval_max_us=64_000)
+            state = update_pacing(state, est, share, **PACING)
             assert 1000 <= state.claim_interval_us <= 64_000
 
     def test_bad_share_rejected(self):
         with pytest.raises(ValueError):
-            update_pacing(PacingState(), InterfererEstimate(), 1.5, 0)
+            update_pacing(PacingState(8000), InterfererEstimate(), 1.5, **PACING)
 
 
 class TestReservationPower:
@@ -143,14 +145,13 @@ class TestPerformanceGate:
     def test_quiet_medium_keeps_cts_off(self):
         state = evaluate_performance(EvalState(), retx_in_window=0,
                                      throughput_bytes_per_s=1e6, mean_delay_us=100.0,
-                                     now_us=0)
+                                     now_us=0, **GATE)
         assert not state.cts_enabled
 
     def test_retransmission_burst_enables(self):
         state = evaluate_performance(EvalState(), retx_in_window=5,
                                      throughput_bytes_per_s=250_000.0,
-                                     mean_delay_us=100.0, now_us=1_000_000,
-                                     enable_retx_threshold=3)
+                                     mean_delay_us=100.0, now_us=1_000_000, **GATE)
         assert state.cts_enabled
         assert state.throughput_before == 250_000.0
         assert state.enabled_at_us == 1_000_000
@@ -160,8 +161,7 @@ class TestPerformanceGate:
                        enabled_at_us=0)
         out = evaluate_performance(on, retx_in_window=0,
                                    throughput_bytes_per_s=900_000.0,
-                                   mean_delay_us=0.0, now_us=1_000_000,
-                                   eval_window_us=1_000_000, hold_us=2_000_000)
+                                   mean_delay_us=0.0, now_us=1_000_000, **GATE)
         assert not out.cts_enabled
         assert out.hold_until_us == 3_000_000
 
@@ -169,7 +169,7 @@ class TestPerformanceGate:
         on = EvalState(cts_enabled=True, throughput_before=250_000.0, enabled_at_us=0)
         out = evaluate_performance(on, retx_in_window=0,
                                    throughput_bytes_per_s=600_000.0,
-                                   mean_delay_us=0.0, now_us=1_500_000)
+                                   mean_delay_us=0.0, now_us=1_500_000, **GATE)
         assert out.cts_enabled
         assert out.throughput_after == 600_000.0
 
@@ -177,11 +177,11 @@ class TestPerformanceGate:
         held = EvalState(cts_enabled=False, hold_until_us=5_000_000)
         out = evaluate_performance(held, retx_in_window=10,
                                    throughput_bytes_per_s=0.0, mean_delay_us=0.0,
-                                   now_us=4_000_000)
+                                   now_us=4_000_000, **GATE)
         assert not out.cts_enabled
         out = evaluate_performance(held, retx_in_window=10,
                                    throughput_bytes_per_s=0.0, mean_delay_us=0.0,
-                                   now_us=5_000_000)
+                                   now_us=5_000_000, **GATE)
         assert out.cts_enabled
 
     def test_qos_violation_is_flagged(self):
@@ -191,9 +191,9 @@ class TestPerformanceGate:
                           throughput_before=0.0)
         out = evaluate_performance(state, retx_in_window=0,
                                    throughput_bytes_per_s=400_000.0,
-                                   mean_delay_us=500.0, now_us=100_000)
+                                   mean_delay_us=500.0, now_us=100_000, **GATE)
         assert out.qos_violated
         out = evaluate_performance(state, retx_in_window=0,
                                    throughput_bytes_per_s=600_000.0,
-                                   mean_delay_us=500.0, now_us=100_000)
+                                   mean_delay_us=500.0, now_us=100_000, **GATE)
         assert not out.qos_violated

@@ -88,7 +88,6 @@ class TestValidation:
         assert node.cca_threshold_dbm == -82.0
         assert node.channel_mhz == 2412.0
         assert cfg.duration_us == 30_000_000
-        assert cfg.medium.preset == "staccato"
 
     def test_empty_document(self):
         cfg = parse_scenario("")
@@ -161,7 +160,8 @@ nodes:
 
     @pytest.mark.parametrize("text", ["wifi: {sifs_us: 10}\n",
                                       "reservation: {guard_us: 200}\n",
-                                      "arbiter: {priority: false}\n"])
+                                      "arbiter: {priority: false}\n",
+                                      "medium: {preset: intel}\n"])
     def test_removed_keys_are_unknown(self, text):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
@@ -186,13 +186,6 @@ nodes:
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):
             parse_scenario("duration_us: 1000\nwarmup_us: 1000\n")
-
-    def test_intel_preset_tolerances(self):
-        cfg = parse_scenario("medium: {preset: intel}\n")
-        assert cfg.medium.victim_tolerance_dbm("wimax") == -121.0
-        assert cfg.medium.victim_tolerance_dbm("wifi") == -117.0
-        default = parse_scenario("")
-        assert default.medium.victim_tolerance_dbm("wimax") == -118.0
 
 
 class TestToggle:

@@ -59,16 +59,22 @@ class TestTryAccess:
     def test_uncontended_access_after_difs(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
-        assert st_.try_access(100) == 100 + PARAMS.difs_us
+        assert not st_.armed
+        token, start = st_.arm_attempt(100)
+        assert start == 100 + PARAMS.difs_us
+        assert st_.armed and st_.attempt_valid(token)
 
     def test_nav_defers_at_least_to_expiry(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
-        st_.on_overheard(cts(10000), rx_power_dbm=-53.0, now_us=44)
-        assert st_.try_access(100) >= 10044
+        # nothing armed yet, so the NAV voids no attempt
+        assert st_.on_overheard(cts(10000), rx_power_dbm=-53.0, now_us=44) is False
+        assert st_.arm_attempt(100)[1] >= 10044
 
     def test_nothing_queued(self):
-        assert make_station().try_access(0) is None
+        st_ = make_station()
+        assert st_.arm_attempt(0) is None
+        assert not st_.armed
 
     def test_busy_mid_backoff_freezes_remaining_slots(self):
         st_ = make_station()
@@ -77,18 +83,21 @@ class TestTryAccess:
         token, start = st_.arm_attempt(0)
         assert start == PARAMS.difs_us + 5 * PARAMS.slot_us  # 150
         # busy starts two whole slots into the countdown
-        st_.on_medium_busy(PARAMS.difs_us + 2 * PARAMS.slot_us, 5000)
+        assert st_.on_medium_busy(PARAMS.difs_us + 2 * PARAMS.slot_us, 5000) is True
         assert not st_.attempt_valid(token)
+        assert not st_.armed
         assert st_.pending_slots == 3
+        # a second busy period finds nothing left to void
+        assert st_.on_medium_busy(200, 5000) is False
         # resume: remaining slots follow a fresh DIFS after the busy period
-        assert st_.try_access(5000) == 5000 + PARAMS.difs_us + 3 * PARAMS.slot_us
+        assert st_.arm_attempt(5000)[1] == 5000 + PARAMS.difs_us + 3 * PARAMS.slot_us
 
     def test_busy_during_difs_consumes_no_slots(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
         st_.pending_slots = 4
         token, _ = st_.arm_attempt(0)
-        st_.on_medium_busy(10, 300)  # inside the DIFS wait
+        assert st_.on_medium_busy(10, 300) is True  # inside the DIFS wait
         assert not st_.attempt_valid(token)
         assert st_.pending_slots == 4
 
@@ -97,15 +106,41 @@ class TestTryAccess:
         st_ = make_station()
         st_.enqueue(0, 1500)
         token, start = st_.arm_attempt(0)
-        st_.on_medium_busy(start, start + 2000, FrameKind.DATA)
+        assert st_.on_medium_busy(start, start + 2000, FrameKind.DATA) is False
         assert st_.attempt_valid(token)
 
     def test_same_microsecond_scheduled_emission_wins(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
         token, start = st_.arm_attempt(0)
-        st_.on_medium_busy(start, start + 44, FrameKind.CTS)
+        assert st_.on_medium_busy(start, start + 44, FrameKind.CTS) is True
         assert not st_.attempt_valid(token)
+
+    def test_busy_after_the_planned_start_voids_nothing(self):
+        st_ = make_station()
+        st_.enqueue(0, 1500)
+        token, start = st_.arm_attempt(0)
+        assert st_.on_medium_busy(start + 1, start + 100, FrameKind.CTS) is False
+        assert st_.attempt_valid(token)
+
+    def test_overheard_cts_voids_the_attempt_once(self):
+        st_ = make_station()
+        st_.enqueue(0, 1500)
+        token, _ = st_.arm_attempt(0)
+        # an inaudible CTS, or the station's own, leaves the attempt standing
+        own = Transmission("sta", FrameKind.CTS, 0, 44, 20.0, 2412.0,
+                           nav_duration_us=5000)
+        assert st_.on_overheard(cts(10000), rx_power_dbm=-90.0, now_us=44) is False
+        assert st_.on_overheard(own, rx_power_dbm=-10.0, now_us=44) is False
+        assert st_.attempt_valid(token)
+        assert st_.on_overheard(cts(10000), rx_power_dbm=-53.0, now_us=44) is True
+        assert not st_.attempt_valid(token)
+        token, start = st_.arm_attempt(44)
+        assert start >= 10044
+        # a shorter CTS leaves the NAV, and so the new attempt, alone
+        assert st_.on_overheard(cts(100, start=2000), rx_power_dbm=-53.0,
+                                now_us=2044) is False
+        assert st_.attempt_valid(token)
 
 
 class TestTxOutcome:
