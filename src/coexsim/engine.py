@@ -129,44 +129,31 @@ class RunResult:
 
 
 class _TxRec:
-    __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers",
-                 "release_tx", "release_rx", "train_owner")
+    __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers", "holds")
 
-    def __init__(self, tx: Transmission, link: Optional[str] = None,
-                 served_bytes: int = 0):
+    def __init__(self, tx: Transmission, link: Optional[_Link] = None,
+                 served_bytes: int = 0, holds: Optional[list[str]] = None):
         self.tx = tx
         self.key = -1                # its key in Engine.active while on air
         self.link = link
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
         self.overlappers: list[Transmission] = []
-        self.release_tx: Optional[str] = None  # iface holding a TX grant to drop at end
-        self.release_rx: Optional[str] = None
-        self.train_owner: Optional[str] = None   # subscriber station owning this CTS chunk
-
-
-class _WifiRt:
-    __slots__ = ("node", "station", "order", "link")
-
-    def __init__(self, node, station, order: int):
-        self.node = node
-        self.station = station
-        self.order = order           # config order among the WiFi stations
-        self.link = f"{node.id}->{node.peer}" if node.peer else None
+        self.holds = [] if holds is None else holds  # arbiter grants released at the end
 
 
 class _ByteQueue:
     """FIFO of (enqueue time, bytes) items with partial consumption."""
 
-    __slots__ = ("items", "total")
+    __slots__ = ("items", "queued_bytes")
 
     def __init__(self):
         self.items: deque = deque()
-        self.total = 0
+        self.queued_bytes = 0
 
-    def push(self, t: int, nbytes: int) -> None:
+    def enqueue(self, t: int, nbytes: int) -> None:
         self.items.append([t, nbytes])
-        self.total += nbytes
+        self.queued_bytes += nbytes
 
     def consume(self, nbytes: int, now: int) -> list[int]:
         """Remove nbytes; returns delay samples of fully served items."""
@@ -176,27 +163,57 @@ class _ByteQueue:
             head = self.items[0]
             if head[1] <= remaining:
                 remaining -= head[1]
-                self.total -= head[1]
+                self.queued_bytes -= head[1]
                 delays.append(now - head[0])
                 self.items.popleft()
             else:
                 head[1] -= remaining
-                self.total -= remaining
+                self.queued_bytes -= remaining
                 remaining = 0
         return delays
 
 
+class _Link:
+    """One directed link: its id, its source's system, the queue that feeds
+    it (a WifiStation or a _ByteQueue) and its counters."""
+
+    __slots__ = ("id", "src", "dst", "system", "queue", "stats")
+
+    def __init__(self, src: str, dst: str, system: str, queue):
+        self.id = f"{src}->{dst}"
+        self.src = src
+        self.dst = dst
+        self.system = system
+        self.queue = queue
+        self.stats = LinkStats()
+
+    def offer(self, now: int, nbytes: int) -> None:
+        self.queue.enqueue(now, nbytes)
+        self.stats.offered_bytes += nbytes
+
+
+class _WifiRt:
+    __slots__ = ("node", "station", "order", "link")
+
+    def __init__(self, node, station, order: int):
+        self.node = node
+        self.station = station
+        self.order = order           # config order among the WiFi stations
+        self.link = _Link(node.id, node.peer, node.system, station) if node.peer else None
+
+
 class _SsRt:
-    __slots__ = ("node", "bs_id", "coordinator", "ul_queue", "pacing", "eval",
+    __slots__ = ("node", "bs_id", "coordinator", "links", "pacing", "eval",
                  "estimate", "heard", "next_claim_at", "reservation_scale",
                  "last_retx_cum", "share_points", "delivered_points", "delay_window",
-                 "train_chunks_left")
+                 "train_until")
 
-    def __init__(self, node, bs_id, coordinator, reservation_cfg):
+    def __init__(self, node, bs_node, coordinator, reservation_cfg):
         self.node = node
-        self.bs_id = bs_id
+        self.bs_id = bs_node.id
         self.coordinator = coordinator  # wifi runtime or None
-        self.ul_queue = _ByteQueue()
+        self.links = {DL: _Link(bs_node.id, node.id, bs_node.system, _ByteQueue()),
+                      UL: _Link(node.id, bs_node.id, node.system, _ByteQueue())}
         self.pacing = PacingState(claim_interval_us=reservation_cfg.claim_interval_init_us)
         self.eval = EvalState(qos=reservation_cfg.qos)
         self.estimate = InterfererEstimate()
@@ -207,16 +224,14 @@ class _SsRt:
         self.share_points: deque = deque()   # (t, cumulative system airtime)
         self.delivered_points: deque = deque()
         self.delay_window: deque = deque()   # (t, delay sample)
-        self.train_chunks_left = 0
+        self.train_until = 0                 # end of the last CTS train's last chunk
 
 
 class _Cell:
-    __slots__ = ("bs_node", "ss_ids", "dl_queues", "maps")
+    __slots__ = ("ss_ids", "maps")
 
-    def __init__(self, bs_node, ss_ids):
-        self.bs_node = bs_node
+    def __init__(self, ss_ids):
         self.ss_ids = ss_ids
-        self.dl_queues = {ss: _ByteQueue() for ss in ss_ids}
         self.maps: dict[int, FrameMap] = {}
 
 
@@ -258,7 +273,7 @@ class Engine:
             if n.kind == "wimax-bs":
                 ss_ids = sorted(m.id for m in config.nodes
                                 if m.kind == "wimax-ss" and m.bs == n.id)
-                self.cells[n.id] = _Cell(n, ss_ids)
+                self.cells[n.id] = _Cell(ss_ids)
         for n in config.nodes:
             if n.kind == "wimax-ss":
                 coord = None
@@ -268,7 +283,7 @@ class Engine:
                         if m.id != n.id and plats[m.id] == plat and m.kind == "wifi":
                             coord = self.stations[m.id]
                             break
-                self.sses[n.id] = _SsRt(n, n.bs, coord, config.reservation)
+                self.sses[n.id] = _SsRt(n, config.node(n.bs), coord, config.reservation)
 
         self.arbiters: dict[str, arb.RadioArbiter] = {}
         if config.arbiter.enabled:
@@ -279,18 +294,9 @@ class Engine:
             for plat, members in sorted(groups.items()):
                 self.arbiters[plat] = arb.RadioArbiter(sorted(members))
 
-        self.links: dict[str, LinkStats] = {}
-        for rt in self.stations.values():
-            if rt.link:
-                self.links[rt.link] = LinkStats()
-        for ss_id, ss in self.sses.items():
-            self.links[f"{ss.bs_id}->{ss_id}"] = LinkStats()
-            self.links[f"{ss_id}->{ss.bs_id}"] = LinkStats()
-
         self.system_of: dict[str, str] = {n.id: n.system for n in config.nodes}
         systems = sorted({n.system for n in config.nodes})
         self.system_airtime: dict[str, int] = {s: 0 for s in systems}
-        self.system_delivered: dict[str, int] = {s: 0 for s in systems}
         self._sys_air_cum: dict[str, int] = {s: 0 for s in systems}   # unclipped
         self._sys_delivered_cum: dict[str, int] = {s: 0 for s in systems}
         self._sys_retx_cum: dict[str, int] = {s: 0 for s in systems}
@@ -390,10 +396,14 @@ class Engine:
             fairness = jain_index(shares)
         except ValueError:
             fairness = 0.0
+        links = {link.id: link.stats for link in self._links()}
+        delivered = dict.fromkeys(self.system_airtime, 0)
+        for link in self._links():
+            delivered[link.system] += link.stats.delivered_bytes
         return RunResult(
             seed=self.seed, duration_us=cfg.duration_us, warmup_us=cfg.warmup_us,
-            links=self.links, system_airtime_us=dict(self.system_airtime),
-            system_delivered_bytes=dict(self.system_delivered),
+            links=links, system_airtime_us=dict(self.system_airtime),
+            system_delivered_bytes=delivered,
             fairness_index=fairness, colocated_conflict_us=self.conflict_us,
             cts_count=self.cts_count, cts_airtime_us=self.cts_airtime_us,
             trace_hash=self._hash.hexdigest())
@@ -406,32 +416,25 @@ class Engine:
 
     # ------------------------------------------------------------------ stats
 
-    def _on_warmup(self, _data) -> None:
+    def _links(self):
+        """Every link, WiFi stations first, in config order."""
         for rt in self.stations.values():
             if rt.link:
-                st = self.links[rt.link]
-                queued = sum(f.frame_bytes for f in rt.station.queue)
-                self.links[rt.link] = LinkStats(offered_bytes=queued,
-                                                airtime_us=st.airtime_us)
-        for ss_id, ss in self.sses.items():
-            dl = self.links[f"{ss.bs_id}->{ss_id}"]
-            self.links[f"{ss.bs_id}->{ss_id}"] = LinkStats(
-                offered_bytes=self.cells[ss.bs_id].dl_queues[ss_id].total,
-                airtime_us=dl.airtime_us)
-            ul = self.links[f"{ss_id}->{ss.bs_id}"]
-            self.links[f"{ss_id}->{ss.bs_id}"] = LinkStats(
-                offered_bytes=ss.ul_queue.total, airtime_us=ul.airtime_us)
-        for s in self.system_delivered:
-            self.system_delivered[s] = 0
+                yield rt.link
+        for ss in self.sses.values():
+            yield from ss.links.values()
 
-    def _count_delivery(self, link: str, system: str, nbytes: int,
-                        delays: list[int]) -> None:
-        st = self.links[link]
-        st.delivered_bytes += nbytes
-        st.delay_samples.extend(delays)
-        self.system_delivered[system] += nbytes
-        self._sys_delivered_cum[system] += nbytes
-        self.delivery_log.append((self.now, link, nbytes))
+    def _on_warmup(self, _data) -> None:
+        # what is queued at the end of the warm-up counts as offered after it
+        for link in self._links():
+            link.stats = LinkStats(offered_bytes=link.queue.queued_bytes,
+                                   airtime_us=link.stats.airtime_us)
+
+    def _count_delivery(self, link: _Link, nbytes: int, delays: list[int]) -> None:
+        link.stats.delivered_bytes += nbytes
+        link.stats.delay_samples.extend(delays)
+        self._sys_delivered_cum[link.system] += nbytes
+        self.delivery_log.append((self.now, link.id, nbytes))
 
     # ------------------------------------------------------------------ traffic
 
@@ -440,23 +443,16 @@ class Engine:
         t = node.traffic
         if node.kind == "wifi":
             rt = self.stations[node_id]
-            rt.station.enqueue(self.now, t.frame_bytes)
-            if rt.link:
-                self.links[rt.link].offered_bytes += t.frame_bytes
+            rt.link.offer(self.now, t.frame_bytes)  # the validator requires a peer
             self._schedule_access(rt)
             if t.kind == "paced":
                 self._push(self.now + t.interval_us, P_CTRL, "arrival", node_id)
             return
         # wimax-ss paced arrivals in fixed ticks
-        ss = self.sses[node_id]
-        if t.dl_bytes_per_s:
-            nbytes = t.dl_bytes_per_s * _WIMAX_ARRIVAL_TICK_US // 1_000_000
-            self.cells[ss.bs_id].dl_queues[node_id].push(self.now, nbytes)
-            self.links[f"{ss.bs_id}->{node_id}"].offered_bytes += nbytes
-        if t.ul_bytes_per_s:
-            nbytes = t.ul_bytes_per_s * _WIMAX_ARRIVAL_TICK_US // 1_000_000
-            ss.ul_queue.push(self.now, nbytes)
-            self.links[f"{node_id}->{ss.bs_id}"].offered_bytes += nbytes
+        links = self.sses[node_id].links
+        for direction, rate in ((DL, t.dl_bytes_per_s), (UL, t.ul_bytes_per_s)):
+            if rate:
+                links[direction].offer(self.now, rate * _WIMAX_ARRIVAL_TICK_US // 1_000_000)
         self._push(self.now + _WIMAX_ARRIVAL_TICK_US, P_CTRL, "arrival", node_id)
 
     def _top_up_saturated(self, cell: _Cell) -> None:
@@ -465,18 +461,11 @@ class Engine:
             t = self.cfg.node(ss_id).traffic
             if t.kind != "wimax":
                 continue
-            if t.dl_saturated:
-                q = cell.dl_queues[ss_id]
-                if q.total < target:
-                    add = target - q.total
-                    q.push(self.now, add)
-                    self.links[f"{cell.bs_node.id}->{ss_id}"].offered_bytes += add
-            if t.ul_saturated:
-                q = self.sses[ss_id].ul_queue
-                if q.total < target:
-                    add = target - q.total
-                    q.push(self.now, add)
-                    self.links[f"{ss_id}->{cell.bs_node.id}"].offered_bytes += add
+            links = self.sses[ss_id].links
+            for direction, saturated in ((DL, t.dl_saturated), (UL, t.ul_saturated)):
+                queued = links[direction].queue.queued_bytes
+                if saturated and queued < target:
+                    links[direction].offer(self.now, target - queued)
 
     # ------------------------------------------------------------------ wimax
 
@@ -494,11 +483,9 @@ class Engine:
                 claims = frame_start >= ss.next_claim_at
             if claims:
                 claiming.append(ss_id)
-                demands.append(SsDemand(ss_id, cell.dl_queues[ss_id].total, DL))
-                demands.append(SsDemand(ss_id, ss.ul_queue.total, UL))
-            else:
-                demands.append(SsDemand(ss_id, 0, DL))
-                demands.append(SsDemand(ss_id, 0, UL))
+            for direction, link in ss.links.items():
+                demands.append(SsDemand(ss_id, link.queue.queued_bytes if claims else 0,
+                                        direction))
         frame_map = build_frame_map(demands, cfg.wimax.frame_us, cfg.wimax.dl_ratio,
                                     cfg.wimax.capacity_bytes_per_us,
                                     cfg.wimax.preamble_us, cfg.wimax.ttg_us)
@@ -506,7 +493,7 @@ class Engine:
         for start in [s for s in cell.maps if s + cfg.wimax.frame_us < self.now]:
             del cell.maps[start]
         for g in frame_map.grants:
-            self._push(frame_start + g.offset_us, P_START, "burst", (bs_id, g, frame_start))
+            self._push(frame_start + g.offset_us, P_START, "burst", g)
         for ss_id in claiming:
             grants = frame_map.grants_for(ss_id)
             if not grants:
@@ -522,38 +509,23 @@ class Engine:
                            (ss_id, first, last))
         self._push(self.now + cfg.wimax.frame_us, P_CTRL, "boundary", bs_id)
 
-    def _on_burst(self, data) -> None:
-        bs_id, grant, frame_start = data
-        cfg = self.cfg
-        cell = self.cells[bs_id]
-        ss = self.sses[grant.ss]
-        capacity = cfg.wimax.capacity_bytes_per_us
-        if grant.direction == UL:
-            src, dst = grant.ss, bs_id
-            queue = ss.ul_queue
-        else:
-            src, dst = bs_id, grant.ss
-            queue = cell.dl_queues[grant.ss]
-        serve = min(queue.total, int(grant.len_us * capacity))
+    def _on_burst(self, grant) -> None:
+        link = self.sses[grant.ss].links[grant.direction]
+        capacity = self.cfg.wimax.capacity_bytes_per_us
+        serve = min(link.queue.queued_bytes, int(grant.len_us * capacity))
         if serve <= 0:
             return
-        release_tx = None
-        if grant.direction == UL:
-            decision = self._arbiter_request(src, arb.ArbiterState.TX,
-                                             (self.now, self.now + grant.len_us))
-            if decision == arb.DENY:
-                self._note(f"{self.now}|deny|ul|{src}")
-                return
-            if decision == arb.GRANT:
-                release_tx = src
+        holds: list[str] = []
+        if grant.direction == UL and not self._arbiter_request(
+                link.src, arb.ArbiterState.TX, (self.now, self.now + grant.len_us), holds):
+            self._note(f"{self.now}|deny|ul|{link.src}")
+            return
         airtime = max(1, min(grant.len_us, math.ceil(serve / capacity)))
-        src_if = self.interfaces[src]
-        tx = Transmission(source=src, kind=FrameKind.WIMAX_BURST, start_us=self.now,
+        src_if = self.interfaces[link.src]
+        tx = Transmission(source=link.src, kind=FrameKind.WIMAX_BURST, start_us=self.now,
                           airtime_us=airtime, power_dbm=src_if.tx_power_dbm,
-                          channel_mhz=src_if.channel_mhz, dest=dst)
-        rec = _TxRec(tx, link=f"{src}->{dst}", served_bytes=serve)
-        rec.release_tx = release_tx
-        self._begin_tx(rec)
+                          channel_mhz=src_if.channel_mhz, dest=link.dst)
+        self._begin_tx(_TxRec(tx, link, serve, holds))
 
     # ------------------------------------------------------------------ reservation
 
@@ -561,7 +533,7 @@ class Engine:
         ss_id, first, last = data
         cfg = self.cfg.reservation
         ss = self.sses[ss_id]
-        if ss.train_chunks_left > 0:
+        if ss.train_until > self.now:
             return  # the previous train is still on air
         coord = ss.coordinator
         st = coord.station
@@ -584,15 +556,16 @@ class Engine:
         if not chunks:
             self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
             return
-        decision = self._arbiter_request(st.iface.id, arb.ArbiterState.TX,
-                                         (start, chunks[-1].end_us))
-        if decision == arb.DENY:
+        end = chunks[-1].end_us
+        holds: list[str] = []
+        if not self._arbiter_request(st.iface.id, arb.ArbiterState.TX, (start, end), holds):
             self._note(f"{self.now}|deny|reserve|{ss_id}")
             return
-        ss.train_chunks_left = len(chunks)
+        ss.train_until = end
+        # the last chunk's end releases the train's grant
         for chunk in chunks:
             self._push(chunk.start_us, P_START, "cts",
-                       (chunk, ss_id, decision == arb.GRANT))
+                       (chunk, holds if chunk is chunks[-1] else []))
 
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
@@ -604,19 +577,14 @@ class Engine:
                                  channel_mhz=node.channel_mhz,
                                  cts_airtime_us=self.dcf.cts_airtime_us)
         for chunk in chunks:
-            self._push(chunk.start_us, P_START, "cts", (chunk, None, False))
+            self._push(chunk.start_us, P_START, "cts", (chunk, []))
         if t.repeat_us:
             self._push(self.now + t.repeat_us, P_CTRL, "inject", node_id)
 
     def _on_cts(self, data) -> None:
-        chunk, ss_id, held = data
+        chunk, holds = data
         src_rt = self.stations[chunk.source]
-        rec = _TxRec(chunk)
-        rec.train_owner = ss_id
-        if ss_id is not None and held:
-            ss = self.sses[ss_id]
-            if ss.train_chunks_left == 1:
-                rec.release_tx = chunk.source
+        rec = _TxRec(chunk, holds=holds)
         self.cts_count += 1
         self.cts_airtime_us += chunk.airtime_us
         # own radio is occupied while the chunk is on air
@@ -625,14 +593,17 @@ class Engine:
 
     # ------------------------------------------------------------------ arbiter
 
-    def _arbiter_request(self, iface_id: str, desired, span: tuple[int, int]) -> str:
-        """Returns GRANT/DENY, or "off" when no controller governs the radio.
-        A schedule-aware arbiter also checks a WiFi radio's span against its
-        platform's frame maps."""
+    def _arbiter_request(self, iface_id: str, desired, span: tuple[int, int],
+                         holds: list[str]) -> bool:
+        """Whether the radio may go ahead; one that no arbiter governs always
+        may.  A grant appends the interface to ``holds``, the grants its
+        frame releases when it ends.  A schedule-aware arbiter also checks a
+        WiFi radio's span against its platform's frame maps."""
         iface = self.interfaces[iface_id]
         plat = iface.platform
-        if plat is None or plat not in self.arbiters:
-            return "off"
+        arbiter = self.arbiters.get(plat)
+        if arbiter is None:
+            return True
         req = arb.InterfaceRequest(iface_id, desired, span_us=span)
         if self.cfg.arbiter.schedule_aware and iface.kind is RadioKind.WIFI:
             for ss_id, ss in self.sses.items():
@@ -642,15 +613,13 @@ class Engine:
                 for frame_start, fmap in cell.maps.items():
                     if frame_start <= span[1] and span[0] <= frame_start + fmap.frame_len_us:
                         if arb.schedule_aware_check(req, fmap, frame_start, ss_id) == arb.DENY:
-                            return arb.DENY
-        decision = self.arbiters[plat].request(req)
+                            return False
+        decision = arbiter.request(req)
         self._note(f"{self.now}|arb|{iface_id}|{desired.name}|{decision}")
-        return decision
-
-    def _arbiter_release(self, iface_id: str) -> None:
-        plat = self.interfaces[iface_id].platform
-        if plat is not None and plat in self.arbiters:
-            self.arbiters[plat].release(iface_id)
+        if decision == arb.DENY:
+            return False
+        holds.append(iface_id)
+        return True
 
     # ------------------------------------------------------------------ medium
 
@@ -687,7 +656,7 @@ class Engine:
         self.system_airtime[system] += clipped
         self._sys_air_cum[system] += tx.airtime_us
         if rec.link:
-            self.links[rec.link].airtime_us += clipped
+            rec.link.stats.airtime_us += clipped
 
         src_if = self.interfaces[tx.source]
         if src_if.platform is not None:
@@ -698,17 +667,12 @@ class Engine:
         if tx.dest is not None:
             dst_if = self.interfaces[tx.dest]
             if self._rx(tx, tx.dest) >= dst_if.decode_sensitivity_dbm:
-                decision = self._arbiter_request(tx.dest, arb.ArbiterState.RX,
-                                                 (tx.start_us, tx.end_us))
-                if decision == arb.DENY:
+                if not self._arbiter_request(tx.dest, arb.ArbiterState.RX,
+                                             (tx.start_us, tx.end_us), rec.holds):
                     rec.missed = True
-                else:
-                    if decision == arb.GRANT:
-                        rec.release_rx = tx.dest
-                    if dst_if.platform is not None:
-                        self._record_conflict_interval(dst_if.platform, tx.dest,
-                                                       tx.start_us, tx.end_us,
-                                                       is_tx=False)
+                elif dst_if.platform is not None:
+                    self._record_conflict_interval(dst_if.platform, tx.dest,
+                                                   tx.start_us, tx.end_us, is_tx=False)
 
         # physical carrier sense at every other WiFi radio
         start, end = tx.start_us, tx.end_us
@@ -720,24 +684,21 @@ class Engine:
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx
         del self.active[rec.key]
-        if rec.release_tx:
-            self._arbiter_release(rec.release_tx)
-        if rec.release_rx:
-            self._arbiter_release(rec.release_rx)
-        if rec.train_owner is not None:
-            ss = self.sses[rec.train_owner]
-            ss.train_chunks_left = max(0, ss.train_chunks_left - 1)
+        for iface_id in rec.holds:
+            self.arbiters[self.interfaces[iface_id].platform].release(iface_id)
 
         active = [tx] + rec.overlappers
         window = (tx.start_us, tx.end_us)
         if tx.dest is not None:
             outcome = delivery_result(tx, active, self.interfaces[tx.dest], window,
                                       self.medium, self._losses_to(tx.dest))
+            if outcome.result == CORRUPTED and not rec.missed:
+                rec.link.stats.corrupted_frames += 1
             decoded = outcome.result == DECODED and not rec.missed
             if tx.kind is FrameKind.WIMAX_BURST:
-                self._finish_burst(rec, decoded, outcome)
-            elif tx.kind is FrameKind.DATA:
-                self._finish_wifi_data(rec, decoded, outcome)
+                self._finish_burst(rec, decoded)
+            else:
+                self._finish_wifi_data(rec, decoded)
             self._note(f"{self.now}|outcome|{tx.source}>{tx.dest}|"
                        f"{'missed' if rec.missed else outcome.result}")
 
@@ -776,51 +737,34 @@ class Engine:
             for rt in waking:
                 self._schedule_access(rt)
 
-    def _finish_burst(self, rec: _TxRec, decoded: bool, outcome) -> None:
-        tx = rec.tx
-        ss_id = tx.dest if tx.dest in self.sses else tx.source
-        ss = self.sses[ss_id]
-        if tx.source == ss.bs_id:
-            queue = self.cells[ss.bs_id].dl_queues[ss_id]
-        else:
-            queue = ss.ul_queue
+    def _finish_burst(self, rec: _TxRec, decoded: bool) -> None:
         link = rec.link
-        system = self.system_of[tx.source]
         if decoded:
-            delays = queue.consume(rec.served_bytes, self.now)
-            self._count_delivery(link, system, rec.served_bytes, delays)
-            for d in delays:
-                ss.delay_window.append((self.now, d))
+            delays = link.queue.consume(rec.served_bytes, self.now)
+            self._count_delivery(link, rec.served_bytes, delays)
+            ss = self.sses[link.dst if link.dst in self.sses else link.src]
+            ss.delay_window.extend((self.now, d) for d in delays)
         else:
-            st = self.links[link]
-            st.retransmissions += 1
-            self._sys_retx_cum[system] += 1
-            if outcome.result == CORRUPTED and not rec.missed:
-                st.corrupted_frames += 1
+            link.stats.retransmissions += 1
+            self._sys_retx_cum[link.system] += 1
 
-    def _finish_wifi_data(self, rec: _TxRec, decoded: bool, outcome) -> None:
-        tx = rec.tx
-        rt = self.stations[tx.source]
+    def _finish_wifi_data(self, rec: _TxRec, decoded: bool) -> None:
+        link = rec.link
+        rt = self.stations[link.src]
         st = rt.station
-        stats = self.links[rec.link]
-        system = self.system_of[tx.source]
-        head = st.head
         if decoded:
-            delay = self.now - head.enqueued_us
+            delay = self.now - st.head.enqueued_us
             res = st.on_tx_outcome(True, self.now)
-            self._count_delivery(rec.link, system, rec.served_bytes, [delay])
+            self._count_delivery(link, rec.served_bytes, [delay])
         else:
             res = st.on_tx_outcome(False, self.now)
             if res == OUTCOME_RETRY:
-                stats.retransmissions += 1
-                self._sys_retx_cum[system] += 1
+                link.stats.retransmissions += 1
+                self._sys_retx_cum[link.system] += 1
             elif res == OUTCOME_DROP:
-                stats.dropped_frames += 1
-            if outcome.result == CORRUPTED and not rec.missed:
-                stats.corrupted_frames += 1
+                link.stats.dropped_frames += 1
         if rt.node.traffic.kind == "saturated" and res in (OUTCOME_DONE, OUTCOME_DROP):
-            st.enqueue(self.now, rt.node.traffic.frame_bytes)
-            stats.offered_bytes += rt.node.traffic.frame_bytes
+            link.offer(self.now, rt.node.traffic.frame_bytes)
         self._schedule_access(rt)
 
     # ------------------------------------------------------------------ wifi access
@@ -845,9 +789,9 @@ class Engine:
         if head is None or st.transmitting:
             return
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
-        decision = self._arbiter_request(sid, arb.ArbiterState.TX,
-                                         (self.now, self.now + airtime))
-        if decision == arb.DENY:
+        holds: list[str] = []
+        if not self._arbiter_request(sid, arb.ArbiterState.TX,
+                                     (self.now, self.now + airtime), holds):
             self._push(self.now + self.cfg.arbiter.retry_us, P_CTRL, "retry", sid)
             return
         st.transmitting = True
@@ -855,10 +799,7 @@ class Engine:
         tx = Transmission(source=sid, kind=FrameKind.DATA, start_us=self.now,
                           airtime_us=airtime, power_dbm=iface.tx_power_dbm,
                           channel_mhz=iface.channel_mhz, dest=rt.node.peer)
-        rec = _TxRec(tx, link=rt.link, served_bytes=head.frame_bytes)
-        if decision == arb.GRANT:
-            rec.release_tx = sid
-        self._begin_tx(rec)
+        self._begin_tx(_TxRec(tx, rt.link, head.frame_bytes, holds))
 
     def _on_retry(self, sid: str) -> None:
         self._schedule_access(self.stations[sid])

@@ -75,6 +75,10 @@ class WifiStation:
     def head(self) -> QueuedFrame | None:
         return self.queue[0] if self.queue else None
 
+    @property
+    def queued_bytes(self) -> int:
+        return sum(f.frame_bytes for f in self.queue)
+
     # -- medium observations --------------------------------------------
 
     def on_medium_busy(self, start_us: int, until_us: int,
