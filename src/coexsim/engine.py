@@ -298,6 +298,7 @@ class Engine:
         systems = sorted({n.system for n in config.nodes})
         self.system_airtime: dict[str, int] = {s: 0 for s in systems}
         self._sys_air_cum: dict[str, int] = {s: 0 for s in systems}   # unclipped
+        self._sys_busy_until: dict[str, int] = {s: 0 for s in systems}
         self._sys_delivered_cum: dict[str, int] = {s: 0 for s in systems}
         self._sys_retx_cum: dict[str, int] = {s: 0 for s in systems}
 
@@ -651,12 +652,19 @@ class Engine:
         rec.key = next(self._tx_ids)
         self.active[rec.key] = rec
 
-        system = self.system_of[tx.source]
         clipped = self._clip(tx.start_us, tx.end_us)
-        self.system_airtime[system] += clipped
-        self._sys_air_cum[system] += tx.airtime_us
         if rec.link:
             rec.link.stats.airtime_us += clipped
+        # a system's airtime is the union of its emissions; they begin in
+        # time order, so only the part after its busy-until is new
+        system = self.system_of[tx.source]
+        busy = self._sys_busy_until[system]
+        if tx.end_us > busy:
+            if busy > tx.start_us:
+                clipped = self._clip(busy, tx.end_us)
+            self.system_airtime[system] += clipped
+            self._sys_air_cum[system] += tx.end_us - max(busy, tx.start_us)
+            self._sys_busy_until[system] = tx.end_us
 
         src_if = self.interfaces[tx.source]
         if src_if.platform is not None:

@@ -20,6 +20,20 @@ nodes:
   - {id: ap, kind: wifi, position: [5.0, 0.0], system: cell, traffic: {kind: none}}
 """
 
+# one system, two saturated pairs out of each other's carrier sense range
+FAR_PAIRS = """
+duration_us: 3000000
+warmup_us: 500000
+medium: {path_loss: {kind: log-distance, exponent: 3.0}}
+nodes:
+  - {id: a, kind: wifi, position: [0.0, 0.0], peer: ap_a, system: one,
+     traffic: {kind: saturated}}
+  - {id: ap_a, kind: wifi, position: [5.0, 0.0], system: one}
+  - {id: b, kind: wifi, position: [1000.0, 0.0], peer: ap_b, system: one,
+     traffic: {kind: saturated}}
+  - {id: ap_b, kind: wifi, position: [1005.0, 0.0], system: one}
+"""
+
 TWO_CELLS = """
 duration_us: 30000000
 warmup_us: 1000000
@@ -63,10 +77,11 @@ def pairs_grid(pairs: int = 20, side: int = 5, spacing_m: float = 40.0) -> str:
 
 
 # Seed-1 trace hashes.  A change that moves one on purpose updates it here
-# and says why in CHANGES.md.
+# and says why in CHANGES.md.  conference_room's moved when system airtime
+# became the union of a system's emissions: its pacing notes print the share.
 PINNED_HASHES = {
     "emulation_cfg": "7d8c3083456621b815ddab983f3cd23a23bdb35fdfa894f37bed91e958b72fd7",
-    "conference_cfg": "c8d616d04531caf5b0a1ddef7c1a88546efd48e6efdb4b8e1ea2cb64f8855e6b",
+    "conference_cfg": "09d757c32cc7457d8c1a3f1f51a6c02829227acd8df3562ef5a6c6d65edcd201",
     "colocated_cfg": "b70ab4234863516cc81d5dd1814c43c112d84ca654fb570d4b264cb7e595d114",
 }
 GRID_HASH = "3034f04af04a4762db961100252162072a3734f6379328fb2c18f3665c1bf2eb"
@@ -195,6 +210,14 @@ class TestEngineBasics:
         queued = sum(f.frame_bytes for f in station.queue)
         dropped = stats.dropped_frames * 1500
         assert stats.offered_bytes == stats.delivered_bytes + dropped + queued
+
+    def test_system_airtime_is_the_union_of_its_emissions(self):
+        """Two pairs of one system that transmit at once count their common
+        airtime once (the sum of their links' airtime is about 1.82)."""
+        result = run(parse_scenario(FAR_PAIRS), seed=1)
+        links = sum(st.airtime_us for st in result.links.values())
+        assert links > 1.5 * result.measure_us
+        assert 0.9 < result.system_share("one") <= 1.0
 
     def test_shares_stay_in_unit_interval(self, conference_cfg):
         result = run(conference_cfg, seed=2)
