@@ -131,15 +131,15 @@ class RunResult:
 class _TxRec:
     __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers", "holds")
 
-    def __init__(self, tx: Transmission, link: Optional[_Link] = None,
-                 served_bytes: int = 0, holds: Optional[list[str]] = None):
+    def __init__(self, tx: Transmission, holds: list[str], link: Optional[_Link] = None,
+                 served_bytes: int = 0):
         self.tx = tx
+        self.holds = holds           # interfaces whose arbiter grant the end releases
         self.key = -1                # its key in Engine.active while on air
         self.link = link
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
         self.overlappers: list[Transmission] = []
-        self.holds = [] if holds is None else holds  # arbiter grants released at the end
 
 
 class _ByteQueue:
@@ -397,9 +397,9 @@ class Engine:
             fairness = jain_index(shares)
         except ValueError:
             fairness = 0.0
-        links = {link.id: link.stats for link in self._links()}
-        delivered = dict.fromkeys(self.system_airtime, 0)
+        links, delivered = {}, dict.fromkeys(self.system_airtime, 0)
         for link in self._links():
+            links[link.id] = link.stats
             delivered[link.system] += link.stats.delivered_bytes
         return RunResult(
             seed=self.seed, duration_us=cfg.duration_us, warmup_us=cfg.warmup_us,
@@ -506,8 +506,8 @@ class Engine:
                     continue
                 first = frame_start + min(g.offset_us for g in grants)
                 last = frame_start + max(g.offset_us + g.len_us for g in grants)
-                self._push(first - cfg.reservation.lead_us, P_CTRL, "reserve",
-                           (ss_id, first, last))
+                self._push(max(self.now, first - cfg.reservation.lead_us), P_CTRL,
+                           "reserve", (ss_id, first, last))
         self._push(self.now + cfg.wimax.frame_us, P_CTRL, "boundary", bs_id)
 
     def _on_burst(self, grant) -> None:
@@ -526,7 +526,7 @@ class Engine:
         tx = Transmission(source=link.src, kind=FrameKind.WIMAX_BURST, start_us=self.now,
                           airtime_us=airtime, power_dbm=src_if.tx_power_dbm,
                           channel_mhz=src_if.channel_mhz, dest=link.dst)
-        self._begin_tx(_TxRec(tx, link, serve, holds))
+        self._begin_tx(_TxRec(tx, holds, link, serve))
 
     # ------------------------------------------------------------------ reservation
 
@@ -585,7 +585,7 @@ class Engine:
     def _on_cts(self, data) -> None:
         chunk, holds = data
         src_rt = self.stations[chunk.source]
-        rec = _TxRec(chunk, holds=holds)
+        rec = _TxRec(chunk, holds)
         self.cts_count += 1
         self.cts_airtime_us += chunk.airtime_us
         # own radio is occupied while the chunk is on air
@@ -807,7 +807,7 @@ class Engine:
         tx = Transmission(source=sid, kind=FrameKind.DATA, start_us=self.now,
                           airtime_us=airtime, power_dbm=iface.tx_power_dbm,
                           channel_mhz=iface.channel_mhz, dest=rt.node.peer)
-        self._begin_tx(_TxRec(tx, rt.link, head.frame_bytes, holds))
+        self._begin_tx(_TxRec(tx, holds, rt.link, head.frame_bytes))
 
     def _on_retry(self, sid: str) -> None:
         self._schedule_access(self.stations[sid])

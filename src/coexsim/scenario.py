@@ -364,7 +364,7 @@ def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:
     return NodeConfig(position=position, traffic=traffic, **vals)
 
 
-def _check_node_relations(w: _Walker, nodes: list[NodeConfig]) -> None:
+def _check_node_relations(w: _Walker, nodes: list[NodeConfig], cts_airtime_us: int) -> None:
     ids: dict[str, int] = {}
     for i, n in enumerate(nodes):
         if n.id in ids:
@@ -398,8 +398,22 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig]) -> None:
                     w.fail(f"{path}.peer", "a node cannot peer with itself")
             if n.traffic.kind == "wimax":
                 w.fail(f"{path}.traffic.kind", "'wimax' traffic belongs on a wimax-ss node")
+            span = n.traffic.reservation_us + cts_airtime_us
+            if n.traffic.kind == "cts-inject" and 0 < n.traffic.repeat_us < span:
+                w.fail(f"{path}.traffic.repeat_us", f"must be 0 or at least reservation_us + "
+                       f"wifi.cts_airtime_us ({span}), so a train ends before the next")
         if n.kind == "wimax-bs" and n.traffic.kind != "none":
             w.fail(f"{path}.traffic.kind", "base stations carry no traffic")
+    if w.errors:
+        return  # platforms need every reference resolved
+    # path loss has no distance 0; only radios on one platform may coincide
+    plats = ScenarioConfig(nodes=tuple(nodes)).platforms()
+    first_at: dict[Position, NodeConfig] = {}
+    for i, n in enumerate(nodes):
+        other = first_at.setdefault(n.position, n)
+        if other is not n and (plats[n.id] is None or plats[n.id] != plats[other.id]):
+            w.fail(f"nodes[{i}].position", f"same position as {other.id!r} on another "
+                   "platform; radios on one platform set collocated_with")
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -449,7 +463,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if node is not None:
             nodes.append(node)
     if not w.errors:
-        _check_node_relations(w, nodes)
+        _check_node_relations(w, nodes, wifi.cts_airtime_us)
 
     if w.errors:
         raise ScenarioError(w.errors)

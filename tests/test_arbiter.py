@@ -107,8 +107,8 @@ class TestProperties:
 
 
 class TestScheduleAware:
-    FMAP = FrameMap(5000, 3000, (Grant("ss1", DL, 200, 2800),
-                                 Grant("ss1", UL, 3100, 1900)), ("ss1",))
+    FMAP = FrameMap(5000, (Grant("ss1", DL, 200, 2800),
+                           Grant("ss1", UL, 3100, 1900)), ("ss1",))
 
     def test_wifi_tx_over_scheduled_reception_denied(self):
         req = InterfaceRequest("wifi1", TX, span_us=(10_500, 12_500))

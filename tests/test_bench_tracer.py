@@ -6,9 +6,11 @@ the unit suite, without running the benchmark."""
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -21,13 +23,29 @@ def load_tracer():
 tracer = load_tracer()
 
 
-def test_every_bucketed_name_is_traced():
-    """Each ``BUCKETS`` name is one the tracer finds and wraps, by its own rule."""
+def traced_names() -> set[str]:
+    """The span names the tracer wraps, found by its own rule."""
     found = set()
     for layer in tracer.LAYERS:
         module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
         found.update(span for span, *_ in tracer._public_callables(module))
-    assert sorted(set(tracer.BUCKETS) - found) == []
+    return found
+
+
+def test_every_bucketed_name_is_traced():
+    """Each ``BUCKETS`` name is one the tracer finds and wraps, by its own rule."""
+    assert sorted(set(tracer.BUCKETS) - traced_names()) == []
+
+
+def test_every_counted_function_is_traced():
+    """Each ``<layer>.<fn>.calls`` metric of the benchmark names a function
+    the tracer wraps, as ``<layer>.<fn>`` or a method ``<layer>.<Class>.<fn>``;
+    a renamed one would silently report 0 calls."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    counted = [m["name"].rsplit(".", 1)[0] for m in metrics if m["name"].endswith(".calls")]
+    traced = {(span.split(".")[0], span.split(".")[-1]) for span in traced_names()}
+    assert counted
+    assert [c for c in counted if tuple(c.split(".")) not in traced] == []
 
 
 def test_delivery_hook_reads_the_overlapper_list():

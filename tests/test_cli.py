@@ -159,6 +159,16 @@ class TestMain:
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert "medium.spillage[0].separation_mhz: required" in capsys.readouterr().err
 
+    def test_coincident_radios_are_a_validation_error(self, tmp_path, capsys):
+        # accepted by earlier versions, then path loss failed at distance 0
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("nodes:\n"
+                       "  - {id: a, kind: wifi, position: [0.0, 0.0], peer: b,"
+                       " traffic: {kind: saturated}}\n"
+                       "  - {id: b, kind: wifi, position: [0.0, 0.0]}\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert "nodes[1].position" in capsys.readouterr().err
+
     def test_engine_failure_is_a_one_line_runtime_error(self, tmp_path, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("engine gave up\nat some depth")

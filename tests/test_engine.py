@@ -219,6 +219,22 @@ class TestEngineBasics:
         assert links > 1.5 * result.measure_us
         assert 0.9 < result.system_share("one") <= 1.0
 
+    def test_reserve_lead_longer_than_a_frame(self):
+        """A lead that reaches back past the frame boundary reserves at once
+        (earlier versions scheduled the reserve event in the past)."""
+        text = """
+duration_us: 300000
+warmup_us: 50000
+wimax: {frame_us: 1000, preamble_us: 100, ttg_us: 50}
+reservation: {enabled: true, performance_gating: false, lead_us: 5000}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_saturated: true}}
+  - {id: ss_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss}
+"""
+        assert run(parse_scenario(text), seed=1).cts_count > 0
+
     def test_shares_stay_in_unit_interval(self, conference_cfg):
         result = run(conference_cfg, seed=2)
         for system in result.system_airtime_us:

@@ -1,0 +1,94 @@
+"""Properties of runs over small generated scenarios: every scenario the
+validator accepts runs to its end, and the report keeps the invariants the
+README states for it."""
+
+from hypothesis import given, settings, strategies as st
+
+from coexsim.engine import Engine
+from coexsim.scenario import parse_scenario
+
+
+def _flag(draw) -> str:
+    return "true" if draw(st.booleans()) else "false"
+
+
+@st.composite
+def small_scenarios(draw) -> str:
+    """YAML for a valid small scene: saturated or paced WiFi pairs, one WiMAX
+    cell whose subscriber station may carry a co-located WiFi radio, an
+    optional CTS injector, and the reservation scheme and the arbiter each
+    on or off.  Radios sit on a 40 m grid, access points 3 m east of their
+    station, so only co-located radios share a position; with the steeper
+    path loss, distant radios of one system transmit at once."""
+    pairs = draw(st.integers(1, 3))
+    grid = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                         min_size=pairs + 3, max_size=pairs + 3, unique=True))
+    spots = iter([(x * 40.0, y * 40.0) for x, y in grid])
+    lines = [
+        f"duration_us: {draw(st.integers(150_000, 400_000))}",
+        "warmup_us: 50000",
+        "medium: {path_loss: {kind: log-distance, exponent: %s}}"
+        % draw(st.sampled_from([2.0, 3.0, 4.0])),
+        f"wimax: {{frame_us: {draw(st.sampled_from([1000, 2000, 5000]))}}}",
+        f"reservation: {{enabled: {_flag(draw)}, pacing: {_flag(draw)}, "
+        f"power_sizing: {_flag(draw)}, performance_gating: {_flag(draw)}, "
+        f"lead_us: {draw(st.integers(100, 8000))}, pacing_tick_us: 20000, "
+        "eval_tick_us: 20000, retx_enable_threshold: 1}",
+        f"arbiter: {{enabled: {_flag(draw)}, schedule_aware: {_flag(draw)}, "
+        f"retry_us: {draw(st.integers(50, 2000))}}}",
+        "nodes:",
+    ]
+    system = ", system: pairs" if draw(st.booleans()) else ""  # one system for all pairs
+    for i in range(pairs):
+        x, y = next(spots)
+        traffic = f"kind: saturated, frame_bytes: {draw(st.integers(100, 1500))}"
+        if draw(st.booleans()):
+            traffic = traffic.replace("saturated", "paced") + \
+                f", interval_us: {draw(st.integers(500, 20_000))}"
+        lines.append(f"  - {{id: sta{i}, kind: wifi, position: [{x}, {y}], peer: ap{i}"
+                     f"{system}, traffic: {{{traffic}}}}}")
+        lines.append(f"  - {{id: ap{i}, kind: wifi, position: [{x + 3.0}, {y}]{system}}}")
+    x, y = next(spots)
+    lines.append(f"  - {{id: bs, kind: wimax-bs, position: [{x}, {y}]}}")
+    x, y = next(spots)
+    rate = draw(st.sampled_from([50_000, 400_000]))
+    lines.append(f"  - {{id: ss, kind: wimax-ss, position: [{x}, {y}], bs: bs, traffic: "
+                 f"{{kind: wimax, dl_saturated: {_flag(draw)}, ul_saturated: {_flag(draw)}, "
+                 f"dl_bytes_per_s: {rate}, ul_bytes_per_s: {rate}}}}}")
+    if draw(st.booleans()):
+        lines.append(f"  - {{id: ss_wifi, kind: wifi, position: [{x}, {y}], "
+                     "collocated_with: ss, peer: ss_ap, traffic: {kind: saturated}}")
+        lines.append(f"  - {{id: ss_ap, kind: wifi, position: [{x + 3.0}, {y}]}}")
+    if draw(st.booleans()):
+        x, y = next(spots)
+        reservation = draw(st.integers(50, 5000))
+        repeat = draw(st.sampled_from([0, reservation + 44, reservation + 2000]))
+        lines.append(f"  - {{id: jam, kind: wifi, position: [{x}, {y}], traffic: "
+                     f"{{kind: cts-inject, at_us: {draw(st.integers(0, 100_000))}, "
+                     f"reservation_us: {reservation}, repeat_us: {repeat}, "
+                     f"power_dbm: {draw(st.sampled_from([-10.0, 5.0, 20.0]))}}}}}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedScenarios:
+    @settings(max_examples=50, deadline=None)
+    @given(small_scenarios(), st.integers(1, 1000))
+    def test_valid_scenarios_run_and_keep_the_invariants(self, text, seed):
+        cfg = parse_scenario(text)
+        engine = Engine(cfg, seed=seed, collect_trace=True)
+        result = engine.run()
+
+        for link in engine._links():
+            stats = link.stats
+            assert stats.delivered_bytes <= stats.offered_bytes, link.id
+            accounted = stats.delivered_bytes + link.queue.queued_bytes
+            if link.src in engine.stations:
+                accounted += stats.dropped_frames * cfg.node(link.src).traffic.frame_bytes
+            assert stats.offered_bytes == accounted, link.id
+        for system in result.system_airtime_us:
+            assert 0.0 <= result.system_share(system) <= 1.0, system
+        assert 0.0 <= result.fairness_index <= 1.0
+
+        times = [int(line.split("|", 1)[0]) for line in engine.trace]
+        assert times == sorted(times)
+        assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash

@@ -183,6 +183,35 @@ nodes:
             parse_scenario(f"medium: {{spillage: [{entry}]}}\n")
         assert err.value.errors == [f"medium.spillage[0].{k}: required" for k in missing]
 
+    @pytest.mark.parametrize("repeat_us, ok", [(0, True), (143, False), (144, True)])
+    def test_injected_trains_may_not_overlap(self, repeat_us, ok):
+        text = f"""
+nodes:
+  - {{id: a, kind: wifi, position: [0.0, 0.0],
+     traffic: {{kind: cts-inject, reservation_us: 100, repeat_us: {repeat_us}}}}}
+"""
+        if ok:
+            assert parse_scenario(text).nodes[0].traffic.repeat_us == repeat_us
+            return
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.errors == [
+            "nodes[0].traffic.repeat_us: must be 0 or at least reservation_us + "
+            "wifi.cts_airtime_us (144), so a train ends before the next"]
+
+    def test_coincident_radios_need_one_platform(self):
+        text = """
+nodes:
+  - {id: a, kind: wifi, position: [0.0, 0.0]}
+  - {id: b, kind: wifi, position: [1.0, 0.0]}
+  - {id: c, kind: wifi, position: [0.0, 0.0]%s}
+"""
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text % "")
+        assert err.value.errors == ["nodes[2].position: same position as 'a' on another "
+                                    "platform; radios on one platform set collocated_with"]
+        assert parse_scenario(text % ", collocated_with: a").nodes[2].position == Position(0, 0)
+
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):
             parse_scenario("duration_us: 1000\nwarmup_us: 1000\n")
@@ -233,11 +262,20 @@ def scalars(cls, skip=()):
 def scenarios(draw):
     """Valid configs: every cross-field rule is met by adjusting one field
     inside its bounds."""
+    wifi = draw(scalars(DcfParams))
+    wifi["cw_max"] = max(wifi["cw_max"], wifi["cw_min"])
+    coord = st.floats(-1e3, 1e3)
+    # no two radios share a position, so none coincide across platforms
+    positions = iter(draw(st.lists(st.builds(Position, coord, coord), min_size=4,
+                                   max_size=4, unique=True)))
+
     def radio(node_id, kind, traffic_kinds, **links):
-        traffic = TrafficConfig(kind=draw(st.sampled_from(traffic_kinds)),
-                                **draw(scalars(TrafficConfig, skip={"kind"})))
-        coord = st.floats(-1e3, 1e3)
-        return NodeConfig(id=node_id, kind=kind, position=Position(draw(coord), draw(coord)),
+        traffic = draw(scalars(TrafficConfig, skip={"kind"}))
+        if traffic["repeat_us"]:  # a train ends before the next one starts
+            traffic["repeat_us"] = max(traffic["repeat_us"],
+                                       traffic["reservation_us"] + wifi["cts_airtime_us"])
+        traffic = TrafficConfig(kind=draw(st.sampled_from(traffic_kinds)), **traffic)
+        return NodeConfig(id=node_id, kind=kind, position=next(positions),
                           system=draw(st.text("abxyz:-", min_size=1, max_size=4)),
                           traffic=traffic, **draw(scalars(NodeConfig, skip={"kind"})), **links)
 
@@ -256,8 +294,6 @@ def scenarios(draw):
     medium = MediumConfig(path_loss=PathLossModel(**path_loss),
                           spillage=SpillageTable(tuple(zip(separations, rejections))),
                           **draw(scalars(MediumConfig)))
-    wifi = draw(scalars(DcfParams))
-    wifi["cw_max"] = max(wifi["cw_max"], wifi["cw_min"])
     wimax = draw(scalars(WimaxConfig))
     dl_end = int(wimax["frame_us"] * wimax["dl_ratio"])
     wimax["preamble_us"] = min(wimax["preamble_us"], dl_end)
