@@ -1,12 +1,13 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from coexsim.engine import Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
-from coexsim.reservation import reservation_power
+from coexsim.reservation import QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from oracles import brute_force_outcomes, dcf_saturation_share
 
@@ -86,6 +87,31 @@ PINNED_HASHES = {
 }
 GRID_HASH = "3034f04af04a4762db961100252162072a3734f6379328fb2c18f3665c1bf2eb"
 
+# Seed-1 hashes of 6 s runs that reach the reservation controller's less
+# common paths: fixture, reservation settings changed, hash.
+RESERVATION_VARIANTS = {
+    # QoS misses grow the reservation scale to its cap of 2.0
+    "conference-qos": (
+        "conference_cfg", {"qos": QosTarget(2_000_000, 500)},
+        "694bffc4accd9fcd06d66c1f5850a8bf2ef14e72c032fd5d1e490c495d606189"),
+    "conference-fixed-power": (
+        "conference_cfg", {"power_sizing": False},
+        "7506f787c989e5ed6440153b00576f46ccb730c4c8f2ef7934e6dbae5bded3e5"),
+    "conference-ungated": (
+        "conference_cfg", {"performance_gating": False},
+        "f01a98f6dcf7b39a5ae51ef366a31124a2dc4097c7e55c100cb3f099a0773603"),
+    "conference-unpaced": (
+        "conference_cfg", {"pacing": False},
+        "681b8737186c5dfc28fb602e40bc988e0063c9268f2f6be75f6653bed7abc568"),
+    # reservation behind an arbiter: 380 deny|reserve notes, one reserve-skip
+    "colocated-reserving": (
+        "colocated_cfg", {"enabled": True},
+        "bee45a2855246b1323f50e0b6fc99ef67b9c134a1aa82fb1b1e8b13c89382ef7"),
+    "colocated-reserving-ungated": (
+        "colocated_cfg", {"enabled": True, "performance_gating": False},
+        "37aa05c6b372c1a7bccb43c33ee2049f40b98a20011fbacb60b9461cf9354e2a"),
+}
+
 
 class TestPinnedHashes:
     @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
@@ -97,6 +123,14 @@ class TestPinnedHashes:
         result = run(parse_scenario(pairs_grid()), seed=1)
         assert result.cts_count == 57  # injected and power-sized trains both ran
         assert result.trace_hash == GRID_HASH
+
+    @pytest.mark.parametrize("variant", sorted(RESERVATION_VARIANTS))
+    def test_reservation_variant(self, variant, request):
+        fixture, changes, want = RESERVATION_VARIANTS[variant]
+        cfg = request.getfixturevalue(fixture)
+        cfg = replace(cfg, duration_us=6_000_000,
+                      reservation=replace(cfg.reservation, **changes))
+        assert run(cfg, seed=1).trace_hash == want
 
 
 class TestCachedFastPaths:
