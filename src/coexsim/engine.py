@@ -26,9 +26,7 @@ from typing import Optional
 from . import arbiter as arb
 from .medium import (CORRUPTED, DECODED, FrameKind, LossRow, MediumModel, RadioInterface,
                      RadioKind, Transmission, delivery_result)
-from .reservation import (EvalState, InterfererEstimate, PacingState, build_cts_train,
-                          estimate_interferers, evaluate_performance, reservation_power,
-                          update_pacing)
+from .reservation import Reservation, build_cts_train
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
                    data_airtime_us)
@@ -203,28 +201,13 @@ class _WifiRt:
 
 
 class _SsRt:
-    __slots__ = ("node", "bs_id", "coordinator", "links", "pacing", "eval",
-                 "estimate", "heard", "next_claim_at", "reservation_scale",
-                 "last_retx_cum", "share_points", "delivered_points", "delay_window",
-                 "train_until")
+    __slots__ = ("bs_id", "links", "reservation")
 
-    def __init__(self, node, bs_node, coordinator, reservation_cfg):
-        self.node = node
+    def __init__(self, node, bs_node, reservation: Optional[Reservation]):
         self.bs_id = bs_node.id
-        self.coordinator = coordinator  # wifi runtime or None
         self.links = {DL: _Link(bs_node.id, node.id, bs_node.system, _ByteQueue()),
                       UL: _Link(node.id, bs_node.id, node.system, _ByteQueue())}
-        self.pacing = PacingState(claim_interval_us=reservation_cfg.claim_interval_init_us)
-        self.eval = EvalState(qos=reservation_cfg.qos)
-        self.estimate = InterfererEstimate()
-        self.heard: deque = deque()          # (t, source, rx power)
-        self.next_claim_at = 0
-        self.reservation_scale = 1.0
-        self.last_retx_cum = 0
-        self.share_points: deque = deque()   # (t, cumulative system airtime)
-        self.delivered_points: deque = deque()
-        self.delay_window: deque = deque()   # (t, delay sample)
-        self.train_until = 0                 # end of the last CTS train's last chunk
+        self.reservation = reservation  # None with reservation off
 
 
 class _Cell:
@@ -276,14 +259,13 @@ class Engine:
                 self.cells[n.id] = _Cell(ss_ids)
         for n in config.nodes:
             if n.kind == "wimax-ss":
-                coord = None
                 plat = plats[n.id]
-                if plat is not None:
-                    for m in config.nodes:
-                        if m.id != n.id and plats[m.id] == plat and m.kind == "wifi":
-                            coord = self.stations[m.id]
-                            break
-                self.sses[n.id] = _SsRt(n, config.node(n.bs), coord, config.reservation)
+                coord = next((self.stations[m.id].station for m in config.nodes
+                              if m.kind == "wifi" and plat is not None and plats[m.id] == plat),
+                             None)
+                res = (Reservation(config.reservation, coord, self.medium.path_loss_model)
+                       if config.reservation.enabled else None)
+                self.sses[n.id] = _SsRt(n, config.node(n.bs), res)
 
         self.arbiters: dict[str, arb.RadioArbiter] = {}
         if config.arbiter.enabled:
@@ -476,14 +458,9 @@ class Engine:
         frame_start = self.now + cfg.wimax.frame_us
         self._top_up_saturated(cell)
         demands = []
-        claiming = []
         for ss_id in cell.ss_ids:
             ss = self.sses[ss_id]
-            claims = True
-            if cfg.reservation.enabled and cfg.reservation.pacing:
-                claims = frame_start >= ss.next_claim_at
-            if claims:
-                claiming.append(ss_id)
+            claims = ss.reservation is None or ss.reservation.claims(frame_start)
             for direction, link in ss.links.items():
                 demands.append(SsDemand(ss_id, link.queue.queued_bytes if claims else 0,
                                         direction))
@@ -495,19 +472,14 @@ class Engine:
             del cell.maps[start]
         for g in frame_map.grants:
             self._push(frame_start + g.offset_us, P_START, "burst", g)
-        for ss_id in claiming:
+        for ss_id in cell.ss_ids:  # one that may not claim has no demand, so no grants
             grants = frame_map.grants_for(ss_id)
-            if not grants:
-                continue
-            ss = self.sses[ss_id]
-            ss.next_claim_at = frame_start + ss.pacing.claim_interval_us
-            if cfg.reservation.enabled and ss.coordinator is not None:
-                if cfg.reservation.performance_gating and not ss.eval.cts_enabled:
-                    continue
+            res = self.sses[ss_id].reservation
+            if grants and res is not None and res.claimed(frame_start):
                 first = frame_start + min(g.offset_us for g in grants)
                 last = frame_start + max(g.offset_us + g.len_us for g in grants)
                 self._push(max(self.now, first - cfg.reservation.lead_us), P_CTRL,
-                           "reserve", (ss_id, first, last))
+                           "reserve", (ss_id, last))
         self._push(self.now + cfg.wimax.frame_us, P_CTRL, "boundary", bs_id)
 
     def _on_burst(self, grant) -> None:
@@ -531,38 +503,22 @@ class Engine:
     # ------------------------------------------------------------------ reservation
 
     def _on_reserve(self, data) -> None:
-        ss_id, first, last = data
-        cfg = self.cfg.reservation
-        ss = self.sses[ss_id]
-        if ss.train_until > self.now:
-            return  # the previous train is still on air
-        coord = ss.coordinator
-        st = coord.station
-        start = max(self.now, st.busy_until_us)
-        airtime = self.dcf.cts_airtime_us
-        span = last - (start + airtime)
-        if span <= 0:
+        ss_id, last = data
+        res = self.sses[ss_id].reservation
+        plan = res.plan(self.now, last)
+        if plan is None:
             return
-        reservation = int(span * ss.reservation_scale)
-        min_res = cfg.min_reservation_us if cfg.performance_gating else 0
-        if cfg.power_sizing:
-            power = reservation_power(ss.estimate.max_distance_m,
-                                      st.iface.cca_threshold_dbm,
-                                      self.medium.path_loss_model)
-        else:
-            power = cfg.cts_power_dbm
-        chunks = build_cts_train(reservation, power, start, source=st.iface.id,
-                                 channel_mhz=st.iface.channel_mhz,
-                                 min_reservation_us=min_res, cts_airtime_us=airtime)
+        reservation, chunks = plan
         if not chunks:
             self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
             return
         end = chunks[-1].end_us
         holds: list[str] = []
-        if not self._arbiter_request(st.iface.id, arb.ArbiterState.TX, (start, end), holds):
+        if not self._arbiter_request(chunks[0].source, arb.ArbiterState.TX,
+                                     (chunks[0].start_us, end), holds):
             self._note(f"{self.now}|deny|reserve|{ss_id}")
             return
-        ss.train_until = end
+        res.train_until = end
         # the last chunk's end releases the train's grant
         for chunk in chunks:
             self._push(chunk.start_us, P_START, "cts",
@@ -726,17 +682,12 @@ class Engine:
                 if st.nav_expiry_us != had_nav:
                     self._note(f"{self.now}|nav|{sid}|{st.nav_expiry_us}")
 
-        # neighborhood monitoring by collocated coordinators
+        # neighbourhood monitoring by co-located coordinators, of other platforms
         src_plat = self.interfaces[tx.source].platform
         for ss in self.sses.values():
-            coord = ss.coordinator
-            if coord is None or coord.station.iface.id == tx.source:
-                continue
-            if src_plat is not None and src_plat == coord.station.iface.platform:
-                continue
-            rx = self._rx(tx, coord.station.iface.id)
-            if rx >= coord.station.iface.decode_sensitivity_dbm:
-                ss.heard.append((self.now, tx.source, rx))
+            coord = ss.reservation and ss.reservation.coordinator
+            if coord is not None and coord.iface.platform != src_plat:
+                ss.reservation.hear(self.now, tx.source, self._rx(tx, coord.iface.id))
 
         # wake frozen stations
         if self._resched:
@@ -750,8 +701,9 @@ class Engine:
         if decoded:
             delays = link.queue.consume(rec.served_bytes, self.now)
             self._count_delivery(link, rec.served_bytes, delays)
-            ss = self.sses[link.dst if link.dst in self.sses else link.src]
-            ss.delay_window.extend((self.now, d) for d in delays)
+            res = self.sses[link.dst if link.dst in self.sses else link.src].reservation
+            if res is not None:
+                res.delays.extend((self.now, d) for d in delays)
         else:
             link.stats.retransmissions += 1
             self._sys_retx_cum[link.system] += 1
@@ -814,69 +766,20 @@ class Engine:
 
     # ------------------------------------------------------------------ feedback ticks
 
-    def _windowed(self, points: deque, cum_now: int, window_us: int) -> float:
-        """Rate per second over the last window, from cumulative checkpoints."""
-        points.append((self.now, cum_now))
-        floor = self.now - window_us
-        while len(points) > 1 and points[1][0] <= floor:
-            points.popleft()
-        t0, c0 = points[0]
-        span = self.now - t0
-        if span <= 0:
-            return 0.0
-        return (cum_now - c0) * 1e6 / span
-
     def _on_pacing_tick(self, ss_id: str) -> None:
-        cfg = self.cfg.reservation
-        ss = self.sses[ss_id]
-        floor = self.now - cfg.monitor_window_us
-        while ss.heard and ss.heard[0][0] < floor:
-            ss.heard.popleft()
-        ss.estimate = estimate_interferers([(s, rx) for _, s, rx in ss.heard],
-                                           cfg.monitor_window_us,
-                                           cfg.assumed_tx_power_dbm,
-                                           self.medium.path_loss_model)
-        system = self.system_of[ss_id]
-        share_rate = self._windowed(ss.share_points, self._sys_air_cum[system],
-                                    cfg.share_window_us)
-        share = min(1.0, share_rate / 1e6)
-        if self.cfg.reservation.pacing:
-            ss.pacing = update_pacing(ss.pacing, ss.estimate, share,
-                                      delta=cfg.share_delta,
-                                      interval_min_us=cfg.claim_interval_min_us,
-                                      interval_max_us=cfg.claim_interval_max_us)
-            self._note(f"{self.now}|pacing|{ss_id}|{ss.estimate.active_systems}|"
-                       f"{share:.4f}|{ss.pacing.claim_interval_us}")
-        self._push(self.now + cfg.pacing_tick_us, P_CTRL, "pacing", ss_id)
+        note = self.sses[ss_id].reservation.pacing_tick(
+            self.now, self._sys_air_cum[self.system_of[ss_id]])
+        if note is not None:
+            self._note(f"{self.now}|pacing|{ss_id}|{note}")
+        self._push(self.now + self.cfg.reservation.pacing_tick_us, P_CTRL, "pacing", ss_id)
 
     def _on_eval_tick(self, ss_id: str) -> None:
-        cfg = self.cfg.reservation
-        ss = self.sses[ss_id]
         system = self.system_of[ss_id]
-        retx_now = self._sys_retx_cum[system]
-        retx_in_window = retx_now - ss.last_retx_cum
-        ss.last_retx_cum = retx_now
-        throughput = self._windowed(ss.delivered_points,
-                                    self._sys_delivered_cum[system],
-                                    cfg.eval_window_us)
-        floor = self.now - cfg.eval_window_us
-        while ss.delay_window and ss.delay_window[0][0] < floor:
-            ss.delay_window.popleft()
-        mean_delay = (sum(d for _, d in ss.delay_window) / len(ss.delay_window)
-                      if ss.delay_window else 0.0)
-        if self.cfg.reservation.performance_gating:
-            before = ss.eval
-            ss.eval = evaluate_performance(before, retx_in_window, throughput,
-                                           mean_delay, self.now,
-                                           enable_retx_threshold=cfg.retx_enable_threshold,
-                                           eval_window_us=cfg.eval_window_us,
-                                           hold_us=cfg.hold_us)
-            if ss.eval.cts_enabled != before.cts_enabled:
-                self._note(f"{self.now}|gate|{ss_id}|{'on' if ss.eval.cts_enabled else 'off'}")
-            if ss.eval.qos_violated:
-                ss.reservation_scale = min(cfg.qos_growth_cap,
-                                           ss.reservation_scale * (1 + cfg.qos_growth_step))
-        self._push(self.now + cfg.eval_tick_us, P_CTRL, "eval", ss_id)
+        note = self.sses[ss_id].reservation.eval_tick(
+            self.now, self._sys_retx_cum[system], self._sys_delivered_cum[system])
+        if note is not None:
+            self._note(f"{self.now}|gate|{ss_id}|{note}")
+        self._push(self.now + self.cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
 
 
 def run(config: ScenarioConfig, seed: Optional[int] = None,

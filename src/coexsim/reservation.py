@@ -22,16 +22,18 @@ Three feedback mechanisms shape when and how the reservation is made:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .medium import FrameKind, PathLossModel, Transmission, invert_path_loss, path_loss
-from .wifi import DcfParams
+from .wifi import DcfParams, WifiStation
 
 NAV_FIELD_CAP_US = 32767
 
 CTS_POWER_FLOOR_DBM = -30.0
 CTS_POWER_CEILING_DBM = 20.0
+CTS_POWER_MARGIN_DB = 3.0       # above the level that just trips carrier sense
 
 
 def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
@@ -70,7 +72,7 @@ class InterfererEstimate:
     max_distance_m: float = 0.0
 
 
-def estimate_interferers(overheard: Sequence[tuple[str, float]], window_us: int,
+def estimate_interferers(overheard: Sequence[tuple[str, float]],
                          assumed_tx_power_dbm: float,
                          model: PathLossModel) -> InterfererEstimate:
     """Neighborhood estimate from frames overheard within the monitor window.
@@ -79,8 +81,6 @@ def estimate_interferers(overheard: Sequence[tuple[str, float]], window_us: int,
     the window; the count is distinct sources, the reach is the path-loss
     inversion of the weakest power under the assumed transmit power.
     """
-    if window_us <= 0:
-        raise ValueError("window must be positive")
     sources = {src for src, _ in overheard}
     if not sources:
         return InterfererEstimate(0, 0.0)
@@ -122,7 +122,7 @@ def update_pacing(state: PacingState, estimate: InterfererEstimate,
 
 
 def reservation_power(reach_m: float, cca_threshold_dbm: float,
-                      model: PathLossModel, margin_db: float = 3.0) -> float:
+                      model: PathLossModel) -> float:
     """Minimum CTS power that trips carrier sense out to ``reach_m``.
 
     Clamped to [-30, +20] dBm; with nothing to silence (reach 0) the floor
@@ -132,7 +132,7 @@ def reservation_power(reach_m: float, cca_threshold_dbm: float,
         raise ValueError("reach must be non-negative")
     if reach_m == 0:
         return CTS_POWER_FLOOR_DBM
-    level = cca_threshold_dbm + path_loss(max(reach_m, 1.0), model) + margin_db
+    level = cca_threshold_dbm + path_loss(max(reach_m, 1.0), model) + CTS_POWER_MARGIN_DB
     return min(CTS_POWER_CEILING_DBM, max(CTS_POWER_FLOOR_DBM, level))
 
 
@@ -185,3 +185,112 @@ def evaluate_performance(state: EvalState, retx_in_window: int,
         if new.throughput_after <= new.throughput_before:
             return replace(new, cts_enabled=False, hold_until_us=now_us + hold_us)
     return new
+
+
+def _windowed(points: deque, now_us: int, cum_now: int, window_us: int) -> float:
+    """Rate per second over the last window, from cumulative checkpoints."""
+    points.append((now_us, cum_now))
+    floor = now_us - window_us
+    while len(points) > 1 and points[1][0] <= floor:
+        points.popleft()
+    t0, c0 = points[0]
+    return (cum_now - c0) * 1e6 / (now_us - t0) if now_us > t0 else 0.0
+
+
+class Reservation:
+    """A subscriber station's CTS-to-self controller under the scenario's
+    reservation section ``cfg``.  Its ``coordinator``, the co-located WiFi
+    radio (None if it has none), overhears the neighbourhood and sends trains."""
+
+    def __init__(self, cfg, coordinator: Optional[WifiStation], model: PathLossModel):
+        self.cfg = cfg
+        self.coordinator = coordinator
+        self.model = model
+        self.pacing = PacingState(claim_interval_us=cfg.claim_interval_init_us)
+        self.eval = EvalState(qos=cfg.qos)
+        self.estimate = InterfererEstimate()
+        self.next_claim_at = 0
+        self.scale = 1.0                     # grows while the QoS target is missed
+        self.train_until = 0                 # end of the last granted train's last chunk
+        self.last_retx_cum = 0
+        self.heard: deque = deque()          # (t, source, rx power)
+        self.delays: deque = deque()         # (t, delay sample)
+        self.share_points: deque = deque()   # (t, cumulative system airtime)
+        self.delivered_points: deque = deque()
+
+    def claims(self, frame_start: int) -> bool:
+        """Whether pacing lets the station ask for slots in this frame."""
+        return not self.cfg.pacing or frame_start >= self.next_claim_at
+
+    def claimed(self, frame_start: int) -> bool:
+        """Note slots granted in this frame; whether to reserve ahead of them."""
+        self.next_claim_at = frame_start + self.pacing.claim_interval_us
+        return self.coordinator is not None and (
+            not self.cfg.performance_gating or self.eval.cts_enabled)
+
+    def hear(self, now: int, source: str, rx_dbm: float) -> None:
+        if rx_dbm >= self.coordinator.iface.decode_sensitivity_dbm:
+            self.heard.append((now, source, rx_dbm))
+
+    def plan(self, now: int, last: int) -> Optional[tuple[int, list[Transmission]]]:
+        """(reservation, CTS train) covering the medium until ``last``, with no
+        chunks below the minimum; None while a train is on air or if no span is left."""
+        if self.train_until > now:
+            return None
+        cfg = self.cfg
+        iface = self.coordinator.iface
+        airtime = self.coordinator.params.cts_airtime_us
+        start = max(now, self.coordinator.busy_until_us)
+        span = last - (start + airtime)
+        if span <= 0:
+            return None
+        reservation = int(span * self.scale)
+        power = (reservation_power(self.estimate.max_distance_m, iface.cca_threshold_dbm,
+                                   self.model) if cfg.power_sizing else cfg.cts_power_dbm)
+        chunks = build_cts_train(
+            reservation, power, start, source=iface.id, channel_mhz=iface.channel_mhz,
+            min_reservation_us=cfg.min_reservation_us if cfg.performance_gating else 0,
+            cts_airtime_us=airtime)
+        return reservation, chunks
+
+    def pacing_tick(self, now: int, system_air_cum: int) -> Optional[str]:
+        """Update the estimate and the claim interval; the ``pacing`` note."""
+        cfg = self.cfg
+        floor = now - cfg.monitor_window_us
+        while self.heard and self.heard[0][0] < floor:
+            self.heard.popleft()
+        self.estimate = estimate_interferers([(s, rx) for _, s, rx in self.heard],
+                                             cfg.assumed_tx_power_dbm, self.model)
+        if not cfg.pacing:
+            return None
+        share = min(1.0, _windowed(self.share_points, now, system_air_cum,
+                                   cfg.share_window_us) / 1e6)
+        self.pacing = update_pacing(self.pacing, self.estimate, share,
+                                    delta=cfg.share_delta,
+                                    interval_min_us=cfg.claim_interval_min_us,
+                                    interval_max_us=cfg.claim_interval_max_us)
+        return f"{self.estimate.active_systems}|{share:.4f}|{self.pacing.claim_interval_us}"
+
+    def eval_tick(self, now: int, retx_cum: int, delivered_cum: int) -> Optional[str]:
+        """Step the gate and QoS growth; the ``gate`` note if the gate switched."""
+        cfg = self.cfg
+        floor = now - cfg.eval_window_us
+        while self.delays and self.delays[0][0] < floor:
+            self.delays.popleft()
+        if not cfg.performance_gating:
+            return None
+        retx_in_window = retx_cum - self.last_retx_cum
+        self.last_retx_cum = retx_cum
+        throughput = _windowed(self.delivered_points, now, delivered_cum, cfg.eval_window_us)
+        mean_delay = (sum(d for _, d in self.delays) / len(self.delays)
+                      if self.delays else 0.0)
+        before = self.eval
+        self.eval = evaluate_performance(before, retx_in_window, throughput, mean_delay, now,
+                                         enable_retx_threshold=cfg.retx_enable_threshold,
+                                         eval_window_us=cfg.eval_window_us,
+                                         hold_us=cfg.hold_us)
+        if self.eval.qos_violated:
+            self.scale = min(cfg.qos_growth_cap, self.scale * (1 + cfg.qos_growth_step))
+        if self.eval.cts_enabled != before.cts_enabled:
+            return "on" if self.eval.cts_enabled else "off"
+        return None

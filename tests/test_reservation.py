@@ -1,14 +1,18 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.medium import FrameKind, PathLossModel
+from coexsim.medium import FrameKind, PathLossModel, Position, RadioInterface, RadioKind
 from coexsim.reservation import (CTS_POWER_CEILING_DBM, CTS_POWER_FLOOR_DBM, NAV_FIELD_CAP_US,
                                  EvalState, InterfererEstimate, PacingState,
-                                 QosTarget, build_cts_train, estimate_interferers,
+                                 QosTarget, Reservation, build_cts_train, estimate_interferers,
                                  evaluate_performance, reservation_power,
                                  update_pacing)
+from coexsim.scenario import ReservationConfig
+from coexsim.wifi import DcfParams, WifiStation
 
 LOGD = PathLossModel(kind="log-distance", exponent=3.0, reference_loss_db=40.05)
 # delta and claim-interval bounds of the scenario defaults
@@ -63,20 +67,20 @@ class TestCtsTrain:
 
 class TestInterfererEstimate:
     def test_empty_neighborhood(self):
-        est = estimate_interferers([], 1_000_000, 20.0, LOGD)
+        est = estimate_interferers([], 20.0, LOGD)
         assert est == InterfererEstimate(0, 0.0)
 
     def test_counts_distinct_sources(self):
         heard = [("sta1", -29.1), ("sta2", -32.0), ("sta1", -29.5)]
-        est = estimate_interferers(heard, 1_000_000, 20.0, LOGD)
+        est = estimate_interferers(heard, 20.0, LOGD)
         assert est.active_systems == 2
 
     def test_reach_inverts_weakest_power(self):
         # oracle: rx of a 1 dBm frame at 3 m under n=3 is about -53.4 dBm
-        reach = estimate_interferers([("sta", -53.4)], 1_000_000, 1.0, LOGD).max_distance_m
+        reach = estimate_interferers([("sta", -53.4)], 1.0, LOGD).max_distance_m
         assert reach == pytest.approx(3.0, abs=0.05)
         # same overheard level attributed to a 20 dBm talker puts it further out
-        far = estimate_interferers([("sta", -53.4)], 1_000_000, 20.0, LOGD).max_distance_m
+        far = estimate_interferers([("sta", -53.4)], 20.0, LOGD).max_distance_m
         assert far == pytest.approx(10 ** ((73.4 - 40.05) / 30.0), abs=0.05)
 
 
@@ -118,7 +122,7 @@ class TestPacing:
 
 class TestReservationPower:
     def test_sized_to_reach(self):
-        level = reservation_power(3.0, -82.0, LOGD, margin_db=3.0)
+        level = reservation_power(3.0, -82.0, LOGD)
         oracle = -82.0 + (40.05 + 30 * math.log10(3.0)) + 3.0
         assert level == pytest.approx(oracle)
         assert level == pytest.approx(-24.6, abs=0.1)
@@ -197,3 +201,103 @@ class TestPerformanceGate:
                                    throughput_bytes_per_s=600_000.0,
                                    mean_delay_us=500.0, now_us=100_000, **GATE)
         assert not out.qos_violated
+
+
+def controller(coordinated: bool = True, **settings) -> Reservation:
+    """A controller under the default reservation settings, changed by
+    ``settings``, whose coordinator is an idle WiFi radio."""
+    iface = RadioInterface("ss_wifi", RadioKind.WIFI, Position(0.0, 0.0), 2412.0, 20.0,
+                           decode_sensitivity_dbm=-85.0, cca_threshold_dbm=-82.0,
+                           platform="ss")
+    coord = WifiStation(iface, DcfParams(), random.Random(1)) if coordinated else None
+    return Reservation(replace(ReservationConfig(enabled=True), **settings), coord, LOGD)
+
+
+class TestController:
+    def test_claims_always_without_pacing(self):
+        res = controller(pacing=False)
+        res.claimed(5000)
+        assert res.claims(5000) and res.claims(0)
+
+    def test_paced_claims_wait_a_claim_interval(self):
+        res = controller(performance_gating=False)
+        assert res.claims(0)
+        res.claimed(10_000)
+        assert not res.claims(10_000)
+        assert not res.claims(10_000 + res.pacing.claim_interval_us - 1)
+        assert res.claims(10_000 + res.pacing.claim_interval_us)
+
+    def test_no_reservation_without_coordinator(self):
+        assert not controller(coordinated=False, performance_gating=False).claimed(0)
+
+    def test_gate_off_blocks_reservation(self):
+        res = controller()
+        assert not res.claimed(0)
+        res.eval = replace(res.eval, cts_enabled=True)
+        assert res.claimed(0)
+        assert controller(performance_gating=False).claimed(0)
+
+    def test_no_plan_while_a_train_is_on_air(self):
+        res = controller(performance_gating=False)
+        res.train_until = 1000
+        assert res.plan(999, 50_000) is None
+        assert res.plan(1000, 50_000) is not None
+
+    def test_no_plan_without_a_span(self):
+        res = controller(performance_gating=False)
+        assert res.plan(0, DcfParams.cts_airtime_us) is None
+        res.coordinator.busy_until_us = 20_000
+        assert res.plan(0, 20_000 + DcfParams.cts_airtime_us) is None
+        reservation, chunks = res.plan(0, 20_001 + DcfParams.cts_airtime_us)
+        assert reservation == 1 and chunks[0].start_us == 20_000
+
+    def test_minimum_reservation_only_with_gating(self):
+        short = 1000 + DcfParams.cts_airtime_us   # a 1000 us span, under the 2000 us minimum
+        gated = controller()
+        assert gated.plan(0, short) == (1000, [])
+        reservation, chunks = controller(performance_gating=False).plan(0, short)
+        assert reservation == 1000 and len(chunks) == 1
+
+    def test_fixed_power_without_sizing(self):
+        res = controller(power_sizing=False, cts_power_dbm=7.0, performance_gating=False)
+        res.estimate = InterfererEstimate(2, 30.0)
+        _, chunks = res.plan(0, 50_000)
+        assert chunks[0].power_dbm == 7.0
+        res = controller(performance_gating=False)
+        res.estimate = InterfererEstimate(2, 30.0)
+        _, chunks = res.plan(0, 50_000)
+        assert chunks[0].power_dbm == reservation_power(30.0, -82.0, LOGD)
+
+    def test_reservation_scales_the_span(self):
+        res = controller(performance_gating=False)
+        res.scale = 1.37
+        span = 10_001
+        reservation, chunks = res.plan(0, span + DcfParams.cts_airtime_us)
+        assert reservation == int(span * 1.37)
+        assert sum(c.nav_duration_us for c in chunks) == reservation
+
+    def test_hear_drops_frames_below_sensitivity(self):
+        res = controller()
+        res.hear(10, "sta1", -85.0)
+        res.hear(20, "sta2", -85.1)
+        assert list(res.heard) == [(10, "sta1", -85.0)]
+
+    def test_eval_tick_notes_only_gate_switches(self):
+        res = controller(retx_enable_threshold=3, eval_window_us=100_000)
+        assert res.eval_tick(100_000, 0, 0) is None         # quiet: stays off
+        assert res.eval_tick(200_000, 5, 10_000) == "on"    # a retransmission burst
+        assert res.eval_tick(250_000, 5, 20_000) is None    # on, window not over
+        assert res.eval_tick(300_000, 5, 20_000) == "off"   # throughput did not improve
+
+    def test_qos_misses_grow_the_scale_to_its_cap(self):
+        res = controller(qos=QosTarget(min_throughput_bytes_per_s=1e9),
+                         qos_growth_step=0.25, qos_growth_cap=2.0)
+        scales = []
+        for tick in range(1, 6):
+            res.eval_tick(tick * 100_000, 0, 0)
+            scales.append(res.scale)
+        assert scales == pytest.approx([1.25, 1.5625, 1.953125, 2.0, 2.0])
+        ungated = controller(qos=QosTarget(min_throughput_bytes_per_s=1e9),
+                             performance_gating=False)
+        assert ungated.eval_tick(100_000, 0, 0) is None
+        assert ungated.scale == 1.0
