@@ -554,24 +554,22 @@ class Engine:
                          holds: list[str]) -> bool:
         """Whether the radio may go ahead; one that no arbiter governs always
         may.  A grant appends the interface to ``holds``, the grants its
-        frame releases when it ends.  A schedule-aware arbiter also checks a
-        WiFi radio's span against its platform's frame maps."""
+        frame releases when it ends.  A schedule-aware arbiter first checks a
+        WiFi radio's span against its platform's frame maps.  Each decision
+        leaves one ``arb`` note."""
         iface = self.interfaces[iface_id]
         plat = iface.platform
         arbiter = self.arbiters.get(plat)
         if arbiter is None:
             return True
         req = arb.InterfaceRequest(iface_id, desired, span_us=span)
-        if self.cfg.arbiter.schedule_aware and iface.kind is RadioKind.WIFI:
-            for ss_id, ss in self.sses.items():
-                if self.interfaces[ss_id].platform != plat:
-                    continue
-                cell = self.cells[ss.bs_id]
-                for frame_start, fmap in cell.maps.items():
-                    if frame_start <= span[1] and span[0] <= frame_start + fmap.frame_len_us:
-                        if arb.schedule_aware_check(req, fmap, frame_start, ss_id) == arb.DENY:
-                            return False
-        decision = arbiter.request(req)
+        if self.cfg.arbiter.schedule_aware and iface.kind is RadioKind.WIFI and any(
+                arb.schedule_aware_check(req, fmap, frame_start, ss_id) == arb.DENY
+                for ss_id, ss in self.sses.items() if self.interfaces[ss_id].platform == plat
+                for frame_start, fmap in self.cells[ss.bs_id].maps.items()):
+            decision = arb.DENY
+        else:
+            decision = arbiter.request(req)
         self._note(f"{self.now}|arb|{iface_id}|{desired.name}|{decision}")
         if decision == arb.DENY:
             return False

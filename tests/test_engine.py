@@ -290,6 +290,17 @@ class TestArbitratedRuns:
         assert aware.links["bs->ss1"].retransmissions < plain.links["bs->ss1"].retransmissions
         assert aware.colocated_conflict_us == 0
 
+    def test_every_denial_leaves_an_arb_note(self, colocated_cfg):
+        """Schedule-aware denials are noted like the arbiter's own: each
+        denied WiFi transmit schedules one retry."""
+        cfg = replace(colocated_cfg, duration_us=6_000_000,
+                      arbiter=replace(colocated_cfg.arbiter, schedule_aware=True))
+        engine = Engine(cfg, seed=1, collect_trace=True)
+        engine.run()
+        denials = sum(line.endswith("|arb|wifi1|TX|deny") for line in engine.trace)
+        retries = sum(line.split("|")[2:3] == ["retry"] for line in engine.trace)
+        assert denials == retries > 0
+
     def test_denied_interfaces_retry_and_still_deliver(self, colocated_cfg):
         result = run(colocated_cfg, seed=2)
         wifi = result.links["wifi1->ap"]
