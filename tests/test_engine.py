@@ -133,6 +133,18 @@ class TestPinnedHashes:
         assert run(cfg, seed=1).trace_hash == want
 
 
+class TestPinnedConflict:
+    """Seed-1 co-located conflict time, which the trace hash does not cover."""
+
+    def test_conference_room(self, conference_cfg):
+        assert run(conference_cfg, seed=1).colocated_conflict_us == 30_844
+
+    def test_colocated_without_arbiter(self, colocated_cfg):
+        cfg = replace(colocated_cfg, duration_us=6_000_000,
+                      arbiter=replace(colocated_cfg.arbiter, enabled=False))
+        assert run(cfg, seed=1).colocated_conflict_us == 1_907_150
+
+
 class TestCachedFastPaths:
     """The engine's memoised carrier sense and cached link losses agree with
     computing every loss afresh."""
