@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import arbiter as arb
 from .medium import (CORRUPTED, DECODED, FrameKind, LossRow, MediumModel, RadioInterface,
-                     RadioKind, Transmission, delivery_result)
+                     Transmission, delivery_result)
 from .reservation import Reservation, build_cts_train
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
@@ -127,7 +127,8 @@ class RunResult:
 
 
 class _TxRec:
-    __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers", "holds")
+    __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers", "holds",
+                 "src_plat", "rx_plat")
 
     def __init__(self, tx: Transmission, holds: list[str], link: Optional[_Link] = None,
                  served_bytes: int = 0):
@@ -138,6 +139,8 @@ class _TxRec:
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
         self.overlappers: list[Transmission] = []
+        self.src_plat: Optional[str] = None  # the source's platform
+        self.rx_plat: Optional[str] = None   # the addressee's, while it listens
 
 
 class _ByteQueue:
@@ -251,7 +254,6 @@ class Engine:
         self._resched: dict[int, _WifiRt] = {}
         self.cells: dict[str, _Cell] = {}
         self.sses: dict[str, _SsRt] = {}
-        plats = config.platforms()
         for n in config.nodes:
             if n.kind == "wimax-bs":
                 ss_ids = sorted(m.id for m in config.nodes
@@ -259,22 +261,29 @@ class Engine:
                 self.cells[n.id] = _Cell(ss_ids)
         for n in config.nodes:
             if n.kind == "wimax-ss":
-                plat = plats[n.id]
-                coord = next((self.stations[m.id].station for m in config.nodes
-                              if m.kind == "wifi" and plat is not None and plats[m.id] == plat),
-                             None)
+                plat = self.interfaces[n.id].platform
+                coord = next((rt.station for rt in self.stations.values()
+                              if plat is not None and rt.station.iface.platform == plat), None)
                 res = (Reservation(config.reservation, coord, self.medium.path_loss_model)
                        if config.reservation.enabled else None)
                 self.sses[n.id] = _SsRt(n, config.node(n.bs), res)
 
+        # co-located coordinators that monitor other platforms' frames:
+        # (platform, controller, the coordinator's loss row)
+        self._monitors = [(res.coordinator.iface.platform, res,
+                           self._losses_to(res.coordinator.iface.id))
+                          for ss in self.sses.values()
+                          if (res := ss.reservation) and res.coordinator]
+
+        # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
         if config.arbiter.enabled:
             groups: dict[str, list[str]] = {}
-            for nid, plat in plats.items():
-                if plat is not None:
-                    groups.setdefault(plat, []).append(nid)
-            for plat, members in sorted(groups.items()):
-                self.arbiters[plat] = arb.RadioArbiter(sorted(members))
+            for iface in self.interfaces.values():
+                if iface.platform is not None:
+                    groups.setdefault(iface.platform, []).append(iface.id)
+            for members in groups.values():
+                self.arbiters.update(dict.fromkeys(members, arb.RadioArbiter(members)))
 
         self.system_of: dict[str, str] = {n.id: n.system for n in config.nodes}
         systems = sorted({n.system for n in config.nodes})
@@ -286,8 +295,6 @@ class Engine:
 
         self.active: dict[int, _TxRec] = {}
         self._tx_ids = itertools.count()
-        self._plat_tx: dict[str, list] = {}
-        self._plat_rx: dict[str, list] = {}
         self.conflict_us = 0
         self.cts_count = 0
         self.cts_airtime_us = 0
@@ -324,9 +331,6 @@ class Engine:
             row = self._loss_rows[dst] = LossRow(self.medium, self.interfaces,
                                                  self.interfaces[dst])
         return row
-
-    def _rx(self, tx: Transmission, dst: str) -> float:
-        return tx.power_dbm - self._losses_to(dst)[tx.source]
 
     def _sensers(self, src: str, power_dbm: float) -> tuple[_WifiRt, ...]:
         """WiFi stations other than ``src`` whose carrier sense an emission
@@ -557,15 +561,13 @@ class Engine:
         frame releases when it ends.  A schedule-aware arbiter first checks a
         WiFi radio's span against its platform's frame maps.  Each decision
         leaves one ``arb`` note."""
-        iface = self.interfaces[iface_id]
-        plat = iface.platform
-        arbiter = self.arbiters.get(plat)
+        arbiter = self.arbiters.get(iface_id)
         if arbiter is None:
             return True
         req = arb.InterfaceRequest(iface_id, desired, span_us=span)
-        if self.cfg.arbiter.schedule_aware and iface.kind is RadioKind.WIFI and any(
+        if self.cfg.arbiter.schedule_aware and iface_id in self.stations and any(
                 arb.schedule_aware_check(req, fmap, frame_start, ss_id) == arb.DENY
-                for ss_id, ss in self.sses.items() if self.interfaces[ss_id].platform == plat
+                for ss_id, ss in self.sses.items() if self.arbiters.get(ss_id) is arbiter
                 for frame_start, fmap in self.cells[ss.bs_id].maps.items()):
             decision = arb.DENY
         else:
@@ -584,22 +586,37 @@ class Engine:
         if rt.station.on_medium_busy(start, end, kind):
             self._resched[rt.order] = rt
 
-    def _record_conflict_interval(self, plat: str, iface_id: str, start: int,
-                                  end: int, is_tx: bool) -> None:
-        mine = self._plat_tx if is_tx else self._plat_rx
-        other = self._plat_rx if is_tx else self._plat_tx
-        lst = other.setdefault(plat, [])
-        lst[:] = [iv for iv in lst if iv[1] > self.now]
-        for o_start, o_end, o_iface in lst:
-            if o_iface == iface_id:
-                continue
-            lo, hi = max(start, o_start), min(end, o_end)
-            if lo < hi:
-                self.conflict_us += self._clip(lo, hi)
-        mine.setdefault(plat, []).append((start, end, iface_id))
+    def _count_conflict(self, rec: _TxRec) -> None:
+        """Add the time, clipped, in which one radio transmits while a
+        platform mate listens, pairing ``rec`` with itself and each frame on air."""
+        tx = rec.tx
+        src_plat, rx_plat = rec.src_plat, rec.rx_plat
+        if src_plat is not None and src_plat == rx_plat:
+            self.conflict_us += self._clip(tx.start_us, tx.end_us)
+        for other in self.active.values():
+            o = other.tx
+            overlap = self._clip(max(tx.start_us, o.start_us), min(tx.end_us, o.end_us))
+            if src_plat is not None and other.rx_plat == src_plat and o.dest != tx.source:
+                self.conflict_us += overlap
+            if rx_plat is not None and other.src_plat == rx_plat and o.source != tx.dest:
+                self.conflict_us += overlap
 
     def _begin_tx(self, rec: _TxRec) -> None:
         tx = rec.tx
+        rec.src_plat = self.interfaces[tx.source].platform
+        # addressee side: is anyone listening?
+        if tx.dest is not None:
+            dst_if = self.interfaces[tx.dest]
+            if tx.power_dbm - self._losses_to(tx.dest)[tx.source] >= \
+                    dst_if.decode_sensitivity_dbm:
+                if not self._arbiter_request(tx.dest, arb.ArbiterState.RX,
+                                             (tx.start_us, tx.end_us), rec.holds):
+                    rec.missed = True
+                else:
+                    rec.rx_plat = dst_if.platform
+        if rec.src_plat is not None or rec.rx_plat is not None:
+            self._count_conflict(rec)
+
         for other in self.active.values():
             other.overlappers.append(tx)
             rec.overlappers.append(other.tx)
@@ -620,22 +637,6 @@ class Engine:
             self._sys_air_cum[system] += tx.end_us - max(busy, tx.start_us)
             self._sys_busy_until[system] = tx.end_us
 
-        src_if = self.interfaces[tx.source]
-        if src_if.platform is not None:
-            self._record_conflict_interval(src_if.platform, tx.source,
-                                           tx.start_us, tx.end_us, is_tx=True)
-
-        # addressee side: is anyone listening?
-        if tx.dest is not None:
-            dst_if = self.interfaces[tx.dest]
-            if self._rx(tx, tx.dest) >= dst_if.decode_sensitivity_dbm:
-                if not self._arbiter_request(tx.dest, arb.ArbiterState.RX,
-                                             (tx.start_us, tx.end_us), rec.holds):
-                    rec.missed = True
-                elif dst_if.platform is not None:
-                    self._record_conflict_interval(dst_if.platform, tx.dest,
-                                                   tx.start_us, tx.end_us, is_tx=False)
-
         # physical carrier sense at every other WiFi radio
         start, end = tx.start_us, tx.end_us
         for rt in self._sensers(tx.source, tx.power_dbm):
@@ -647,7 +648,7 @@ class Engine:
         tx = rec.tx
         del self.active[rec.key]
         for iface_id in rec.holds:
-            self.arbiters[self.interfaces[iface_id].platform].release(iface_id)
+            self.arbiters[iface_id].release(iface_id)
 
         active = [tx] + rec.overlappers
         window = (tx.start_us, tx.end_us)
@@ -681,11 +682,9 @@ class Engine:
                     self._note(f"{self.now}|nav|{sid}|{st.nav_expiry_us}")
 
         # neighbourhood monitoring by co-located coordinators, of other platforms
-        src_plat = self.interfaces[tx.source].platform
-        for ss in self.sses.values():
-            coord = ss.reservation and ss.reservation.coordinator
-            if coord is not None and coord.iface.platform != src_plat:
-                ss.reservation.hear(self.now, tx.source, self._rx(tx, coord.iface.id))
+        for plat, res, row in self._monitors:
+            if plat != rec.src_plat:
+                res.hear(self.now, tx.source, tx.power_dbm - row[tx.source])
 
         # wake frozen stations
         if self._resched:
