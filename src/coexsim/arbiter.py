@@ -8,9 +8,11 @@ simultaneous transmits are fine, simultaneous receives are fine, but a
 transmit never coexists with a receive on the same board, because the
 transmitter's spillage lands straight in the co-located receiver.
 
-Grant bookkeeping is reference counted: the controller returns to Sleep
-only when the last holder releases, so one interface cannot yank the
-state from under another.
+Grant bookkeeping is reference counted: an interface holds its mode until
+it has returned every grant it took, and the controller returns to Sleep
+only when the last holder releases, so neither a radio's own first frame
+end nor another interface can yank the state from under a frame still on
+air.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class RadioArbiter:
     def __init__(self, interfaces: Sequence[str]):
         self._known = set(interfaces)
         self.held: dict[str, ArbiterState] = {}
+        self._grants: dict[str, int] = {}  # grants each holder has not returned
 
     @property
     def state(self) -> ArbiterState:
@@ -64,20 +67,27 @@ class RadioArbiter:
 
         From S anything is granted.  From RX a transmit is denied; from TX a
         receive is denied.  A request that persists the current state is
-        always accepted.  A granted sleep releases that interface's hold.
-        Denials leave ``held`` untouched.
+        always accepted.  A granted sleep returns one of that interface's
+        grants; it leaves ``held`` with its last.  Denials leave ``held``
+        untouched.
         """
-        if req.interface not in self._known:
-            raise LookupError(f"interface not registered: {req.interface!r}")
+        iface = req.interface
+        if iface not in self._known:
+            raise LookupError(f"interface not registered: {iface!r}")
         want = req.desired
         if want is ArbiterState.S:
-            self.held.pop(req.interface, None)
+            left = self._grants.pop(iface, 0) - 1
+            if left > 0:
+                self._grants[iface] = left
+            else:
+                self.held.pop(iface, None)
             return GRANT
         state = self.state
         if (state is ArbiterState.RX and want is ArbiterState.TX) or \
            (state is ArbiterState.TX and want is ArbiterState.RX):
             return DENY
-        self.held[req.interface] = want
+        self.held[iface] = want
+        self._grants[iface] = self._grants.get(iface, 0) + 1
         return GRANT
 
     def release(self, interface: str) -> None:

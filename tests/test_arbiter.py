@@ -73,6 +73,18 @@ class TestReleaseSemantics:
         a.release("radio-b")
         assert a.state is TX
 
+    def test_second_grant_outlives_the_first_release(self):
+        """A radio granted TX for two frames keeps TX until both end, so its
+        mate cannot start receiving under the second."""
+        a = arbiter_in_state(TX)
+        assert a.request(InterfaceRequest("radio-a", TX)) == GRANT
+        a.release("radio-a")
+        assert a.state is TX
+        assert a.request(InterfaceRequest("radio-b", RX)) == DENY
+        a.release("radio-a")
+        assert a.state is S
+        assert a.request(InterfaceRequest("radio-b", RX)) == GRANT
+
 
 @st.composite
 def request_stream(draw):
@@ -91,11 +103,16 @@ class TestProperties:
 
     @given(request_stream())
     def test_release_all_returns_to_sleep(self, stream):
+        """Returning every grant the stream took (a sleep returns one) sleeps."""
         a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
+        taken = dict.fromkeys(("radio-a", "radio-b", "radio-c"), 0)
         for iface, desired in stream:
-            a.request(InterfaceRequest(iface, desired))
-        for iface in ("radio-a", "radio-b", "radio-c"):
-            a.release(iface)
+            if a.request(InterfaceRequest(iface, desired)) == GRANT:
+                taken[iface] = max(0, taken[iface] + (-1 if desired is S else 1))
+        for iface, n in taken.items():
+            for _ in range(n):
+                assert a.state is not S
+                a.release(iface)
         assert a.state is S
 
     @given(request_stream())

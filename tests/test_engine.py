@@ -313,6 +313,29 @@ class TestArbitratedRuns:
         retries = sum(line.split("|")[2:3] == ["retry"] for line in engine.trace)
         assert denials == retries > 0
 
+    def test_radio_keeps_its_grant_until_its_last_frame_ends(self):
+        """The co-located coordinator's data frame and its CTS train each take
+        a transmit grant; the first to end must not let the subscriber
+        station receive under the other (earlier versions reported 49,914 us
+        of conflict here)."""
+        text = """
+duration_us: 2000000
+warmup_us: 100000
+wimax: {frame_us: 2000}
+reservation: {enabled: true, pacing: false, power_sizing: false, performance_gating: false}
+arbiter: {enabled: true}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_bytes_per_s: 50000}}
+  - {id: ss_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss, peer: ap,
+     traffic: {kind: saturated}}
+  - {id: ap, kind: wifi, position: [3.0, 0.0]}
+"""
+        result = run(parse_scenario(text), seed=1)
+        assert result.cts_count > 0
+        assert result.colocated_conflict_us == 0
+
     def test_denied_interfaces_retry_and_still_deliver(self, colocated_cfg):
         result = run(colocated_cfg, seed=2)
         wifi = result.links["wifi1->ap"]
