@@ -1,12 +1,14 @@
 """Independent reference implementations the tests check the simulator against.
 
 These deliberately avoid the library's interval logic: outcomes are computed
-by walking every microsecond, and DCF saturation throughput comes from plain
-slot accounting.
+by walking every microsecond, DCF saturation throughput comes from plain
+slot accounting, and co-located conflict time is summed over pairs of
+emissions read back from a run's trace.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
@@ -59,6 +61,53 @@ def brute_force_outcomes(active, interfaces, window, medium) -> list[DeliveryOut
                 break
         outcomes.append(DeliveryOutcome(tx.dest, CORRUPTED if corrupted else DECODED, sig))
     return outcomes
+
+
+def conflict_time(cfg, trace: list[str]) -> int:
+    """Co-located conflict time of a run without the arbiter, from its ``air``
+    notes: the overlap, clipped to the measured window, of every pair of
+    emissions in which one radio transmits while a platform mate listens to
+    the other (an addressee listens if the frame reaches it at or above its
+    sensitivity).  A frame addressed to a platform mate pairs with itself.
+
+    Only data frames and bursts are addressed, and both go out at their
+    source's configured power.
+    """
+    interfaces = cfg.interfaces()
+    medium = cfg.medium.model()
+    talkers, listeners = [], {}  # (start, end, radio, platform); platform -> sorted
+    for line in trace:
+        parts = line.split("|")
+        if parts[1] != "air":
+            continue
+        start, airtime = int(parts[0]), int(parts[4])
+        source, dest = parts[3].split(">")
+        src = interfaces[source]
+        if src.platform is not None:
+            talkers.append((start, start + airtime, source, src.platform))
+        dst = interfaces.get(dest)
+        if dst is None or dst.platform is None:
+            continue
+        tx = Transmission(source=source, kind=FrameKind(parts[2]), start_us=start,
+                          airtime_us=airtime, power_dbm=src.tx_power_dbm,
+                          channel_mhz=src.channel_mhz, dest=dest)
+        if oracle_rx_power(tx, src, dst, medium) >= dst.decode_sensitivity_dbm:
+            listeners.setdefault(dst.platform, []).append((start, start + airtime, dest))
+    total = 0
+    for plat, heard in listeners.items():
+        heard.sort()
+        starts = [h[0] for h in heard]
+        longest = max(h[1] - h[0] for h in heard)
+        for t_start, t_end, radio, t_plat in talkers:
+            if t_plat != plat:
+                continue
+            for h_start, h_end, mate in heard[bisect.bisect_left(starts, t_start - longest):
+                                               bisect.bisect_left(starts, t_end)]:
+                lo = max(t_start, h_start, cfg.warmup_us)
+                hi = min(t_end, h_end, cfg.duration_us)
+                if mate != radio and lo < hi:
+                    total += hi - lo
+    return total
 
 
 def dcf_saturation_share(frame_airtime_us: int, difs_us: int = 50, slot_us: int = 20,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.engine import Engine
 from coexsim.scenario import parse_scenario
+from oracles import conflict_time
 
 
 def _flag(draw) -> str:
@@ -19,7 +20,9 @@ def small_scenarios(draw) -> str:
     optional CTS injector, and the reservation scheme and the arbiter each
     on or off.  Radios sit on a 40 m grid, access points 3 m east of their
     station, so only co-located radios share a position; with the steeper
-    path loss, distant radios of one system transmit at once."""
+    path loss, distant radios of one system transmit at once.  The
+    co-located radio's access point may share its platform, and may send
+    back to it."""
     pairs = draw(st.integers(1, 3))
     grid = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                          min_size=pairs + 3, max_size=pairs + 3, unique=True))
@@ -58,7 +61,11 @@ def small_scenarios(draw) -> str:
     if draw(st.booleans()):
         lines.append(f"  - {{id: ss_wifi, kind: wifi, position: [{x}, {y}], "
                      "collocated_with: ss, peer: ss_ap, traffic: {kind: saturated}}")
-        lines.append(f"  - {{id: ss_ap, kind: wifi, position: [{x + 3.0}, {y}]}}")
+        where = (f"position: [{x}, {y}], collocated_with: ss" if draw(st.booleans())
+                 else f"position: [{x + 3.0}, {y}]")
+        back = (", peer: ss_wifi, traffic: {kind: paced, interval_us: 5000}"
+                if draw(st.booleans()) else "")
+        lines.append(f"  - {{id: ss_ap, kind: wifi, {where}{back}}}")
     if draw(st.booleans()):
         x, y = next(spots)
         reservation = draw(st.integers(50, 5000))
@@ -91,4 +98,8 @@ class TestGeneratedScenarios:
 
         times = [int(line.split("|", 1)[0]) for line in engine.trace]
         assert times == sorted(times)
+        if cfg.arbiter.enabled:  # no radio transmits while a platform mate listens
+            assert result.colocated_conflict_us == 0
+        else:
+            assert result.colocated_conflict_us == conflict_time(cfg, engine.trace)
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash
