@@ -743,8 +743,6 @@ class Engine:
             return
         st.clear_attempt()
         head = st.head
-        if head is None or st.transmitting:
-            return
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
         holds: list[str] = []
         if not self._arbiter_request(sid, arb.ArbiterState.TX,
