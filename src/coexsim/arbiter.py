@@ -8,11 +8,9 @@ simultaneous transmits are fine, simultaneous receives are fine, but a
 transmit never coexists with a receive on the same board, because the
 transmitter's spillage lands straight in the co-located receiver.
 
-Grant bookkeeping is reference counted: an interface holds its mode until
-it has returned every grant it took, and the controller returns to Sleep
-only when the last holder releases, so neither a radio's own first frame
-end nor another interface can yank the state from under a frame still on
-air.
+Grant bookkeeping is reference counted: an interface holds until it has
+returned its last grant, and the controller sleeps only when the last holder
+releases, so no frame's end yanks the state from under another on air.
 """
 
 from __future__ import annotations
@@ -68,26 +66,24 @@ class RadioArbiter:
         From S anything is granted.  From RX a transmit is denied; from TX a
         receive is denied.  A request that persists the current state is
         always accepted.  A granted sleep returns one of that interface's
-        grants; it leaves ``held`` with its last.  Denials leave ``held``
-        untouched.
+        grants.  Denials leave ``held`` untouched.
         """
-        iface = req.interface
-        if iface not in self._known:
-            raise LookupError(f"interface not registered: {iface!r}")
+        if req.interface not in self._known:
+            raise LookupError(f"interface not registered: {req.interface!r}")
         want = req.desired
         if want is ArbiterState.S:
-            left = self._grants.pop(iface, 0) - 1
+            left = self._grants.pop(req.interface, 0) - 1
             if left > 0:
-                self._grants[iface] = left
+                self._grants[req.interface] = left
             else:
-                self.held.pop(iface, None)
+                self.held.pop(req.interface, None)
             return GRANT
         state = self.state
         if (state is ArbiterState.RX and want is ArbiterState.TX) or \
            (state is ArbiterState.TX and want is ArbiterState.RX):
             return DENY
-        self.held[iface] = want
-        self._grants[iface] = self._grants.get(iface, 0) + 1
+        self.held[req.interface] = want
+        self._grants[req.interface] = self._grants.get(req.interface, 0) + 1
         return GRANT
 
     def release(self, interface: str) -> None:

@@ -139,8 +139,7 @@ class _TxRec:
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
         self.overlappers: list[Transmission] = []
-        self.src_plat: Optional[str] = None  # the source's platform
-        self.rx_plat: Optional[str] = None   # the addressee's, while it listens
+        self.src_plat = self.rx_plat = None  # source's platform; addressee's while it listens
 
 
 class _ByteQueue:
@@ -268,8 +267,7 @@ class Engine:
                        if config.reservation.enabled else None)
                 self.sses[n.id] = _SsRt(n, config.node(n.bs), res)
 
-        # co-located coordinators that monitor other platforms' frames:
-        # (platform, controller, the coordinator's loss row)
+        # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
                            self._losses_to(res.coordinator.iface.id))
                           for ss in self.sses.values()
@@ -278,11 +276,8 @@ class Engine:
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
         if config.arbiter.enabled:
-            groups: dict[str, list[str]] = {}
-            for iface in self.interfaces.values():
-                if iface.platform is not None:
-                    groups.setdefault(iface.platform, []).append(iface.id)
-            for members in groups.values():
+            for plat in {i.platform for i in self.interfaces.values()} - {None}:
+                members = [i.id for i in self.interfaces.values() if i.platform == plat]
                 self.arbiters.update(dict.fromkeys(members, arb.RadioArbiter(members)))
 
         self.system_of: dict[str, str] = {n.id: n.system for n in config.nodes}
@@ -589,8 +584,7 @@ class Engine:
     def _count_conflict(self, rec: _TxRec) -> None:
         """Add the time, clipped, in which one radio transmits while a
         platform mate listens, pairing ``rec`` with itself and each frame on air."""
-        tx = rec.tx
-        src_plat, rx_plat = rec.src_plat, rec.rx_plat
+        tx, src_plat, rx_plat = rec.tx, rec.src_plat, rec.rx_plat
         if src_plat is not None and src_plat == rx_plat:
             self.conflict_us += self._clip(tx.start_us, tx.end_us)
         for other in self.active.values():
