@@ -75,7 +75,8 @@ def conflict_time(cfg, trace: list[str]) -> int:
     """
     interfaces = cfg.interfaces()
     medium = cfg.medium.model()
-    talkers, listeners = [], {}  # (start, end, radio, platform); platform -> sorted
+    talkers = []    # (start, end, radio, platform) of each emission from a platform
+    listeners = {}  # platform -> (start, end, radio) of each frame a member hears
     for line in trace:
         parts = line.split("|")
         if parts[1] != "air":
