@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coexsim.arbiter import (DENY, GRANT, ArbiterState, InterfaceRequest, RadioArbiter,
                              schedule_aware_check)
@@ -94,6 +94,9 @@ def request_stream(draw):
 
 
 class TestProperties:
+    # no wall-clock deadline: a host that pauses the process mid-example
+    # (400 ms) turned Hypothesis's default 200 ms into a flaky failure
+    @settings(deadline=None)
     @given(request_stream())
     def test_never_tx_and_rx_simultaneously(self, stream):
         a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
@@ -101,6 +104,7 @@ class TestProperties:
             a.request(InterfaceRequest(iface, desired))
             assert not (TX in a.held.values() and RX in a.held.values())
 
+    @settings(deadline=None)
     @given(request_stream())
     def test_release_all_returns_to_sleep(self, stream):
         """Returning every grant the stream took (a sleep returns one) sleeps."""
@@ -115,6 +119,7 @@ class TestProperties:
                 a.release(iface)
         assert a.state is S
 
+    @settings(deadline=None)
     @given(request_stream())
     def test_decisions_deterministic(self, stream):
         def run():
