@@ -38,6 +38,8 @@ P_START = 2    # scheduled transmission starts (bursts, CTS)
 P_ACCESS = 3   # WiFi contention attempts
 
 _WIMAX_ARRIVAL_TICK_US = 10_000
+# trace lines buffered before they go into the hash in one update
+_HASH_BATCH_LINES = 256
 
 
 def jain_index(shares: list[float]) -> float:
@@ -232,14 +234,16 @@ class Engine:
         self._heap: list = []
         self._seq = itertools.count()
         self._hash = hashlib.sha256()
+        self._lines: list[str] = []  # trace lines not yet hashed
         self._trace: Optional[list[str]] = [] if collect_trace else None
         self.delivery_log: list[tuple[int, str, int]] = []  # (end us, link, bytes)
 
         self.medium: MediumModel = config.medium.model()
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
         self._loss_rows: dict[str, LossRow] = {}
-        # (source, power) -> WiFi stations that sense such an emission, config order
-        self._sensing: dict[tuple[str, float], tuple[_WifiRt, ...]] = {}
+        # (source, power, interface threshold) -> WiFi stations that receive
+        # such an emission at or above that threshold, config order
+        self._reach: dict[tuple[str, float, str], tuple[_WifiRt, ...]] = {}
         self.dcf = config.wifi
 
         self.stations: dict[str, _WifiRt] = {}
@@ -316,9 +320,17 @@ class Engine:
         heapq.heappush(self._heap, (time_us, phase, next(self._seq), kind, data))
 
     def _note(self, line: str) -> None:
-        self._hash.update(f"{line}\n".encode())
-        if self._trace is not None:
-            self._trace.append(line)
+        self._lines.append(line)
+
+    def _flush(self) -> None:
+        """Hash the buffered lines, each ending in a newline; SHA-256 of the
+        concatenation equals that of one update per line."""
+        lines = self._lines
+        if lines:
+            self._hash.update(("\n".join(lines) + "\n").encode())
+            if self._trace is not None:
+                self._trace.extend(lines)
+            lines.clear()
 
     def _losses_to(self, dst: str) -> LossRow:
         row = self._loss_rows.get(dst)
@@ -330,13 +342,22 @@ class Engine:
     def _sensers(self, src: str, power_dbm: float) -> tuple[_WifiRt, ...]:
         """WiFi stations other than ``src`` whose carrier sense an emission
         from ``src`` at ``power_dbm`` trips, in config order; memoised."""
-        key = (src, power_dbm)
-        found = self._sensing.get(key)
+        return self._reached(src, power_dbm, "cca_threshold_dbm")
+
+    def _hearers(self, src: str, power_dbm: float) -> tuple[_WifiRt, ...]:
+        """WiFi stations other than ``src`` that receive an emission from
+        ``src`` at ``power_dbm`` at or above decode sensitivity, in config
+        order; memoised.  Only these can decode it."""
+        return self._reached(src, power_dbm, "decode_sensitivity_dbm")
+
+    def _reached(self, src: str, power_dbm: float, level: str) -> tuple[_WifiRt, ...]:
+        key = (src, power_dbm, level)
+        found = self._reach.get(key)
         if found is None:
-            found = self._sensing[key] = tuple(
+            found = self._reach[key] = tuple(
                 rt for sid, rt in self.stations.items()
                 if sid != src and power_dbm - self._losses_to(sid)[src]
-                >= rt.station.iface.cca_threshold_dbm)
+                >= getattr(rt.station.iface, level))
         return found
 
     def _clip(self, start: int, end: int) -> int:
@@ -366,11 +387,17 @@ class Engine:
                 self._push(cfg.reservation.pacing_tick_us, P_CTRL, "pacing", ss_id)
                 self._push(cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
 
-        while self._heap and self._heap[0][0] <= cfg.duration_us:
-            time_us, phase, _, kind, data = heapq.heappop(self._heap)
+        heap, pop, handlers, end = self._heap, heapq.heappop, self._handlers, cfg.duration_us
+        lines = self._lines
+        append = lines.append
+        while heap and heap[0][0] <= end:
+            time_us, phase, _, kind, data = pop(heap)
             self.now = time_us
-            self._note(f"{time_us}|{phase}|{kind}|{data if isinstance(data, str) else ''}")
-            self._handlers[kind](data)
+            append(f"{time_us}|{phase}|{kind}|{data if isinstance(data, str) else ''}")
+            handlers[kind](data)
+            if len(lines) >= _HASH_BATCH_LINES:
+                self._flush()
+        self._flush()
 
         shares = [self.system_airtime[s] / (cfg.duration_us - cfg.warmup_us)
                   for s in sorted(self.system_airtime)]
@@ -544,7 +571,8 @@ class Engine:
         self.cts_count += 1
         self.cts_airtime_us += chunk.airtime_us
         # own radio is occupied while the chunk is on air
-        self._sense_busy(src_rt, chunk.start_us, chunk.end_us, FrameKind.CTS)
+        if src_rt.station.on_medium_busy(chunk.start_us, chunk.end_us, FrameKind.CTS):
+            self._resched[src_rt.order] = src_rt
         self._begin_tx(rec)
 
     # ------------------------------------------------------------------ arbiter
@@ -574,12 +602,6 @@ class Engine:
         return True
 
     # ------------------------------------------------------------------ medium
-
-    def _sense_busy(self, rt: _WifiRt, start: int, end: int, kind: FrameKind) -> None:
-        """Physical carrier sense at one station; a voided attempt re-arms at
-        the next frame end."""
-        if rt.station.on_medium_busy(start, end, kind):
-            self._resched[rt.order] = rt
 
     def _count_conflict(self, rec: _TxRec) -> None:
         """Add the time, clipped, in which one radio transmits while a
@@ -631,10 +653,12 @@ class Engine:
             self._sys_air_cum[system] += tx.end_us - max(busy, tx.start_us)
             self._sys_busy_until[system] = tx.end_us
 
-        # physical carrier sense at every other WiFi radio
-        start, end = tx.start_us, tx.end_us
+        # physical carrier sense at every other WiFi radio; a voided attempt
+        # re-arms at the next frame end
+        start, end, kind, resched = tx.start_us, tx.end_us, tx.kind, self._resched
         for rt in self._sensers(tx.source, tx.power_dbm):
-            self._sense_busy(rt, start, end, tx.kind)
+            if rt.station.on_medium_busy(start, end, kind):
+                resched[rt.order] = rt
         self._push(tx.end_us, P_END, "txend", rec)
         self._note(f"{tx.start_us}|air|{tx.kind.value}|{tx.source}>{tx.dest}|{tx.airtime_us}")
 
@@ -659,12 +683,12 @@ class Engine:
             self._note(f"{self.now}|outcome|{tx.source}>{tx.dest}|"
                        f"{'missed' if rec.missed else outcome.result}")
 
-        # decode-level overhearing (NAV from CTS) at stations not party to the frame
+        # decode-level overhearing (NAV from CTS) at stations not party to the
+        # frame; the rest are below sensitivity
         if tx.kind is FrameKind.CTS:
-            for sid, rt in self.stations.items():
-                if sid == tx.source:
-                    continue
+            for rt in self._hearers(tx.source, tx.power_dbm):
                 st = rt.station
+                sid = rt.node.id
                 heard = delivery_result(tx, active, st.iface, window, self.medium,
                                         self._losses_to(sid))
                 if heard.result != DECODED:
@@ -727,15 +751,15 @@ class Engine:
         attempt = st.arm_attempt(self.now)
         if attempt is not None:
             token, start = attempt
-            self._push(start, P_ACCESS, "access", (st.iface.id, token))
+            self._push(start, P_ACCESS, "access", (rt, token))
 
     def _on_access(self, data) -> None:
-        sid, token = data
-        rt = self.stations[sid]
+        rt, token = data
         st = rt.station
         if not st.attempt_valid(token):
             return
         st.clear_attempt()
+        sid = rt.node.id
         head = st.head
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
         holds: list[str] = []

@@ -174,16 +174,16 @@ class Transmission:
     channel_mhz: float
     dest: Optional[str] = None
     nav_duration_us: int = 0  # CTS only: medium time reserved past frame end
+    # start_us + airtime_us, stored: the engine and the decode rule read it
+    # on every frame end and every overlap test
+    end_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.airtime_us < 1:
             raise ValueError("airtime must be at least 1 us")
         if self.nav_duration_us < 0:
             raise ValueError("nav duration must be non-negative")
-
-    @property
-    def end_us(self) -> int:
-        return self.start_us + self.airtime_us
+        object.__setattr__(self, "end_us", self.start_us + self.airtime_us)
 
 
 DECODED = "decoded"
@@ -285,11 +285,15 @@ def delivery_result(tx: Transmission, active: Sequence[Transmission],
     w0, w1 = t_window
     lo = max(tx.start_us, w0)
     hi = min(tx.end_us, w1)
+    if lo >= hi:
+        # no instant of the frame lies in the window: nothing can corrupt it
+        return DeliveryOutcome(rid, DECODED, signal)
     threshold = medium.sinr_threshold_db
     for other in active:
         if other is tx:
             continue
-        if max(other.start_us, lo) >= min(other.end_us, hi):
+        # every emission has start < end and lo < hi, so this is "no overlap"
+        if other.start_us >= hi or other.end_us <= lo:
             continue
         if other.source == rid:
             # half-duplex: the receiver was transmitting over this frame

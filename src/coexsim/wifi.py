@@ -87,6 +87,8 @@ class WifiStation:
         Returns whether this voided the access attempt."""
         if until_us > self.busy_until_us:
             self.busy_until_us = until_us
+        if self._attempt is None:  # most calls: nothing armed to void
+            return False
         return self._interrupt(start_us, kind)
 
     def on_overheard(self, frame: Transmission, rx_power_dbm: float, now_us: int) -> bool:

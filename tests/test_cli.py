@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -55,10 +56,13 @@ class TestRunCommand:
         assert total["trace_hash"] == j["trace_hash"]
 
     def test_trace_file_written(self, tmp_path):
-        run_emulation(tmp_path, "r.json", trace="trace.log")
-        lines = (tmp_path / "trace.log").read_text().splitlines()
+        out = run_emulation(tmp_path, "r.json", trace="trace.log")
+        data = (tmp_path / "trace.log").read_bytes()
+        lines = data.decode().splitlines()
         assert lines
         assert all("|" in l for l in lines)
+        # the file is exactly what the report's trace hash covers
+        assert hashlib.sha256(data).hexdigest() == json.loads(out.read_text())["trace_hash"]
 
     def test_missing_scenario_leaves_no_partial_output(self, tmp_path):
         out = tmp_path / "never.json"

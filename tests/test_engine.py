@@ -1,10 +1,11 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
-from coexsim.engine import Engine, jain_index, run
+from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
 from coexsim.reservation import QosTarget, reservation_power
@@ -113,16 +114,42 @@ RESERVATION_VARIANTS = {
 }
 
 
+def traced_run(cfg: ScenarioConfig, seed: int = 1):
+    engine = Engine(cfg, seed=seed, collect_trace=True)
+    return engine, engine.run()
+
+
+def line_by_line_hash(trace: list[str]) -> str:
+    """The trace hash as one SHA-256 update per line would give it."""
+    h = hashlib.sha256()
+    for line in trace:
+        h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
 class TestPinnedHashes:
+    """The engine hashes its trace in batches; each pinned run also checks
+    that this equals hashing the collected trace line by line."""
+
     @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
     def test_shipped_scenario(self, fixture, request):
-        result = run(request.getfixturevalue(fixture), seed=1)
+        engine, result = traced_run(request.getfixturevalue(fixture))
         assert result.trace_hash == PINNED_HASHES[fixture]
+        assert line_by_line_hash(engine.trace) == result.trace_hash
 
     def test_pairs_grid(self):
-        result = run(parse_scenario(pairs_grid()), seed=1)
+        engine, result = traced_run(parse_scenario(pairs_grid()))
         assert result.cts_count == 57  # injected and power-sized trains both ran
         assert result.trace_hash == GRID_HASH
+        assert len(engine.trace) > 50 * _HASH_BATCH_LINES
+        assert line_by_line_hash(engine.trace) == result.trace_hash
+
+    @pytest.mark.parametrize("duration_us", [1_000, 120_000, 1_000_000])
+    def test_batches_of_any_length_hash_like_lines(self, emulation_cfg, duration_us):
+        """Traces from under one batch to many: the batch hash matches."""
+        engine, result = traced_run(replace(emulation_cfg, duration_us=duration_us,
+                                            warmup_us=0))
+        assert line_by_line_hash(engine.trace) == result.trace_hash
 
     @pytest.mark.parametrize("variant", sorted(RESERVATION_VARIANTS))
     def test_reservation_variant(self, variant, request):
@@ -202,6 +229,33 @@ class TestCachedFastPaths:
                                and ifaces[sid].platform == ifaces[src].platform
                                for sid in scan)
         assert coupled > 0  # co-located coupling decided some of them
+
+    def test_memoised_hearers_equal_the_decode_rule(self, engine):
+        """The stations a CTS end asks to decode are every station where
+        the decode rule, with fresh losses, finds it above sensitivity."""
+        ifaces, medium = engine.interfaces, engine.medium
+        powers = sorted({i.tx_power_dbm for i in ifaces.values()} | {-20.0, 0.0, 12.0})
+        kept = dropped = 0
+        for src in ifaces:
+            for power in powers:
+                cts = Transmission(src, FrameKind.CTS, 0, 44, power,
+                                   ifaces[src].channel_mhz, nav_duration_us=1000)
+                scan = []
+                for sid in engine.stations:
+                    if sid == src:
+                        continue
+                    rx = ifaces[sid]
+                    heard = delivery_result(cts, [cts], rx, (0, 44), medium,
+                                            {src: medium.link_loss_db(ifaces[src], rx)})
+                    if heard.result == BELOW_SENSITIVITY:
+                        dropped += 1
+                    else:
+                        scan.append(sid)
+                memo = engine._hearers(src, power)
+                assert [rt.node.id for rt in memo] == scan
+                assert engine._hearers(src, power) is memo
+                kept += len(scan)
+        assert kept > 0 and dropped > 0
 
 
 class TestJainIndex:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +121,26 @@ class TestRequiredIsolation:
         assert required_isolation(level, level) == 0.0
 
 
+class TestTransmission:
+    def test_end_is_start_plus_airtime(self):
+        tx = Transmission("a", FrameKind.DATA, 120, 2000, 20.0, 2412.0, dest="b")
+        assert tx.end_us == 2120
+
+    def test_end_is_derived_not_compared_or_shown(self):
+        tx = Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, nav_duration_us=500)
+        assert "end_us" not in repr(tx)
+        twin = Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, nav_duration_us=500)
+        object.__setattr__(twin, "end_us", -1)
+        assert twin == tx and hash(twin) == hash(tx)
+
+    def test_replace_recomputes_the_end(self):
+        tx = Transmission("a", FrameKind.DATA, 0, 100, 20.0, 2412.0)
+        assert replace(tx, start_us=500).end_us == 600
+        assert replace(tx, airtime_us=7).end_us == 7
+        with pytest.raises(ValueError):
+            replace(tx, end_us=3)
+
+
 class TestResolveDeliveries:
     def setup_method(self):
         self.medium = MediumModel(path_loss_model=LOGD)
@@ -167,6 +189,15 @@ class TestResolveDeliveries:
         tx = Transmission("a", FrameKind.DATA, 0, 100, 20.0, 2412.0, dest="b")
         later = Transmission("c", FrameKind.DATA, 100, 100, 20.0, 2412.0)
         out = resolve_deliveries([tx, later], ifaces, (0, 200), self.medium)
+        assert out[0].result == DECODED
+
+    def test_window_missing_the_frame_leaves_it_decoded(self):
+        """No instant of the frame lies in the window, so even the receiver's
+        own emission over the window cannot corrupt it."""
+        ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0)}
+        tx = Transmission("a", FrameKind.DATA, 0, 50, 20.0, 2412.0, dest="b")
+        own = Transmission("b", FrameKind.DATA, 40, 60, 20.0, 2412.0)
+        out = resolve_deliveries([tx, own], ifaces, (60, 70), self.medium)
         assert out[0].result == DECODED
 
     def test_half_duplex_receiver(self):
