@@ -236,7 +236,6 @@ class Engine:
         self._hash = hashlib.sha256()
         self._lines: list[str] = []  # trace lines not yet hashed
         self._trace: Optional[list[str]] = [] if collect_trace else None
-        self.delivery_log: list[tuple[int, str, int]] = []  # (end us, link, bytes)
 
         self.medium: MediumModel = config.medium.model()
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
@@ -443,7 +442,6 @@ class Engine:
         link.stats.delivered_bytes += nbytes
         link.stats.delay_samples.extend(delays)
         self._sys_delivered_cum[link.system] += nbytes
-        self.delivery_log.append((self.now, link.id, nbytes))
 
     # ------------------------------------------------------------------ traffic
 
@@ -515,9 +513,9 @@ class Engine:
         if serve <= 0:
             return
         holds: list[str] = []
-        if grant.direction == UL and not self._arbiter_request(
-                link.src, arb.ArbiterState.TX, (self.now, self.now + grant.len_us), holds):
-            self._note(f"{self.now}|deny|ul|{link.src}")
+        if not self._arbiter_request(link.src, arb.ArbiterState.TX,
+                                     (self.now, self.now + grant.len_us), holds):
+            self._note(f"{self.now}|deny|{grant.direction.lower()}|{link.src}")
             return
         airtime = max(1, min(grant.len_us, math.ceil(serve / capacity)))
         src_if = self.interfaces[link.src]
@@ -538,42 +536,39 @@ class Engine:
         if not chunks:
             self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
             return
-        end = chunks[-1].end_us
-        holds: list[str] = []
-        if not self._arbiter_request(chunks[0].source, arb.ArbiterState.TX,
-                                     (chunks[0].start_us, end), holds):
-            self._note(f"{self.now}|deny|reserve|{ss_id}")
-            return
-        res.train_until = end
-        # the last chunk's end releases the train's grant
-        for chunk in chunks:
-            self._push(chunk.start_us, P_START, "cts",
-                       (chunk, holds if chunk is chunks[-1] else []))
+        if self._send_train(chunks, f"reserve|{ss_id}"):
+            res.train_until = chunks[-1].end_us
 
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
         t = node.traffic
-        st = self.stations[node_id].station
-        start = max(self.now, st.busy_until_us)
+        start = max(self.now, self.stations[node_id].station.busy_until_us)
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
                                  channel_mhz=node.channel_mhz,
                                  cts_airtime_us=self.dcf.cts_airtime_us)
-        for chunk in chunks:
-            self._push(chunk.start_us, P_START, "cts", (chunk, []))
+        self._send_train(chunks, f"inject|{node_id}")
         if t.repeat_us:
             self._push(self.now + t.repeat_us, P_CTRL, "inject", node_id)
 
+    def _send_train(self, chunks: list[Transmission], tag: str) -> bool:
+        """Push a CTS train under one transmit grant over its span, released
+        by the last chunk's end; False, with a ``deny|tag`` note, if denied."""
+        holds: list[str] = []
+        if not self._arbiter_request(chunks[0].source, arb.ArbiterState.TX,
+                                     (chunks[0].start_us, chunks[-1].end_us), holds):
+            self._note(f"{self.now}|deny|{tag}")
+            return False
+        for chunk in chunks:
+            self._push(chunk.start_us, P_START, "cts",
+                       (chunk, holds if chunk is chunks[-1] else []))
+        return True
+
     def _on_cts(self, data) -> None:
         chunk, holds = data
-        src_rt = self.stations[chunk.source]
-        rec = _TxRec(chunk, holds)
         self.cts_count += 1
         self.cts_airtime_us += chunk.airtime_us
-        # own radio is occupied while the chunk is on air
-        if src_rt.station.on_medium_busy(chunk.start_us, chunk.end_us, FrameKind.CTS):
-            self._resched[src_rt.order] = src_rt
-        self._begin_tx(rec)
+        self._begin_tx(_TxRec(chunk, holds))
 
     # ------------------------------------------------------------------ arbiter
 
@@ -653,9 +648,13 @@ class Engine:
             self._sys_air_cum[system] += tx.end_us - max(busy, tx.start_us)
             self._sys_busy_until[system] = tx.end_us
 
-        # physical carrier sense at every other WiFi radio; a voided attempt
+        # a WiFi source is busy with its own emission, and every other WiFi
+        # radio whose carrier sense it trips senses it; a voided attempt
         # re-arms at the next frame end
         start, end, kind, resched = tx.start_us, tx.end_us, tx.kind, self._resched
+        own = self.stations.get(tx.source)
+        if own is not None and own.station.on_medium_busy(start, end, kind):
+            resched[own.order] = own
         for rt in self._sensers(tx.source, tx.power_dbm):
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt

@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
-slot accounting, and co-located conflict time is summed over pairs of
-emissions read back from a run's trace.
+slot accounting, and co-located conflict time and a radio's overlaps with
+its own data frames are read back from a run's trace.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
@@ -109,6 +110,29 @@ def conflict_time(cfg, trace: list[str]) -> int:
                 if mate != radio and lo < hi:
                     total += hi - lo
     return total
+
+
+def own_data_overlaps(trace: list[str]) -> int:
+    """How many ``air`` notes of a run start while their source's own data
+    frame is on air; a radio that sends one frame at a time has none."""
+    emissions = []  # (start, source, kind)
+    data = {}       # source -> (start, end) of its data frames, in time order
+    for line in trace:
+        parts = line.split("|")
+        if parts[1] != "air":
+            continue
+        start, source = int(parts[0]), parts[3].split(">")[0]
+        emissions.append((start, source, parts[2]))
+        if parts[2] == FrameKind.DATA.value:
+            data.setdefault(source, []).append((start, start + int(parts[4])))
+    count = 0
+    for start, source, kind in emissions:
+        frames = data.get(source, [])
+        i = bisect.bisect_right(frames, (start, math.inf)) - 1
+        if i >= 0 and start < frames[i][1] and not (
+                kind == FrameKind.DATA.value and frames[i][0] == start):
+            count += 1
+    return count
 
 
 def dcf_saturation_share(frame_airtime_us: int, difs_us: int = 50, slot_us: int = 20,

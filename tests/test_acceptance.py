@@ -13,7 +13,7 @@ import pytest
 from coexsim.arbiter import DENY, GRANT, ArbiterState, InterfaceRequest, RadioArbiter
 from coexsim.cli import render_run_json
 from coexsim.engine import Engine, run
-from coexsim.medium import PathLossModel, SpillageTable, Position, path_loss, \
+from coexsim.medium import DECODED, PathLossModel, SpillageTable, Position, path_loss, \
     received_power, required_isolation, resolve_deliveries
 from coexsim.reservation import NAV_FIELD_CAP_US, build_cts_train
 from coexsim.scenario import toggled
@@ -76,8 +76,14 @@ def test_criterion_4_spillage_calibration():
     ok(4, f"calibration reproduces {low:.2f} dBm and {high:.2f} dBm")
 
 
-def _window_sum(log, link, lo, hi):
-    return sum(n for (t, l, n) in log if l == link and lo <= t < hi)
+def _window_sum(engine, link, lo, hi):
+    """Bytes delivered on ``link`` (``src>dst``) in [lo, hi): its decoded
+    ``outcome`` notes there, each one frame of its source's size."""
+    frame_bytes = engine.cfg.node(link.split(">")[0]).traffic.frame_bytes
+    decoded = sum(1 for line in engine.trace
+                  if line.endswith(f"|outcome|{link}|{DECODED}")
+                  and lo <= int(line.split("|", 1)[0]) < hi)
+    return decoded * frame_bytes
 
 
 def test_criterion_5_emulation_reproduction(emulation_cfg):
@@ -86,7 +92,7 @@ def test_criterion_5_emulation_reproduction(emulation_cfg):
     baseline_nodes = tuple(
         replace(n, traffic=replace(n.traffic, kind="none")) if n.id == "coordinator" else n
         for n in emulation_cfg.nodes)
-    base = Engine(replace(emulation_cfg, nodes=baseline_nodes))
+    base = Engine(replace(emulation_cfg, nodes=baseline_nodes), collect_trace=True)
     base.run()
 
     cts_starts = [int(l.split("|", 1)[0]) for l in engine.trace if "|air|cts|" in l]
@@ -94,17 +100,17 @@ def test_criterion_5_emulation_reproduction(emulation_cfg):
     nav_lo = cts_starts[0] + emulation_cfg.wifi.cts_airtime_us
     nav_hi = nav_lo + emulation_cfg.node("coordinator").traffic.reservation_us
 
-    silenced = _window_sum(engine.delivery_log, "node2->ap", nav_lo, nav_hi)
+    silenced = _window_sum(engine, "node2>ap", nav_lo, nav_hi)
     assert silenced == 0, f"link 2 delivered {silenced} bytes inside the NAV window"
 
-    link3_on = _window_sum(engine.delivery_log, "node3->ap", nav_lo, nav_hi)
-    link3_base = _window_sum(base.delivery_log, "node3->ap", nav_lo, nav_hi)
+    link3_on = _window_sum(engine, "node3>ap", nav_lo, nav_hi)
+    link3_base = _window_sum(base, "node3>ap", nav_lo, nav_hi)
     assert link3_base > 0
     assert abs(link3_on - link3_base) <= 0.05 * link3_base, \
         f"link 3 moved from {link3_base} to {link3_on} inside the NAV window"
 
-    rec_on = _window_sum(engine.delivery_log, "node2->ap", nav_hi, nav_hi + 500_000)
-    rec_base = _window_sum(base.delivery_log, "node2->ap", nav_hi, nav_hi + 500_000)
+    rec_on = _window_sum(engine, "node2>ap", nav_hi, nav_hi + 500_000)
+    rec_base = _window_sum(base, "node2>ap", nav_hi, nav_hi + 500_000)
     assert rec_base > 0
     assert abs(rec_on - rec_base) <= 0.10 * rec_base, \
         f"link 2 recovered to {rec_on} of {rec_base} within 500 ms"

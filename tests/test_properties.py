@@ -2,11 +2,11 @@
 validator accepts runs to its end, and the report keeps the invariants the
 README states for it."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from coexsim.engine import Engine
 from coexsim.scenario import parse_scenario
-from oracles import conflict_time
+from oracles import conflict_time, own_data_overlaps
 
 
 def _flag(draw) -> str:
@@ -16,13 +16,14 @@ def _flag(draw) -> str:
 @st.composite
 def small_scenarios(draw) -> str:
     """YAML for a valid small scene: saturated or paced WiFi pairs, one WiMAX
-    cell whose subscriber station may carry a co-located WiFi radio, an
-    optional CTS injector, and the reservation scheme and the arbiter each
-    on or off.  Radios sit on a 40 m grid, access points 3 m east of their
-    station, so only co-located radios share a position; with the steeper
-    path loss, distant radios of one system transmit at once.  The
-    co-located radio's access point may share its platform, and may send
-    back to it."""
+    cell, an optional CTS injector, and the reservation scheme and the
+    arbiter each on or off.  Radios sit on a 40 m grid, access points 3 m
+    east of their station, so only co-located radios share a position; with
+    the steeper path loss, distant radios of one system transmit at once.
+    Each WiMAX station may carry a co-located WiFi radio: the subscriber
+    station's has an access point that may share its platform and may send
+    back to it; the base station's has a saturated access point sending to
+    it.  The injector may sit on the subscriber station's platform too."""
     pairs = draw(st.integers(1, 3))
     grid = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                          min_size=pairs + 3, max_size=pairs + 3, unique=True))
@@ -53,7 +54,13 @@ def small_scenarios(draw) -> str:
         lines.append(f"  - {{id: ap{i}, kind: wifi, position: [{x + 3.0}, {y}]{system}}}")
     x, y = next(spots)
     lines.append(f"  - {{id: bs, kind: wimax-bs, position: [{x}, {y}]}}")
-    x, y = next(spots)
+    if draw(st.booleans()):
+        event("WiFi radio on the base station's platform")
+        lines.append(f"  - {{id: bs_wifi, kind: wifi, position: [{x}, {y}], "
+                     "collocated_with: bs}")
+        lines.append(f"  - {{id: bs_ap, kind: wifi, position: [{x + 3.0}, {y}], "
+                     "peer: bs_wifi, traffic: {kind: saturated}}")
+    ss_x, ss_y = x, y = next(spots)
     rate = draw(st.sampled_from([50_000, 400_000]))
     lines.append(f"  - {{id: ss, kind: wimax-ss, position: [{x}, {y}], bs: bs, traffic: "
                  f"{{kind: wimax, dl_saturated: {_flag(draw)}, ul_saturated: {_flag(draw)}, "
@@ -68,9 +75,13 @@ def small_scenarios(draw) -> str:
         lines.append(f"  - {{id: ss_ap, kind: wifi, {where}{back}}}")
     if draw(st.booleans()):
         x, y = next(spots)
+        where = f"position: [{x}, {y}]"
+        if draw(st.booleans()):
+            event("CTS injector on the subscriber station's platform")
+            where = f"position: [{ss_x}, {ss_y}], collocated_with: ss"
         reservation = draw(st.integers(50, 5000))
         repeat = draw(st.sampled_from([0, reservation + 44, reservation + 2000]))
-        lines.append(f"  - {{id: jam, kind: wifi, position: [{x}, {y}], traffic: "
+        lines.append(f"  - {{id: jam, kind: wifi, {where}, traffic: "
                      f"{{kind: cts-inject, at_us: {draw(st.integers(0, 100_000))}, "
                      f"reservation_us: {reservation}, repeat_us: {repeat}, "
                      f"power_dbm: {draw(st.sampled_from([-10.0, 5.0, 20.0]))}}}}}")
@@ -102,4 +113,5 @@ class TestGeneratedScenarios:
             assert result.colocated_conflict_us == 0
         else:
             assert result.colocated_conflict_us == conflict_time(cfg, engine.trace)
+        assert own_data_overlaps(engine.trace) == 0  # a radio sends one frame at a time
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash
