@@ -7,9 +7,8 @@ transmit/receive arbiter for co-located radios on one platform.
 """
 
 from .medium import (DeliveryOutcome, FrameKind, MediumModel, PathLossModel,
-                     Position, RadioInterface, RadioKind, SpillageTable,
-                     Transmission, path_loss, received_power, required_isolation,
-                     resolve_deliveries)
+                     Position, RadioInterface, SpillageTable, Transmission,
+                     path_loss, received_power, required_isolation, resolve_deliveries)
 from .engine import Engine, LinkStats, RunResult, jain_index, run
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, parse_scenario
 
@@ -17,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeliveryOutcome", "Engine", "FrameKind", "LinkStats", "MediumModel",
-    "PathLossModel", "Position", "RadioInterface", "RadioKind", "RunResult",
+    "PathLossModel", "Position", "RadioInterface", "RunResult",
     "ScenarioConfig", "ScenarioError", "SpillageTable", "Transmission",
     "jain_index", "load_scenario", "parse_scenario", "path_loss",
     "received_power", "required_isolation", "resolve_deliveries", "run",

@@ -237,7 +237,7 @@ class Engine:
         self._lines: list[str] = []  # trace lines not yet hashed
         self._trace: Optional[list[str]] = [] if collect_trace else None
 
-        self.medium: MediumModel = config.medium.model()
+        self.medium: MediumModel = config.medium
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
         self._loss_rows: dict[str, LossRow] = {}
         # (source, power, interface threshold) -> WiFi stations that receive
@@ -266,7 +266,7 @@ class Engine:
                 plat = self.interfaces[n.id].platform
                 coord = next((rt.station for rt in self.stations.values()
                               if plat is not None and rt.station.iface.platform == plat), None)
-                res = (Reservation(config.reservation, coord, self.medium.path_loss_model)
+                res = (Reservation(config.reservation, coord, self.medium.path_loss)
                        if config.reservation.enabled else None)
                 self.sses[n.id] = _SsRt(n, config.node(n.bs), res)
 
@@ -536,13 +536,13 @@ class Engine:
         if not chunks:
             self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
             return
-        if self._send_train(chunks, f"reserve|{ss_id}"):
-            res.train_until = chunks[-1].end_us
+        self._send_train(chunks, f"reserve|{ss_id}")
 
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
         t = node.traffic
-        start = max(self.now, self.stations[node_id].station.busy_until_us)
+        st = self.stations[node_id].station
+        start = max(self.now, st.busy_until_us, st.train_until_us)
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
                                  channel_mhz=node.channel_mhz,
@@ -551,18 +551,20 @@ class Engine:
         if t.repeat_us:
             self._push(self.now + t.repeat_us, P_CTRL, "inject", node_id)
 
-    def _send_train(self, chunks: list[Transmission], tag: str) -> bool:
+    def _send_train(self, chunks: list[Transmission], tag: str) -> None:
         """Push a CTS train under one transmit grant over its span, released
-        by the last chunk's end; False, with a ``deny|tag`` note, if denied."""
+        by the last chunk's end, and mark its radio busy with it until then;
+        a ``deny|tag`` note instead if denied."""
         holds: list[str] = []
-        if not self._arbiter_request(chunks[0].source, arb.ArbiterState.TX,
-                                     (chunks[0].start_us, chunks[-1].end_us), holds):
+        source, end = chunks[0].source, chunks[-1].end_us
+        if not self._arbiter_request(source, arb.ArbiterState.TX,
+                                     (chunks[0].start_us, end), holds):
             self._note(f"{self.now}|deny|{tag}")
-            return False
+            return
+        self.stations[source].station.train_until_us = end
         for chunk in chunks:
             self._push(chunk.start_us, P_START, "cts",
                        (chunk, holds if chunk is chunks[-1] else []))
-        return True
 
     def _on_cts(self, data) -> None:
         chunk, holds = data

@@ -132,12 +132,6 @@ class SpillageTable:
         raise AssertionError("unreachable")
 
 
-class RadioKind(str, Enum):
-    WIFI = "wifi"
-    WIMAX_SS = "wimax-ss"
-    WIMAX_BS = "wimax-bs"
-
-
 class FrameKind(str, Enum):
     DATA = "data"
     CTS = "cts"
@@ -149,7 +143,6 @@ class RadioInterface:
     """A positioned transceiver."""
 
     id: str
-    kind: RadioKind
     position: Position
     channel_mhz: float
     tx_power_dbm: float
@@ -200,23 +193,24 @@ class DeliveryOutcome:
 
 @dataclass(frozen=True)
 class MediumModel:
-    """Bundle of propagation parameters shared by one scenario.
+    """Propagation parameters shared by one scenario; the scenario's
+    ``medium`` section.  Field metadata holds the bounds a scenario file may set.
 
     ``colocated_coupling_db`` replaces path loss between interfaces on the
     same platform, where the geometric distance would be 0 m.
     """
 
-    path_loss_model: PathLossModel = field(default_factory=PathLossModel)
+    path_loss: PathLossModel = field(default_factory=PathLossModel)
     spillage: SpillageTable = field(default_factory=SpillageTable)
-    sinr_threshold_db: float = 10.0
-    colocated_coupling_db: float = 20.0
+    sinr_threshold_db: float = field(default=10.0, metadata={"lo": 0.0, "hi": 60.0})
+    colocated_coupling_db: float = field(default=20.0, metadata={"lo": 0.0, "hi": 120.0})
 
     def link_loss_db(self, src: RadioInterface, dst: RadioInterface) -> float:
         """Total loss from src to dst: propagation plus channel rejection."""
         if src.platform is not None and src.platform == dst.platform:
             loss = self.colocated_coupling_db
         else:
-            loss = path_loss(src.position.distance_to(dst.position), self.path_loss_model)
+            loss = path_loss(src.position.distance_to(dst.position), self.path_loss)
         return loss + self.spillage.rejection_db(src.channel_mhz - dst.channel_mhz)
 
 

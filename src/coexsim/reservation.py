@@ -23,7 +23,7 @@ Three feedback mechanisms shape when and how the reservation is made:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .medium import FrameKind, PathLossModel, Transmission, invert_path_loss, path_loss
@@ -66,16 +66,11 @@ def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
     return chunks
 
 
-@dataclass(frozen=True)
-class InterfererEstimate:
-    active_systems: int = 0
-    max_distance_m: float = 0.0
-
-
 def estimate_interferers(overheard: Sequence[tuple[str, float]],
                          assumed_tx_power_dbm: float,
-                         model: PathLossModel) -> InterfererEstimate:
-    """Neighborhood estimate from frames overheard within the monitor window.
+                         model: PathLossModel) -> tuple[int, float]:
+    """(active systems, reach in m) of the neighbourhood, from the frames
+    overheard within the monitor window.
 
     ``overheard`` holds (source id, rx power dBm) pairs already restricted to
     the window; the count is distinct sources, the reach is the path-loss
@@ -83,28 +78,14 @@ def estimate_interferers(overheard: Sequence[tuple[str, float]],
     """
     sources = {src for src, _ in overheard}
     if not sources:
-        return InterfererEstimate(0, 0.0)
+        return 0, 0.0
     weakest = min(rx for _, rx in overheard)
-    distance = invert_path_loss(assumed_tx_power_dbm - weakest, model)
-    return InterfererEstimate(len(sources), distance)
+    return len(sources), invert_path_loss(assumed_tx_power_dbm - weakest, model)
 
 
-@dataclass(frozen=True)
-class PacingState:
-    """Medium-acquisition pacing toward an equal-share utilization goal."""
-
-    claim_interval_us: int
-    utilization_goal: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.utilization_goal <= 1:
-            raise ValueError("utilization goal must be in (0, 1]")
-
-
-def update_pacing(state: PacingState, estimate: InterfererEstimate,
-                  measured_share: float, delta: float,
-                  interval_min_us: int, interval_max_us: int) -> PacingState:
-    """One pacing step: refresh the goal, then adapt the claim interval.
+def update_pacing(claim_interval_us: int, active_systems: int, measured_share: float,
+                  delta: float, interval_min_us: int, interval_max_us: int) -> int:
+    """The next claim interval under the utilization goal ``1 / (1 + active systems)``.
 
     The interval halves (down to the floor) while the measured share runs
     below goal - delta, doubles (up to the ceiling) above goal + delta, and
@@ -112,13 +93,12 @@ def update_pacing(state: PacingState, estimate: InterfererEstimate,
     """
     if not 0 <= measured_share <= 1:
         raise ValueError("measured share must be in [0, 1]")
-    goal = 1.0 / (1 + estimate.active_systems)
-    interval = state.claim_interval_us
+    goal = 1.0 / (1 + active_systems)
     if measured_share < goal - delta:
-        interval = max(interval_min_us, interval // 2)
-    elif measured_share > goal + delta:
-        interval = min(interval_max_us, interval * 2)
-    return replace(state, utilization_goal=goal, claim_interval_us=interval)
+        return max(interval_min_us, claim_interval_us // 2)
+    if measured_share > goal + delta:
+        return min(interval_max_us, claim_interval_us * 2)
+    return claim_interval_us
 
 
 def reservation_power(reach_m: float, cca_threshold_dbm: float,
@@ -145,46 +125,26 @@ class QosTarget:
     max_mean_delay_us: float = field(default=1e12, metadata={"lo": 0.0})
 
 
-@dataclass(frozen=True)
-class EvalState:
-    """On/off feedback for CTS emission, driven by delivered throughput."""
+def evaluate_performance(cts_on: bool, baseline: float, next_check_us: int,
+                         retx_in_window: int, throughput_bytes_per_s: float, now_us: int,
+                         enable_retx_threshold: int, eval_window_us: int,
+                         hold_us: int) -> tuple[bool, float, int]:
+    """One step of the CTS on/off gate; returns its new (on, baseline, next check).
 
-    cts_enabled: bool = False
-    throughput_before: float = 0.0
-    throughput_after: float = 0.0
-    qos: Optional[QosTarget] = None
-    hold_until_us: int = 0
-    enabled_at_us: int = 0
-    qos_violated: bool = False
-
-
-def evaluate_performance(state: EvalState, retx_in_window: int,
-                         throughput_bytes_per_s: float, mean_delay_us: float,
-                         now_us: int, enable_retx_threshold: int,
-                         eval_window_us: int, hold_us: int) -> EvalState:
-    """One evaluation step of the CTS on/off feedback loop.
-
-    Off + a window with ``enable_retx_threshold`` or more retransmissions
-    turns the CTS on and snapshots current throughput as the baseline.  On +
-    one full evaluation window with throughput at or below the baseline turns
-    it back off and holds it off for ``hold_us``.  The comparison is on
-    delivered-bytes throughput.  A QoS target miss is flagged so the caller
-    can grow reservation durations.
+    No switch happens before ``next_check_us``.  Off + a window with
+    ``enable_retx_threshold`` or more retransmissions turns the CTS on, takes
+    current throughput as the baseline and checks it again one evaluation
+    window later.  On + throughput at or below the baseline turns it back
+    off and holds it off for ``hold_us``.  Throughput is delivered bytes.
     """
-    violated = state.qos is not None and (
-        throughput_bytes_per_s < state.qos.min_throughput_bytes_per_s
-        or mean_delay_us > state.qos.max_mean_delay_us)
-    new = replace(state, qos_violated=violated)
-    if not new.cts_enabled:
-        if retx_in_window >= enable_retx_threshold and now_us >= new.hold_until_us:
-            return replace(new, cts_enabled=True, enabled_at_us=now_us,
-                           throughput_before=throughput_bytes_per_s)
-        return new
-    if now_us - new.enabled_at_us >= eval_window_us:
-        new = replace(new, throughput_after=throughput_bytes_per_s)
-        if new.throughput_after <= new.throughput_before:
-            return replace(new, cts_enabled=False, hold_until_us=now_us + hold_us)
-    return new
+    if now_us < next_check_us:
+        return cts_on, baseline, next_check_us
+    if not cts_on:
+        if retx_in_window >= enable_retx_threshold:
+            return True, throughput_bytes_per_s, now_us + eval_window_us
+    elif throughput_bytes_per_s <= baseline:
+        return False, baseline, now_us + hold_us
+    return cts_on, baseline, next_check_us
 
 
 def _windowed(points: deque, now_us: int, cum_now: int, window_us: int) -> float:
@@ -206,12 +166,14 @@ class Reservation:
         self.cfg = cfg
         self.coordinator = coordinator
         self.model = model
-        self.pacing = PacingState(claim_interval_us=cfg.claim_interval_init_us)
-        self.eval = EvalState(qos=cfg.qos)
-        self.estimate = InterfererEstimate()
+        self.claim_interval_us = cfg.claim_interval_init_us
         self.next_claim_at = 0
+        self.interferers = 0                 # active systems heard in the monitor window
+        self.reach_m = 0.0                   # estimated distance of the farthest of them
+        self.cts_on = False                  # the performance gate
+        self.baseline = 0.0                  # throughput when the gate last switched on
+        self.next_check_us = 0               # no gate switch before this
         self.scale = 1.0                     # grows while the QoS target is missed
-        self.train_until = 0                 # end of the last granted train's last chunk
         self.last_retx_cum = 0
         self.heard: deque = deque()          # (t, source, rx power)
         self.delays: deque = deque()         # (t, delay sample)
@@ -224,9 +186,9 @@ class Reservation:
 
     def claimed(self, frame_start: int) -> bool:
         """Note slots granted in this frame; whether to reserve ahead of them."""
-        self.next_claim_at = frame_start + self.pacing.claim_interval_us
+        self.next_claim_at = frame_start + self.claim_interval_us
         return self.coordinator is not None and (
-            not self.cfg.performance_gating or self.eval.cts_enabled)
+            not self.cfg.performance_gating or self.cts_on)
 
     def hear(self, now: int, source: str, rx_dbm: float) -> None:
         if rx_dbm >= self.coordinator.iface.decode_sensitivity_dbm:
@@ -234,19 +196,21 @@ class Reservation:
 
     def plan(self, now: int, last: int) -> Optional[tuple[int, list[Transmission]]]:
         """(reservation, CTS train) covering the medium until ``last``, with no
-        chunks below the minimum; None while a train is on air or if no span is left."""
-        if self.train_until > now:
+        chunks below the minimum; None while the coordinator's last train is
+        on air or if no span is left."""
+        coord = self.coordinator
+        if coord.train_until_us > now:
             return None
         cfg = self.cfg
-        iface = self.coordinator.iface
-        airtime = self.coordinator.params.cts_airtime_us
-        start = max(now, self.coordinator.busy_until_us)
+        iface = coord.iface
+        airtime = coord.params.cts_airtime_us
+        start = max(now, coord.busy_until_us)
         span = last - (start + airtime)
         if span <= 0:
             return None
         reservation = int(span * self.scale)
-        power = (reservation_power(self.estimate.max_distance_m, iface.cca_threshold_dbm,
-                                   self.model) if cfg.power_sizing else cfg.cts_power_dbm)
+        power = (reservation_power(self.reach_m, iface.cca_threshold_dbm, self.model)
+                 if cfg.power_sizing else cfg.cts_power_dbm)
         chunks = build_cts_train(
             reservation, power, start, source=iface.id, channel_mhz=iface.channel_mhz,
             min_reservation_us=cfg.min_reservation_us if cfg.performance_gating else 0,
@@ -259,20 +223,21 @@ class Reservation:
         floor = now - cfg.monitor_window_us
         while self.heard and self.heard[0][0] < floor:
             self.heard.popleft()
-        self.estimate = estimate_interferers([(s, rx) for _, s, rx in self.heard],
-                                             cfg.assumed_tx_power_dbm, self.model)
+        self.interferers, self.reach_m = estimate_interferers(
+            [(s, rx) for _, s, rx in self.heard], cfg.assumed_tx_power_dbm, self.model)
         if not cfg.pacing:
             return None
         share = min(1.0, _windowed(self.share_points, now, system_air_cum,
                                    cfg.share_window_us) / 1e6)
-        self.pacing = update_pacing(self.pacing, self.estimate, share,
-                                    delta=cfg.share_delta,
-                                    interval_min_us=cfg.claim_interval_min_us,
-                                    interval_max_us=cfg.claim_interval_max_us)
-        return f"{self.estimate.active_systems}|{share:.4f}|{self.pacing.claim_interval_us}"
+        self.claim_interval_us = update_pacing(
+            self.claim_interval_us, self.interferers, share, delta=cfg.share_delta,
+            interval_min_us=cfg.claim_interval_min_us,
+            interval_max_us=cfg.claim_interval_max_us)
+        return f"{self.interferers}|{share:.4f}|{self.claim_interval_us}"
 
     def eval_tick(self, now: int, retx_cum: int, delivered_cum: int) -> Optional[str]:
-        """Step the gate and QoS growth; the ``gate`` note if the gate switched."""
+        """Step the gate, and grow the reservation scale if the QoS target is
+        missed; the ``gate`` note if the gate switched."""
         cfg = self.cfg
         floor = now - cfg.eval_window_us
         while self.delays and self.delays[0][0] < floor:
@@ -282,15 +247,18 @@ class Reservation:
         retx_in_window = retx_cum - self.last_retx_cum
         self.last_retx_cum = retx_cum
         throughput = _windowed(self.delivered_points, now, delivered_cum, cfg.eval_window_us)
-        mean_delay = (sum(d for _, d in self.delays) / len(self.delays)
-                      if self.delays else 0.0)
-        before = self.eval
-        self.eval = evaluate_performance(before, retx_in_window, throughput, mean_delay, now,
-                                         enable_retx_threshold=cfg.retx_enable_threshold,
-                                         eval_window_us=cfg.eval_window_us,
-                                         hold_us=cfg.hold_us)
-        if self.eval.qos_violated:
-            self.scale = min(cfg.qos_growth_cap, self.scale * (1 + cfg.qos_growth_step))
-        if self.eval.cts_enabled != before.cts_enabled:
-            return "on" if self.eval.cts_enabled else "off"
+        was_on = self.cts_on
+        self.cts_on, self.baseline, self.next_check_us = evaluate_performance(
+            was_on, self.baseline, self.next_check_us, retx_in_window, throughput, now,
+            enable_retx_threshold=cfg.retx_enable_threshold,
+            eval_window_us=cfg.eval_window_us, hold_us=cfg.hold_us)
+        qos = cfg.qos
+        if qos is not None:
+            mean_delay = (sum(d for _, d in self.delays) / len(self.delays)
+                          if self.delays else 0.0)
+            if (throughput < qos.min_throughput_bytes_per_s
+                    or mean_delay > qos.max_mean_delay_us):
+                self.scale = min(cfg.qos_growth_cap, self.scale * (1 + cfg.qos_growth_step))
+        if self.cts_on != was_on:
+            return "on" if self.cts_on else "off"
         return None

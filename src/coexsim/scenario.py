@@ -19,7 +19,7 @@ from typing import Any, Optional, get_args, get_type_hints
 import yaml
 
 from .medium import (FREE_SPACE, MediumModel, PathLossModel, Position, RadioInterface,
-                     RadioKind, SpillageTable)
+                     SpillageTable)
 from .reservation import QosTarget
 from .wifi import DcfParams
 
@@ -87,20 +87,6 @@ class _SpillageEntry:
 
 
 @dataclass(frozen=True)
-class MediumConfig:
-    path_loss: PathLossModel = field(default_factory=PathLossModel)
-    spillage: SpillageTable = field(default_factory=SpillageTable)
-    sinr_threshold_db: float = field(default=MediumModel.sinr_threshold_db,
-                                     metadata={"lo": 0.0, "hi": 60.0})
-    colocated_coupling_db: float = field(default=MediumModel.colocated_coupling_db,
-                                         metadata={"lo": 0.0, "hi": 120.0})
-
-    def model(self) -> MediumModel:
-        return MediumModel(self.path_loss, self.spillage,
-                           self.sinr_threshold_db, self.colocated_coupling_db)
-
-
-@dataclass(frozen=True)
 class WimaxConfig:
     frame_us: int = field(default=5000, metadata={"lo": 100})
     dl_ratio: float = field(default=0.6, metadata={"lo": 0.05, "hi": 0.95})
@@ -147,7 +133,7 @@ class ScenarioConfig:
     duration_us: int = field(default=30_000_000, metadata={"lo": 1})
     warmup_us: int = field(default=1_000_000, metadata={"lo": 0})
     seed: int = 1
-    medium: MediumConfig = field(default_factory=MediumConfig)
+    medium: MediumModel = field(default_factory=MediumModel)
     wifi: DcfParams = field(default_factory=DcfParams)
     wimax: WimaxConfig = field(default_factory=WimaxConfig)
     reservation: ReservationConfig = field(default_factory=ReservationConfig)
@@ -189,7 +175,7 @@ class ScenarioConfig:
         plats = self.platforms()
         return {
             n.id: RadioInterface(
-                id=n.id, kind=RadioKind(n.kind), position=n.position,
+                id=n.id, position=n.position,
                 channel_mhz=n.channel_mhz, tx_power_dbm=n.tx_power_dbm,
                 decode_sensitivity_dbm=n.decode_sensitivity_dbm,
                 cca_threshold_dbm=n.cca_threshold_dbm, platform=plats[n.id])
@@ -225,7 +211,7 @@ def _scalar_fields(cls: type) -> tuple:
     return tuple(out)
 
 
-_SECTIONS = (ScenarioConfig, MediumConfig, PathLossModel, _SpillageEntry, DcfParams,
+_SECTIONS = (ScenarioConfig, MediumModel, PathLossModel, _SpillageEntry, DcfParams,
              WimaxConfig, ReservationConfig, QosTarget, ArbiterConfig, NodeConfig,
              TrafficConfig)
 _SCALARS = {cls: _scalar_fields(cls) for cls in _SECTIONS}
@@ -291,8 +277,8 @@ def _section(w: _Walker, raw: Any, path: str, cls: type) -> Any:
     return cls(**_scalars(w, w.mapping(raw, path, _KEYS[cls]), path, cls))
 
 
-def _parse_medium(w: _Walker, raw: Any) -> MediumConfig:
-    m = w.mapping(raw, "medium", _KEYS[MediumConfig])
+def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
+    m = w.mapping(raw, "medium", _KEYS[MediumModel])
     pl_raw = w.mapping(m.get("path_loss"), "medium.path_loss", _KEYS[PathLossModel])
     pl = _scalars(w, pl_raw, "medium.path_loss", PathLossModel)
     pinned = PathLossModel.exponent
@@ -300,10 +286,10 @@ def _parse_medium(w: _Walker, raw: Any) -> MediumConfig:
         w.fail("medium.path_loss.exponent", f"free-space pins the exponent to {pinned}")
         pl["exponent"] = pinned
     try:
-        path_loss_model = PathLossModel(**pl)
+        path_loss = PathLossModel(**pl)
     except ValueError as exc:
         w.fail("medium.path_loss", str(exc))
-        path_loss_model = PathLossModel()
+        path_loss = PathLossModel()
     spillage = SpillageTable()
     if m.get("spillage") is not None:
         raw_entries = m["spillage"]
@@ -324,8 +310,8 @@ def _parse_medium(w: _Walker, raw: Any) -> MediumConfig:
                     spillage = SpillageTable(tuple(entries))
                 except ValueError as exc:
                     w.fail("medium.spillage", str(exc))
-    return MediumConfig(path_loss=path_loss_model, spillage=spillage,
-                        **_scalars(w, m, "medium", MediumConfig))
+    return MediumModel(path_loss=path_loss, spillage=spillage,
+                       **_scalars(w, m, "medium", MediumModel))
 
 
 def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:

@@ -57,6 +57,7 @@ class WifiStation:
         self.rng = rng
         self.nav_expiry_us = 0
         self.busy_until_us = 0
+        self.train_until_us = 0  # end of the last chunk of its last granted CTS train
         self.contention_window = params.cw_min
         self.pending_slots = 0
         self.retry_count = 0

@@ -3,18 +3,17 @@
 These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time and a radio's overlaps with
-its own data frames are read back from a run's trace.
+its own emissions are read back from a run's trace.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import random
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
                             FrameKind, MediumModel, PathLossModel, Position,
-                            RadioInterface, RadioKind, SpillageTable, Transmission,
+                            RadioInterface, SpillageTable, Transmission,
                             received_power)
 
 
@@ -24,7 +23,7 @@ def oracle_rx_power(tx: Transmission, src: RadioInterface, dst: RadioInterface,
     if src.platform is not None and src.platform == dst.platform:
         coupling = medium.colocated_coupling_db
     return received_power(tx.power_dbm, src.position, dst.position, tx.channel_mhz,
-                          dst.channel_mhz, medium.path_loss_model, medium.spillage,
+                          dst.channel_mhz, medium.path_loss, medium.spillage,
                           coupling_db=coupling)
 
 
@@ -75,7 +74,7 @@ def conflict_time(cfg, trace: list[str]) -> int:
     source's configured power.
     """
     interfaces = cfg.interfaces()
-    medium = cfg.medium.model()
+    medium = cfg.medium
     talkers = []    # (start, end, radio, platform) of each emission from a platform
     listeners = {}  # platform -> (start, end, radio) of each frame a member hears
     for line in trace:
@@ -112,26 +111,24 @@ def conflict_time(cfg, trace: list[str]) -> int:
     return total
 
 
-def own_data_overlaps(trace: list[str]) -> int:
-    """How many ``air`` notes of a run start while their source's own data
-    frame is on air; a radio that sends one frame at a time has none."""
-    emissions = []  # (start, source, kind)
-    data = {}       # source -> (start, end) of its data frames, in time order
+def own_overlaps(trace: list[str]) -> int:
+    """How many ``air`` notes of a run start while an earlier emission of
+    their source is still on air; a radio that sends one frame at a time has
+    none.  A data frame does not count against an earlier data frame of its
+    source that starts in the same microsecond."""
+    data = FrameKind.DATA.value
+    on_air: dict[str, list] = {}  # source -> (start, end, kind) of emissions not yet ended
+    count = 0
     for line in trace:
         parts = line.split("|")
         if parts[1] != "air":
             continue
-        start, source = int(parts[0]), parts[3].split(">")[0]
-        emissions.append((start, source, parts[2]))
-        if parts[2] == FrameKind.DATA.value:
-            data.setdefault(source, []).append((start, start + int(parts[4])))
-    count = 0
-    for start, source, kind in emissions:
-        frames = data.get(source, [])
-        i = bisect.bisect_right(frames, (start, math.inf)) - 1
-        if i >= 0 and start < frames[i][1] and not (
-                kind == FrameKind.DATA.value and frames[i][0] == start):
+        start, source, kind = int(parts[0]), parts[3].split(">")[0], parts[2]
+        # notes come in time order, so an emission ended by now ends before every later one
+        earlier = on_air[source] = [e for e in on_air.get(source, ()) if e[1] > start]
+        if any(not (kind == data == k and s == start) for s, _, k in earlier):
             count += 1
+        earlier.append((start, start + int(parts[4]), kind))
     return count
 
 
@@ -150,15 +147,14 @@ _CHANNELS = (2380.0, 2412.0, 2437.0)
 
 def random_micro_instance(rng: random.Random):
     """A small random delivery scene: 4-6 radios, 2-4 overlapping transmissions."""
-    medium = MediumModel(path_loss_model=PathLossModel(kind="log-distance",
-                                                       exponent=3.0),
+    medium = MediumModel(path_loss=PathLossModel(kind="log-distance", exponent=3.0),
                          spillage=SpillageTable(), sinr_threshold_db=10.0)
     n_if = rng.randint(4, 6)
     interfaces = {}
     for i in range(n_if):
         iid = f"r{i}"
         interfaces[iid] = RadioInterface(
-            id=iid, kind=RadioKind.WIFI,
+            id=iid,
             position=Position(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)),
             channel_mhz=rng.choice(_CHANNELS),
             tx_power_dbm=rng.choice((-10.0, 1.0, 20.0, 23.0)),

@@ -10,7 +10,7 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
                             delivery_result)
 from coexsim.reservation import QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
-from oracles import brute_force_outcomes, dcf_saturation_share
+from oracles import brute_force_outcomes, dcf_saturation_share, own_overlaps
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -214,7 +214,7 @@ class TestCachedFastPaths:
 
     def test_memoised_sensing_equals_a_scan(self, engine):
         ifaces, medium = engine.interfaces, engine.medium
-        sized = {reservation_power(d, -82.0, medium.path_loss_model)
+        sized = {reservation_power(d, -82.0, medium.path_loss)
                  for d in (0.0, 3.0, 20.0, 60.0, 150.0)}
         powers = sorted({i.tx_power_dbm for i in ifaces.values()} | sized | {12.0})
         coupled = 0
@@ -335,6 +335,27 @@ nodes:
   - {id: ss_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss}
 """
         assert run(parse_scenario(text), seed=1).cts_count > 0
+
+    def test_injector_coordinator_sends_one_train_at_a_time(self):
+        """A CTS injector that also coordinates its subscriber station's
+        reservation waits for its own previous train (earlier versions sent
+        an injected and a reserved train at 1000 us)."""
+        text = """
+duration_us: 20000
+warmup_us: 0
+wimax: {frame_us: 1000}
+reservation: {enabled: true, pacing: false, performance_gating: false}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_saturated: true}}
+  - {id: jam, kind: wifi, position: [0.0, 0.0], collocated_with: ss,
+     traffic: {kind: cts-inject, at_us: 1000, reservation_us: 500}}
+"""
+        engine = Engine(parse_scenario(text), seed=1, collect_trace=True)
+        assert engine.run().cts_count > 1
+        assert engine.trace.count("1000|air|cts|jam>None|44") == 1
+        assert own_overlaps(engine.trace) == 0
 
     def test_shares_stay_in_unit_interval(self, conference_cfg):
         result = run(conference_cfg, seed=2)

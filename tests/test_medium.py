@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, LossRow,
                             MediumModel, PathLossModel, Position, RadioInterface,
-                            RadioKind, SpillageTable, Transmission, delivery_result,
+                            SpillageTable, Transmission, delivery_result,
                             invert_path_loss, path_loss, received_power,
                             required_isolation, resolve_deliveries)
 
@@ -14,7 +14,7 @@ LOGD = PathLossModel(kind="log-distance", exponent=3.0, reference_loss_db=40.05)
 
 
 def wifi_iface(iid, x, y, channel=2412.0, power=20.0, sens=-85.0, platform=None):
-    return RadioInterface(iid, RadioKind.WIFI, Position(x, y), channel, power,
+    return RadioInterface(iid, Position(x, y), channel, power,
                           sens, -82.0, platform)
 
 
@@ -143,7 +143,7 @@ class TestTransmission:
 
 class TestResolveDeliveries:
     def setup_method(self):
-        self.medium = MediumModel(path_loss_model=LOGD)
+        self.medium = MediumModel(path_loss=LOGD)
 
     def test_clean_delivery(self):
         ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0)}
@@ -162,9 +162,9 @@ class TestResolveDeliveries:
     def test_adjacent_band_interferer_corrupts_burst(self):
         # a distant scheduled downlink drowned by nearby off-channel spillage
         ifaces = {
-            "bs": RadioInterface("bs", RadioKind.WIMAX_BS, Position(150, 0), 2380.0,
+            "bs": RadioInterface("bs", Position(150, 0), 2380.0,
                                  30.0, -90.0, -82.0),
-            "ss": RadioInterface("ss", RadioKind.WIMAX_SS, Position(0, 0), 2380.0,
+            "ss": RadioInterface("ss", Position(0, 0), 2380.0,
                                  23.0, -90.0, -82.0),
             "sta": wifi_iface("sta", 2, 0),
         }
@@ -228,7 +228,7 @@ class TestOverhearing:
     """The decode rule at a listener that is not the frame's addressee."""
 
     def setup_method(self):
-        self.medium = MediumModel(path_loss_model=LOGD)
+        self.medium = MediumModel(path_loss=LOGD)
         self.ifaces = {"coord": wifi_iface("coord", 0, 0), "lst": wifi_iface("lst", 5, 0),
                        "near": wifi_iface("near", 6, 0), "far": wifi_iface("far", 400, 0)}
         self.cts = Transmission("coord", FrameKind.CTS, 0, 44, 20.0, 2412.0,

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from coexsim.engine import Engine
 from coexsim.scenario import parse_scenario
-from oracles import conflict_time, own_data_overlaps
+from oracles import conflict_time, own_overlaps
 
 
 def _flag(draw) -> str:
@@ -113,5 +113,5 @@ class TestGeneratedScenarios:
             assert result.colocated_conflict_us == 0
         else:
             assert result.colocated_conflict_us == conflict_time(cfg, engine.trace)
-        assert own_data_overlaps(engine.trace) == 0  # a radio sends one frame at a time
+        assert own_overlaps(engine.trace) == 0  # a radio sends one frame at a time
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash

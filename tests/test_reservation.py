@@ -5,12 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.medium import FrameKind, PathLossModel, Position, RadioInterface, RadioKind
+from coexsim.medium import FrameKind, PathLossModel, Position, RadioInterface
 from coexsim.reservation import (CTS_POWER_CEILING_DBM, CTS_POWER_FLOOR_DBM, NAV_FIELD_CAP_US,
-                                 EvalState, InterfererEstimate, PacingState,
                                  QosTarget, Reservation, build_cts_train, estimate_interferers,
-                                 evaluate_performance, reservation_power,
-                                 update_pacing)
+                                 evaluate_performance, reservation_power, update_pacing)
 from coexsim.scenario import ReservationConfig
 from coexsim.wifi import DcfParams, WifiStation
 
@@ -67,57 +65,53 @@ class TestCtsTrain:
 
 class TestInterfererEstimate:
     def test_empty_neighborhood(self):
-        est = estimate_interferers([], 20.0, LOGD)
-        assert est == InterfererEstimate(0, 0.0)
+        assert estimate_interferers([], 20.0, LOGD) == (0, 0.0)
 
     def test_counts_distinct_sources(self):
         heard = [("sta1", -29.1), ("sta2", -32.0), ("sta1", -29.5)]
-        est = estimate_interferers(heard, 20.0, LOGD)
-        assert est.active_systems == 2
+        systems, _ = estimate_interferers(heard, 20.0, LOGD)
+        assert systems == 2
 
     def test_reach_inverts_weakest_power(self):
         # oracle: rx of a 1 dBm frame at 3 m under n=3 is about -53.4 dBm
-        reach = estimate_interferers([("sta", -53.4)], 1.0, LOGD).max_distance_m
+        _, reach = estimate_interferers([("sta", -53.4)], 1.0, LOGD)
         assert reach == pytest.approx(3.0, abs=0.05)
         # same overheard level attributed to a 20 dBm talker puts it further out
-        far = estimate_interferers([("sta", -53.4)], 20.0, LOGD).max_distance_m
+        _, far = estimate_interferers([("sta", -53.4)], 20.0, LOGD)
         assert far == pytest.approx(10 ** ((73.4 - 40.05) / 30.0), abs=0.05)
 
 
 class TestPacing:
     def test_equal_share_goals(self):
-        s = update_pacing(PacingState(8000), InterfererEstimate(2, 3.0), 0.33, **PACING)
-        assert s.utilization_goal == pytest.approx(1 / 3)
-        s = update_pacing(PacingState(8000), InterfererEstimate(0, 0.0), 0.9, **PACING)
-        assert s.utilization_goal == 1.0
+        # two interferers: goal 1/3, dead band +-0.02 around it
+        assert update_pacing(8000, 2, 1 / 3 - 0.021, **PACING) == 4000
+        assert update_pacing(8000, 2, 1 / 3 - 0.019, **PACING) == 8000
+        assert update_pacing(8000, 2, 1 / 3 + 0.019, **PACING) == 8000
+        assert update_pacing(8000, 2, 1 / 3 + 0.021, **PACING) == 16000
+        # none: goal 1, so only a share under 0.98 moves the interval
+        assert update_pacing(8000, 0, 0.979, **PACING) == 4000
+        assert update_pacing(8000, 0, 1.0, **PACING) == 8000
 
     def test_undershoot_halves_interval(self):
-        state = PacingState(utilization_goal=0.33, claim_interval_us=8000)
-        out = update_pacing(state, InterfererEstimate(2, 3.0), 0.20, **PACING)
-        assert out.claim_interval_us == 4000
+        assert update_pacing(8000, 2, 0.20, **PACING) == 4000
 
     def test_overshoot_doubles_interval(self):
-        state = PacingState(claim_interval_us=8000)
-        out = update_pacing(state, InterfererEstimate(2, 3.0), 0.60, **PACING)
-        assert out.claim_interval_us == 16000
+        assert update_pacing(8000, 2, 0.60, **PACING) == 16000
 
     def test_dead_band_holds(self):
-        state = PacingState(claim_interval_us=8000)
-        out = update_pacing(state, InterfererEstimate(2, 3.0), 1 / 3, **PACING)
-        assert out.claim_interval_us == 8000
+        assert update_pacing(8000, 2, 1 / 3, **PACING) == 8000
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
            st.integers(min_value=0, max_value=5))
     def test_interval_stays_bounded(self, shares, systems):
-        state = PacingState(claim_interval_us=8000)
-        est = InterfererEstimate(systems, 2.0)
+        interval = 8000
         for share in shares:
-            state = update_pacing(state, est, share, **PACING)
-            assert 1000 <= state.claim_interval_us <= 64_000
+            interval = update_pacing(interval, systems, share, **PACING)
+            assert 1000 <= interval <= 64_000
 
     def test_bad_share_rejected(self):
         with pytest.raises(ValueError):
-            update_pacing(PacingState(8000), InterfererEstimate(), 1.5, **PACING)
+            update_pacing(8000, 0, 1.5, **PACING)
 
 
 class TestReservationPower:
@@ -146,67 +140,46 @@ class TestReservationPower:
 
 
 class TestPerformanceGate:
+    """The gate is (on, baseline throughput, next check time)."""
+
     def test_quiet_medium_keeps_cts_off(self):
-        state = evaluate_performance(EvalState(), retx_in_window=0,
-                                     throughput_bytes_per_s=1e6, mean_delay_us=100.0,
-                                     now_us=0, **GATE)
-        assert not state.cts_enabled
+        assert evaluate_performance(False, 0.0, 0, retx_in_window=0,
+                                    throughput_bytes_per_s=1e6, now_us=0,
+                                    **GATE) == (False, 0.0, 0)
 
     def test_retransmission_burst_enables(self):
-        state = evaluate_performance(EvalState(), retx_in_window=5,
-                                     throughput_bytes_per_s=250_000.0,
-                                     mean_delay_us=100.0, now_us=1_000_000, **GATE)
-        assert state.cts_enabled
-        assert state.throughput_before == 250_000.0
-        assert state.enabled_at_us == 1_000_000
+        # on, with the current throughput as baseline, checked one window later
+        assert evaluate_performance(False, 0.0, 0, retx_in_window=5,
+                                    throughput_bytes_per_s=250_000.0, now_us=1_000_000,
+                                    **GATE) == (True, 250_000.0, 2_000_000)
 
     def test_no_improvement_disables_with_hold(self):
-        on = EvalState(cts_enabled=True, throughput_before=1_000_000.0,
-                       enabled_at_us=0)
-        out = evaluate_performance(on, retx_in_window=0,
-                                   throughput_bytes_per_s=900_000.0,
-                                   mean_delay_us=0.0, now_us=1_000_000, **GATE)
-        assert not out.cts_enabled
-        assert out.hold_until_us == 3_000_000
+        assert evaluate_performance(True, 1_000_000.0, 1_000_000, retx_in_window=0,
+                                    throughput_bytes_per_s=900_000.0, now_us=1_000_000,
+                                    **GATE) == (False, 1_000_000.0, 3_000_000)
 
     def test_improvement_keeps_cts_on(self):
-        on = EvalState(cts_enabled=True, throughput_before=250_000.0, enabled_at_us=0)
-        out = evaluate_performance(on, retx_in_window=0,
-                                   throughput_bytes_per_s=600_000.0,
-                                   mean_delay_us=0.0, now_us=1_500_000, **GATE)
-        assert out.cts_enabled
-        assert out.throughput_after == 600_000.0
+        on = (True, 250_000.0, 1_000_000)
+        # before its check, and after it with throughput above the baseline
+        assert evaluate_performance(*on, retx_in_window=0, throughput_bytes_per_s=0.0,
+                                    now_us=999_999, **GATE) == on
+        assert evaluate_performance(*on, retx_in_window=0, throughput_bytes_per_s=600_000.0,
+                                    now_us=1_500_000, **GATE) == on
 
     def test_hold_blocks_reenable(self):
-        held = EvalState(cts_enabled=False, hold_until_us=5_000_000)
-        out = evaluate_performance(held, retx_in_window=10,
-                                   throughput_bytes_per_s=0.0, mean_delay_us=0.0,
-                                   now_us=4_000_000, **GATE)
-        assert not out.cts_enabled
-        out = evaluate_performance(held, retx_in_window=10,
-                                   throughput_bytes_per_s=0.0, mean_delay_us=0.0,
-                                   now_us=5_000_000, **GATE)
-        assert out.cts_enabled
-
-    def test_qos_violation_is_flagged(self):
-        qos = QosTarget(min_throughput_bytes_per_s=500_000,
-                        max_mean_delay_us=10_000.0)
-        state = EvalState(cts_enabled=True, qos=qos, enabled_at_us=0,
-                          throughput_before=0.0)
-        out = evaluate_performance(state, retx_in_window=0,
-                                   throughput_bytes_per_s=400_000.0,
-                                   mean_delay_us=500.0, now_us=100_000, **GATE)
-        assert out.qos_violated
-        out = evaluate_performance(state, retx_in_window=0,
-                                   throughput_bytes_per_s=600_000.0,
-                                   mean_delay_us=500.0, now_us=100_000, **GATE)
-        assert not out.qos_violated
+        held = (False, 0.0, 5_000_000)
+        assert evaluate_performance(*held, retx_in_window=10, throughput_bytes_per_s=0.0,
+                                    now_us=4_000_000, **GATE) == held
+        cts_on, _, _ = evaluate_performance(*held, retx_in_window=10,
+                                            throughput_bytes_per_s=0.0, now_us=5_000_000,
+                                            **GATE)
+        assert cts_on
 
 
 def controller(coordinated: bool = True, **settings) -> Reservation:
     """A controller under the default reservation settings, changed by
     ``settings``, whose coordinator is an idle WiFi radio."""
-    iface = RadioInterface("ss_wifi", RadioKind.WIFI, Position(0.0, 0.0), 2412.0, 20.0,
+    iface = RadioInterface("ss_wifi", Position(0.0, 0.0), 2412.0, 20.0,
                            decode_sensitivity_dbm=-85.0, cca_threshold_dbm=-82.0,
                            platform="ss")
     coord = WifiStation(iface, DcfParams(), random.Random(1)) if coordinated else None
@@ -224,8 +197,8 @@ class TestController:
         assert res.claims(0)
         res.claimed(10_000)
         assert not res.claims(10_000)
-        assert not res.claims(10_000 + res.pacing.claim_interval_us - 1)
-        assert res.claims(10_000 + res.pacing.claim_interval_us)
+        assert not res.claims(10_000 + res.claim_interval_us - 1)
+        assert res.claims(10_000 + res.claim_interval_us)
 
     def test_no_reservation_without_coordinator(self):
         assert not controller(coordinated=False, performance_gating=False).claimed(0)
@@ -233,13 +206,13 @@ class TestController:
     def test_gate_off_blocks_reservation(self):
         res = controller()
         assert not res.claimed(0)
-        res.eval = replace(res.eval, cts_enabled=True)
+        res.cts_on = True
         assert res.claimed(0)
         assert controller(performance_gating=False).claimed(0)
 
     def test_no_plan_while_a_train_is_on_air(self):
         res = controller(performance_gating=False)
-        res.train_until = 1000
+        res.coordinator.train_until_us = 1000
         assert res.plan(999, 50_000) is None
         assert res.plan(1000, 50_000) is not None
 
@@ -260,11 +233,11 @@ class TestController:
 
     def test_fixed_power_without_sizing(self):
         res = controller(power_sizing=False, cts_power_dbm=7.0, performance_gating=False)
-        res.estimate = InterfererEstimate(2, 30.0)
+        res.interferers, res.reach_m = 2, 30.0
         _, chunks = res.plan(0, 50_000)
         assert chunks[0].power_dbm == 7.0
         res = controller(performance_gating=False)
-        res.estimate = InterfererEstimate(2, 30.0)
+        res.interferers, res.reach_m = 2, 30.0
         _, chunks = res.plan(0, 50_000)
         assert chunks[0].power_dbm == reservation_power(30.0, -82.0, LOGD)
 
@@ -301,3 +274,17 @@ class TestController:
                              performance_gating=False)
         assert ungated.eval_tick(100_000, 0, 0) is None
         assert ungated.scale == 1.0
+
+    def test_met_qos_target_keeps_the_scale(self):
+        def scale_after(delivered: int, delay_us: float) -> float:
+            """Scale after one tick with ``delivered`` bytes in 100 ms and one delay sample."""
+            res = controller(qos=QosTarget(min_throughput_bytes_per_s=500_000,
+                                           max_mean_delay_us=10_000.0))
+            res.delivered_points.append((0, 0))
+            res.delays.append((50_000, delay_us))
+            res.eval_tick(100_000, 0, delivered)
+            return res.scale
+
+        assert scale_after(60_000, 500.0) == 1.0      # 600 kB/s, 500 us: met
+        assert scale_after(40_000, 500.0) > 1.0       # 400 kB/s: throughput missed
+        assert scale_after(60_000, 20_000.0) > 1.0    # 20 ms: delay missed

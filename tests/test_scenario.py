@@ -6,9 +6,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from coexsim.medium import FREE_SPACE, PathLossModel, Position, SpillageTable
+from coexsim.medium import FREE_SPACE, MediumModel, PathLossModel, Position, SpillageTable
 from coexsim.reservation import QosTarget
-from coexsim.scenario import (ArbiterConfig, MediumConfig, NodeConfig, ReservationConfig,
+from coexsim.scenario import (ArbiterConfig, NodeConfig, ReservationConfig,
                               ScenarioConfig, ScenarioError, TrafficConfig, WimaxConfig,
                               emit_scenario, load_scenario, parse_scenario, toggled)
 from coexsim.wifi import DcfParams
@@ -291,9 +291,9 @@ def scenarios(draw):
                                        unique=True)))
     rejections = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=len(separations),
                                       max_size=len(separations))))
-    medium = MediumConfig(path_loss=PathLossModel(**path_loss),
-                          spillage=SpillageTable(tuple(zip(separations, rejections))),
-                          **draw(scalars(MediumConfig)))
+    medium = MediumModel(path_loss=PathLossModel(**path_loss),
+                         spillage=SpillageTable(tuple(zip(separations, rejections))),
+                         **draw(scalars(MediumModel)))
     wimax = draw(scalars(WimaxConfig))
     dl_end = int(wimax["frame_us"] * wimax["dl_ratio"])
     wimax["preamble_us"] = min(wimax["preamble_us"], dl_end)

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from coexsim.medium import FrameKind, Position, RadioInterface, RadioKind, Transmission
+from coexsim.medium import FrameKind, Position, RadioInterface, Transmission
 from coexsim.wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, DcfParams,
                           WifiStation, data_airtime_us)
 
@@ -10,7 +10,7 @@ PARAMS = DcfParams()
 
 
 def make_station(seed=1):
-    iface = RadioInterface("sta", RadioKind.WIFI, Position(0, 0), 2412.0, 20.0,
+    iface = RadioInterface("sta", Position(0, 0), 2412.0, 20.0,
                            -85.0, -82.0)
     return WifiStation(iface, PARAMS, random.Random(seed))
 
