@@ -6,10 +6,19 @@ deterministic and physical: frame ends land before control decisions,
 control decisions before scheduled transmission starts, and contention
 attempts last, so a station whose backoff expires the instant a
 scheduled emission begins defers to it, while two data stations whose
-backoffs expire in the same slot collide.
+backoffs expire in the same slot collide.  Contention attempts take
+(station config order, attempt token) as seq, so same-time attempts pop
+in config order however they were scheduled; every other event takes its
+push order.
 
 All randomness flows from one seeded PRNG, drawn only for WiFi backoff,
 in event order.
+
+The trace hash covers what the run did, not how the engine got there: the
+behaviour notes (``air``, ``outcome``, ``nav``, ``arb``, ``deny``,
+``reserve-skip``, ``pacing``, ``gate``), each line ending in a newline.
+A collected trace also holds one ``time|phase|kind|data`` line per popped
+event, which no hash covers.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ P_START = 2    # scheduled transmission starts (bursts, CTS)
 P_ACCESS = 3   # WiFi contention attempts
 
 _WIMAX_ARRIVAL_TICK_US = 10_000
-# trace lines buffered before they go into the hash in one update
+# behaviour notes buffered before they go into the hash in one update
 _HASH_BATCH_LINES = 256
 
 
@@ -234,7 +243,7 @@ class Engine:
         self._heap: list = []
         self._seq = itertools.count()
         self._hash = hashlib.sha256()
-        self._lines: list[str] = []  # trace lines not yet hashed
+        self._lines: list[str] = []  # behaviour notes not yet hashed
         self._trace: Optional[list[str]] = [] if collect_trace else None
 
         self.medium: MediumModel = config.medium
@@ -251,7 +260,7 @@ class Engine:
                 self.stations[n.id] = _WifiRt(n, WifiStation(self.interfaces[n.id],
                                                              self.dcf, self.rng),
                                               len(self.stations))
-        # stations whose attempt the medium voided, by config order; they
+        # stations whose attempt was voided, keyed by config order; they
         # re-arm at the next frame end
         self._resched: dict[int, _WifiRt] = {}
         self.cells: dict[str, _Cell] = {}
@@ -266,7 +275,8 @@ class Engine:
                 plat = self.interfaces[n.id].platform
                 coord = next((rt.station for rt in self.stations.values()
                               if plat is not None and rt.station.iface.platform == plat), None)
-                res = (Reservation(config.reservation, coord, self.medium.path_loss)
+                res = (Reservation(config.reservation, coord, self.medium.path_loss,
+                                   config.warmup_us)
                        if config.reservation.enabled else None)
                 self.sses[n.id] = _SsRt(n, config.node(n.bs), res)
 
@@ -319,16 +329,21 @@ class Engine:
         heapq.heappush(self._heap, (time_us, phase, next(self._seq), kind, data))
 
     def _note(self, line: str) -> None:
-        self._lines.append(line)
+        """Record a behaviour note: it goes into the trace hash, and into the
+        trace if one is kept."""
+        lines = self._lines
+        lines.append(line)
+        if self._trace is not None:
+            self._trace.append(line)
+        if len(lines) >= _HASH_BATCH_LINES:
+            self._flush()
 
     def _flush(self) -> None:
-        """Hash the buffered lines, each ending in a newline; SHA-256 of the
+        """Hash the buffered notes, each ending in a newline; SHA-256 of the
         concatenation equals that of one update per line."""
         lines = self._lines
         if lines:
             self._hash.update(("\n".join(lines) + "\n").encode())
-            if self._trace is not None:
-                self._trace.extend(lines)
             lines.clear()
 
     def _losses_to(self, dst: str) -> LossRow:
@@ -387,15 +402,18 @@ class Engine:
                 self._push(cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
 
         heap, pop, handlers, end = self._heap, heapq.heappop, self._handlers, cfg.duration_us
-        lines = self._lines
-        append = lines.append
-        while heap and heap[0][0] <= end:
-            time_us, phase, _, kind, data = pop(heap)
-            self.now = time_us
-            append(f"{time_us}|{phase}|{kind}|{data if isinstance(data, str) else ''}")
-            handlers[kind](data)
-            if len(lines) >= _HASH_BATCH_LINES:
-                self._flush()
+        if self._trace is None:
+            while heap and heap[0][0] <= end:
+                time_us, _, _, kind, data = pop(heap)
+                self.now = time_us
+                handlers[kind](data)
+        else:  # the same loop, keeping one line per popped event
+            append = self._trace.append
+            while heap and heap[0][0] <= end:
+                time_us, phase, _, kind, data = pop(heap)
+                self.now = time_us
+                append(f"{time_us}|{phase}|{kind}|{data if isinstance(data, str) else ''}")
+                handlers[kind](data)
         self._flush()
 
         shares = [self.system_airtime[s] / (cfg.duration_us - cfg.warmup_us)
@@ -553,15 +571,16 @@ class Engine:
 
     def _send_train(self, chunks: list[Transmission], tag: str) -> None:
         """Push a CTS train under one transmit grant over its span, released
-        by the last chunk's end, and mark its radio busy with it until then;
-        a ``deny|tag`` note instead if denied."""
+        by the last chunk's end, and keep its radio from contending until
+        then; a ``deny|tag`` note instead if denied."""
         holds: list[str] = []
-        source, end = chunks[0].source, chunks[-1].end_us
-        if not self._arbiter_request(source, arb.ArbiterState.TX,
-                                     (chunks[0].start_us, end), holds):
+        source, start, end = chunks[0].source, chunks[0].start_us, chunks[-1].end_us
+        if not self._arbiter_request(source, arb.ArbiterState.TX, (start, end), holds):
             self._note(f"{self.now}|deny|{tag}")
             return
-        self.stations[source].station.train_until_us = end
+        rt = self.stations[source]
+        if rt.station.on_own_train(start, end):
+            self._resched[rt.order] = rt
         for chunk in chunks:
             self._push(chunk.start_us, P_START, "cts",
                        (chunk, holds if chunk is chunks[-1] else []))
@@ -661,7 +680,8 @@ class Engine:
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
         self._push(tx.end_us, P_END, "txend", rec)
-        self._note(f"{tx.start_us}|air|{tx.kind.value}|{tx.source}>{tx.dest}|{tx.airtime_us}")
+        self._note(f"{tx.start_us}|air|{tx.kind.value}|{tx.source}>{tx.dest}|{tx.airtime_us}|"
+                   f"{tx.power_dbm}")
 
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx
@@ -707,7 +727,7 @@ class Engine:
 
         # wake frozen stations
         if self._resched:
-            waking = [self._resched[order] for order in sorted(self._resched)]
+            waking = list(self._resched.values())
             self._resched.clear()
             for rt in waking:
                 self._schedule_access(rt)
@@ -752,7 +772,10 @@ class Engine:
         attempt = st.arm_attempt(self.now)
         if attempt is not None:
             token, start = attempt
-            self._push(start, P_ACCESS, "access", (rt, token))
+            # (order, token) as seq: same-time attempts pop in config order,
+            # whatever order they were armed in
+            heapq.heappush(self._heap, (start, P_ACCESS, (rt.order, token), "access",
+                                        (rt, token)))
 
     def _on_access(self, data) -> None:
         rt, token = data

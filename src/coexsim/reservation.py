@@ -160,12 +160,15 @@ def _windowed(points: deque, now_us: int, cum_now: int, window_us: int) -> float
 class Reservation:
     """A subscriber station's CTS-to-self controller under the scenario's
     reservation section ``cfg``.  Its ``coordinator``, the co-located WiFi
-    radio (None if it has none), overhears the neighbourhood and sends trains."""
+    radio (None if it has none), overhears the neighbourhood and sends trains.
+    The QoS scale does not grow before ``warmup_us``."""
 
-    def __init__(self, cfg, coordinator: Optional[WifiStation], model: PathLossModel):
+    def __init__(self, cfg, coordinator: Optional[WifiStation], model: PathLossModel,
+                 warmup_us: int):
         self.cfg = cfg
         self.coordinator = coordinator
         self.model = model
+        self.warmup_us = warmup_us
         self.claim_interval_us = cfg.claim_interval_init_us
         self.next_claim_at = 0
         self.interferers = 0                 # active systems heard in the monitor window
@@ -173,7 +176,7 @@ class Reservation:
         self.cts_on = False                  # the performance gate
         self.baseline = 0.0                  # throughput when the gate last switched on
         self.next_check_us = 0               # no gate switch before this
-        self.scale = 1.0                     # grows while the QoS target is missed
+        self.scale = 1.0                     # QoS reservation scale, in [1, qos_growth_cap]
         self.last_retx_cum = 0
         self.heard: deque = deque()          # (t, source, rx power)
         self.delays: deque = deque()         # (t, delay sample)
@@ -236,29 +239,36 @@ class Reservation:
         return f"{self.interferers}|{share:.4f}|{self.claim_interval_us}"
 
     def eval_tick(self, now: int, retx_cum: int, delivered_cum: int) -> Optional[str]:
-        """Step the gate, and grow the reservation scale if the QoS target is
-        missed; the ``gate`` note if the gate switched."""
+        """Step the gate and the QoS scale; the ``gate`` note if the gate
+        switched.
+
+        A tick that misses the QoS target grows the scale by
+        ``1 + qos_growth_step``, up to the cap, but only after the warm-up and
+        while the station reserves (the gate is on, or gating is off); a
+        tick that meets it shrinks the scale by the same factor, down to 1."""
         cfg = self.cfg
         floor = now - cfg.eval_window_us
         while self.delays and self.delays[0][0] < floor:
             self.delays.popleft()
-        if not cfg.performance_gating:
-            return None
-        retx_in_window = retx_cum - self.last_retx_cum
-        self.last_retx_cum = retx_cum
         throughput = _windowed(self.delivered_points, now, delivered_cum, cfg.eval_window_us)
         was_on = self.cts_on
-        self.cts_on, self.baseline, self.next_check_us = evaluate_performance(
-            was_on, self.baseline, self.next_check_us, retx_in_window, throughput, now,
-            enable_retx_threshold=cfg.retx_enable_threshold,
-            eval_window_us=cfg.eval_window_us, hold_us=cfg.hold_us)
+        if cfg.performance_gating:
+            retx_in_window = retx_cum - self.last_retx_cum
+            self.last_retx_cum = retx_cum
+            self.cts_on, self.baseline, self.next_check_us = evaluate_performance(
+                was_on, self.baseline, self.next_check_us, retx_in_window, throughput, now,
+                enable_retx_threshold=cfg.retx_enable_threshold,
+                eval_window_us=cfg.eval_window_us, hold_us=cfg.hold_us)
         qos = cfg.qos
         if qos is not None:
             mean_delay = (sum(d for _, d in self.delays) / len(self.delays)
                           if self.delays else 0.0)
-            if (throughput < qos.min_throughput_bytes_per_s
-                    or mean_delay > qos.max_mean_delay_us):
-                self.scale = min(cfg.qos_growth_cap, self.scale * (1 + cfg.qos_growth_step))
+            step = 1 + cfg.qos_growth_step
+            if (throughput >= qos.min_throughput_bytes_per_s
+                    and mean_delay <= qos.max_mean_delay_us):
+                self.scale = max(1.0, self.scale / step)
+            elif now >= self.warmup_us and (self.cts_on or not cfg.performance_gating):
+                self.scale = min(cfg.qos_growth_cap, self.scale * step)
         if self.cts_on != was_on:
             return "on" if self.cts_on else "off"
         return None

@@ -121,16 +121,25 @@ class WifiStation:
         """Register an access attempt; returns (token, start time), or None
         with nothing to send.
 
-        The start accounts for medium busy, NAV, a DIFS of idle air and the
-        remaining backoff slots.
+        The start accounts for medium busy, NAV, the radio's own CTS train, a
+        DIFS of idle air and the remaining backoff slots.
         """
         if not self.queue or self.transmitting:
             return None
-        contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
+        contend = max(now_us, self.busy_until_us, self.nav_expiry_us, self.train_until_us)
         start = contend + self.params.difs_us + self.pending_slots * self.params.slot_us
         self._token += 1
         self._attempt = (self._token, contend, start)
         return self._token, start
+
+    def on_own_train(self, start_us: int, until_us: int) -> bool:
+        """The radio was granted a CTS train whose first chunk starts at
+        ``start_us`` and whose last ends at ``until_us``.  Its own CTS sets no
+        NAV at itself, so it contends only after the train, and an armed
+        attempt that would start at or after the first chunk is void.
+        Returns whether this voided the access attempt."""
+        self.train_until_us = until_us
+        return self._interrupt(start_us, FrameKind.CTS)
 
     def attempt_valid(self, token: int) -> bool:
         return self._attempt is not None and self._attempt[0] == token

@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
-slot accounting, and co-located conflict time and a radio's overlaps with
-its own emissions are read back from a run's trace.
+slot accounting, and co-located conflict time, a radio's overlaps with its
+own emissions and the trace hash are read back from a run's trace.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import random
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
@@ -70,8 +71,7 @@ def conflict_time(cfg, trace: list[str]) -> int:
     the other (an addressee listens if the frame reaches it at or above its
     sensitivity).  A frame addressed to a platform mate pairs with itself.
 
-    Only data frames and bursts are addressed, and both go out at their
-    source's configured power.
+    Each ``air`` note ends with the emission's power.
     """
     interfaces = cfg.interfaces()
     medium = cfg.medium
@@ -90,7 +90,7 @@ def conflict_time(cfg, trace: list[str]) -> int:
         if dst is None or dst.platform is None:
             continue
         tx = Transmission(source=source, kind=FrameKind(parts[2]), start_us=start,
-                          airtime_us=airtime, power_dbm=src.tx_power_dbm,
+                          airtime_us=airtime, power_dbm=float(parts[5]),
                           channel_mhz=src.channel_mhz, dest=dest)
         if oracle_rx_power(tx, src, dst, medium) >= dst.decode_sensitivity_dbm:
             listeners.setdefault(dst.platform, []).append((start, start + airtime, dest))
@@ -109,6 +109,17 @@ def conflict_time(cfg, trace: list[str]) -> int:
                 if mate != radio and lo < hi:
                     total += hi - lo
     return total
+
+
+def line_by_line_hash(trace: list[str]) -> str:
+    """The trace hash as one SHA-256 update per behaviour line would give it:
+    every line of a collected trace whose second field is not a phase digit,
+    each ending in a newline."""
+    h = hashlib.sha256()
+    for line in trace:
+        if not line.split("|", 2)[1].isdigit():
+            h.update(f"{line}\n".encode())
+    return h.hexdigest()
 
 
 def own_overlaps(trace: list[str]) -> int:

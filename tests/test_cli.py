@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 
 import pytest
@@ -8,6 +7,7 @@ from coexsim.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
                          compare_command, main, run_command)
 from coexsim.engine import Engine
 from conftest import scenario_path
+from oracles import line_by_line_hash
 
 
 def run_emulation(tmp_path, name, fmt="json", duration=3_000_000, seed=1, trace=None):
@@ -61,8 +61,12 @@ class TestRunCommand:
         lines = data.decode().splitlines()
         assert lines
         assert all("|" in l for l in lines)
-        # the file is exactly what the report's trace hash covers
-        assert hashlib.sha256(data).hexdigest() == json.loads(out.read_text())["trace_hash"]
+        assert data.endswith(b"\n")
+        # one line per popped event, which the hash does not cover, and the
+        # behaviour notes, which it covers
+        events = [l for l in lines if l.split("|")[1].isdigit()]
+        assert events and len(events) < len(lines)
+        assert line_by_line_hash(lines) == json.loads(out.read_text())["trace_hash"]
 
     def test_missing_scenario_leaves_no_partial_output(self, tmp_path):
         out = tmp_path / "never.json"

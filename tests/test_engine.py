@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 from dataclasses import replace
@@ -8,9 +7,9 @@ import pytest
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
-from coexsim.reservation import QosTarget, reservation_power
+from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
-from oracles import brute_force_outcomes, dcf_saturation_share, own_overlaps
+from oracles import brute_force_outcomes, dcf_saturation_share, line_by_line_hash, own_overlaps
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -79,39 +78,40 @@ def pairs_grid(pairs: int = 20, side: int = 5, spacing_m: float = 40.0) -> str:
 
 
 # Seed-1 trace hashes.  A change that moves one on purpose updates it here
-# and says why in CHANGES.md.  conference_room's moved when system airtime
-# became the union of a system's emissions: its pacing notes print the share.
+# and says why in CHANGES.md.  All moved when the hash came to cover the
+# behaviour notes alone and same-time access attempts began to pop in
+# config order.
 PINNED_HASHES = {
-    "emulation_cfg": "7d8c3083456621b815ddab983f3cd23a23bdb35fdfa894f37bed91e958b72fd7",
-    "conference_cfg": "09d757c32cc7457d8c1a3f1f51a6c02829227acd8df3562ef5a6c6d65edcd201",
-    "colocated_cfg": "b70ab4234863516cc81d5dd1814c43c112d84ca654fb570d4b264cb7e595d114",
+    "emulation_cfg": "f9762ce8aa010aeb20c782f3bacef8412cb3e87542127ac77d91840471961144",
+    "conference_cfg": "19b034c787647812d6290f40424ef0dd08897a89b2fea0269936be3ee581610c",
+    "colocated_cfg": "d02dee9de1c2ac85b4cc92ed3cd886738968a62e84132867a63e6c1b79c3fc13",
 }
-GRID_HASH = "3034f04af04a4762db961100252162072a3734f6379328fb2c18f3665c1bf2eb"
+GRID_HASH = "d4502c62f077abfb7611790ff37a77252ff1fef5b47263eb3d2a56a2846cb856"
 
 # Seed-1 hashes of 6 s runs that reach the reservation controller's less
 # common paths: fixture, reservation settings changed, hash.
 RESERVATION_VARIANTS = {
-    # QoS misses grow the reservation scale to its cap of 2.0
+    # QoS misses past the 1 s warm-up grow the reservation scale to its cap
+    # of 2.0; it moved when misses in the warm-up stopped growing it
     "conference-qos": (
         "conference_cfg", {"qos": QosTarget(2_000_000, 500)},
-        "694bffc4accd9fcd06d66c1f5850a8bf2ef14e72c032fd5d1e490c495d606189"),
+        "5cad73dbbc706d851b88e954c76c14981518c4b9b1a6c798195363812a3cae72"),
     "conference-fixed-power": (
         "conference_cfg", {"power_sizing": False},
-        "7506f787c989e5ed6440153b00576f46ccb730c4c8f2ef7934e6dbae5bded3e5"),
+        "f336f150c1c2c70d9e183dadd304e744a6b5d48a93ac20b97c8e7e86079f05d7"),
     "conference-ungated": (
         "conference_cfg", {"performance_gating": False},
-        "f01a98f6dcf7b39a5ae51ef366a31124a2dc4097c7e55c100cb3f099a0773603"),
+        "0ff025d6de7c345b8effe0e576446d9b6c23feae3c22aebbac998efa983b23ae"),
     "conference-unpaced": (
         "conference_cfg", {"pacing": False},
-        "681b8737186c5dfc28fb602e40bc988e0063c9268f2f6be75f6653bed7abc568"),
-    # reservation behind an arbiter: 372 deny|reserve notes, four reserve-skips.
-    # Both moved when a coordinator's train began to wait for its own data frame.
+        "3ea1431f1ac02a9578dcfd393a1deca2897f5cfb7846f4420f85cd7f4ad2dea0"),
+    # reservation behind an arbiter: 351 deny|reserve notes, seven reserve-skips
     "colocated-reserving": (
         "colocated_cfg", {"enabled": True},
-        "934dcc577ec3a153b088ff90f393bf6840d9d1385cba15f9154da6059778be82"),
+        "a5c421331fa8f5187d76c11c4653ed296639282ea82e527ab02e6af584f8863b"),
     "colocated-reserving-ungated": (
         "colocated_cfg", {"enabled": True, "performance_gating": False},
-        "8e42a3bcb3bc0a20b6730785ee3f7e5bdd126d0e3b3b29d32de4ce49ca84ee82"),
+        "e72e50bfdfae8432bcfc63114409df622822f2b5f0f03aed2cdc15d9087c1189"),
 }
 
 
@@ -120,17 +120,10 @@ def traced_run(cfg: ScenarioConfig, seed: int = 1):
     return engine, engine.run()
 
 
-def line_by_line_hash(trace: list[str]) -> str:
-    """The trace hash as one SHA-256 update per line would give it."""
-    h = hashlib.sha256()
-    for line in trace:
-        h.update(f"{line}\n".encode())
-    return h.hexdigest()
-
-
 class TestPinnedHashes:
-    """The engine hashes its trace in batches; each pinned run also checks
-    that this equals hashing the collected trace line by line."""
+    """The engine hashes its behaviour notes in batches; each pinned run also
+    checks that this equals hashing the collected trace's behaviour lines one
+    by one."""
 
     @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
     def test_shipped_scenario(self, fixture, request):
@@ -139,15 +132,18 @@ class TestPinnedHashes:
         assert line_by_line_hash(engine.trace) == result.trace_hash
 
     def test_pairs_grid(self):
-        engine, result = traced_run(parse_scenario(pairs_grid()))
+        cfg = parse_scenario(pairs_grid())
+        engine, result = traced_run(cfg)
         assert result.cts_count == 57  # injected and power-sized trains both ran
         assert result.trace_hash == GRID_HASH
-        assert len(engine.trace) > 50 * _HASH_BATCH_LINES
+        notes = [line for line in engine.trace if not line.split("|")[1].isdigit()]
+        assert len(notes) > 9 * _HASH_BATCH_LINES
         assert line_by_line_hash(engine.trace) == result.trace_hash
+        assert run(cfg, seed=1).trace_hash == GRID_HASH  # untraced: the same hash
 
     @pytest.mark.parametrize("duration_us", [1_000, 120_000, 1_000_000])
     def test_batches_of_any_length_hash_like_lines(self, emulation_cfg, duration_us):
-        """Traces from under one batch to many: the batch hash matches."""
+        """Notes from under one batch to many: the batch hash matches."""
         engine, result = traced_run(replace(emulation_cfg, duration_us=duration_us,
                                             warmup_us=0))
         assert line_by_line_hash(engine.trace) == result.trace_hash
@@ -168,9 +164,51 @@ class TestPinnedConflict:
         assert run(conference_cfg, seed=1).colocated_conflict_us == 30_844
 
     def test_colocated_without_arbiter(self, colocated_cfg):
+        """Moved from 1,907,150 when same-time access attempts began to pop
+        in config order."""
         cfg = replace(colocated_cfg, duration_us=6_000_000,
                       arbiter=replace(colocated_cfg.arbiter, enabled=False))
-        assert run(cfg, seed=1).colocated_conflict_us == 1_907_150
+        assert run(cfg, seed=1).colocated_conflict_us == 1_922_160
+
+
+class _ReversedWake(dict):
+    """A set of voided stations that wakes them in reverse order."""
+
+    def values(self):
+        return list(reversed(list(super().values())))
+
+
+class _RecordingEngine(Engine):
+    """An engine that records (time, station order, token) of every access
+    attempt it pops, and can wake voided stations in reverse order."""
+
+    def __init__(self, cfg, reverse_wake: bool = False):
+        super().__init__(cfg, seed=1)
+        self.popped = []
+        if reverse_wake:
+            self._resched = _ReversedWake()
+
+    def _on_access(self, data):
+        rt, token = data
+        self.popped.append((self.now, rt.order, token))
+        super()._on_access(data)
+
+
+class TestCanonicalOrder:
+    def test_arming_order_leaves_the_run_alone(self):
+        """Same-time access attempts pop in (config order, token) order, so
+        waking voided stations in another order gives the same pops, trace
+        hash and report."""
+        cfg = parse_scenario(pairs_grid())
+        plain, reversed_ = _RecordingEngine(cfg), _RecordingEngine(cfg, reverse_wake=True)
+        want, got = plain.run(), reversed_.run()
+        ties = sum(a[0] == b[0] for a, b in zip(plain.popped, plain.popped[1:]))
+        assert ties > 100
+        assert plain.popped == sorted(plain.popped)
+        assert reversed_.popped == plain.popped
+        assert got.trace_hash == want.trace_hash
+        assert json.dumps(got.to_dict(), sort_keys=True) == \
+            json.dumps(want.to_dict(), sort_keys=True)
 
 
 class TestCachedFastPaths:
@@ -354,7 +392,33 @@ nodes:
 """
         engine = Engine(parse_scenario(text), seed=1, collect_trace=True)
         assert engine.run().cts_count > 1
-        assert engine.trace.count("1000|air|cts|jam>None|44") == 1
+        assert engine.trace.count("1000|air|cts|jam>None|44|20.0") == 1
+        assert own_overlaps(engine.trace) == 0
+
+    def test_coordinator_sends_no_data_between_its_own_chunks(self):
+        """A coordinator whose reservation passes the 32767 us duration cap
+        sends a train of several chunks; its own CTS sets no NAV at itself,
+        so it must hold its data until the train's last chunk (earlier
+        versions sent data in the gaps: 17 chunks started under it)."""
+        text = """
+duration_us: 2000000
+warmup_us: 100000
+wimax: {frame_us: 100000}
+reservation: {enabled: true, pacing: false, performance_gating: false}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_saturated: true}}
+  - {id: ss_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss, peer: ap,
+     traffic: {kind: saturated}}
+  - {id: ap, kind: wifi, position: [3.0, 0.0]}
+"""
+        engine = Engine(parse_scenario(text), seed=1, collect_trace=True)
+        result = engine.run()
+        starts = [int(line.split("|")[0]) for line in engine.trace
+                  if "|air|cts|ss_wifi>" in line]
+        assert any(b - a == NAV_FIELD_CAP_US for a, b in zip(starts, starts[1:]))
+        assert result.links["ss_wifi->ap"].delivered_bytes > 0
         assert own_overlaps(engine.trace) == 0
 
     def test_shares_stay_in_unit_interval(self, conference_cfg):

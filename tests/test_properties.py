@@ -5,8 +5,9 @@ README states for it."""
 from hypothesis import event, given, settings, strategies as st
 
 from coexsim.engine import Engine
+from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import parse_scenario
-from oracles import conflict_time, own_overlaps
+from oracles import conflict_time, line_by_line_hash, own_overlaps
 
 
 def _flag(draw) -> str:
@@ -23,19 +24,26 @@ def small_scenarios(draw) -> str:
     Each WiMAX station may carry a co-located WiFi radio: the subscriber
     station's has an access point that may share its platform and may send
     back to it; the base station's has a saturated access point sending to
-    it.  The injector may sit on the subscriber station's platform too."""
+    it.  The injector may sit on the subscriber station's platform too.
+    With 100 ms frames the reservation scheme is on, ungated, and the
+    subscriber station always has its saturated WiFi radio, so a reservation
+    over its grants can pass the 32767 us duration cap and go out as a train
+    of several chunks."""
     pairs = draw(st.integers(1, 3))
     grid = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                          min_size=pairs + 3, max_size=pairs + 3, unique=True))
     spots = iter([(x * 40.0, y * 40.0) for x, y in grid])
+    frame_us = draw(st.sampled_from([1000, 2000, 5000, 100_000]))
+    long_frames = frame_us == 100_000
     lines = [
         f"duration_us: {draw(st.integers(150_000, 400_000))}",
         "warmup_us: 50000",
         "medium: {path_loss: {kind: log-distance, exponent: %s}}"
         % draw(st.sampled_from([2.0, 3.0, 4.0])),
-        f"wimax: {{frame_us: {draw(st.sampled_from([1000, 2000, 5000]))}}}",
-        f"reservation: {{enabled: {_flag(draw)}, pacing: {_flag(draw)}, "
-        f"power_sizing: {_flag(draw)}, performance_gating: {_flag(draw)}, "
+        f"wimax: {{frame_us: {frame_us}}}",
+        f"reservation: {{enabled: {'true' if long_frames else _flag(draw)}, "
+        f"pacing: {_flag(draw)}, power_sizing: {_flag(draw)}, "
+        f"performance_gating: {'false' if long_frames else _flag(draw)}, "
         f"lead_us: {draw(st.integers(100, 8000))}, pacing_tick_us: 20000, "
         "eval_tick_us: 20000, retx_enable_threshold: 1}",
         f"arbiter: {{enabled: {_flag(draw)}, schedule_aware: {_flag(draw)}, "
@@ -65,7 +73,7 @@ def small_scenarios(draw) -> str:
     lines.append(f"  - {{id: ss, kind: wimax-ss, position: [{x}, {y}], bs: bs, traffic: "
                  f"{{kind: wimax, dl_saturated: {_flag(draw)}, ul_saturated: {_flag(draw)}, "
                  f"dl_bytes_per_s: {rate}, ul_bytes_per_s: {rate}}}}}")
-    if draw(st.booleans()):
+    if long_frames or draw(st.booleans()):
         lines.append(f"  - {{id: ss_wifi, kind: wifi, position: [{x}, {y}], "
                      "collocated_with: ss, peer: ss_ap, traffic: {kind: saturated}}")
         where = (f"position: [{x}, {y}], collocated_with: ss" if draw(st.booleans())
@@ -113,5 +121,11 @@ class TestGeneratedScenarios:
             assert result.colocated_conflict_us == 0
         else:
             assert result.colocated_conflict_us == conflict_time(cfg, engine.trace)
+        cts = [line.split("|") for line in engine.trace if "|air|cts|" in line]
+        if any(a[3] == b[3] and int(b[0]) - int(a[0]) == NAV_FIELD_CAP_US
+               for a, b in zip(cts, cts[1:])):
+            event("CTS train past the duration cap")
         assert own_overlaps(engine.trace) == 0  # a radio sends one frame at a time
+        # the hash covers the behaviour notes alone, whether a trace is kept or not
+        assert line_by_line_hash(engine.trace) == result.trace_hash
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash

@@ -176,14 +176,15 @@ class TestPerformanceGate:
         assert cts_on
 
 
-def controller(coordinated: bool = True, **settings) -> Reservation:
+def controller(coordinated: bool = True, warmup_us: int = 0, **settings) -> Reservation:
     """A controller under the default reservation settings, changed by
     ``settings``, whose coordinator is an idle WiFi radio."""
     iface = RadioInterface("ss_wifi", Position(0.0, 0.0), 2412.0, 20.0,
                            decode_sensitivity_dbm=-85.0, cca_threshold_dbm=-82.0,
                            platform="ss")
     coord = WifiStation(iface, DcfParams(), random.Random(1)) if coordinated else None
-    return Reservation(replace(ReservationConfig(enabled=True), **settings), coord, LOGD)
+    return Reservation(replace(ReservationConfig(enabled=True), **settings), coord, LOGD,
+                       warmup_us)
 
 
 class TestController:
@@ -263,23 +264,44 @@ class TestController:
         assert res.eval_tick(300_000, 5, 20_000) == "off"   # throughput did not improve
 
     def test_qos_misses_grow_the_scale_to_its_cap(self):
-        res = controller(qos=QosTarget(min_throughput_bytes_per_s=1e9),
-                         qos_growth_step=0.25, qos_growth_cap=2.0)
+        """Misses grow the scale only past the warm-up and while the station
+        reserves: with gating off, or with the gate on."""
+        missed = QosTarget(min_throughput_bytes_per_s=1e9)
+        res = controller(qos=missed, qos_growth_step=0.25, qos_growth_cap=2.0,
+                         performance_gating=False, warmup_us=200_000)
         scales = []
-        for tick in range(1, 6):
-            res.eval_tick(tick * 100_000, 0, 0)
+        for tick in range(1, 8):
+            assert res.eval_tick(tick * 100_000, 0, 0) is None
             scales.append(res.scale)
-        assert scales == pytest.approx([1.25, 1.5625, 1.953125, 2.0, 2.0])
-        ungated = controller(qos=QosTarget(min_throughput_bytes_per_s=1e9),
-                             performance_gating=False)
-        assert ungated.eval_tick(100_000, 0, 0) is None
-        assert ungated.scale == 1.0
+        assert scales == pytest.approx([1.0, 1.25, 1.5625, 1.953125, 2.0, 2.0, 2.0])
+        gated = controller(qos=missed)           # the gate stays off: no retransmissions
+        for tick in range(1, 4):
+            gated.eval_tick(tick * 100_000, 0, 0)
+        assert not gated.cts_on and gated.scale == 1.0
+        gated.cts_on = True                      # on until its first check
+        gated.next_check_us = 10**9
+        gated.eval_tick(400_000, 0, 0)
+        assert gated.scale == 1.25
+
+    def test_scale_falls_back_once_the_target_is_met(self):
+        """Each met tick divides the scale by 1 + step, down to 1."""
+        res = controller(qos=QosTarget(min_throughput_bytes_per_s=500_000),
+                         qos_growth_step=0.25, performance_gating=False,
+                         eval_window_us=100_000)
+        res.delivered_points.append((0, 0))
+        delivered, scales = 0, []
+        for tick in range(1, 7):
+            delivered += 10_000 if tick <= 3 else 100_000   # 100 kB/s, then 1 MB/s
+            res.eval_tick(tick * 100_000, 0, delivered)
+            scales.append(res.scale)
+        assert scales == pytest.approx([1.25, 1.5625, 1.953125, 1.5625, 1.25, 1.0])
 
     def test_met_qos_target_keeps_the_scale(self):
         def scale_after(delivered: int, delay_us: float) -> float:
             """Scale after one tick with ``delivered`` bytes in 100 ms and one delay sample."""
             res = controller(qos=QosTarget(min_throughput_bytes_per_s=500_000,
-                                           max_mean_delay_us=10_000.0))
+                                           max_mean_delay_us=10_000.0),
+                             performance_gating=False)
             res.delivered_points.append((0, 0))
             res.delays.append((50_000, delay_us))
             res.eval_tick(100_000, 0, delivered)
