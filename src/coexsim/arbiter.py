@@ -42,23 +42,15 @@ class InterfaceRequest:
 class RadioArbiter:
     """The controller of one platform.
 
-    ``held`` maps each interface holding a grant to its mode.  The state is
-    derived from it: TX iff any interface holds TX, RX iff any holds RX.
+    ``held`` maps each interface holding a grant to the grants it has not
+    returned, and ``state`` is the mode they were granted in: the rules
+    below never let a transmit and a receive hold at once.
     """
 
     def __init__(self, interfaces: Sequence[str]):
         self._known = set(interfaces)
-        self.held: dict[str, ArbiterState] = {}
-        self._grants: dict[str, int] = {}  # grants each holder has not returned
-
-    @property
-    def state(self) -> ArbiterState:
-        modes = self.held.values()
-        if ArbiterState.TX in modes:
-            return ArbiterState.TX
-        if ArbiterState.RX in modes:
-            return ArbiterState.RX
-        return ArbiterState.S
+        self.state = ArbiterState.S
+        self.held: dict[str, int] = {}
 
     def request(self, req: InterfaceRequest) -> str:
         """Apply one request against the transition rules.
@@ -66,24 +58,25 @@ class RadioArbiter:
         From S anything is granted.  From RX a transmit is denied; from TX a
         receive is denied.  A request that persists the current state is
         always accepted.  A granted sleep returns one of that interface's
-        grants.  Denials leave ``held`` untouched.
+        grants, and the last one returned sleeps.  Denials leave ``held``
+        untouched.
         """
         if req.interface not in self._known:
             raise LookupError(f"interface not registered: {req.interface!r}")
-        want = req.desired
+        want, held = req.desired, self.held
         if want is ArbiterState.S:
-            left = self._grants.pop(req.interface, 0) - 1
+            left = held.pop(req.interface, 0) - 1
             if left > 0:
-                self._grants[req.interface] = left
-            else:
-                self.held.pop(req.interface, None)
+                held[req.interface] = left
+            elif not held:
+                self.state = ArbiterState.S
             return GRANT
         state = self.state
         if (state is ArbiterState.RX and want is ArbiterState.TX) or \
            (state is ArbiterState.TX and want is ArbiterState.RX):
             return DENY
-        self.held[req.interface] = want
-        self._grants[req.interface] = self._grants.get(req.interface, 0) + 1
+        self.state = want
+        held[req.interface] = held.get(req.interface, 0) + 1
         return GRANT
 
     def release(self, interface: str) -> None:

@@ -29,11 +29,6 @@ _SUMMED_COLUMNS = _LINK_COLUMNS[1:_LINK_COLUMNS.index("airtime_share")]
 _SUMMARY_COLUMNS = ["fairness_index", "colocated_conflict_us", "cts_count",
                     "cts_airtime_us", "trace_hash"]
 
-COMPARE_METRICS = ["total_delivered_bytes", "wimax_delivered_bytes",
-                   "wimax_throughput_bytes_per_s", "wimax_corrupted_frames",
-                   "fairness_index", "colocated_conflict_us",
-                   "cts_count", "cts_airtime_us"]
-
 
 def render_run_json(result: RunResult) -> str:
     return json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -82,26 +77,21 @@ def extract_metrics(result: RunResult, cfg: ScenarioConfig) -> dict:
 
 
 def compare_report(cfg: ScenarioConfig, mechanism: str, seeds: list[int]) -> dict:
+    """The metrics of ``extract_metrics`` per seed with the mechanism off and
+    on, and their means over the seeds, in that function's key order."""
     per_seed = []
-    sums: dict[str, dict[str, float]] = {"off": {m: 0.0 for m in COMPARE_METRICS},
-                                         "on": {m: 0.0 for m in COMPARE_METRICS}}
     for seed in seeds:
         row = {"seed": seed}
         for arm, enabled in (("off", False), ("on", True)):
-            result = run(toggled(cfg, mechanism, enabled), seed=seed)
-            metrics = extract_metrics(result, cfg)
-            row[arm] = metrics
-            for m in COMPARE_METRICS:
-                sums[arm][m] += metrics[m]
+            row[arm] = extract_metrics(run(toggled(cfg, mechanism, enabled), seed=seed), cfg)
         per_seed.append(row)
     n = len(seeds)
-    report = {"toggle": mechanism, "seeds": seeds, "metrics": {}, "per_seed": per_seed}
-    for m in COMPARE_METRICS:
-        off_mean = sums["off"][m] / n
-        on_mean = sums["on"][m] / n
-        report["metrics"][m] = {"off_mean": off_mean, "on_mean": on_mean,
-                                "delta": on_mean - off_mean}
-    return report
+    metrics = {}
+    for m in per_seed[0]["off"]:
+        off_mean = sum((row["off"][m] for row in per_seed), 0.0) / n
+        on_mean = sum((row["on"][m] for row in per_seed), 0.0) / n
+        metrics[m] = {"off_mean": off_mean, "on_mean": on_mean, "delta": on_mean - off_mean}
+    return {"toggle": mechanism, "seeds": seeds, "metrics": metrics, "per_seed": per_seed}
 
 
 def render_compare_json(report: dict) -> str:
@@ -112,8 +102,7 @@ def render_compare_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["metric", "off_mean", "on_mean", "delta"])
-    for m in COMPARE_METRICS:
-        row = report["metrics"][m]
+    for m, row in report["metrics"].items():
         writer.writerow([m, row["off_mean"], row["on_mean"], row["delta"]])
     return buf.getvalue()
 

@@ -18,7 +18,7 @@ The trace hash covers what the run did, not how the engine got there: the
 behaviour notes (``air``, ``outcome``, ``nav``, ``arb``, ``deny``,
 ``reserve-skip``, ``pacing``, ``gate``), each line ending in a newline.
 A collected trace also holds one ``time|phase|kind|data`` line per popped
-event, which no hash covers.
+event, which no hash covers; its data names the event's subject.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ P_ACCESS = 3   # WiFi contention attempts
 _WIMAX_ARRIVAL_TICK_US = 10_000
 # behaviour notes buffered before they go into the hash in one update
 _HASH_BATCH_LINES = 256
+# the data field of a traced per-event line, for events whose data is not
+# already a node id; every other one prints its string
+_SUBJECTS = {
+    "warmup": lambda _: "",
+    "access": lambda d: f"{d[0].node.id} {d[1]}",  # station, attempt token
+    "txend": lambda rec: f"{rec.tx.kind.value} {rec.tx.source}>{rec.tx.dest}",
+    "cts": lambda d: f"{d[0].kind.value} {d[0].source}>{d[0].dest}",
+    "burst": lambda grant: f"{grant.ss} {grant.direction}",
+    "reserve": lambda d: f"{d[0].node.id} {d[1]}",  # subscriber station, last us
+}
 
 
 def jain_index(shares: list[float]) -> float:
@@ -138,14 +148,13 @@ class RunResult:
 
 
 class _TxRec:
-    __slots__ = ("tx", "key", "link", "served_bytes", "missed", "overlappers", "holds",
+    __slots__ = ("tx", "link", "served_bytes", "missed", "overlappers", "holds",
                  "src_plat", "rx_plat")
 
     def __init__(self, tx: Transmission, holds: list[str], link: Optional[_Link] = None,
                  served_bytes: int = 0):
         self.tx = tx
         self.holds = holds           # interfaces whose arbiter grant the end releases
-        self.key = -1                # its key in Engine.active while on air
         self.link = link
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
@@ -184,13 +193,26 @@ class _ByteQueue:
         return delays
 
 
+class _System:
+    """One system's airtime and counters.  ``airtime`` is clipped to the
+    measurement window; the ``_cum`` ones count from time 0 for the
+    reservation controllers; ``busy_until`` is the end of its last emission."""
+
+    __slots__ = ("name", "airtime", "air_cum", "busy_until", "delivered_cum", "retx_cum")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.airtime = self.air_cum = self.busy_until = 0
+        self.delivered_cum = self.retx_cum = 0
+
+
 class _Link:
     """One directed link: its id, its source's system, the queue that feeds
     it (a WifiStation or a _ByteQueue) and its counters."""
 
     __slots__ = ("id", "src", "dst", "system", "queue", "stats")
 
-    def __init__(self, src: str, dst: str, system: str, queue):
+    def __init__(self, src: str, dst: str, system: _System, queue):
         self.id = f"{src}->{dst}"
         self.src = src
         self.dst = dst
@@ -206,28 +228,30 @@ class _Link:
 class _WifiRt:
     __slots__ = ("node", "station", "order", "link")
 
-    def __init__(self, node, station, order: int):
+    def __init__(self, node, station, order: int, system: _System):
         self.node = node
         self.station = station
         self.order = order           # config order among the WiFi stations
-        self.link = _Link(node.id, node.peer, node.system, station) if node.peer else None
+        self.link = _Link(node.id, node.peer, system, station) if node.peer else None
 
 
 class _SsRt:
-    __slots__ = ("bs_id", "links", "reservation")
+    __slots__ = ("node", "cell", "links", "reservation")
 
-    def __init__(self, node, bs_node, reservation: Optional[Reservation]):
-        self.bs_id = bs_node.id
-        self.links = {DL: _Link(bs_node.id, node.id, bs_node.system, _ByteQueue()),
-                      UL: _Link(node.id, bs_node.id, node.system, _ByteQueue())}
+    def __init__(self, node, cell: _Cell, bs_node, system_of: dict[str, _System],
+                 reservation: Optional[Reservation]):
+        self.node = node
+        self.cell = cell
+        self.links = {DL: _Link(bs_node.id, node.id, system_of[bs_node.id], _ByteQueue()),
+                      UL: _Link(node.id, bs_node.id, system_of[node.id], _ByteQueue())}
         self.reservation = reservation  # None with reservation off
 
 
 class _Cell:
-    __slots__ = ("ss_ids", "maps")
+    __slots__ = ("sses", "maps")
 
-    def __init__(self, ss_ids):
-        self.ss_ids = ss_ids
+    def __init__(self):
+        self.sses: list[_SsRt] = []  # its subscriber stations, in id order
         self.maps: dict[int, FrameMap] = {}
 
 
@@ -254,22 +278,21 @@ class Engine:
         self._reach: dict[tuple[str, float, str], tuple[_WifiRt, ...]] = {}
         self.dcf = config.wifi
 
+        # system name -> its record, in name order; node id -> its system's record
+        self.systems = {s: _System(s) for s in sorted({n.system for n in config.nodes})}
+        self.system_of = {n.id: self.systems[n.system] for n in config.nodes}
+
         self.stations: dict[str, _WifiRt] = {}
         for n in config.nodes:
             if n.kind == "wifi":
                 self.stations[n.id] = _WifiRt(n, WifiStation(self.interfaces[n.id],
                                                              self.dcf, self.rng),
-                                              len(self.stations))
+                                              len(self.stations), self.system_of[n.id])
         # stations whose attempt was voided, keyed by config order; they
         # re-arm at the next frame end
         self._resched: dict[int, _WifiRt] = {}
-        self.cells: dict[str, _Cell] = {}
+        self.cells = {n.id: _Cell() for n in config.nodes if n.kind == "wimax-bs"}
         self.sses: dict[str, _SsRt] = {}
-        for n in config.nodes:
-            if n.kind == "wimax-bs":
-                ss_ids = sorted(m.id for m in config.nodes
-                                if m.kind == "wimax-ss" and m.bs == n.id)
-                self.cells[n.id] = _Cell(ss_ids)
         for n in config.nodes:
             if n.kind == "wimax-ss":
                 plat = self.interfaces[n.id].platform
@@ -278,7 +301,10 @@ class Engine:
                 res = (Reservation(config.reservation, coord, self.medium.path_loss,
                                    config.warmup_us)
                        if config.reservation.enabled else None)
-                self.sses[n.id] = _SsRt(n, config.node(n.bs), res)
+                self.sses[n.id] = _SsRt(n, self.cells[n.bs], config.node(n.bs),
+                                        self.system_of, res)
+        for ss_id in sorted(self.sses):
+            self.sses[ss_id].cell.sses.append(self.sses[ss_id])
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
@@ -293,16 +319,7 @@ class Engine:
                 members = [i.id for i in self.interfaces.values() if i.platform == plat]
                 self.arbiters.update(dict.fromkeys(members, arb.RadioArbiter(members)))
 
-        self.system_of: dict[str, str] = {n.id: n.system for n in config.nodes}
-        systems = sorted({n.system for n in config.nodes})
-        self.system_airtime: dict[str, int] = {s: 0 for s in systems}
-        self._sys_air_cum: dict[str, int] = {s: 0 for s in systems}   # unclipped
-        self._sys_busy_until: dict[str, int] = {s: 0 for s in systems}
-        self._sys_delivered_cum: dict[str, int] = {s: 0 for s in systems}
-        self._sys_retx_cum: dict[str, int] = {s: 0 for s in systems}
-
-        self.active: dict[int, _TxRec] = {}
-        self._tx_ids = itertools.count()
+        self.active: dict[_TxRec, None] = {}  # frames on air, in start order
         self.conflict_us = 0
         self.cts_count = 0
         self.cts_airtime_us = 0
@@ -408,27 +425,26 @@ class Engine:
                 self.now = time_us
                 handlers[kind](data)
         else:  # the same loop, keeping one line per popped event
-            append = self._trace.append
+            append, subjects = self._trace.append, _SUBJECTS
             while heap and heap[0][0] <= end:
                 time_us, phase, _, kind, data = pop(heap)
                 self.now = time_us
-                append(f"{time_us}|{phase}|{kind}|{data if isinstance(data, str) else ''}")
+                append(f"{time_us}|{phase}|{kind}|{subjects.get(kind, str)(data)}")
                 handlers[kind](data)
         self._flush()
 
-        shares = [self.system_airtime[s] / (cfg.duration_us - cfg.warmup_us)
-                  for s in sorted(self.system_airtime)]
+        shares = [s.airtime / (cfg.duration_us - cfg.warmup_us) for s in self.systems.values()]
         try:
             fairness = jain_index(shares)
         except ValueError:
             fairness = 0.0
-        links, delivered = {}, dict.fromkeys(self.system_airtime, 0)
+        links, delivered = {}, dict.fromkeys(self.systems, 0)
         for link in self._links():
             links[link.id] = link.stats
-            delivered[link.system] += link.stats.delivered_bytes
+            delivered[link.system.name] += link.stats.delivered_bytes
         return RunResult(
             seed=self.seed, duration_us=cfg.duration_us, warmup_us=cfg.warmup_us,
-            links=links, system_airtime_us=dict(self.system_airtime),
+            links=links, system_airtime_us={n: s.airtime for n, s in self.systems.items()},
             system_delivered_bytes=delivered,
             fairness_index=fairness, colocated_conflict_us=self.conflict_us,
             cts_count=self.cts_count, cts_airtime_us=self.cts_airtime_us,
@@ -459,7 +475,7 @@ class Engine:
     def _count_delivery(self, link: _Link, nbytes: int, delays: list[int]) -> None:
         link.stats.delivered_bytes += nbytes
         link.stats.delay_samples.extend(delays)
-        self._sys_delivered_cum[link.system] += nbytes
+        link.system.delivered_cum += nbytes
 
     # ------------------------------------------------------------------ traffic
 
@@ -482,15 +498,15 @@ class Engine:
 
     def _top_up_saturated(self, cell: _Cell) -> None:
         target = int(self.cfg.wimax.capacity_bytes_per_us * self.cfg.wimax.frame_us) * 2
-        for ss_id in cell.ss_ids:
-            t = self.cfg.node(ss_id).traffic
+        for ss in cell.sses:
+            t = ss.node.traffic
             if t.kind != "wimax":
                 continue
-            links = self.sses[ss_id].links
             for direction, saturated in ((DL, t.dl_saturated), (UL, t.ul_saturated)):
-                queued = links[direction].queue.queued_bytes
+                link = ss.links[direction]
+                queued = link.queue.queued_bytes
                 if saturated and queued < target:
-                    links[direction].offer(self.now, target - queued)
+                    link.offer(self.now, target - queued)
 
     # ------------------------------------------------------------------ wimax
 
@@ -500,11 +516,10 @@ class Engine:
         frame_start = self.now + cfg.wimax.frame_us
         self._top_up_saturated(cell)
         demands = []
-        for ss_id in cell.ss_ids:
-            ss = self.sses[ss_id]
+        for ss in cell.sses:
             claims = ss.reservation is None or ss.reservation.claims(frame_start)
             for direction, link in ss.links.items():
-                demands.append(SsDemand(ss_id, link.queue.queued_bytes if claims else 0,
+                demands.append(SsDemand(ss.node.id, link.queue.queued_bytes if claims else 0,
                                         direction))
         frame_map = build_frame_map(demands, cfg.wimax.frame_us, cfg.wimax.dl_ratio,
                                     cfg.wimax.capacity_bytes_per_us,
@@ -514,14 +529,14 @@ class Engine:
             del cell.maps[start]
         for g in frame_map.grants:
             self._push(frame_start + g.offset_us, P_START, "burst", g)
-        for ss_id in cell.ss_ids:  # one that may not claim has no demand, so no grants
-            grants = frame_map.grants_for(ss_id)
-            res = self.sses[ss_id].reservation
+        for ss in cell.sses:  # one that may not claim has no demand, so no grants
+            grants = frame_map.grants_for(ss.node.id)
+            res = ss.reservation
             if grants and res is not None and res.claimed(frame_start):
                 first = frame_start + min(g.offset_us for g in grants)
                 last = frame_start + max(g.offset_us + g.len_us for g in grants)
                 self._push(max(self.now, first - cfg.reservation.lead_us), P_CTRL,
-                           "reserve", (ss_id, last))
+                           "reserve", (ss, last))
         self._push(self.now + cfg.wimax.frame_us, P_CTRL, "boundary", bs_id)
 
     def _on_burst(self, grant) -> None:
@@ -545,16 +560,15 @@ class Engine:
     # ------------------------------------------------------------------ reservation
 
     def _on_reserve(self, data) -> None:
-        ss_id, last = data
-        res = self.sses[ss_id].reservation
-        plan = res.plan(self.now, last)
+        ss, last = data
+        plan = ss.reservation.plan(self.now, last)
         if plan is None:
             return
         reservation, chunks = plan
         if not chunks:
-            self._note(f"{self.now}|reserve-skip|{ss_id}|{reservation}")
+            self._note(f"{self.now}|reserve-skip|{ss.node.id}|{reservation}")
             return
-        self._send_train(chunks, f"reserve|{ss_id}")
+        self._send_train(chunks, f"reserve|{ss.node.id}")
 
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
@@ -605,9 +619,9 @@ class Engine:
             return True
         req = arb.InterfaceRequest(iface_id, desired, span_us=span)
         if self.cfg.arbiter.schedule_aware and iface_id in self.stations and any(
-                arb.schedule_aware_check(req, fmap, frame_start, ss_id) == arb.DENY
-                for ss_id, ss in self.sses.items() if self.arbiters.get(ss_id) is arbiter
-                for frame_start, fmap in self.cells[ss.bs_id].maps.items()):
+                arb.schedule_aware_check(req, fmap, frame_start, ss.node.id) == arb.DENY
+                for ss in self.sses.values() if self.arbiters.get(ss.node.id) is arbiter
+                for frame_start, fmap in ss.cell.maps.items()):
             decision = arb.DENY
         else:
             decision = arbiter.request(req)
@@ -625,7 +639,7 @@ class Engine:
         tx, src_plat, rx_plat = rec.tx, rec.src_plat, rec.rx_plat
         if src_plat is not None and src_plat == rx_plat:
             self.conflict_us += self._clip(tx.start_us, tx.end_us)
-        for other in self.active.values():
+        for other in self.active:
             o = other.tx
             overlap = self._clip(max(tx.start_us, o.start_us), min(tx.end_us, o.end_us))
             if src_plat is not None and other.rx_plat == src_plat and o.dest != tx.source:
@@ -649,11 +663,10 @@ class Engine:
         if rec.src_plat is not None or rec.rx_plat is not None:
             self._count_conflict(rec)
 
-        for other in self.active.values():
+        for other in self.active:
             other.overlappers.append(tx)
             rec.overlappers.append(other.tx)
-        rec.key = next(self._tx_ids)
-        self.active[rec.key] = rec
+        self.active[rec] = None
 
         clipped = self._clip(tx.start_us, tx.end_us)
         if rec.link:
@@ -661,13 +674,13 @@ class Engine:
         # a system's airtime is the union of its emissions; they begin in
         # time order, so only the part after its busy-until is new
         system = self.system_of[tx.source]
-        busy = self._sys_busy_until[system]
+        busy = system.busy_until
         if tx.end_us > busy:
             if busy > tx.start_us:
                 clipped = self._clip(busy, tx.end_us)
-            self.system_airtime[system] += clipped
-            self._sys_air_cum[system] += tx.end_us - max(busy, tx.start_us)
-            self._sys_busy_until[system] = tx.end_us
+            system.airtime += clipped
+            system.air_cum += tx.end_us - max(busy, tx.start_us)
+            system.busy_until = tx.end_us
 
         # a WiFi source is busy with its own emission, and every other WiFi
         # radio whose carrier sense it trips senses it; a voided attempt
@@ -685,14 +698,13 @@ class Engine:
 
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx
-        del self.active[rec.key]
+        del self.active[rec]
         for iface_id in rec.holds:
             self.arbiters[iface_id].release(iface_id)
 
-        active = [tx] + rec.overlappers
         window = (tx.start_us, tx.end_us)
         if tx.dest is not None:
-            outcome = delivery_result(tx, active, self.interfaces[tx.dest], window,
+            outcome = delivery_result(tx, rec.overlappers, self.interfaces[tx.dest], window,
                                       self.medium, self._losses_to(tx.dest))
             if outcome.result == CORRUPTED and not rec.missed:
                 rec.link.stats.corrupted_frames += 1
@@ -710,7 +722,7 @@ class Engine:
             for rt in self._hearers(tx.source, tx.power_dbm):
                 st = rt.station
                 sid = rt.node.id
-                heard = delivery_result(tx, active, st.iface, window, self.medium,
+                heard = delivery_result(tx, rec.overlappers, st.iface, window, self.medium,
                                         self._losses_to(sid))
                 if heard.result != DECODED:
                     continue
@@ -742,7 +754,7 @@ class Engine:
                 res.delays.extend((self.now, d) for d in delays)
         else:
             link.stats.retransmissions += 1
-            self._sys_retx_cum[link.system] += 1
+            link.system.retx_cum += 1
 
     def _finish_wifi_data(self, rec: _TxRec, decoded: bool) -> None:
         link = rec.link
@@ -756,7 +768,7 @@ class Engine:
             res = st.on_tx_outcome(False, self.now)
             if res == OUTCOME_RETRY:
                 link.stats.retransmissions += 1
-                self._sys_retx_cum[link.system] += 1
+                link.system.retx_cum += 1
             elif res == OUTCOME_DROP:
                 link.stats.dropped_frames += 1
         if rt.node.traffic.kind == "saturated" and res in (OUTCOME_DONE, OUTCOME_DROP):
@@ -805,7 +817,7 @@ class Engine:
 
     def _on_pacing_tick(self, ss_id: str) -> None:
         note = self.sses[ss_id].reservation.pacing_tick(
-            self.now, self._sys_air_cum[self.system_of[ss_id]])
+            self.now, self.system_of[ss_id].air_cum)
         if note is not None:
             self._note(f"{self.now}|pacing|{ss_id}|{note}")
         self._push(self.now + self.cfg.reservation.pacing_tick_us, P_CTRL, "pacing", ss_id)
@@ -813,13 +825,12 @@ class Engine:
     def _on_eval_tick(self, ss_id: str) -> None:
         system = self.system_of[ss_id]
         note = self.sses[ss_id].reservation.eval_tick(
-            self.now, self._sys_retx_cum[system], self._sys_delivered_cum[system])
+            self.now, system.retx_cum, system.delivered_cum)
         if note is not None:
             self._note(f"{self.now}|gate|{ss_id}|{note}")
         self._push(self.now + self.cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
 
 
-def run(config: ScenarioConfig, seed: Optional[int] = None,
-        collect_trace: bool = False) -> RunResult:
+def run(config: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     """Run one scenario to completion; bit-identical for equal (config, seed)."""
-    return Engine(config, seed=seed, collect_trace=collect_trace).run()
+    return Engine(config, seed=seed).run()

@@ -355,6 +355,8 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig], cts_airtime_us: i
     for i, n in enumerate(nodes):
         if n.id in ids:
             w.fail(f"nodes[{i}].id", f"duplicate node id {n.id!r}")
+        if "|" in n.id or ">" in n.id:  # the separators of trace lines and link ids
+            w.fail(f"nodes[{i}].id", f"node id {n.id!r} contains '|' or '>'")
         ids[n.id] = i
     by_id = {n.id: n for n in nodes}
     for i, n in enumerate(nodes):

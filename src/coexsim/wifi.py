@@ -171,19 +171,15 @@ class WifiStation:
     def on_tx_outcome(self, acked: bool, now_us: int) -> str:
         """Apply the ack/no-ack retry rules to the frame just transmitted."""
         self.transmitting = False
-        if acked:
+        outcome = OUTCOME_DONE
+        if not acked:
+            self.retry_count += 1
+            outcome = OUTCOME_DROP if self.retry_count > self.params.retry_limit else OUTCOME_RETRY
+        if outcome == OUTCOME_RETRY:
+            self.contention_window = min(self.contention_window * 2 + 1, self.params.cw_max)
+        else:  # the frame leaves the queue, acked or out of retries
             self.queue.popleft()
             self.contention_window = self.params.cw_min
             self.retry_count = 0
-            self.pending_slots = self.rng.randint(0, self.contention_window)
-            return OUTCOME_DONE
-        self.retry_count += 1
-        if self.retry_count > self.params.retry_limit:
-            self.queue.popleft()
-            self.contention_window = self.params.cw_min
-            self.retry_count = 0
-            self.pending_slots = self.rng.randint(0, self.contention_window)
-            return OUTCOME_DROP
-        self.contention_window = min(self.contention_window * 2 + 1, self.params.cw_max)
         self.pending_slots = self.rng.randint(0, self.contention_window)
-        return OUTCOME_RETRY
+        return outcome

@@ -42,7 +42,6 @@ class SsDemand:
 class FrameMap:
     """One frame's slot layout. Grants are ordered and non-overlapping."""
 
-    frame_len_us: int
     grants: tuple[Grant, ...]
     ss_ids: tuple[str, ...]
 
@@ -97,4 +96,4 @@ def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: fl
     ul = _pack([d for d in demands if d.direction == UL],
                dl_end + ttg_us, frame_len_us - dl_end - ttg_us, capacity_bytes_per_us, UL)
     roster = tuple(sorted({d.ss for d in demands}))
-    return FrameMap(frame_len_us, tuple(dl + ul), roster)
+    return FrameMap(tuple(dl + ul), roster)

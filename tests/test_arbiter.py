@@ -46,7 +46,8 @@ class TestTransitionTable:
     def test_denial_leaves_ledger_untouched(self):
         a = arbiter_in_state(RX)
         assert a.request(InterfaceRequest("radio-b", TX)) == DENY
-        assert a.held == {"radio-a": RX}
+        assert a.held == {"radio-a": 1}
+        assert a.state is RX
 
 
 class TestReleaseSemantics:
@@ -99,10 +100,22 @@ class TestProperties:
     @settings(deadline=None)
     @given(request_stream())
     def test_never_tx_and_rx_simultaneously(self, stream):
+        """A ledger kept from the decisions alone (the modes of each
+        interface's unreturned grants) never holds a transmit beside a
+        receive, and agrees with the arbiter's grant counts and state."""
         a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
+        ledger: dict[str, list] = {"radio-a": [], "radio-b": [], "radio-c": []}
         for iface, desired in stream:
-            a.request(InterfaceRequest(iface, desired))
-            assert not (TX in a.held.values() and RX in a.held.values())
+            if a.request(InterfaceRequest(iface, desired)) == DENY:
+                continue
+            if desired is not S:
+                ledger[iface].append(desired)
+            elif ledger[iface]:
+                ledger[iface].pop()
+            modes = {m for grants in ledger.values() for m in grants}
+            assert not {TX, RX} <= modes
+            assert a.held == {i: len(g) for i, g in ledger.items() if g}
+            assert a.state is max(modes, default=S)
 
     @settings(deadline=None)
     @given(request_stream())
@@ -129,8 +142,7 @@ class TestProperties:
 
 
 class TestScheduleAware:
-    FMAP = FrameMap(5000, (Grant("ss1", DL, 200, 2800),
-                           Grant("ss1", UL, 3100, 1900)), ("ss1",))
+    FMAP = FrameMap((Grant("ss1", DL, 200, 2800), Grant("ss1", UL, 3100, 1900)), ("ss1",))
 
     def test_wifi_tx_over_scheduled_reception_denied(self):
         req = InterfaceRequest("wifi1", TX, span_us=(10_500, 12_500))

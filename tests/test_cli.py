@@ -177,6 +177,17 @@ class TestMain:
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert "nodes[1].position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("node_id", ["sta|1", "ss->1", "a>"])
+    def test_separator_in_a_node_id_is_a_validation_error(self, tmp_path, capsys, node_id):
+        # accepted by earlier versions: link ids split on "->" and notes on "|"
+        # then misread the node, e.g. compare missed an "ss->1" uplink
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("nodes:\n"
+                       "  - {id: a, kind: wifi, position: [0.0, 0.0]}\n"
+                       f"  - {{id: '{node_id}', kind: wifi, position: [5.0, 0.0]}}\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert f"error: nodes[1].id: node id {node_id!r} contains" in capsys.readouterr().err
+
     def test_engine_failure_is_a_one_line_runtime_error(self, tmp_path, monkeypatch, capsys):
         def fail(self):
             raise RuntimeError("engine gave up\nat some depth")

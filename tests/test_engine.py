@@ -120,14 +120,28 @@ def traced_run(cfg: ScenarioConfig, seed: int = 1):
     return engine, engine.run()
 
 
+@pytest.fixture(scope="module")
+def shipped_run(request):
+    """(engine, result) of a seed-1 traced run of a shipped scenario, by its
+    fixture name; each scenario runs once per module."""
+    runs = {}
+
+    def get(fixture: str):
+        if fixture not in runs:
+            runs[fixture] = traced_run(request.getfixturevalue(fixture))
+        return runs[fixture]
+
+    return get
+
+
 class TestPinnedHashes:
     """The engine hashes its behaviour notes in batches; each pinned run also
     checks that this equals hashing the collected trace's behaviour lines one
     by one."""
 
     @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
-    def test_shipped_scenario(self, fixture, request):
-        engine, result = traced_run(request.getfixturevalue(fixture))
+    def test_shipped_scenario(self, fixture, shipped_run):
+        engine, result = shipped_run(fixture)
         assert result.trace_hash == PINNED_HASHES[fixture]
         assert line_by_line_hash(engine.trace) == result.trace_hash
 
@@ -178,37 +192,44 @@ class _ReversedWake(dict):
         return list(reversed(list(super().values())))
 
 
-class _RecordingEngine(Engine):
-    """An engine that records (time, station order, token) of every access
-    attempt it pops, and can wake voided stations in reverse order."""
-
-    def __init__(self, cfg, reverse_wake: bool = False):
-        super().__init__(cfg, seed=1)
-        self.popped = []
-        if reverse_wake:
-            self._resched = _ReversedWake()
-
-    def _on_access(self, data):
-        rt, token = data
-        self.popped.append((self.now, rt.order, token))
-        super()._on_access(data)
+def event_lines(trace: list[str]) -> list[list[str]]:
+    """The fields of a trace's per-event lines (second field a phase digit)."""
+    return [f for f in (line.split("|") for line in trace) if f[1].isdigit()]
 
 
 class TestCanonicalOrder:
     def test_arming_order_leaves_the_run_alone(self):
         """Same-time access attempts pop in (config order, token) order, so
-        waking voided stations in another order gives the same pops, trace
-        hash and report."""
+        waking voided stations in another order gives the same trace, pops
+        included, and the same report."""
         cfg = parse_scenario(pairs_grid())
-        plain, reversed_ = _RecordingEngine(cfg), _RecordingEngine(cfg, reverse_wake=True)
+        plain = Engine(cfg, seed=1, collect_trace=True)
+        reversed_ = Engine(cfg, seed=1, collect_trace=True)
+        reversed_._resched = _ReversedWake()
         want, got = plain.run(), reversed_.run()
-        ties = sum(a[0] == b[0] for a, b in zip(plain.popped, plain.popped[1:]))
+        popped = []  # (time, station config order, attempt token)
+        for time_us, _, kind, data in event_lines(plain.trace):
+            if kind == "access":
+                station, token = data.split()
+                popped.append((int(time_us), plain.stations[station].order, int(token)))
+        ties = sum(a[0] == b[0] for a, b in zip(popped, popped[1:]))
         assert ties > 100
-        assert plain.popped == sorted(plain.popped)
-        assert reversed_.popped == plain.popped
+        assert popped == sorted(popped)
+        assert reversed_.trace == plain.trace
         assert got.trace_hash == want.trace_hash
         assert json.dumps(got.to_dict(), sort_keys=True) == \
             json.dumps(want.to_dict(), sort_keys=True)
+
+
+class TestEventLines:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_every_event_line_names_its_subject(self, fixture, shipped_run):
+        """Each per-event line but the warm-up's has four fields and a
+        non-empty data field (earlier versions left it empty on access,
+        frame end, CTS, burst and reserve events)."""
+        engine, _ = shipped_run(fixture)
+        lines = event_lines(engine.trace)
+        assert [f for f in lines if len(f) != 4 or (f[3] == "") != (f[2] == "warmup")] == []
 
 
 class TestCachedFastPaths:
@@ -527,10 +548,9 @@ nodes:
 
 
 class TestNavHonoring:
-    def test_no_transmission_inside_decoded_nav(self, emulation_cfg):
+    def test_no_transmission_inside_decoded_nav(self, shipped_run):
         """A station never starts a frame between hearing a CTS and its NAV expiry."""
-        engine = Engine(emulation_cfg, seed=1, collect_trace=True)
-        engine.run()
+        engine, _ = shipped_run("emulation_cfg")
         nav_windows = []
         for line in engine.trace:
             parts = line.split("|")
@@ -548,8 +568,7 @@ class TestNavHonoring:
             for s, e in intervals:
                 assert not (s < expiry and e > heard)
 
-    def test_trace_lines_are_time_ordered(self, emulation_cfg):
-        engine = Engine(emulation_cfg, seed=1, collect_trace=True)
-        engine.run()
+    def test_trace_lines_are_time_ordered(self, shipped_run):
+        engine, _ = shipped_run("emulation_cfg")
         times = [int(l.split("|", 1)[0]) for l in engine.trace]
         assert times == sorted(times)

@@ -170,6 +170,7 @@ class TestTxOutcome:
         assert results[-1] == OUTCOME_DROP
         assert not st_.queue
         assert st_.retry_count == 0
+        assert st_.contention_window == PARAMS.cw_min
 
     @given(st.lists(st.booleans(), min_size=1, max_size=64))
     def test_contention_window_stays_bounded(self, outcomes):
