@@ -34,7 +34,7 @@ from typing import Optional
 
 from . import arbiter as arb
 from .medium import (CORRUPTED, DECODED, FrameKind, LossRow, MediumModel, RadioInterface,
-                     Transmission, delivery_result)
+                     Transmission, delivery_result, invert_path_loss)
 from .reservation import Reservation, build_cts_train
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
@@ -49,11 +49,14 @@ P_ACCESS = 3   # WiFi contention attempts
 _WIMAX_ARRIVAL_TICK_US = 10_000
 # behaviour notes buffered before they go into the hash in one update
 _HASH_BATCH_LINES = 256
+# relative slack on the reach radius, far above float rounding in the
+# distance and the inverted path loss
+_REACH_MARGIN = 1e-9
 # the data field of a traced per-event line, for events whose data is not
 # already a node id; every other one prints its string
 _SUBJECTS = {
     "warmup": lambda _: "",
-    "access": lambda d: f"{d[0].node.id} {d[1]}",  # station, attempt token
+    "access": lambda d: f"{d[2].node.id} {d[1]}",  # (order, token, station)
     "txend": lambda rec: f"{rec.tx.kind.value} {rec.tx.source}>{rec.tx.dest}",
     "cts": lambda d: f"{d[0].kind.value} {d[0].source}>{d[0].dest}",
     "burst": lambda grant: f"{grant.ss} {grant.direction}",
@@ -288,6 +291,11 @@ class Engine:
                 self.stations[n.id] = _WifiRt(n, WifiStation(self.interfaces[n.id],
                                                              self.dcf, self.rng),
                                               len(self.stations), self.system_of[n.id])
+        # per threshold level, its lowest value among the stations, which
+        # bounds how far an emission can reach at that level
+        ifaces = [rt.station.iface for rt in self.stations.values()]
+        self._lowest = {level: min((getattr(i, level) for i in ifaces), default=0.0)
+                        for level in ("cca_threshold_dbm", "decode_sensitivity_dbm")}
         # stations whose attempt was voided, keyed by config order; they
         # re-arm at the next frame end
         self._resched: dict[int, _WifiRt] = {}
@@ -382,13 +390,33 @@ class Engine:
         return self._reached(src, power_dbm, "decode_sensitivity_dbm")
 
     def _reached(self, src: str, power_dbm: float, level: str) -> tuple[_WifiRt, ...]:
+        """Stations other than ``src`` that receive its emission at
+        ``power_dbm`` at or above their ``level``, in config order; memoised.
+
+        Spillage rejection is never negative and path loss never falls with
+        distance, so a station can be reached only if it shares the source's
+        platform (coupling loss) or lies within the distance at which path
+        loss alone uses up ``power_dbm`` minus the lowest threshold of that
+        level.  Only those stations take the exact test."""
         key = (src, power_dbm, level)
         found = self._reach.get(key)
         if found is None:
-            found = self._reach[key] = tuple(
-                rt for sid, rt in self.stations.items()
-                if sid != src and power_dbm - self._losses_to(sid)[src]
-                >= getattr(rt.station.iface, level))
+            src_if = self.interfaces[src]
+            plat, x, y = src_if.platform, src_if.position.x, src_if.position.y
+            reach = invert_path_loss(power_dbm - self._lowest[level], self.medium.path_loss)
+            reach2 = (reach * (1.0 + _REACH_MARGIN)) ** 2
+            found = []
+            for sid, rt in self.stations.items():
+                iface = rt.station.iface
+                if sid == src:
+                    continue
+                if iface.platform is None or iface.platform != plat:
+                    pos = iface.position
+                    if (pos.x - x) ** 2 + (pos.y - y) ** 2 > reach2:
+                        continue
+                if power_dbm - self._losses_to(sid)[src] >= getattr(iface, level):
+                    found.append(rt)
+            found = self._reach[key] = tuple(found)
         return found
 
     def _clip(self, start: int, end: int) -> int:
@@ -574,7 +602,7 @@ class Engine:
         node = self.cfg.node(node_id)
         t = node.traffic
         st = self.stations[node_id].station
-        start = max(self.now, st.busy_until_us, st.train_until_us)
+        start = max(self.now, st.busy_until_us)  # past its own last train too
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
                                  channel_mhz=node.channel_mhz,
@@ -778,23 +806,19 @@ class Engine:
     # ------------------------------------------------------------------ wifi access
 
     def _schedule_access(self, rt: _WifiRt) -> None:
-        st = rt.station
-        if st.armed:
-            return
-        attempt = st.arm_attempt(self.now)
+        attempt = rt.station.arm_attempt(self.now)  # None if one is pending
         if attempt is not None:
             token, start = attempt
-            # (order, token) as seq: same-time attempts pop in config order,
-            # whatever order they were armed in
-            heapq.heappush(self._heap, (start, P_ACCESS, (rt.order, token), "access",
-                                        (rt, token)))
+            # (order, token, station) is both seq and data: same-time attempts
+            # pop in config order, whatever order they were armed in
+            key = (rt.order, token, rt)
+            heapq.heappush(self._heap, (start, P_ACCESS, key, "access", key))
 
     def _on_access(self, data) -> None:
-        rt, token = data
+        _, token, rt = data
         st = rt.station
-        if not st.attempt_valid(token):
+        if not st.take_attempt(token):
             return
-        st.clear_attempt()
         sid = rt.node.id
         head = st.head
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)

@@ -56,7 +56,7 @@ class WifiStation:
         self.params = params
         self.rng = rng
         self.nav_expiry_us = 0
-        self.busy_until_us = 0
+        self.busy_until_us = 0  # end of the air it senses, its own CTS trains included
         self.train_until_us = 0  # end of the last chunk of its last granted CTS train
         self.contention_window = params.cw_min
         self.pending_slots = 0
@@ -84,19 +84,37 @@ class WifiStation:
 
     def on_medium_busy(self, start_us: int, until_us: int,
                        kind: FrameKind = FrameKind.DATA) -> bool:
-        """Physical carrier sense: the medium is occupied over [start, until).
-        Returns whether this voided the access attempt."""
+        """Carrier sense: the medium is occupied over [start, until).
+
+        An armed attempt freezes: the slots counted down while the medium
+        was idle are credited, and the attempt is void.  Busy from after its
+        planned start voids nothing, and neither does a data frame starting
+        exactly then — both stations committed to the same slot and collide.
+        Scheduled emissions (CTS, WiMAX bursts) win such ties instead.
+        Returns whether this voided the access attempt.
+        """
         if until_us > self.busy_until_us:
             self.busy_until_us = until_us
-        if self._attempt is None:  # most calls: nothing armed to void
+        attempt = self._attempt
+        if attempt is None:  # most calls: nothing armed to void
             return False
-        return self._interrupt(start_us, kind)
+        _, contend, start = attempt
+        if start_us > start or (start_us == start and kind is FrameKind.DATA):
+            return False
+        params = self.params
+        # at most the pending slots, as start_us is not past the planned start
+        elapsed = (start_us - contend - params.difs_us) // params.slot_us
+        if elapsed > 0:
+            self.pending_slots -= elapsed
+        self._attempt = None
+        return True
 
     def on_overheard(self, frame: Transmission, rx_power_dbm: float, now_us: int) -> bool:
         """Decode-level observation, called when the frame leaves the air.
 
         Frames below decode sensitivity are invisible.  A CTS extends the NAV
-        to max(current, frame end + duration field); other frames carry no
+        to max(current, frame end + duration field), which freezes an armed
+        attempt as carrier sense does; other frames carry no
         virtual-carrier-sense information (their airtime was already sensed).
         Returns whether this voided the access attempt.
         """
@@ -108,63 +126,43 @@ class WifiStation:
         if expiry <= self.nav_expiry_us:
             return False
         self.nav_expiry_us = expiry
-        return self._interrupt(now_us, FrameKind.CTS)
+        return self.on_medium_busy(now_us, frame.end_us, FrameKind.CTS)
 
     # -- channel access --------------------------------------------------
 
-    @property
-    def armed(self) -> bool:
-        """Whether an access attempt is pending."""
-        return self._attempt is not None
-
     def arm_attempt(self, now_us: int) -> tuple[int, int] | None:
         """Register an access attempt; returns (token, start time), or None
-        with nothing to send.
+        with nothing to send or an attempt already pending.
 
-        The start accounts for medium busy, NAV, the radio's own CTS train, a
-        DIFS of idle air and the remaining backoff slots.
+        The start accounts for medium busy (the radio's own CTS train
+        included), NAV, a DIFS of idle air and the remaining backoff slots.
         """
-        if not self.queue or self.transmitting:
+        if self._attempt is not None or not self.queue or self.transmitting:
             return None
-        contend = max(now_us, self.busy_until_us, self.nav_expiry_us, self.train_until_us)
+        contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
         start = contend + self.params.difs_us + self.pending_slots * self.params.slot_us
         self._token += 1
         self._attempt = (self._token, contend, start)
         return self._token, start
 
+    def take_attempt(self, token: int) -> bool:
+        """Claim the pending attempt to transmit, if ``token`` is its token.
+        A stale token (of an attempt voided since) returns False and leaves
+        the pending attempt, if any, armed."""
+        attempt = self._attempt
+        if attempt is None or attempt[0] != token:
+            return False
+        self._attempt = None
+        return True
+
     def on_own_train(self, start_us: int, until_us: int) -> bool:
         """The radio was granted a CTS train whose first chunk starts at
         ``start_us`` and whose last ends at ``until_us``.  Its own CTS sets no
-        NAV at itself, so it contends only after the train, and an armed
-        attempt that would start at or after the first chunk is void.
-        Returns whether this voided the access attempt."""
+        NAV at itself, but the train keeps it busy: it contends only after
+        the train, and an armed attempt that would start at or after the
+        first chunk is void.  Returns whether this voided the access attempt."""
         self.train_until_us = until_us
-        return self._interrupt(start_us, FrameKind.CTS)
-
-    def attempt_valid(self, token: int) -> bool:
-        return self._attempt is not None and self._attempt[0] == token
-
-    def clear_attempt(self) -> None:
-        self._attempt = None
-
-    def _interrupt(self, at_us: int, kind: FrameKind) -> bool:
-        """Freeze the countdown: credit slots elapsed while idle, void the
-        attempt.  Returns whether an attempt was voided.
-
-        A busy period starting exactly at the planned start does not void a
-        data attempt — both stations committed to the same slot and collide.
-        Scheduled emissions (CTS, WiMAX bursts) win such ties instead.
-        """
-        if self._attempt is None:
-            return False
-        _, contend, start = self._attempt
-        if at_us > start or (at_us == start and kind is FrameKind.DATA):
-            return False
-        countdown_from = contend + self.params.difs_us
-        elapsed = max(0, (at_us - countdown_from) // self.params.slot_us)
-        self.pending_slots = max(0, self.pending_slots - elapsed)
-        self._attempt = None
-        return True
+        return self.on_medium_busy(start_us, until_us, FrameKind.CTS)
 
     # -- transmission outcome ---------------------------------------------
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time, a radio's overlaps with its
-own emissions and the trace hash are read back from a run's trace.
+own emissions, DCF rule violations and the trace hash are read back from a
+run's trace.
 """
 
 from __future__ import annotations
@@ -140,6 +141,60 @@ def own_overlaps(trace: list[str]) -> int:
         if any(not (kind == data == k and s == start) for s, _, k in earlier):
             count += 1
         earlier.append((start, start + int(parts[4]), kind))
+    return count
+
+
+def dcf_violations(cfg, trace: list[str]) -> int:
+    """How many DATA starts in a run's ``air`` notes break a DCF rule.
+
+    A station senses an emission if it sent it or receives it at or above
+    its CCA threshold.  A DATA start at t from station S is a violation when
+    S senses an emission still on air at t (another DATA start in the same
+    microsecond excepted: both committed to the slot and collide), when t
+    comes before S's last NAV expiry (its ``nav`` notes), or when S sensed
+    less than DIFS of idle air before t (the run starts idle at 0).
+    """
+    interfaces = cfg.interfaces()
+    medium, difs = cfg.medium, cfg.wifi.difs_us
+    stations = [interfaces[n.id] for n in cfg.nodes if n.kind == "wifi"]
+    data = FrameKind.DATA.value
+    sensed_by: dict[tuple[str, float], list[str]] = {}
+    busy_end = {s.id: 0 for s in stations}  # end of the last emission each sensed
+    nav = dict.fromkeys(busy_end, 0)
+    same_us: list[tuple[list[str], int]] = []  # DATA starts not yet applied, one instant
+    now = count = 0
+    for line in trace:
+        parts = line.split("|")
+        if parts[1] == "nav":
+            nav[parts[2]] = int(parts[3])
+            continue
+        if parts[1] != "air":
+            continue
+        start, kind, power = int(parts[0]), parts[2], float(parts[5])
+        source = parts[3].split(">")[0]
+        if start > now:  # a new instant: the last one's DATA starts are sensed now
+            for who, end in same_us:
+                for sid in who:
+                    busy_end[sid] = max(busy_end[sid], end)
+            same_us.clear()
+            now = start
+        if kind == data and (start < busy_end[source] + difs or start < nav[source]):
+            count += 1
+        key = (source, power)
+        who = sensed_by.get(key)
+        if who is None:
+            src = interfaces[source]
+            tx = Transmission(source=source, kind=FrameKind(kind), start_us=start, airtime_us=1,
+                              power_dbm=power, channel_mhz=src.channel_mhz)
+            who = sensed_by[key] = [
+                s.id for s in stations if s.id == source
+                or oracle_rx_power(tx, src, s, medium) >= s.cca_threshold_dbm]
+        end = start + int(parts[4])
+        if kind == data:
+            same_us.append((who, end))
+        else:
+            for sid in who:
+                busy_end[sid] = max(busy_end[sid], end)
     return count
 
 

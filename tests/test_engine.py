@@ -9,7 +9,8 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
                             delivery_result)
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
-from oracles import brute_force_outcomes, dcf_saturation_share, line_by_line_hash, own_overlaps
+from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
+                     line_by_line_hash, own_overlaps)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -232,13 +233,48 @@ class TestEventLines:
         assert [f for f in lines if len(f) != 4 or (f[3] == "") != (f[2] == "warmup")] == []
 
 
+class TestDcfLegality:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_shipped_scenario_keeps_the_dcf_rules(self, fixture, shipped_run, request):
+        engine, _ = shipped_run(fixture)
+        assert any("|air|data|" in line for line in engine.trace)
+        assert dcf_violations(request.getfixturevalue(fixture), engine.trace) == 0
+
+
+# The reach memo's distance bound at its edges: free-space loss, per-node
+# thresholds, two channels, radios under 1 m apart on different platforms
+# (a, b, c), a far station that only a low threshold lets in, and platform
+# mates placed metres and kilometres apart, which couple at any distance.
+BOUND_EDGES = """
+duration_us: 100000
+warmup_us: 0
+medium: {path_loss: {kind: free-space}}
+nodes:
+  - {id: a, kind: wifi, position: [0.0, 0.0], cca_threshold_dbm: -62.0,
+     decode_sensitivity_dbm: -70.0}
+  - {id: b, kind: wifi, position: [0.4, 0.0], channel_mhz: 2437.0,
+     cca_threshold_dbm: -90.0, decode_sensitivity_dbm: -95.0}
+  - {id: c, kind: wifi, position: [0.0, 0.7], decode_sensitivity_dbm: -88.0}
+  - {id: d, kind: wifi, position: [3.0, 4.7], collocated_with: c,
+     decode_sensitivity_dbm: -88.0}
+  - {id: far, kind: wifi, position: [1000.0, 0.0], cca_threshold_dbm: -95.0,
+     decode_sensitivity_dbm: -100.0}
+  - {id: bs, kind: wimax-bs, position: [300.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [60.0, 0.0], bs: bs}
+  - {id: ss_wifi, kind: wifi, position: [5000.0, 0.0], collocated_with: ss}
+"""
+# its loss budget down to the lowest thresholds is below the 1 m loss (40.05 dB)
+FAINT_DBM = -60.0
+
+
 class TestCachedFastPaths:
     """The engine's memoised carrier sense and cached link losses agree with
     computing every loss afresh."""
 
-    @pytest.fixture(params=["grid", "colocated"])
+    @pytest.fixture(params=["grid", "colocated", "bound-edges"])
     def engine(self, request, colocated_cfg):
-        cfg = parse_scenario(pairs_grid()) if request.param == "grid" else colocated_cfg
+        cfg = (colocated_cfg if request.param == "colocated" else
+               parse_scenario(pairs_grid() if request.param == "grid" else BOUND_EDGES))
         return Engine(cfg, seed=1)
 
     def test_cached_delivery_equals_uncached(self, engine):
@@ -275,7 +311,7 @@ class TestCachedFastPaths:
         ifaces, medium = engine.interfaces, engine.medium
         sized = {reservation_power(d, -82.0, medium.path_loss)
                  for d in (0.0, 3.0, 20.0, 60.0, 150.0)}
-        powers = sorted({i.tx_power_dbm for i in ifaces.values()} | sized | {12.0})
+        powers = sorted({i.tx_power_dbm for i in ifaces.values()} | sized | {12.0, FAINT_DBM})
         coupled = 0
         for src in ifaces:
             for power in powers:
@@ -294,7 +330,7 @@ class TestCachedFastPaths:
         """The stations a CTS end asks to decode are every station where
         the decode rule, with fresh losses, finds it above sensitivity."""
         ifaces, medium = engine.interfaces, engine.medium
-        powers = sorted({i.tx_power_dbm for i in ifaces.values()} | {-20.0, 0.0, 12.0})
+        powers = sorted({i.tx_power_dbm for i in ifaces.values()} | {-20.0, 0.0, 12.0, FAINT_DBM})
         kept = dropped = 0
         for src in ifaces:
             for power in powers:

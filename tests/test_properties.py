@@ -7,7 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 from coexsim.engine import Engine
 from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import parse_scenario
-from oracles import conflict_time, line_by_line_hash, own_overlaps
+from oracles import conflict_time, dcf_violations, line_by_line_hash, own_overlaps
 
 
 def _flag(draw) -> str:
@@ -28,19 +28,23 @@ def small_scenarios(draw) -> str:
     With 100 ms frames the reservation scheme is on, ungated, and the
     subscriber station always has its saturated WiFi radio, so a reservation
     over its grants can pass the 32767 us duration cap and go out as a train
-    of several chunks."""
+    of several chunks.  The DCF constants are drawn too."""
     pairs = draw(st.integers(1, 3))
     grid = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                          min_size=pairs + 3, max_size=pairs + 3, unique=True))
     spots = iter([(x * 40.0, y * 40.0) for x, y in grid])
     frame_us = draw(st.sampled_from([1000, 2000, 5000, 100_000]))
     long_frames = frame_us == 100_000
+    cw_min = draw(st.integers(1, 63))
     lines = [
         f"duration_us: {draw(st.integers(150_000, 400_000))}",
         "warmup_us: 50000",
         "medium: {path_loss: {kind: log-distance, exponent: %s}}"
         % draw(st.sampled_from([2.0, 3.0, 4.0])),
         f"wimax: {{frame_us: {frame_us}}}",
+        f"wifi: {{slot_us: {draw(st.integers(5, 50))}, difs_us: {draw(st.integers(10, 150))}, "
+        f"cw_min: {cw_min}, cw_max: {draw(st.integers(cw_min, 1023))}, "
+        f"retry_limit: {draw(st.integers(0, 7))}}}",
         f"reservation: {{enabled: {'true' if long_frames else _flag(draw)}, "
         f"pacing: {_flag(draw)}, power_sizing: {_flag(draw)}, "
         f"performance_gating: {'false' if long_frames else _flag(draw)}, "
@@ -126,6 +130,7 @@ class TestGeneratedScenarios:
                for a, b in zip(cts, cts[1:])):
             event("CTS train past the duration cap")
         assert own_overlaps(engine.trace) == 0  # a radio sends one frame at a time
+        assert dcf_violations(cfg, engine.trace) == 0
         # the hash covers the behaviour notes alone, whether a trace is kept or not
         assert line_by_line_hash(engine.trace) == result.trace_hash
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash

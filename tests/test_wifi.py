@@ -59,10 +59,31 @@ class TestTryAccess:
     def test_uncontended_access_after_difs(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
-        assert not st_.armed
         token, start = st_.arm_attempt(100)
         assert start == 100 + PARAMS.difs_us
-        assert st_.armed and st_.attempt_valid(token)
+        assert st_.take_attempt(token) is True
+        assert st_.take_attempt(token) is False  # taken once
+
+    def test_arming_while_pending_returns_none_and_takes_no_token(self):
+        st_ = make_station()
+        st_.enqueue(0, 1500)
+        token, start = st_.arm_attempt(0)
+        assert st_.arm_attempt(0) is None
+        assert st_.arm_attempt(start + 500) is None
+        assert st_.take_attempt(token) is True
+        # the next attempt takes the next token: the refused arms took none
+        assert st_.arm_attempt(start)[0] == token + 1
+
+    def test_stale_token_leaves_the_live_attempt_armed(self):
+        st_ = make_station()
+        st_.enqueue(0, 1500)
+        stale, _ = st_.arm_attempt(0)
+        assert st_.on_medium_busy(10, 300) is True
+        live, start = st_.arm_attempt(300)
+        assert live != stale
+        assert st_.take_attempt(stale) is False
+        assert st_.arm_attempt(300) is None  # still pending
+        assert st_.take_attempt(live) is True
 
     def test_nav_defers_at_least_to_expiry(self):
         st_ = make_station()
@@ -74,7 +95,8 @@ class TestTryAccess:
     def test_nothing_queued(self):
         st_ = make_station()
         assert st_.arm_attempt(0) is None
-        assert not st_.armed
+        st_.enqueue(0, 1500)
+        assert st_.arm_attempt(0)[0] == 1  # the empty queue took no token
 
     def test_busy_mid_backoff_freezes_remaining_slots(self):
         st_ = make_station()
@@ -84,8 +106,7 @@ class TestTryAccess:
         assert start == PARAMS.difs_us + 5 * PARAMS.slot_us  # 150
         # busy starts two whole slots into the countdown
         assert st_.on_medium_busy(PARAMS.difs_us + 2 * PARAMS.slot_us, 5000) is True
-        assert not st_.attempt_valid(token)
-        assert not st_.armed
+        assert st_.take_attempt(token) is False
         assert st_.pending_slots == 3
         # a second busy period finds nothing left to void
         assert st_.on_medium_busy(200, 5000) is False
@@ -98,7 +119,7 @@ class TestTryAccess:
         st_.pending_slots = 4
         token, _ = st_.arm_attempt(0)
         assert st_.on_medium_busy(10, 300) is True  # inside the DIFS wait
-        assert not st_.attempt_valid(token)
+        assert st_.take_attempt(token) is False
         assert st_.pending_slots == 4
 
     def test_same_microsecond_data_start_collides(self):
@@ -107,21 +128,41 @@ class TestTryAccess:
         st_.enqueue(0, 1500)
         token, start = st_.arm_attempt(0)
         assert st_.on_medium_busy(start, start + 2000, FrameKind.DATA) is False
-        assert st_.attempt_valid(token)
+        assert st_.take_attempt(token) is True
 
     def test_same_microsecond_scheduled_emission_wins(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
+        st_.pending_slots = 2
         token, start = st_.arm_attempt(0)
         assert st_.on_medium_busy(start, start + 44, FrameKind.CTS) is True
-        assert not st_.attempt_valid(token)
+        assert st_.take_attempt(token) is False
+        assert st_.pending_slots == 0  # every slot was counted down
 
     def test_busy_after_the_planned_start_voids_nothing(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
         token, start = st_.arm_attempt(0)
         assert st_.on_medium_busy(start + 1, start + 100, FrameKind.CTS) is False
-        assert st_.attempt_valid(token)
+        assert st_.take_attempt(token) is True
+
+    def test_own_train_voids_a_later_attempt_and_defers_the_next(self):
+        st_ = make_station()
+        st_.enqueue(0, 1500)
+        st_.pending_slots = 3
+        token, start = st_.arm_attempt(0)
+        # a train starting after the attempt leaves it standing
+        assert st_.on_own_train(start + 1, start + 500) is False
+        assert st_.take_attempt(token) is True
+        st_ = make_station()
+        st_.enqueue(0, 1500)
+        st_.pending_slots = 3
+        token, start = st_.arm_attempt(0)
+        # one starting one slot into the countdown voids it, crediting one slot
+        assert st_.on_own_train(PARAMS.difs_us + PARAMS.slot_us, 9000) is True
+        assert st_.take_attempt(token) is False
+        assert st_.pending_slots == 2
+        assert st_.arm_attempt(100)[1] == 9000 + PARAMS.difs_us + 2 * PARAMS.slot_us
 
     def test_overheard_cts_voids_the_attempt_once(self):
         st_ = make_station()
@@ -132,15 +173,15 @@ class TestTryAccess:
                            nav_duration_us=5000)
         assert st_.on_overheard(cts(10000), rx_power_dbm=-90.0, now_us=44) is False
         assert st_.on_overheard(own, rx_power_dbm=-10.0, now_us=44) is False
-        assert st_.attempt_valid(token)
+        assert st_.arm_attempt(44) is None  # still pending
         assert st_.on_overheard(cts(10000), rx_power_dbm=-53.0, now_us=44) is True
-        assert not st_.attempt_valid(token)
+        assert st_.take_attempt(token) is False
         token, start = st_.arm_attempt(44)
         assert start >= 10044
         # a shorter CTS leaves the NAV, and so the new attempt, alone
         assert st_.on_overheard(cts(100, start=2000), rx_power_dbm=-53.0,
                                 now_us=2044) is False
-        assert st_.attempt_valid(token)
+        assert st_.take_attempt(token) is True
 
 
 class TestTxOutcome:
