@@ -115,6 +115,19 @@ RESERVATION_VARIANTS = {
         "e72e50bfdfae8432bcfc63114409df622822f2b5f0f03aed2cdc15d9087c1189"),
 }
 
+# Seed-1 hashes of 6 s colocated runs down the arbiter's other two paths:
+# arbiter settings changed, hash.
+ARBITER_VARIANTS = {
+    # WiFi requests also checked against the subscriber station's frame maps
+    "schedule-aware": (
+        {"schedule_aware": True},
+        "1eff5996c88eda19c9211cf91f1f1b2df7ef658ec9c59b916e0811b7b52b2190"),
+    # no arbiter: every radio may always go ahead, and no arb notes
+    "no-arbiter": (
+        {"enabled": False},
+        "da3e6b824bff452b9cdec511715d77cafbf42fcb3c704fe52889c069dba3302f"),
+}
+
 
 def traced_run(cfg: ScenarioConfig, seed: int = 1):
     engine = Engine(cfg, seed=seed, collect_trace=True)
@@ -169,6 +182,13 @@ class TestPinnedHashes:
         cfg = request.getfixturevalue(fixture)
         cfg = replace(cfg, duration_us=6_000_000,
                       reservation=replace(cfg.reservation, **changes))
+        assert run(cfg, seed=1).trace_hash == want
+
+    @pytest.mark.parametrize("variant", sorted(ARBITER_VARIANTS))
+    def test_arbiter_variant(self, variant, colocated_cfg):
+        changes, want = ARBITER_VARIANTS[variant]
+        cfg = replace(colocated_cfg, duration_us=6_000_000,
+                      arbiter=replace(colocated_cfg.arbiter, **changes))
         assert run(cfg, seed=1).trace_hash == want
 
 
