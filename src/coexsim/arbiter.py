@@ -15,9 +15,8 @@ releases, so no frame's end yanks the state from under another on air.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .wimax import DL, FrameMap, UL
 
@@ -30,13 +29,6 @@ class ArbiterState(IntEnum):
 
 GRANT = "grant"
 DENY = "deny"
-
-
-@dataclass(frozen=True)
-class InterfaceRequest:
-    interface: str
-    desired: ArbiterState
-    span_us: Optional[tuple[int, int]] = None  # absolute interval, for schedule checks
 
 
 class RadioArbiter:
@@ -52,8 +44,9 @@ class RadioArbiter:
         self.state = ArbiterState.S
         self.held: dict[str, int] = {}
 
-    def request(self, req: InterfaceRequest) -> str:
-        """Apply one request against the transition rules.
+    def request(self, interface: str, desired: ArbiterState) -> str:
+        """Apply one interface's request for mode ``desired`` against the
+        transition rules.
 
         From S anything is granted.  From RX a transmit is denied; from TX a
         receive is denied.  A request that persists the current state is
@@ -61,43 +54,42 @@ class RadioArbiter:
         grants, and the last one returned sleeps.  Denials leave ``held``
         untouched.
         """
-        if req.interface not in self._known:
-            raise LookupError(f"interface not registered: {req.interface!r}")
-        want, held = req.desired, self.held
-        if want is ArbiterState.S:
-            left = held.pop(req.interface, 0) - 1
+        if interface not in self._known:
+            raise LookupError(f"interface not registered: {interface!r}")
+        held = self.held
+        if desired is ArbiterState.S:
+            left = held.pop(interface, 0) - 1
             if left > 0:
-                held[req.interface] = left
+                held[interface] = left
             elif not held:
                 self.state = ArbiterState.S
             return GRANT
         state = self.state
-        if (state is ArbiterState.RX and want is ArbiterState.TX) or \
-           (state is ArbiterState.TX and want is ArbiterState.RX):
+        if (state is ArbiterState.RX and desired is ArbiterState.TX) or \
+           (state is ArbiterState.TX and desired is ArbiterState.RX):
             return DENY
-        self.state = want
-        held[req.interface] = held.get(req.interface, 0) + 1
+        self.state = desired
+        held[interface] = held.get(interface, 0) + 1
         return GRANT
 
     def release(self, interface: str) -> None:
-        self.request(InterfaceRequest(interface, ArbiterState.S))
+        self.request(interface, ArbiterState.S)
 
 
-def schedule_aware_check(req: InterfaceRequest, frame_map: FrameMap,
-                         frame_start_us: int, ss: str) -> str:
-    """Deny a WiFi request that lands on a conflicting scheduled slot.
+def schedule_aware_check(desired: ArbiterState, span_us: tuple[int, int],
+                         frame_map: FrameMap, frame_start_us: int, ss: str) -> str:
+    """Deny a WiFi request for mode ``desired`` over the absolute interval
+    ``span_us`` that lands on a conflicting scheduled slot.
 
     The co-located WiFi must not transmit over an interval in which the
     subscriber station is scheduled to receive (a DL grant), nor receive
-    over a scheduled transmission (a UL grant).  Requests with no span or
-    entirely in unscheduled airtime are allowed.
+    over a scheduled transmission (a UL grant).  Requests entirely in
+    unscheduled airtime are allowed.
     """
-    if req.span_us is None:
-        return GRANT
-    lo, hi = req.span_us
-    if req.desired is ArbiterState.TX:
+    lo, hi = span_us
+    if desired is ArbiterState.TX:
         conflicting = DL  # station receiving
-    elif req.desired is ArbiterState.RX:
+    elif desired is ArbiterState.RX:
         conflicting = UL  # station transmitting
     else:
         return GRANT

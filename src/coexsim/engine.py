@@ -52,6 +52,9 @@ _HASH_BATCH_LINES = 256
 # relative slack on the reach radius, far above float rounding in the
 # distance and the inverted path loss
 _REACH_MARGIN = 1e-9
+# names and values the behaviour notes print, read without Enum's properties
+_STATE_NAMES = {state: state.name for state in arb.ArbiterState}
+_KIND_VALUES = {kind: kind.value for kind in FrameKind}
 # the data field of a traced per-event line, for events whose data is not
 # already a node id; every other one prints its string
 _SUBJECTS = {
@@ -645,15 +648,15 @@ class Engine:
         arbiter = self.arbiters.get(iface_id)
         if arbiter is None:
             return True
-        req = arb.InterfaceRequest(iface_id, desired, span_us=span)
         if self.cfg.arbiter.schedule_aware and iface_id in self.stations and any(
-                arb.schedule_aware_check(req, fmap, frame_start, ss.node.id) == arb.DENY
+                arb.schedule_aware_check(desired, span, fmap, frame_start, ss.node.id)
+                == arb.DENY
                 for ss in self.sses.values() if self.arbiters.get(ss.node.id) is arbiter
                 for frame_start, fmap in ss.cell.maps.items()):
             decision = arb.DENY
         else:
-            decision = arbiter.request(req)
-        self._note(f"{self.now}|arb|{iface_id}|{desired.name}|{decision}")
+            decision = arbiter.request(iface_id, desired)
+        self._note(f"{self.now}|arb|{iface_id}|{_STATE_NAMES[desired]}|{decision}")
         if decision == arb.DENY:
             return False
         holds.append(iface_id)
@@ -721,7 +724,7 @@ class Engine:
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
         self._push(tx.end_us, P_END, "txend", rec)
-        self._note(f"{tx.start_us}|air|{tx.kind.value}|{tx.source}>{tx.dest}|{tx.airtime_us}|"
+        self._note(f"{tx.start_us}|air|{_KIND_VALUES[kind]}|{tx.source}>{tx.dest}|{tx.airtime_us}|"
                    f"{tx.power_dbm}")
 
     def _on_txend(self, rec: _TxRec) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 # 20*log10(4*pi/c) for d in meters and f in MHz
 _FSPL_CONST_DB = 27.55
@@ -184,8 +184,7 @@ CORRUPTED = "corrupted"
 BELOW_SENSITIVITY = "below-sensitivity"
 
 
-@dataclass(frozen=True)
-class DeliveryOutcome:
+class DeliveryOutcome(NamedTuple):
     receiver: str
     result: str  # decoded | corrupted | below-sensitivity
     rx_power_dbm: float

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 DL = "DL"
 UL = "UL"
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     ss: str
     direction: str  # DL | UL
     offset_us: int  # from frame start

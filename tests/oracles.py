@@ -3,8 +3,8 @@
 These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time, a radio's overlaps with its
-own emissions, DCF rule violations and the trace hash are read back from a
-run's trace.
+own emissions, DCF rule violations, delivery outcomes and the trace hash
+are read back from a run's trace.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
+from dataclasses import replace
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
                             FrameKind, MediumModel, PathLossModel, Position,
@@ -34,7 +35,8 @@ def brute_force_outcomes(active, interfaces, window, medium) -> list[DeliveryOut
 
     At each instant the strongest single overlapping interferer is compared
     against the signal; a receiver that is itself on air at any overlapping
-    instant never decodes.
+    instant never decodes.  An interferer's power at the receiver is the
+    same at every instant, so it is computed once per frame.
     """
     w0, w1 = window
     ordered = sorted((tx for tx in active if tx.dest is not None and tx.dest in interfaces),
@@ -46,17 +48,17 @@ def brute_force_outcomes(active, interfaces, window, medium) -> list[DeliveryOut
         if sig < rx_if.decode_sensitivity_dbm:
             outcomes.append(DeliveryOutcome(tx.dest, BELOW_SENSITIVITY, sig))
             continue
+        lo, hi = max(tx.start_us, w0), min(tx.end_us, w1)
+        # (start, end, power at the receiver) of each emission on air in
+        # [lo, hi) but the frame; the receiver's own is infinitely strong
+        others = [(u.start_us, u.end_us, float("inf") if u.source == tx.dest
+                   else oracle_rx_power(u, interfaces[u.source], rx_if, medium))
+                  for u in active if u is not tx and u.start_us < hi and u.end_us > lo]
         corrupted = False
-        for t in range(max(tx.start_us, w0), min(tx.end_us, w1)):
+        for t in range(lo, hi):
             strongest = None
-            for u in active:
-                if u is tx or not (u.start_us <= t < u.end_us):
-                    continue
-                if u.source == tx.dest:
-                    strongest = float("inf")
-                    break
-                p = oracle_rx_power(u, interfaces[u.source], rx_if, medium)
-                if strongest is None or p > strongest:
+            for start, end, p in others:
+                if start <= t < end and (strongest is None or p > strongest):
                     strongest = p
             if strongest is not None and sig - strongest < medium.sinr_threshold_db:
                 corrupted = True
@@ -195,6 +197,57 @@ def dcf_violations(cfg, trace: list[str]) -> int:
         else:
             for sid in who:
                 busy_end[sid] = max(busy_end[sid], end)
+    return count
+
+
+def outcome_mismatches(cfg, trace: list[str]) -> int:
+    """How many ``outcome`` notes of a run disagree with the per-microsecond
+    oracle.
+
+    Each emission is rebuilt from its ``air`` note on its source interface's
+    channel.  A frame's outcome must be :func:`brute_force_outcomes`' verdict
+    over the frame and the emissions that overlap it, except that a frame
+    whose addressee was denied receive when it began (an
+    ``arb|<dest>|RX|deny`` note at its start) must read ``missed``.
+    """
+    interfaces = cfg.interfaces()
+    medium = cfg.medium
+    # every emission without its addressee, in start order as the air notes
+    # come: as an interferer it is not rated itself
+    quiet, starts, longest = [], [], 0
+    frames = {}     # (source, dest, end) -> (index, frame) of each addressed one, oldest first
+    denied = set()  # (time, interface) of each receive denial
+    count = 0
+    for line in trace:
+        parts = line.split("|")
+        kind = parts[1]
+        if kind == "arb" and parts[3] == "RX" and parts[4] == "deny":
+            denied.add((int(parts[0]), parts[2]))
+        elif kind == "air":
+            start, airtime = int(parts[0]), int(parts[4])
+            source, dest = parts[3].split(">")
+            tx = Transmission(source=source, kind=FrameKind(parts[2]), start_us=start,
+                              airtime_us=airtime, power_dbm=float(parts[5]),
+                              channel_mhz=interfaces[source].channel_mhz)
+            if dest in interfaces:
+                frames.setdefault((source, dest, tx.end_us), []).append(
+                    (len(quiet), replace(tx, dest=dest)))
+            quiet.append(tx)
+            starts.append(start)
+            longest = max(longest, airtime)
+        elif kind == "outcome":
+            source, dest = parts[2].split(">")
+            index, tx = frames[(source, dest, int(parts[0]))].pop(0)
+            if (tx.start_us, dest) in denied:
+                want = "missed"
+            else:
+                lo = bisect.bisect_left(starts, tx.start_us - longest)
+                hi = bisect.bisect_left(starts, tx.end_us)
+                others = [u for i, u in enumerate(quiet[lo:hi], lo)
+                          if i != index and u.end_us > tx.start_us]
+                want = brute_force_outcomes([tx] + others, interfaces,
+                                            (tx.start_us, tx.end_us), medium)[0].result
+            count += parts[3] != want
     return count
 
 

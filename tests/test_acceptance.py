@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from coexsim.arbiter import DENY, GRANT, ArbiterState, InterfaceRequest, RadioArbiter
+from coexsim.arbiter import DENY, GRANT, ArbiterState, RadioArbiter
 from coexsim.cli import render_run_json
 from coexsim.engine import Engine, run
 from coexsim.medium import DECODED, PathLossModel, SpillageTable, Position, path_loss, \
@@ -36,15 +36,15 @@ def test_criterion_1_transition_table_conformance():
     for (state, req), (want_decision, want_state) in table.items():
         a = RadioArbiter(["radio-a", "radio-b"])
         if state is not S:
-            assert a.request(InterfaceRequest("radio-a", state)) == GRANT
-        assert a.request(InterfaceRequest("radio-a", req)) == want_decision, \
+            assert a.request("radio-a", state) == GRANT
+        assert a.request("radio-a", req) == want_decision, \
             f"wrong decision for ({state.name}, {req.name})"
         assert a.state is want_state, f"wrong next state for ({state.name}, {req.name})"
     # persisting the current state from another interface is always accepted
     for state in (RX, TX):
         a = RadioArbiter(["radio-a", "radio-b"])
-        a.request(InterfaceRequest("radio-a", state))
-        assert a.request(InterfaceRequest("radio-b", state)) == GRANT
+        a.request("radio-a", state)
+        assert a.request("radio-b", state) == GRANT
     ok(1, "all 9 (state, request) pairs match the transition table")
 
 

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.arbiter import (DENY, GRANT, ArbiterState, InterfaceRequest, RadioArbiter,
-                             schedule_aware_check)
+from coexsim.arbiter import DENY, GRANT, ArbiterState, RadioArbiter, schedule_aware_check
 from coexsim.wimax import DL, UL, FrameMap, Grant
 
 S, RX, TX = ArbiterState.S, ArbiterState.RX, ArbiterState.TX
@@ -18,7 +17,7 @@ TRANSITION_TABLE = {
 def arbiter_in_state(state: ArbiterState) -> RadioArbiter:
     a = RadioArbiter(["radio-a", "radio-b"])
     if state is not S:
-        assert a.request(InterfaceRequest("radio-a", state)) == GRANT
+        assert a.request("radio-a", state) == GRANT
     return a
 
 
@@ -27,25 +26,25 @@ class TestTransitionTable:
     def test_single_interface_conformance(self, state, req):
         expected_decision, expected_state = TRANSITION_TABLE[(state, req)]
         a = arbiter_in_state(state)
-        assert a.request(InterfaceRequest("radio-a", req)) == expected_decision
+        assert a.request("radio-a", req) == expected_decision
         assert a.state is expected_state
 
     def test_persisting_request_from_second_interface_accepted(self):
         a = arbiter_in_state(TX)
-        assert a.request(InterfaceRequest("radio-b", TX)) == GRANT
+        assert a.request("radio-b", TX) == GRANT
         assert a.state is TX
         a = arbiter_in_state(RX)
-        assert a.request(InterfaceRequest("radio-b", RX)) == GRANT
+        assert a.request("radio-b", RX) == GRANT
         assert a.state is RX
 
     def test_unregistered_interface_rejected(self):
         a = RadioArbiter(["radio-a"])
         with pytest.raises(LookupError):
-            a.request(InterfaceRequest("ghost", TX))
+            a.request("ghost", TX)
 
     def test_denial_leaves_ledger_untouched(self):
         a = arbiter_in_state(RX)
-        assert a.request(InterfaceRequest("radio-b", TX)) == DENY
+        assert a.request("radio-b", TX) == DENY
         assert a.held == {"radio-a": 1}
         assert a.state is RX
 
@@ -63,11 +62,16 @@ class TestReleaseSemantics:
 
     def test_reference_counted_release(self):
         a = arbiter_in_state(TX)
-        assert a.request(InterfaceRequest("radio-b", TX)) == GRANT
+        assert a.request("radio-b", TX) == GRANT
         a.release("radio-a")
         assert a.state is TX
         a.release("radio-b")
         assert a.state is S
+
+    def test_release_of_unregistered_interface_rejected(self):
+        a = RadioArbiter(["radio-a"])
+        with pytest.raises(LookupError):
+            a.release("ghost")
 
     def test_release_of_non_holder_changes_nothing(self):
         a = arbiter_in_state(TX)
@@ -78,13 +82,13 @@ class TestReleaseSemantics:
         """A radio granted TX for two frames keeps TX until both end, so its
         mate cannot start receiving under the second."""
         a = arbiter_in_state(TX)
-        assert a.request(InterfaceRequest("radio-a", TX)) == GRANT
+        assert a.request("radio-a", TX) == GRANT
         a.release("radio-a")
         assert a.state is TX
-        assert a.request(InterfaceRequest("radio-b", RX)) == DENY
+        assert a.request("radio-b", RX) == DENY
         a.release("radio-a")
         assert a.state is S
-        assert a.request(InterfaceRequest("radio-b", RX)) == GRANT
+        assert a.request("radio-b", RX) == GRANT
 
 
 @st.composite
@@ -106,7 +110,7 @@ class TestProperties:
         a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
         ledger: dict[str, list] = {"radio-a": [], "radio-b": [], "radio-c": []}
         for iface, desired in stream:
-            if a.request(InterfaceRequest(iface, desired)) == DENY:
+            if a.request(iface, desired) == DENY:
                 continue
             if desired is not S:
                 ledger[iface].append(desired)
@@ -124,7 +128,7 @@ class TestProperties:
         a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
         taken = dict.fromkeys(("radio-a", "radio-b", "radio-c"), 0)
         for iface, desired in stream:
-            if a.request(InterfaceRequest(iface, desired)) == GRANT:
+            if a.request(iface, desired) == GRANT:
                 taken[iface] = max(0, taken[iface] + (-1 if desired is S else 1))
         for iface, n in taken.items():
             for _ in range(n):
@@ -137,7 +141,7 @@ class TestProperties:
     def test_decisions_deterministic(self, stream):
         def run():
             a = RadioArbiter(["radio-a", "radio-b", "radio-c"])
-            return [a.request(InterfaceRequest(i, d)) for i, d in stream]
+            return [a.request(i, d) for i, d in stream]
         assert run() == run()
 
 
@@ -145,17 +149,13 @@ class TestScheduleAware:
     FMAP = FrameMap((Grant("ss1", DL, 200, 2800), Grant("ss1", UL, 3100, 1900)), ("ss1",))
 
     def test_wifi_tx_over_scheduled_reception_denied(self):
-        req = InterfaceRequest("wifi1", TX, span_us=(10_500, 12_500))
-        assert schedule_aware_check(req, self.FMAP, 10_000, "ss1") == DENY
+        assert schedule_aware_check(TX, (10_500, 12_500), self.FMAP, 10_000, "ss1") == DENY
 
     def test_wifi_tx_over_scheduled_transmission_allowed(self):
-        req = InterfaceRequest("wifi1", TX, span_us=(13_200, 14_900))
-        assert schedule_aware_check(req, self.FMAP, 10_000, "ss1") == GRANT
+        assert schedule_aware_check(TX, (13_200, 14_900), self.FMAP, 10_000, "ss1") == GRANT
 
     def test_wifi_rx_over_scheduled_transmission_denied(self):
-        req = InterfaceRequest("wifi1", RX, span_us=(13_200, 14_900))
-        assert schedule_aware_check(req, self.FMAP, 10_000, "ss1") == DENY
+        assert schedule_aware_check(RX, (13_200, 14_900), self.FMAP, 10_000, "ss1") == DENY
 
     def test_unscheduled_airtime_allowed(self):
-        req = InterfaceRequest("wifi1", TX, span_us=(10_000, 10_150))
-        assert schedule_aware_check(req, self.FMAP, 10_000, "ss1") == GRANT
+        assert schedule_aware_check(TX, (10_000, 10_150), self.FMAP, 10_000, "ss1") == GRANT

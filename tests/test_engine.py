@@ -10,7 +10,7 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     line_by_line_hash, own_overlaps)
+                     line_by_line_hash, outcome_mismatches, own_overlaps)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -259,6 +259,19 @@ class TestDcfLegality:
         engine, _ = shipped_run(fixture)
         assert any("|air|data|" in line for line in engine.trace)
         assert dcf_violations(request.getfixturevalue(fixture), engine.trace) == 0
+
+
+class TestOutcomeReplay:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_shipped_scenario_outcomes_match_the_oracle(self, fixture, request):
+        """Every outcome of a 2 s run is the per-microsecond oracle's, or
+        ``missed`` where the arbiter denied the addressee receive."""
+        cfg = replace(request.getfixturevalue(fixture), duration_us=2_000_000)
+        engine, _ = traced_run(cfg)
+        results = {line.split("|")[3] for line in engine.trace if "|outcome|" in line}
+        assert {"decoded", "corrupted"} <= results
+        assert ("missed" in results) == (fixture == "colocated_cfg")
+        assert outcome_mismatches(cfg, engine.trace) == 0
 
 
 # The reach memo's distance bound at its edges: free-space loss, per-node
