@@ -254,11 +254,13 @@ class _SsRt:
 
 
 class _Cell:
-    __slots__ = ("sses", "maps")
+    __slots__ = ("sses", "ss_ids", "saturated", "maps")
 
     def __init__(self):
         self.sses: list[_SsRt] = []  # its subscriber stations, in id order
-        self.maps: dict[int, FrameMap] = {}
+        self.ss_ids: tuple[str, ...] = ()  # their ids, each frame map's roster
+        self.saturated: list[_Link] = []  # links topped up at each boundary
+        self.maps: dict[int, FrameMap] = {}  # by frame start, in time order
 
 
 class Engine:
@@ -315,7 +317,19 @@ class Engine:
                 self.sses[n.id] = _SsRt(n, self.cells[n.bs], config.node(n.bs),
                                         self.system_of, res)
         for ss_id in sorted(self.sses):
-            self.sses[ss_id].cell.sses.append(self.sses[ss_id])
+            ss = self.sses[ss_id]
+            ss.cell.sses.append(ss)
+            ss.cell.ss_ids += (ss_id,)
+            t = ss.node.traffic
+            if t.kind == "wimax":
+                ss.cell.saturated += [ss.links[d] for d, saturated in
+                                      ((DL, t.dl_saturated), (UL, t.ul_saturated)) if saturated]
+        wx = config.wimax
+        self._frame_us = wx.frame_us
+        self._capacity = wx.capacity_bytes_per_us
+        self._top_up_bytes = int(wx.capacity_bytes_per_us * wx.frame_us) * 2
+        self._frame_geometry = (wx.frame_us, wx.dl_ratio, wx.capacity_bytes_per_us,
+                                wx.preamble_us, wx.ttg_us)
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
@@ -528,51 +542,47 @@ class Engine:
         self._push(self.now + _WIMAX_ARRIVAL_TICK_US, P_CTRL, "arrival", node_id)
 
     def _top_up_saturated(self, cell: _Cell) -> None:
-        target = int(self.cfg.wimax.capacity_bytes_per_us * self.cfg.wimax.frame_us) * 2
-        for ss in cell.sses:
-            t = ss.node.traffic
-            if t.kind != "wimax":
-                continue
-            for direction, saturated in ((DL, t.dl_saturated), (UL, t.ul_saturated)):
-                link = ss.links[direction]
-                queued = link.queue.queued_bytes
-                if saturated and queued < target:
-                    link.offer(self.now, target - queued)
+        target = self._top_up_bytes
+        for link in cell.saturated:
+            queued = link.queue.queued_bytes
+            if queued < target:
+                link.offer(self.now, target - queued)
 
     # ------------------------------------------------------------------ wimax
 
     def _on_boundary(self, bs_id: str) -> None:
-        cfg = self.cfg
+        now, frame_us = self.now, self._frame_us
         cell = self.cells[bs_id]
-        frame_start = self.now + cfg.wimax.frame_us
+        frame_start = now + frame_us
         self._top_up_saturated(cell)
         demands = []
-        for ss in cell.sses:
-            claims = ss.reservation is None or ss.reservation.claims(frame_start)
-            for direction, link in ss.links.items():
-                demands.append(SsDemand(ss.node.id, link.queue.queued_bytes if claims else 0,
-                                        direction))
-        frame_map = build_frame_map(demands, cfg.wimax.frame_us, cfg.wimax.dl_ratio,
-                                    cfg.wimax.capacity_bytes_per_us,
-                                    cfg.wimax.preamble_us, cfg.wimax.ttg_us)
-        cell.maps[frame_start] = frame_map
-        for start in [s for s in cell.maps if s + cfg.wimax.frame_us < self.now]:
-            del cell.maps[start]
+        for ss in cell.sses:  # one that may not claim in this frame asks for nothing
+            if ss.reservation is None or ss.reservation.claims(frame_start):
+                demands += [SsDemand(ss.node.id, link.queue.queued_bytes, direction)
+                            for direction, link in ss.links.items()]
+        frame_map = build_frame_map(demands, *self._frame_geometry, ss_ids=cell.ss_ids)
+        maps = cell.maps
+        maps[frame_start] = frame_map
+        while (oldest := next(iter(maps))) + frame_us < now:  # keys come in time order
+            del maps[oldest]
+        # one walk over the grants: push each burst, and keep each station's
+        # first grant start and last grant end (its grants come in time order)
+        spans: dict[str, tuple[int, int]] = {}
         for g in frame_map.grants:
-            self._push(frame_start + g.offset_us, P_START, "burst", g)
-        for ss in cell.sses:  # one that may not claim has no demand, so no grants
-            grants = frame_map.grants_for(ss.node.id)
+            start = frame_start + g.offset_us
+            self._push(start, P_START, "burst", g)
+            spans[g.ss] = (spans[g.ss][0] if g.ss in spans else start, start + g.len_us)
+        for ss in cell.sses:
+            span = spans.get(ss.node.id)
             res = ss.reservation
-            if grants and res is not None and res.claimed(frame_start):
-                first = frame_start + min(g.offset_us for g in grants)
-                last = frame_start + max(g.offset_us + g.len_us for g in grants)
-                self._push(max(self.now, first - cfg.reservation.lead_us), P_CTRL,
-                           "reserve", (ss, last))
-        self._push(self.now + cfg.wimax.frame_us, P_CTRL, "boundary", bs_id)
+            if span is not None and res is not None and res.claimed(frame_start):
+                self._push(max(now, span[0] - self.cfg.reservation.lead_us), P_CTRL,
+                           "reserve", (ss, span[1]))
+        self._push(frame_start, P_CTRL, "boundary", bs_id)
 
     def _on_burst(self, grant) -> None:
         link = self.sses[grant.ss].links[grant.direction]
-        capacity = self.cfg.wimax.capacity_bytes_per_us
+        capacity = self._capacity
         serve = min(link.queue.queued_bytes, int(grant.len_us * capacity))
         if serve <= 0:
             return
@@ -735,17 +745,19 @@ class Engine:
 
         window = (tx.start_us, tx.end_us)
         if tx.dest is not None:
-            outcome = delivery_result(tx, rec.overlappers, self.interfaces[tx.dest], window,
-                                      self.medium, self._losses_to(tx.dest))
-            if outcome.result == CORRUPTED and not rec.missed:
-                rec.link.stats.corrupted_frames += 1
-            decoded = outcome.result == DECODED and not rec.missed
+            if rec.missed:  # the addressee was not listening
+                result = "missed"
+            else:
+                result = delivery_result(tx, rec.overlappers, self.interfaces[tx.dest], window,
+                                         self.medium, self._losses_to(tx.dest)).result
+                if result == CORRUPTED:
+                    rec.link.stats.corrupted_frames += 1
+            decoded = result == DECODED
             if tx.kind is FrameKind.WIMAX_BURST:
                 self._finish_burst(rec, decoded)
             else:
                 self._finish_wifi_data(rec, decoded)
-            self._note(f"{self.now}|outcome|{tx.source}>{tx.dest}|"
-                       f"{'missed' if rec.missed else outcome.result}")
+            self._note(f"{self.now}|outcome|{tx.source}>{tx.dest}|{result}")
 
         # decode-level overhearing (NAV from CTS) at stations not party to the
         # frame; the rest are below sensitivity

@@ -10,8 +10,7 @@ the subframes stay unallocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 DL = "DL"
 UL = "UL"
@@ -24,21 +23,13 @@ class Grant(NamedTuple):
     len_us: int
 
 
-@dataclass(frozen=True)
-class SsDemand:
+class SsDemand(NamedTuple):
     ss: str
     queued_bytes: int
     direction: str
 
-    def __post_init__(self) -> None:
-        if self.queued_bytes < 0:
-            raise ValueError("queued_bytes must be non-negative")
-        if self.direction not in (DL, UL):
-            raise ValueError(f"bad direction: {self.direction!r}")
 
-
-@dataclass(frozen=True)
-class FrameMap:
+class FrameMap(NamedTuple):
     """One frame's slot layout. Grants are ordered and non-overlapping."""
 
     grants: tuple[Grant, ...]
@@ -50,20 +41,18 @@ class FrameMap:
         return [g for g in self.grants if g.ss == ss]
 
 
-def _pack(demands: list[SsDemand], window_start: int, window_len: int,
+def _pack(claimants: list[SsDemand], window_start: int, window_len: int,
           capacity_bytes_per_us: float, direction: str) -> list[Grant]:
-    claimants = sorted((d for d in demands if d.queued_bytes > 0), key=lambda d: d.ss)
+    """Grants for the demands that claim, in station-id order."""
     if not claimants or window_len <= 0:
         return []
-    needed = {d.ss: math.ceil(d.queued_bytes / capacity_bytes_per_us) for d in claimants}
-    total = sum(needed.values())
+    claimants.sort(key=lambda d: d.ss)
+    needed = [math.ceil(d.queued_bytes / capacity_bytes_per_us) for d in claimants]
+    total = sum(needed)
     grants = []
     cursor = window_start
-    for d in claimants:
-        if total <= window_len:
-            length = needed[d.ss]
-        else:
-            length = (window_len * needed[d.ss]) // total
+    for d, need in zip(claimants, needed):
+        length = need if total <= window_len else (window_len * need) // total
         if length <= 0:
             continue
         grants.append(Grant(d.ss, direction, cursor, length))
@@ -72,15 +61,24 @@ def _pack(demands: list[SsDemand], window_start: int, window_len: int,
 
 
 def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: float,
-                    capacity_bytes_per_us: float, preamble_us: int,
-                    ttg_us: int) -> FrameMap:
+                    capacity_bytes_per_us: float, preamble_us: int, ttg_us: int,
+                    ss_ids: Optional[tuple[str, ...]] = None) -> FrameMap:
     """Allocate one frame's slots proportionally to demand.
 
     DL grants live in [preamble_us, dl_end); UL grants in
     [dl_end + ttg_us, frame_len).  When aggregate demand exceeds a subframe
     the window is split proportionally, rounding down, in ascending
-    station-id order.  Zero-demand stations get no slot.
+    station-id order.  Zero-demand stations get no slot.  The roster
+    ``ss_ids`` is the stations named in ``demands`` in id order unless given.
     """
+    claims: dict[str, list[SsDemand]] = {DL: [], UL: []}
+    for d in demands:
+        if d.queued_bytes < 0:
+            raise ValueError("queued_bytes must be non-negative")
+        if d.direction not in (DL, UL):
+            raise ValueError(f"bad direction: {d.direction!r}")
+        if d.queued_bytes:
+            claims[d.direction].append(d)
     if frame_len_us <= 0:
         raise ValueError("frame_len_us must be positive")
     if not 0 < dl_ratio < 1:
@@ -90,9 +88,9 @@ def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: fl
     dl_end = int(frame_len_us * dl_ratio)
     if not preamble_us <= dl_end <= frame_len_us - ttg_us:
         raise ValueError("subframe split leaves no room for preamble/turnaround")
-    dl = _pack([d for d in demands if d.direction == DL],
-               preamble_us, dl_end - preamble_us, capacity_bytes_per_us, DL)
-    ul = _pack([d for d in demands if d.direction == UL],
-               dl_end + ttg_us, frame_len_us - dl_end - ttg_us, capacity_bytes_per_us, UL)
-    roster = tuple(sorted({d.ss for d in demands}))
-    return FrameMap(tuple(dl + ul), roster)
+    dl = _pack(claims[DL], preamble_us, dl_end - preamble_us, capacity_bytes_per_us, DL)
+    ul = _pack(claims[UL], dl_end + ttg_us, frame_len_us - dl_end - ttg_us,
+               capacity_bytes_per_us, UL)
+    if ss_ids is None:
+        ss_ids = tuple(sorted({d.ss for d in demands}))
+    return FrameMap(tuple(dl + ul), ss_ids)

@@ -584,6 +584,26 @@ class TestArbitratedRuns:
         retries = sum(line.split("|")[2:3] == ["retry"] for line in engine.trace)
         assert denials == retries > 0
 
+    def test_stale_frame_maps_are_dropped(self, colocated_cfg):
+        """The schedule-aware check reads every frame map a cell keeps; after
+        each boundary those are only frames starting one frame ago or later,
+        at most three."""
+        cfg = replace(colocated_cfg, duration_us=6_000_000,
+                      arbiter=replace(colocated_cfg.arbiter, schedule_aware=True))
+        engine = Engine(cfg, seed=1)
+        on_boundary, kept = engine._handlers["boundary"], []
+
+        def checked(bs_id: str) -> None:
+            on_boundary(bs_id)
+            maps = engine.cells[bs_id].maps
+            assert min(maps) >= engine.now - cfg.wimax.frame_us
+            kept.append(len(maps))
+
+        engine._handlers["boundary"] = checked
+        engine.run()
+        assert len(kept) == cfg.duration_us // cfg.wimax.frame_us + 1
+        assert max(kept) <= 3
+
     def test_radio_keeps_its_grant_until_its_last_frame_ends(self):
         """The co-located coordinator's data frame and its CTS train each take
         a transmit grant; the first to end must not let the subscriber

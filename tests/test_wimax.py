@@ -41,6 +41,13 @@ class TestBuildFrameMap:
         with pytest.raises(ValueError):
             build_frame_map([], 5000, 1.2, **GEOMETRY)
 
+    def test_bad_demand(self):
+        """A negative queue and a direction other than DL/UL are refused."""
+        with pytest.raises(ValueError):
+            build_frame_map([SsDemand("ss1", -1, DL)], 5000, 0.6, **GEOMETRY)
+        with pytest.raises(ValueError):
+            build_frame_map([SsDemand("ss1", 1000, "XL")], 5000, 0.6, **GEOMETRY)
+
     @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]),
                               st.integers(min_value=0, max_value=50_000),
                               st.sampled_from([DL, UL])),
