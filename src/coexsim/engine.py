@@ -270,6 +270,8 @@ class Engine:
                  collect_trace: bool = False):
         self.cfg = config
         self.seed = config.seed if seed is None else seed
+        # the measurement window, read on every emission
+        self._warmup_us, self._end_us = config.warmup_us, config.duration_us
         self.rng = random.Random(self.seed)
         self.now = 0
         self._heap: list = []
@@ -339,6 +341,7 @@ class Engine:
 
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
+        self._schedule_aware = config.arbiter.schedule_aware
         if config.arbiter.enabled:
             for plat in {i.platform for i in self.interfaces.values()} - {None}:
                 members = [i.id for i in self.interfaces.values() if i.platform == plat]
@@ -437,9 +440,10 @@ class Engine:
         return found
 
     def _clip(self, start: int, end: int) -> int:
-        lo = max(start, self.cfg.warmup_us)
-        hi = min(end, self.cfg.duration_us)
-        return max(0, hi - lo)
+        """Length of [start, end) inside the measurement window."""
+        lo = start if start > self._warmup_us else self._warmup_us
+        hi = end if end < self._end_us else self._end_us
+        return hi - lo if hi > lo else 0
 
     # ------------------------------------------------------------------ run
 
@@ -658,7 +662,7 @@ class Engine:
         arbiter = self.arbiters.get(iface_id)
         if arbiter is None:
             return True
-        if self.cfg.arbiter.schedule_aware and iface_id in self.stations and any(
+        if self._schedule_aware and iface_id in self.stations and any(
                 arb.schedule_aware_check(desired, span, fmap, frame_start, ss.node.id)
                 == arb.DENY
                 for ss in self.sses.values() if self.arbiters.get(ss.node.id) is arbiter
@@ -730,7 +734,10 @@ class Engine:
         own = self.stations.get(tx.source)
         if own is not None and own.station.on_medium_busy(start, end, kind):
             resched[own.order] = own
-        for rt in self._sensers(tx.source, tx.power_dbm):
+        sensers = self._reach.get((tx.source, tx.power_dbm, "cca_threshold_dbm"))
+        if sensers is None:
+            sensers = self._sensers(tx.source, tx.power_dbm)
+        for rt in sensers:
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
         self._push(tx.end_us, P_END, "txend", rec)

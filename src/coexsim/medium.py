@@ -151,32 +151,58 @@ class RadioInterface:
     platform: Optional[str] = None  # shared id marks co-located interfaces
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """An on-air emission over [start_us, start_us + airtime_us).
-
-    ``channel_mhz`` equals the source interface's channel: link budgets
-    take the channel from the interface (see :class:`LossRow`).
-    """
-
+class _Emission(NamedTuple):
     source: str
     kind: FrameKind
     start_us: int
     airtime_us: int
     power_dbm: float
     channel_mhz: float
-    dest: Optional[str] = None
-    nav_duration_us: int = 0  # CTS only: medium time reserved past frame end
+    dest: Optional[str]
+    nav_duration_us: int  # CTS only: medium time reserved past frame end
     # start_us + airtime_us, stored: the engine and the decode rule read it
     # on every frame end and every overlap test
-    end_us: int = field(init=False, repr=False, compare=False)
+    end_us: int
 
-    def __post_init__(self) -> None:
-        if self.airtime_us < 1:
+
+class Transmission(_Emission):
+    """An on-air emission over [start_us, start_us + airtime_us): an
+    immutable record, built once per emission.
+
+    ``end_us`` is derived at construction and cannot be given (``_make``
+    refuses one that disagrees); a copy made with ``_replace`` derives it
+    again.  ``channel_mhz`` equals the source interface's channel: link
+    budgets take the channel from the interface (see :class:`LossRow`).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, kind: FrameKind, start_us: int, airtime_us: int,
+                power_dbm: float, channel_mhz: float, dest: Optional[str] = None,
+                nav_duration_us: int = 0) -> Transmission:
+        if airtime_us < 1:
             raise ValueError("airtime must be at least 1 us")
-        if self.nav_duration_us < 0:
+        if nav_duration_us < 0:
             raise ValueError("nav duration must be non-negative")
-        object.__setattr__(self, "end_us", self.start_us + self.airtime_us)
+        return tuple.__new__(cls, (source, kind, start_us, airtime_us, power_dbm, channel_mhz,
+                                   dest, nav_duration_us, start_us + airtime_us))
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild through __new__, which takes no end_us
+        return tuple(self)[:-1]
+
+    @classmethod
+    def _make(cls, iterable) -> Transmission:
+        *given, end_us = iterable
+        tx = cls(*given)
+        if end_us != tx.end_us:
+            raise ValueError("end_us must be start_us + airtime_us")
+        return tx
+
+    def _replace(self, **changes) -> Transmission:
+        if "end_us" in changes:
+            raise ValueError("end_us is start_us + airtime_us; it cannot be set")
+        return Transmission(**dict(zip(self._fields[:-1], self), **changes))
 
 
 DECODED = "decoded"

@@ -88,9 +88,11 @@ class _SpillageEntry:
 
 @dataclass(frozen=True)
 class WimaxConfig:
-    frame_us: int = field(default=5000, metadata={"lo": 100})
+    # finite upper bounds keep a frame's top-up, capacity times frame length,
+    # a finite byte count
+    frame_us: int = field(default=5000, metadata={"lo": 100, "hi": 1_000_000})
     dl_ratio: float = field(default=0.6, metadata={"lo": 0.05, "hi": 0.95})
-    capacity_bytes_per_us: float = field(default=2.0, metadata={"lo": 0.01})
+    capacity_bytes_per_us: float = field(default=2.0, metadata={"lo": 0.01, "hi": 1000.0})
     preamble_us: int = field(default=200, metadata={"lo": 0})
     ttg_us: int = field(default=100, metadata={"lo": 0})
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-from dataclasses import replace
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
                             FrameKind, MediumModel, PathLossModel, Position,
@@ -226,12 +225,13 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
         elif kind == "air":
             start, airtime = int(parts[0]), int(parts[4])
             source, dest = parts[3].split(">")
-            tx = Transmission(source=source, kind=FrameKind(parts[2]), start_us=start,
-                              airtime_us=airtime, power_dbm=float(parts[5]),
-                              channel_mhz=interfaces[source].channel_mhz)
+            fields = dict(source=source, kind=FrameKind(parts[2]), start_us=start,
+                          airtime_us=airtime, power_dbm=float(parts[5]),
+                          channel_mhz=interfaces[source].channel_mhz)
+            tx = Transmission(**fields)
             if dest in interfaces:
                 frames.setdefault((source, dest, tx.end_us), []).append(
-                    (len(quiet), replace(tx, dest=dest)))
+                    (len(quiet), Transmission(**fields, dest=dest)))
             quiet.append(tx)
             starts.append(start)
             longest = max(longest, airtime)

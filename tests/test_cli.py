@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import coexsim
 from coexsim.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
                          compare_command, main, run_command)
 from coexsim.engine import Engine
@@ -137,6 +142,21 @@ class TestCompareCommand:
 
 
 class TestMain:
+    @pytest.mark.parametrize("name", ["colocated", "conference_room"])
+    def test_reports_byte_identical_across_hash_seeds(self, name):
+        # one process cannot show that no output follows the order of a
+        # str-keyed set; interpreters with different hash seeds can.  Two
+        # seeds put two keys in the same order half the time, hence three
+        src = str(pathlib.Path(coexsim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        reports = [subprocess.run([sys.executable, "-m", "coexsim.cli", "run", scenario_path(name),
+                                   "--duration-us", "2000000"],
+                                  env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                                  capture_output=True, check=True, timeout=60).stdout
+                   for seed in ("0", "1", "2")]
+        assert json.loads(reports[0])["duration_us"] == 2_000_000
+        assert reports[0] == reports[1] == reports[2]
+
     def test_usage_error_exit_code(self, capsys):
         assert main([]) == EXIT_USAGE
         assert main(["run"]) == EXIT_USAGE
@@ -159,6 +179,19 @@ class TestMain:
                        "nodes:\n  - {id: bs, kind: wimax-bs, position: [0.0, 0.0]}\n")
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert "error: wimax." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, field", [
+        ("capacity_bytes_per_us: 1.0e+307", "wimax.capacity_bytes_per_us"),
+        ("frame_us: 1" + "0" * 400, "wimax.frame_us"),
+    ], ids=["capacity", "frame"])
+    def test_overflowing_top_up_is_a_validation_error(self, tmp_path, capsys, setting, field):
+        # accepted by earlier versions, then the frame's top-up bytes overflowed
+        # in Engine.__init__ and the run exited 3
+        bad = tmp_path / "bad.yaml"
+        with open(scenario_path("colocated"), encoding="utf-8") as fh:
+            bad.write_text(fh.read() + f"wimax: {{{setting}}}\n")
+        assert main(["run", str(bad), "--duration-us", "1100000"]) == EXIT_VALIDATION
+        assert f"error: {field}: must be <= " in capsys.readouterr().err
 
     def test_incomplete_spillage_entry_is_a_validation_error(self, tmp_path, capsys):
         # earlier versions read a missing separation_mhz as 1.0 MHz

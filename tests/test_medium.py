@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -125,20 +126,39 @@ class TestTransmission:
     def test_end_is_start_plus_airtime(self):
         tx = Transmission("a", FrameKind.DATA, 120, 2000, 20.0, 2412.0, dest="b")
         assert tx.end_us == 2120
-
-    def test_end_is_derived_not_compared_or_shown(self):
-        tx = Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, nav_duration_us=500)
-        assert "end_us" not in repr(tx)
-        twin = Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, nav_duration_us=500)
-        object.__setattr__(twin, "end_us", -1)
-        assert twin == tx and hash(twin) == hash(tx)
+        kw = Transmission(source="a", kind=FrameKind.DATA, start_us=120, airtime_us=2000,
+                          power_dbm=20.0, channel_mhz=2412.0, dest="b")
+        assert kw == tx and hash(kw) == hash(tx)
 
     def test_replace_recomputes_the_end(self):
         tx = Transmission("a", FrameKind.DATA, 0, 100, 20.0, 2412.0)
-        assert replace(tx, start_us=500).end_us == 600
-        assert replace(tx, airtime_us=7).end_us == 7
+        assert tx._replace(start_us=500).end_us == 600
+        assert tx._replace(airtime_us=7).end_us == 7
+        assert tx._replace(dest="b") == Transmission("a", FrameKind.DATA, 0, 100, 20.0,
+                                                     2412.0, dest="b")
+        assert copy.copy(tx) == tx and pickle.loads(pickle.dumps(tx)) == tx
+
+    def test_end_cannot_be_set_or_given(self):
+        tx = Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, nav_duration_us=500)
+        with pytest.raises(AttributeError):
+            tx.end_us = 3
         with pytest.raises(ValueError):
-            replace(tx, end_us=3)
+            tx._replace(end_us=3)
+        with pytest.raises(TypeError):
+            Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, end_us=3)
+        with pytest.raises(TypeError):
+            Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, None, 500, 3)
+        with pytest.raises(ValueError):
+            Transmission._make(("a", FrameKind.CTS, 0, 44, 20.0, 2412.0, None, 500, 3))
+        assert Transmission._make(tx) == tx
+
+    @pytest.mark.parametrize("airtime, nav", [(0, 0), (-5, 0), (44, -1)])
+    def test_bad_airtime_or_nav_rejected(self, airtime, nav):
+        tx = Transmission("a", FrameKind.CTS, 0, 44, 20.0, 2412.0)
+        with pytest.raises(ValueError):
+            Transmission("a", FrameKind.CTS, 0, airtime, 20.0, 2412.0, nav_duration_us=nav)
+        with pytest.raises(ValueError):
+            tx._replace(airtime_us=airtime, nav_duration_us=nav)
 
 
 class TestResolveDeliveries:
