@@ -16,9 +16,9 @@ releases, so no frame's end yanks the state from under another on air.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .wimax import DL, FrameMap, UL
+from .wimax import DL, UL
 
 
 class ArbiterState(IntEnum):
@@ -77,13 +77,15 @@ class RadioArbiter:
 
 
 def schedule_aware_check(desired: ArbiterState, span_us: tuple[int, int],
-                         frame_map: FrameMap, frame_start_us: int, ss: str) -> str:
+                         slots: Iterable[tuple[str, int, int]]) -> str:
     """Deny a WiFi request for mode ``desired`` over the absolute interval
-    ``span_us`` that lands on a conflicting scheduled slot.
+    ``span_us`` that lands on a conflicting scheduled slot of its platform's
+    subscriber station; ``slots`` holds that station's (direction, start,
+    end) slots, each over the half-open interval [start, end).
 
     The co-located WiFi must not transmit over an interval in which the
-    subscriber station is scheduled to receive (a DL grant), nor receive
-    over a scheduled transmission (a UL grant).  Requests entirely in
+    subscriber station is scheduled to receive (a DL slot), nor receive
+    over a scheduled transmission (a UL slot).  Requests entirely in
     unscheduled airtime are allowed.
     """
     lo, hi = span_us
@@ -93,11 +95,7 @@ def schedule_aware_check(desired: ArbiterState, span_us: tuple[int, int],
         conflicting = UL  # station transmitting
     else:
         return GRANT
-    for g in frame_map.grants_for(ss):
-        if g.direction != conflicting:
-            continue
-        g_lo = frame_start_us + g.offset_us
-        g_hi = g_lo + g.len_us
-        if max(lo, g_lo) < min(hi, g_hi):
+    for direction, start, end in slots:
+        if direction == conflicting and start < hi and lo < end:
             return DENY
     return GRANT

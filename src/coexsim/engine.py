@@ -39,7 +39,7 @@ from .reservation import Reservation, build_cts_train
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
                    data_airtime_us)
-from .wimax import DL, UL, FrameMap, SsDemand, build_frame_map
+from .wimax import DL, UL, SsDemand, build_frame_map
 
 P_END = 0      # frame ends, deliveries, NAV updates, releases
 P_CTRL = 1     # frame boundaries, ticks, arrivals, reservation decisions
@@ -242,25 +242,23 @@ class _WifiRt:
 
 
 class _SsRt:
-    __slots__ = ("node", "cell", "links", "reservation")
+    __slots__ = ("node", "links", "reservation", "slots")
 
-    def __init__(self, node, cell: _Cell, bs_node, system_of: dict[str, _System],
+    def __init__(self, node, bs_node, system_of: dict[str, _System],
                  reservation: Optional[Reservation]):
         self.node = node
-        self.cell = cell
         self.links = {DL: _Link(bs_node.id, node.id, system_of[bs_node.id], _ByteQueue()),
                       UL: _Link(node.id, bs_node.id, system_of[node.id], _ByteQueue())}
         self.reservation = reservation  # None with reservation off
+        self.slots: Optional[deque] = None  # its slots not yet ended, if watched
 
 
 class _Cell:
-    __slots__ = ("sses", "ss_ids", "saturated", "maps")
+    __slots__ = ("sses", "saturated")
 
     def __init__(self):
         self.sses: list[_SsRt] = []  # its subscriber stations, in id order
-        self.ss_ids: tuple[str, ...] = ()  # their ids, each frame map's roster
         self.saturated: list[_Link] = []  # links topped up at each boundary
-        self.maps: dict[int, FrameMap] = {}  # by frame start, in time order
 
 
 class Engine:
@@ -316,16 +314,15 @@ class Engine:
                 res = (Reservation(config.reservation, coord, self.medium.path_loss,
                                    config.warmup_us)
                        if config.reservation.enabled else None)
-                self.sses[n.id] = _SsRt(n, self.cells[n.bs], config.node(n.bs),
-                                        self.system_of, res)
+                self.sses[n.id] = _SsRt(n, config.node(n.bs), self.system_of, res)
         for ss_id in sorted(self.sses):
             ss = self.sses[ss_id]
-            ss.cell.sses.append(ss)
-            ss.cell.ss_ids += (ss_id,)
+            cell = self.cells[ss.node.bs]
+            cell.sses.append(ss)
             t = ss.node.traffic
             if t.kind == "wimax":
-                ss.cell.saturated += [ss.links[d] for d, saturated in
-                                      ((DL, t.dl_saturated), (UL, t.ul_saturated)) if saturated]
+                cell.saturated += [ss.links[d] for d, saturated in
+                                   ((DL, t.dl_saturated), (UL, t.ul_saturated)) if saturated]
         wx = config.wimax
         self._frame_us = wx.frame_us
         self._capacity = wx.capacity_bytes_per_us
@@ -341,11 +338,23 @@ class Engine:
 
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
-        self._schedule_aware = config.arbiter.schedule_aware
         if config.arbiter.enabled:
             for plat in {i.platform for i in self.interfaces.values()} - {None}:
                 members = [i.id for i in self.interfaces.values() if i.platform == plat]
                 self.arbiters.update(dict.fromkeys(members, arb.RadioArbiter(members)))
+        # WiFi interface id -> the slots of its platform's subscriber stations,
+        # each (direction, start, end) in time order, which a schedule-aware
+        # arbiter checks the radio's spans against
+        self._watched: dict[str, list[deque]] = {}
+        if config.arbiter.schedule_aware:
+            for ss in self.sses.values():
+                arbiter = self.arbiters.get(ss.node.id)
+                mates = [sid for sid in self.stations
+                         if arbiter is not None and self.arbiters.get(sid) is arbiter]
+                if mates:
+                    ss.slots = deque()
+                    for sid in mates:
+                        self._watched.setdefault(sid, []).append(ss.slots)
 
         self.active: dict[_TxRec, None] = {}  # frames on air, in start order
         self.conflict_us = 0
@@ -564,19 +573,22 @@ class Engine:
             if ss.reservation is None or ss.reservation.claims(frame_start):
                 demands += [SsDemand(ss.node.id, link.queue.queued_bytes, direction)
                             for direction, link in ss.links.items()]
-        frame_map = build_frame_map(demands, *self._frame_geometry, ss_ids=cell.ss_ids)
-        maps = cell.maps
-        maps[frame_start] = frame_map
-        while (oldest := next(iter(maps))) + frame_us < now:  # keys come in time order
-            del maps[oldest]
+        grants = build_frame_map(demands, *self._frame_geometry)
         # one walk over the grants: push each burst, and keep each station's
         # first grant start and last grant end (its grants come in time order)
         spans: dict[str, tuple[int, int]] = {}
-        for g in frame_map.grants:
+        for g in grants:
             start = frame_start + g.offset_us
             self._push(start, P_START, "burst", g)
             spans[g.ss] = (spans[g.ss][0] if g.ss in spans else start, start + g.len_us)
         for ss in cell.sses:
+            slots = ss.slots
+            if slots is not None:  # every WiFi span starts at or after now
+                while slots and slots[0][2] <= now:
+                    slots.popleft()
+                slots.extend((g.direction, frame_start + g.offset_us,
+                              frame_start + g.offset_us + g.len_us)
+                             for g in grants if g.ss == ss.node.id)
             span = spans.get(ss.node.id)
             res = ss.reservation
             if span is not None and res is not None and res.claimed(frame_start):
@@ -657,17 +669,15 @@ class Engine:
         """Whether the radio may go ahead; one that no arbiter governs always
         may.  A grant appends the interface to ``holds``, the grants its
         frame releases when it ends.  A schedule-aware arbiter first checks a
-        WiFi radio's span against its platform's frame maps.  Each decision
-        leaves one ``arb`` note."""
+        WiFi radio's span against the upcoming slots of its platform's
+        subscriber stations.  Each decision leaves one ``arb`` note."""
         arbiter = self.arbiters.get(iface_id)
         if arbiter is None:
             return True
-        if self._schedule_aware and iface_id in self.stations and any(
-                arb.schedule_aware_check(desired, span, fmap, frame_start, ss.node.id)
-                == arb.DENY
-                for ss in self.sses.values() if self.arbiters.get(ss.node.id) is arbiter
-                for frame_start, fmap in ss.cell.maps.items()):
-            decision = arb.DENY
+        for slots in self._watched.get(iface_id, ()):
+            if arb.schedule_aware_check(desired, span, slots) == arb.DENY:
+                decision = arb.DENY
+                break
         else:
             decision = arbiter.request(iface_id, desired)
         self._note(f"{self.now}|arb|{iface_id}|{_STATE_NAMES[desired]}|{decision}")

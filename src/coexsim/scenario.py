@@ -48,7 +48,8 @@ class TrafficConfig:
     frame_bytes: int = field(default=1500, metadata={"lo": 1, "hi": 60_000})
     interval_us: int = field(default=10000, metadata={"lo": 1})        # paced
     at_us: int = field(default=0, metadata={"lo": 0})                  # cts-inject
-    reservation_us: int = field(default=32767, metadata={"lo": 1})     # cts-inject
+    # cts-inject; 100 s is 3,052 chunks of the 32767 us duration-field cap
+    reservation_us: int = field(default=32767, metadata={"lo": 1, "hi": 100_000_000})
     # cts-inject; None -> node tx power
     power_dbm: Optional[float] = field(default=None, metadata={"lo": -60.0, "hi": 36.0})
     repeat_us: int = field(default=0, metadata={"lo": 0})              # cts-inject; 0 = once

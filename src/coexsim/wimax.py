@@ -10,7 +10,7 @@ the subframes stay unallocated.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 DL = "DL"
 UL = "UL"
@@ -27,18 +27,6 @@ class SsDemand(NamedTuple):
     ss: str
     queued_bytes: int
     direction: str
-
-
-class FrameMap(NamedTuple):
-    """One frame's slot layout. Grants are ordered and non-overlapping."""
-
-    grants: tuple[Grant, ...]
-    ss_ids: tuple[str, ...]
-
-    def grants_for(self, ss: str) -> list[Grant]:
-        if ss not in self.ss_ids:
-            raise LookupError(f"unknown subscriber station: {ss!r}")
-        return [g for g in self.grants if g.ss == ss]
 
 
 def _pack(claimants: list[SsDemand], window_start: int, window_len: int,
@@ -61,15 +49,15 @@ def _pack(claimants: list[SsDemand], window_start: int, window_len: int,
 
 
 def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: float,
-                    capacity_bytes_per_us: float, preamble_us: int, ttg_us: int,
-                    ss_ids: Optional[tuple[str, ...]] = None) -> FrameMap:
-    """Allocate one frame's slots proportionally to demand.
+                    capacity_bytes_per_us: float, preamble_us: int,
+                    ttg_us: int) -> tuple[Grant, ...]:
+    """Allocate one frame's slots proportionally to demand; the grants come
+    in time order and do not overlap.
 
     DL grants live in [preamble_us, dl_end); UL grants in
     [dl_end + ttg_us, frame_len).  When aggregate demand exceeds a subframe
     the window is split proportionally, rounding down, in ascending
-    station-id order.  Zero-demand stations get no slot.  The roster
-    ``ss_ids`` is the stations named in ``demands`` in id order unless given.
+    station-id order.  Zero-demand stations get no slot.
     """
     claims: dict[str, list[SsDemand]] = {DL: [], UL: []}
     for d in demands:
@@ -91,6 +79,4 @@ def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: fl
     dl = _pack(claims[DL], preamble_us, dl_end - preamble_us, capacity_bytes_per_us, DL)
     ul = _pack(claims[UL], dl_end + ttg_us, frame_len_us - dl_end - ttg_us,
                capacity_bytes_per_us, UL)
-    if ss_ids is None:
-        ss_ids = tuple(sorted({d.ss for d in demands}))
-    return FrameMap(tuple(dl + ul), ss_ids)
+    return tuple(dl + ul)

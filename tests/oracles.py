@@ -3,8 +3,8 @@
 These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time, a radio's overlaps with its
-own emissions, DCF rule violations, delivery outcomes and the trace hash
-are read back from a run's trace.
+own emissions, DCF rule violations, delivery outcomes, grants over
+scheduled WiMAX bursts and the trace hash are read back from a run's trace.
 """
 
 from __future__ import annotations
@@ -248,6 +248,74 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
                 want = brute_force_outcomes([tx] + others, interfaces,
                                             (tx.start_us, tx.end_us), medium)[0].result
             count += parts[3] != want
+    return count
+
+
+def schedule_violations(cfg, trace: list[str]) -> int:
+    """How many WiFi emissions of a schedule-aware run were granted over a
+    conflicting WiMAX burst that was already scheduled.
+
+    A WiFi radio on a subscriber station's platform must not be granted
+    transmit over a downlink burst to that station, nor receive over an
+    uplink burst from it, when the burst's frame was mapped before the
+    request.  Bursts come from the ``air`` notes.  An uplink burst that
+    the arbiter denied, because a mate was receiving, leaves only a
+    ``deny|ul|<ss>`` note at its start, so it counts as that one
+    microsecond of its slot.  The frame starting at F, a multiple of
+    ``wimax.frame_us``, is mapped at F - frame_us.
+
+    A transmission's request time is its source's last ``TX|grant`` note: a
+    data frame airs in the microsecond of its grant, and the chunks of a CTS
+    train follow the train's one grant with no other grant of the radio in
+    between.  A reception is granted when the frame's ``air`` note directly
+    follows an ``arb|<dest>|RX|grant`` note of its microsecond, which is
+    then its request time.  A map made in the request's own microsecond does
+    not count, since a reservation or injection decision in that microsecond
+    can run before the boundary that makes it.
+    """
+    interfaces = cfg.interfaces()
+    frame_us = cfg.wimax.frame_us
+    ss_plat = {n.id: interfaces[n.id].platform for n in cfg.nodes
+               if n.kind == "wimax-ss" and interfaces[n.id].platform is not None}
+    plats = set(ss_plat.values())
+    burst = FrameKind.WIMAX_BURST.value
+    bursts: dict[tuple[str, str], list] = {}  # (platform, mode it bars) -> (start, end, mapped at)
+    requests = []   # (platform, mode, request time, start, end) of each granted WiFi emission
+    last_tx = {}    # WiFi radio -> time of its last transmit grant
+    prev = ""       # the behaviour note before this one
+    for line in trace:
+        parts = line.split("|")
+        if parts[1].isdigit():  # a per-event line
+            continue
+        if parts[1] == "arb" and parts[3:5] == ["TX", "grant"]:
+            last_tx[parts[2]] = int(parts[0])
+        elif parts[1:3] == ["deny", "ul"] and parts[3] in ss_plat:
+            start = int(parts[0])
+            mapped = start - start % frame_us - frame_us
+            bursts.setdefault((ss_plat[parts[3]], "RX"), []).append((start, start + 1, mapped))
+        elif parts[1] == "air":
+            start = int(parts[0])
+            end = start + int(parts[4])
+            source, dest = parts[3].split(">")
+            if parts[2] == burst:
+                ss, mode = (dest, "TX") if dest in ss_plat else (source, "RX")
+                if ss in ss_plat:
+                    mapped = start - start % frame_us - frame_us
+                    bursts.setdefault((ss_plat[ss], mode), []).append((start, end, mapped))
+            else:  # a WiFi data frame or CTS
+                plat = interfaces[source].platform
+                if source in last_tx and plat in plats:
+                    requests.append((plat, "TX", last_tx[source], start, end))
+                plat = interfaces[dest].platform if dest in interfaces else None
+                if prev == f"{start}|arb|{dest}|RX|grant" and plat in plats:
+                    requests.append((plat, "RX", start, start, end))
+        prev = line
+    count = 0
+    for plat, mode, asked, start, end in requests:
+        aired = bursts.get((plat, mode), [])
+        lo = bisect.bisect_left(aired, (start - frame_us,))
+        hi = bisect.bisect_left(aired, (end,))
+        count += any(b_end > start and mapped < asked for _, b_end, mapped in aired[lo:hi])
     return count
 
 

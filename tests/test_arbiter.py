@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.arbiter import DENY, GRANT, ArbiterState, RadioArbiter, schedule_aware_check
-from coexsim.wimax import DL, UL, FrameMap, Grant
+from coexsim.wimax import DL, UL
 
 S, RX, TX = ArbiterState.S, ArbiterState.RX, ArbiterState.TX
 
@@ -146,16 +146,27 @@ class TestProperties:
 
 
 class TestScheduleAware:
-    FMAP = FrameMap((Grant("ss1", DL, 200, 2800), Grant("ss1", UL, 3100, 1900)), ("ss1",))
+    # a frame starting at 10,000 us: downlink, then uplink after the turnaround gap
+    SLOTS = ((DL, 10_200, 13_000), (UL, 13_100, 15_000))
 
     def test_wifi_tx_over_scheduled_reception_denied(self):
-        assert schedule_aware_check(TX, (10_500, 12_500), self.FMAP, 10_000, "ss1") == DENY
+        assert schedule_aware_check(TX, (10_500, 12_500), self.SLOTS) == DENY
 
     def test_wifi_tx_over_scheduled_transmission_allowed(self):
-        assert schedule_aware_check(TX, (13_200, 14_900), self.FMAP, 10_000, "ss1") == GRANT
+        assert schedule_aware_check(TX, (13_200, 14_900), self.SLOTS) == GRANT
 
     def test_wifi_rx_over_scheduled_transmission_denied(self):
-        assert schedule_aware_check(RX, (13_200, 14_900), self.FMAP, 10_000, "ss1") == DENY
+        assert schedule_aware_check(RX, (13_200, 14_900), self.SLOTS) == DENY
+
+    def test_wifi_rx_over_scheduled_reception_allowed(self):
+        assert schedule_aware_check(RX, (10_500, 12_500), self.SLOTS) == GRANT
 
     def test_unscheduled_airtime_allowed(self):
-        assert schedule_aware_check(TX, (10_000, 10_150), self.FMAP, 10_000, "ss1") == GRANT
+        assert schedule_aware_check(TX, (10_000, 10_150), self.SLOTS) == GRANT
+
+    def test_slots_are_half_open(self):
+        """A span that ends where a conflicting slot starts, or starts where
+        one ends, does not overlap it."""
+        assert schedule_aware_check(TX, (10_000, 10_200), self.SLOTS) == GRANT
+        assert schedule_aware_check(RX, (15_000, 15_300), self.SLOTS) == GRANT
+        assert schedule_aware_check(TX, (10_000, 10_201), self.SLOTS) == DENY

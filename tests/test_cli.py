@@ -193,6 +193,17 @@ class TestMain:
         assert main(["run", str(bad), "--duration-us", "1100000"]) == EXIT_VALIDATION
         assert f"error: {field}: must be <= " in capsys.readouterr().err
 
+    def test_unbounded_injected_train_is_a_validation_error(self, tmp_path, capsys):
+        # accepted by earlier versions, then the run set out to build all of
+        # its ~6.1 M chunks before the first went on air
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_us: 250000\nwarmup_us: 50000\nnodes:\n"
+                       "  - {id: a, kind: wifi, position: [0.0, 0.0], traffic:"
+                       " {kind: cts-inject, reservation_us: 200000000000}}\n"
+                       "  - {id: b, kind: wifi, position: [5.0, 0.0]}\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert "error: nodes[0].traffic.reservation_us: must be <= " in capsys.readouterr().err
+
     def test_incomplete_spillage_entry_is_a_validation_error(self, tmp_path, capsys):
         # earlier versions read a missing separation_mhz as 1.0 MHz
         bad = tmp_path / "bad.yaml"

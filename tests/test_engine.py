@@ -10,7 +10,7 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     line_by_line_hash, outcome_mismatches, own_overlaps)
+                     line_by_line_hash, outcome_mismatches, own_overlaps, schedule_violations)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -118,7 +118,7 @@ RESERVATION_VARIANTS = {
 # Seed-1 hashes of 6 s colocated runs down the arbiter's other two paths:
 # arbiter settings changed, hash.
 ARBITER_VARIANTS = {
-    # WiFi requests also checked against the subscriber station's frame maps
+    # WiFi requests also checked against the subscriber station's slots
     "schedule-aware": (
         {"schedule_aware": True},
         "1eff5996c88eda19c9211cf91f1f1b2df7ef658ec9c59b916e0811b7b52b2190"),
@@ -584,10 +584,23 @@ class TestArbitratedRuns:
         retries = sum(line.split("|")[2:3] == ["retry"] for line in engine.trace)
         assert denials == retries > 0
 
-    def test_stale_frame_maps_are_dropped(self, colocated_cfg):
-        """The schedule-aware check reads every frame map a cell keeps; after
-        each boundary those are only frames starting one frame ago or later,
-        at most three."""
+    def test_no_grant_over_a_scheduled_burst(self, colocated_cfg):
+        """The replay oracle finds no WiFi grant over a conflicting burst
+        mapped before the request, and finds many once the arbiter is not
+        schedule-aware."""
+        cfg = replace(colocated_cfg, duration_us=6_000_000,
+                      arbiter=replace(colocated_cfg.arbiter, schedule_aware=True))
+        engine, _ = traced_run(cfg)
+        assert schedule_violations(cfg, engine.trace) == 0
+        plain = replace(colocated_cfg, duration_us=2_000_000)
+        assert schedule_violations(plain, traced_run(plain)[0].trace) > 0
+
+    def test_only_upcoming_slots_are_kept(self, colocated_cfg):
+        """The schedule-aware check reads every slot a watched station keeps;
+        after each boundary those are only slots that end after it: at most
+        one downlink and one uplink slot of the frame on air and of the
+        frame just mapped.  With schedule awareness off no station keeps
+        slots."""
         cfg = replace(colocated_cfg, duration_us=6_000_000,
                       arbiter=replace(colocated_cfg.arbiter, schedule_aware=True))
         engine = Engine(cfg, seed=1)
@@ -595,14 +608,17 @@ class TestArbitratedRuns:
 
         def checked(bs_id: str) -> None:
             on_boundary(bs_id)
-            maps = engine.cells[bs_id].maps
-            assert min(maps) >= engine.now - cfg.wimax.frame_us
-            kept.append(len(maps))
+            slots = engine.sses["ss1"].slots
+            assert all(end > engine.now for _, _, end in slots)
+            kept.append(len(slots))
 
         engine._handlers["boundary"] = checked
         engine.run()
         assert len(kept) == cfg.duration_us // cfg.wimax.frame_us + 1
-        assert max(kept) <= 3
+        assert 0 < max(kept) <= 4
+        plain = Engine(replace(colocated_cfg, duration_us=2_000_000), seed=1)
+        plain.run()
+        assert [ss.slots for ss in plain.sses.values()] == [None]
 
     def test_radio_keeps_its_grant_until_its_last_frame_ends(self):
         """The co-located coordinator's data frame and its CTS train each take

@@ -11,29 +11,28 @@ GEOMETRY = dict(capacity_bytes_per_us=2.0, preamble_us=200, ttg_us=100)
 
 class TestBuildFrameMap:
     def test_sole_claimant_spans_dl_subframe(self):
-        fmap = build_frame_map([SsDemand("ss1", 10_000_000, DL)], 5000, 0.6, **GEOMETRY)
-        assert len(fmap.grants) == 1
-        g = fmap.grants[0]
+        grants = build_frame_map([SsDemand("ss1", 10_000_000, DL)], 5000, 0.6, **GEOMETRY)
+        assert len(grants) == 1
+        g = grants[0]
         assert (g.ss, g.direction, g.offset_us, g.len_us) == ("ss1", DL, 200, 2800)
 
     def test_equal_ul_demands_split_equally(self):
         demands = [SsDemand("ss1", 4000, UL), SsDemand("ss2", 4000, UL)]
-        fmap = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
-        ul = [g for g in fmap.grants if g.direction == UL]
+        grants = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
+        ul = [g for g in grants if g.direction == UL]
         # UL window is [3100, 5000): 1900 us shared equally, ascending id
         assert [(g.ss, g.offset_us, g.len_us) for g in ul] == [
             ("ss1", 3100, 950), ("ss2", 4050, 950)]
 
     def test_small_demand_gets_exactly_what_it_needs(self):
-        fmap = build_frame_map([SsDemand("ss1", 1000, UL)], 5000, 0.6, **GEOMETRY)
-        (g,) = fmap.grants
+        grants = build_frame_map([SsDemand("ss1", 1000, UL)], 5000, 0.6, **GEOMETRY)
+        (g,) = grants
         assert g.len_us == 500
 
     def test_zero_demand_yields_no_grants(self):
-        fmap = build_frame_map([SsDemand("ss1", 0, DL), SsDemand("ss1", 0, UL)], 5000, 0.6,
-                               **GEOMETRY)
-        assert fmap.grants == ()
-        assert fmap.ss_ids == ("ss1",)
+        grants = build_frame_map([SsDemand("ss1", 0, DL), SsDemand("ss1", 0, UL)], 5000, 0.6,
+                                 **GEOMETRY)
+        assert grants == ()
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -60,9 +59,9 @@ class TestBuildFrameMap:
                 continue
             seen.add((ss, d))
             demands.append(SsDemand(ss, qb, d))
-        fmap = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
+        grants = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
         prev_end = 0
-        for g in fmap.grants:
+        for g in grants:
             assert g.len_us > 0
             assert g.offset_us >= prev_end
             prev_end = g.offset_us + g.len_us
@@ -77,9 +76,9 @@ class TestBuildFrameMap:
            st.integers(min_value=0, max_value=100_000))
     def test_served_time_never_exceeds_demand(self, qa, qb):
         demands = [SsDemand("a", qa, UL), SsDemand("b", qb, UL)]
-        fmap = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
+        grants = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
         need = {"a": math.ceil(qa / 2.0), "b": math.ceil(qb / 2.0)}
-        for g in fmap.grants:
+        for g in grants:
             assert g.len_us <= need[g.ss]
 
 
@@ -89,9 +88,9 @@ class TestSsBurst:
     def test_bursts_from_one_map_never_overlap(self):
         demands = [SsDemand("ss1", 9000, DL), SsDemand("ss2", 9000, DL),
                    SsDemand("ss1", 9000, UL), SsDemand("ss2", 5000, UL)]
-        fmap = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
-        spans = sorted((g.offset_us, g.offset_us + g.len_us) for g in fmap.grants)
+        grants = build_frame_map(demands, 5000, 0.6, **GEOMETRY)
+        spans = sorted((g.offset_us, g.offset_us + g.len_us) for g in grants)
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
             assert e0 <= s1
-        for g in fmap.grants:
+        for g in grants:
             assert 0 <= g.offset_us and g.offset_us + g.len_us <= 5000
