@@ -35,7 +35,7 @@ from typing import Optional
 from . import arbiter as arb
 from .medium import (CORRUPTED, DECODED, FrameKind, LossRow, MediumModel, RadioInterface,
                      Transmission, delivery_result, invert_path_loss)
-from .reservation import Reservation, build_cts_train
+from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train, train_end_us
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
                    data_airtime_us)
@@ -52,6 +52,10 @@ _HASH_BATCH_LINES = 256
 # relative slack on the reach radius, far above float rounding in the
 # distance and the inverted path loss
 _REACH_MARGIN = 1e-9
+# slack in dB on the test of which sources can corrupt a frame, far above
+# float rounding in the received powers
+_CORRUPT_MARGIN_DB = 1e-9
+_NO_SOURCES: frozenset = frozenset()
 # names and values the behaviour notes print, read without Enum's properties
 _STATE_NAMES = {state: state.name for state in arb.ArbiterState}
 _KIND_VALUES = {kind: kind.value for kind in FrameKind}
@@ -154,7 +158,7 @@ class RunResult:
 
 
 class _TxRec:
-    __slots__ = ("tx", "link", "served_bytes", "missed", "overlappers", "holds",
+    __slots__ = ("tx", "link", "served_bytes", "missed", "overlappers", "corrupters", "holds",
                  "src_plat", "rx_plat")
 
     def __init__(self, tx: Transmission, holds: list[str], link: Optional[_Link] = None,
@@ -164,7 +168,10 @@ class _TxRec:
         self.link = link
         self.served_bytes = served_bytes
         self.missed = False          # addressee was not listening (arbiter denial)
+        # the overlapping emissions from its corrupters, the sources able to
+        # corrupt it at a receiver
         self.overlappers: list[Transmission] = []
+        self.corrupters = _NO_SOURCES
         self.src_plat = self.rx_plat = None  # source's platform; addressee's while it listens
 
 
@@ -335,6 +342,21 @@ class Engine:
                            self._losses_to(res.coordinator.iface.id))
                           for ss in self.sses.values()
                           if (res := ss.reservation) and res.coordinator]
+        # node id -> the strongest power any of its emissions can have: its
+        # own, an injector's, and a coordinator's strongest CTS
+        self._ceiling = {n.id: n.tx_power_dbm for n in config.nodes}
+        for n in config.nodes:
+            if n.traffic.kind == "cts-inject" and n.traffic.power_dbm is not None:
+                self._ceiling[n.id] = max(n.tx_power_dbm, n.traffic.power_dbm)
+        cts_ceiling = (CTS_POWER_CEILING_DBM if config.reservation.power_sizing
+                       else config.reservation.cts_power_dbm)
+        for _, res, _ in self._monitors:
+            cid = res.coordinator.iface.id
+            self._ceiling[cid] = max(self._ceiling[cid], cts_ceiling)
+        self._top_ceiling = max(self._ceiling.values(), default=0.0)
+        # (source, power, addressee) -> the sources able to corrupt such a
+        # frame at a receiver, see _corrupters
+        self._corrupt: dict[tuple[str, float, Optional[str]], frozenset] = {}
 
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
@@ -446,6 +468,50 @@ class Engine:
                 if power_dbm - self._losses_to(sid)[src] >= getattr(iface, level):
                     found.append(rt)
             found = self._reach[key] = tuple(found)
+        return found
+
+    def _corrupters(self, tx: Transmission) -> frozenset:
+        """Sources able to corrupt ``tx`` at one of its receivers, the
+        addressee or, for a CTS, each hearer; memoised by (source, power,
+        addressee).  Empty if the addressee gets it below sensitivity.
+
+        ``delivery_result`` corrupts a frame only through the receiver's own
+        emission or one that arrives above the frame's signal minus the SINR
+        threshold, and no source emits above its config ceiling.  So the set
+        holds each receiver and each source whose ceiling arrives at or above
+        that level.  As in :meth:`_reached`, only sources on the receiver's
+        platform or within the distance at which path loss alone uses up the
+        highest ceiling minus that level take the exact test."""
+        key = (tx.source, tx.power_dbm, tx.dest)
+        found = self._corrupt.get(key)
+        if found is not None:
+            return found
+        if tx.dest is not None:
+            rx = self.interfaces[tx.dest]
+            receivers = [rx] if (tx.power_dbm - self._losses_to(tx.dest)[tx.source]
+                                 >= rx.decode_sensitivity_dbm) else []
+        else:
+            receivers = [rt.station.iface for rt in self._hearers(tx.source, tx.power_dbm)]
+        ceiling, model = self._ceiling, self.medium.path_loss
+        found = set()
+        for rx in receivers:
+            row = self._losses_to(rx.id)
+            floor = (tx.power_dbm - row[tx.source] - self.medium.sinr_threshold_db
+                     - _CORRUPT_MARGIN_DB)
+            reach2 = (invert_path_loss(self._top_ceiling - floor, model)
+                      * (1.0 + _REACH_MARGIN)) ** 2
+            plat, x, y = rx.platform, rx.position.x, rx.position.y
+            found.add(rx.id)  # half-duplex
+            for sid, iface in self.interfaces.items():
+                if sid in found:
+                    continue
+                if iface.platform is None or iface.platform != plat:
+                    pos = iface.position
+                    if (pos.x - x) ** 2 + (pos.y - y) ** 2 > reach2:
+                        continue
+                if ceiling[sid] - row[sid] >= floor:
+                    found.add(sid)
+        found = self._corrupt[key] = frozenset(found)
         return found
 
     def _clip(self, start: int, end: int) -> int:
@@ -625,7 +691,8 @@ class Engine:
         if not chunks:
             self._note(f"{self.now}|reserve-skip|{ss.node.id}|{reservation}")
             return
-        self._send_train(chunks, f"reserve|{ss.node.id}")
+        self._send_train(chunks[0].source, (chunks[0].start_us, chunks[-1].end_us), chunks,
+                         f"reserve|{ss.node.id}")
 
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
@@ -633,28 +700,34 @@ class Engine:
         st = self.stations[node_id].station
         start = max(self.now, st.busy_until_us)  # past its own last train too
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
+        airtime = self.dcf.cts_airtime_us
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
-                                 channel_mhz=node.channel_mhz,
-                                 cts_airtime_us=self.dcf.cts_airtime_us)
-        self._send_train(chunks, f"inject|{node_id}")
+                                 channel_mhz=node.channel_mhz, cts_airtime_us=airtime,
+                                 until_us=self._end_us)
+        self._send_train(node_id, (start, train_end_us(t.reservation_us, start, airtime)),
+                         chunks, f"inject|{node_id}")
         if t.repeat_us:
             self._push(self.now + t.repeat_us, P_CTRL, "inject", node_id)
 
-    def _send_train(self, chunks: list[Transmission], tag: str) -> None:
-        """Push a CTS train under one transmit grant over its span, released
-        by the last chunk's end, and keep its radio from contending until
-        then; a ``deny|tag`` note instead if denied."""
+    def _send_train(self, source: str, span: tuple[int, int], chunks: list[Transmission],
+                    tag: str) -> None:
+        """Push the chunks of a CTS train over ``span`` that start within the
+        run, under one transmit grant over the whole span, released by the
+        last chunk's end, and keep its radio from contending until then; a
+        ``deny|tag`` note instead if denied.  A train cut at the run's end
+        keeps its grant to the end."""
         holds: list[str] = []
-        source, start, end = chunks[0].source, chunks[0].start_us, chunks[-1].end_us
-        if not self._arbiter_request(source, arb.ArbiterState.TX, (start, end), holds):
+        if not self._arbiter_request(source, arb.ArbiterState.TX, span, holds):
             self._note(f"{self.now}|deny|{tag}")
             return
         rt = self.stations[source]
-        if rt.station.on_own_train(start, end):
+        if rt.station.on_own_train(*span):
             self._resched[rt.order] = rt
         for chunk in chunks:
+            if chunk.start_us > self._end_us:
+                break
             self._push(chunk.start_us, P_START, "cts",
-                       (chunk, holds if chunk is chunks[-1] else []))
+                       (chunk, holds if chunk.end_us == span[1] else []))
 
     def _on_cts(self, data) -> None:
         chunk, holds = data
@@ -718,9 +791,20 @@ class Engine:
         if rec.src_plat is not None or rec.rx_plat is not None:
             self._count_conflict(rec)
 
+        # each frame collects only the overlapping emissions of its corrupters
+        source = tx.source
+        if rec.missed:
+            corrupters = _NO_SOURCES
+        else:
+            corrupters = self._corrupt.get((source, tx.power_dbm, tx.dest))
+            if corrupters is None:
+                corrupters = self._corrupters(tx)
+            rec.corrupters = corrupters
         for other in self.active:
-            other.overlappers.append(tx)
-            rec.overlappers.append(other.tx)
+            if source in other.corrupters:
+                other.overlappers.append(tx)
+            if other.tx.source in corrupters:
+                rec.overlappers.append(other.tx)
         self.active[rec] = None
 
         clipped = self._clip(tx.start_us, tx.end_us)

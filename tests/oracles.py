@@ -4,7 +4,8 @@ These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time, a radio's overlaps with its
 own emissions, DCF rule violations, delivery outcomes, grants over
-scheduled WiMAX bursts and the trace hash are read back from a run's trace.
+scheduled WiMAX bursts, emissions above their source's power ceiling and
+the trace hash are read back from a run's trace.
 """
 
 from __future__ import annotations
@@ -316,6 +317,41 @@ def schedule_violations(cfg, trace: list[str]) -> int:
         lo = bisect.bisect_left(aired, (start - frame_us,))
         hi = bisect.bisect_left(aired, (end,))
         count += any(b_end > start and mapped < asked for _, b_end, mapped in aired[lo:hi])
+    return count
+
+
+def power_ceilings(cfg) -> dict[str, float]:
+    """Node id -> the strongest power the config lets any emission of that
+    node have: its ``tx_power_dbm``; a CTS injector's ``power_dbm``; and for
+    the first WiFi radio (in config order) on a subscriber station's platform
+    with the reservation scheme on, its strongest CTS: the sizing cap of
+    20 dBm, or ``reservation.cts_power_dbm`` with ``power_sizing`` off."""
+    ceiling = {n.id: n.tx_power_dbm for n in cfg.nodes}
+    for n in cfg.nodes:
+        if n.traffic.kind == "cts-inject" and n.traffic.power_dbm is not None:
+            ceiling[n.id] = max(ceiling[n.id], n.traffic.power_dbm)
+    if cfg.reservation.enabled:
+        cts = 20.0 if cfg.reservation.power_sizing else cfg.reservation.cts_power_dbm
+        plats = cfg.platforms()
+        for ss in cfg.nodes:
+            if ss.kind != "wimax-ss" or plats[ss.id] is None:
+                continue
+            coord = next((n.id for n in cfg.nodes
+                          if n.kind == "wifi" and plats[n.id] == plats[ss.id]), None)
+            if coord is not None:
+                ceiling[coord] = max(ceiling[coord], cts)
+    return ceiling
+
+
+def over_ceiling(trace: list[str], cfg) -> int:
+    """How many ``air`` notes of a run carry a power above their source's
+    :func:`power_ceilings` value."""
+    ceiling = power_ceilings(cfg)
+    count = 0
+    for line in trace:
+        parts = line.split("|")
+        if parts[1] == "air":
+            count += float(parts[5]) > ceiling[parts[3].split(">")[0]]
     return count
 
 

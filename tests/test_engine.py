@@ -7,10 +7,11 @@ import pytest
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
-from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
+from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power, train_end_us
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     line_by_line_hash, outcome_mismatches, own_overlaps, schedule_violations)
+                     line_by_line_hash, outcome_mismatches, over_ceiling, own_overlaps,
+                     power_ceilings, schedule_violations)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -387,6 +388,126 @@ class TestCachedFastPaths:
         assert kept > 0 and dropped > 0
 
 
+# The corrupter sets at their bounds.  sta's 20 dBm frame reaches ap, 5 m
+# away, at -41.02 dBm, so with log-distance exponent 3 a 20 dBm source
+# corrupts it from within 5 * 10^(1/3) = 10.772 m of ap and a 30 dBm one
+# from within 5 * 10^(2/3) = 23.208 m.  near and far sit 0.05 m inside and
+# outside the first bound; jam, a 10 dBm radio that injects at 30 dBm, and
+# jam_far sit 0.05 m inside and outside the second, which is also the
+# distance cull's radius.  jam is in the set through its injector power only.
+CORRUPT_EDGES = """
+duration_us: 100000
+warmup_us: 0
+medium: {path_loss: {kind: log-distance, exponent: 3.0}}
+nodes:
+  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap}
+  - {id: ap, kind: wifi, position: [5.0, 0.0]}
+  - {id: near, kind: wifi, position: [5.0, 10.722]}
+  - {id: far, kind: wifi, position: [5.0, -10.822]}
+  - {id: jam, kind: wifi, position: [28.158, 0.0], tx_power_dbm: 10.0,
+     traffic: {kind: cts-inject, power_dbm: 30.0}}
+  - {id: jam_far, kind: wifi, position: [-18.258, 0.0], tx_power_dbm: 10.0,
+     traffic: {kind: cts-inject, power_dbm: 30.0}}
+"""
+
+
+def scanned_corrupters(engine, ceilings: dict, tx: Transmission) -> set:
+    """The sources able to corrupt ``tx`` at a receiver (its addressee, or
+    every station that decodes a CTS), from fresh losses and every
+    interface's power ceiling."""
+    ifaces, medium = engine.interfaces, engine.medium
+    receivers = ([ifaces[tx.dest]] if tx.dest is not None else
+                 [ifaces[sid] for sid in engine.stations if sid != tx.source])
+    found = set()
+    for rx in receivers:
+        signal = tx.power_dbm - medium.link_loss_db(ifaces[tx.source], rx)
+        if signal < rx.decode_sensitivity_dbm:
+            continue
+        found.add(rx.id)
+        found.update(sid for sid, iface in ifaces.items() if sid != rx.id and
+                     ceilings[sid] - medium.link_loss_db(iface, rx)
+                     >= signal - medium.sinr_threshold_db)
+    return found
+
+
+class TestCorrupterSets:
+    """A frame collects only the overlapping emissions of the sources able
+    to corrupt it; the engine's memoised sets agree with a scan of every
+    interface at its power ceiling, and decoding over the filtered list
+    agrees with decoding over every overlapper."""
+
+    @pytest.fixture(params=["grid", "colocated", "bound-edges", "corrupt-edges"])
+    def engine(self, request, colocated_cfg):
+        texts = {"grid": pairs_grid(), "bound-edges": BOUND_EDGES,
+                 "corrupt-edges": CORRUPT_EDGES}
+        cfg = (colocated_cfg if request.param == "colocated"
+               else parse_scenario(texts[request.param]))
+        return Engine(cfg, seed=1)
+
+    def test_edges_of_the_bound(self):
+        engine = Engine(parse_scenario(CORRUPT_EDGES), seed=1)
+        frame = Transmission("sta", FrameKind.DATA, 0, 100, 20.0, 2412.0, dest="ap")
+        assert engine._corrupters(frame) == {"ap", "sta", "near", "jam"}
+
+    def test_memoised_sets_equal_a_scan(self, engine):
+        ifaces = engine.interfaces
+        ceilings = power_ceilings(engine.cfg)
+        rng = random.Random(3)
+        ids = sorted(ifaces)
+        found = 0
+        for src in ids:
+            powers = {ifaces[src].tx_power_dbm, ceilings[src], ceilings[src] - 7.5}
+            for power in sorted(powers):
+                for dest in rng.sample(ids, min(6, len(ids))) + [None]:
+                    if dest == src:
+                        continue
+                    tx = Transmission(src, FrameKind.CTS if dest is None else FrameKind.DATA,
+                                      0, 44, power, ifaces[src].channel_mhz, dest=dest)
+                    memo = engine._corrupters(tx)
+                    assert memo == scanned_corrupters(engine, ceilings, tx), (src, power, dest)
+                    assert engine._corrupters(tx) is memo
+                    found += len(memo)
+        assert found > 0
+
+    def test_filtered_delivery_equals_unfiltered(self, engine):
+        ifaces, medium = engine.interfaces, engine.medium
+        ceilings = power_ceilings(engine.cfg)
+        ids = sorted(ifaces)
+        rng = random.Random(11)
+        window = (0, 100)
+        seen, dropped = set(), 0
+        for _ in range(300):
+            active = []
+            for _ in range(rng.randint(1, 8)):
+                src = rng.choice(ids)
+                dest = rng.choice([i for i in ids if i != src] + [None])
+                active.append(Transmission(
+                    source=src, kind=FrameKind.CTS if dest is None else FrameKind.DATA,
+                    start_us=rng.randint(0, 60), airtime_us=rng.randint(1, 40),
+                    power_dbm=rng.choice((ifaces[src].tx_power_dbm, ceilings[src],
+                                          rng.uniform(-30.0, ceilings[src]))),
+                    channel_mhz=ifaces[src].channel_mhz, dest=dest))
+            for tx in active:
+                corrupters = engine._corrupters(tx)
+                kept = [u for u in active if u.source in corrupters]
+                dropped += len(active) - len(kept)
+                receivers = ([tx.dest] if tx.dest is not None else
+                             [rt.node.id for rt in engine._hearers(tx.source, tx.power_dbm)])
+                for rid in receivers:
+                    args = (ifaces[rid], window, medium, engine._losses_to(rid))
+                    want = delivery_result(tx, active, *args)
+                    assert delivery_result(tx, kept, *args) == want
+                    seen.add(want.result)
+        assert CORRUPTED in seen and DECODED in seen and dropped > 0
+
+
+class TestPowerCeilings:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_shipped_scenario_emits_under_its_ceilings(self, fixture, shipped_run, request):
+        engine, _ = shipped_run(fixture)
+        assert over_ceiling(engine.trace, request.getfixturevalue(fixture)) == 0
+
+
 class TestJainIndex:
     def test_perfect_fairness(self):
         assert jain_index([0.5, 0.5]) == pytest.approx(1.0)
@@ -510,6 +631,25 @@ nodes:
         assert any(b - a == NAV_FIELD_CAP_US for a, b in zip(starts, starts[1:]))
         assert result.links["ss_wifi->ap"].delivered_bytes > 0
         assert own_overlaps(engine.trace) == 0
+
+    def test_train_longer_than_the_run_stops_at_its_end(self):
+        """An injected train of 3,052 chunks in a 250 ms run pushes only the
+        8 chunks that start within the run; its radio stays busy until the
+        whole train's end (earlier versions built and pushed every chunk)."""
+        text = """
+duration_us: 250000
+warmup_us: 0
+nodes:
+  - {id: jam, kind: wifi, position: [0.0, 0.0],
+     traffic: {kind: cts-inject, at_us: 1000, reservation_us: 100000000}}
+  - {id: ap, kind: wifi, position: [6.0, 0.0]}
+"""
+        engine = Engine(parse_scenario(text), seed=1)
+        result = engine.run()
+        assert [e for e in engine._heap if e[3] == "cts"] == []
+        assert result.cts_count == (250_000 - 1000) // NAV_FIELD_CAP_US + 1
+        assert engine.stations["jam"].station.train_until_us == \
+            train_end_us(100_000_000, 1000, engine.dcf.cts_airtime_us)
 
     def test_shares_stay_in_unit_interval(self, conference_cfg):
         result = run(conference_cfg, seed=2)

@@ -8,7 +8,7 @@ from coexsim.engine import Engine
 from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import parse_scenario
 from oracles import (conflict_time, dcf_violations, line_by_line_hash, outcome_mismatches,
-                     own_overlaps, schedule_violations)
+                     over_ceiling, own_overlaps, schedule_violations)
 
 
 def _flag(draw) -> str:
@@ -133,6 +133,8 @@ class TestGeneratedScenarios:
         assert own_overlaps(engine.trace) == 0  # a radio sends one frame at a time
         assert dcf_violations(cfg, engine.trace) == 0
         assert outcome_mismatches(cfg, engine.trace) == 0
+        # the engine's interferer sets assume no emission passes these ceilings
+        assert over_ceiling(engine.trace, cfg) == 0
         if cfg.arbiter.enabled and cfg.arbiter.schedule_aware:
             assert schedule_violations(cfg, engine.trace) == 0
         # the hash covers the behaviour notes alone, whether a trace is kept or not
