@@ -71,6 +71,39 @@ _SUBJECTS = {
 }
 
 
+class _Memo(dict):
+    """Key -> value, filled by ``fill(key)`` on first use and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _near(center: RadioInterface, radius_m: float, pool):
+    """The interfaces of ``pool`` other than ``center`` that share its
+    platform or lie within ``radius_m`` of it, in pool order.
+
+    Spillage rejection is never negative and path loss never falls with
+    distance, so only these can receive, from ``center`` or at it, more than
+    path loss alone over ``radius_m`` leaves."""
+    plat, x, y = center.platform, center.position.x, center.position.y
+    radius2 = (radius_m * (1.0 + _REACH_MARGIN)) ** 2
+    for iface in pool:
+        if iface is center:
+            continue
+        if iface.platform is None or iface.platform != plat:
+            pos = iface.position
+            if (pos.x - x) ** 2 + (pos.y - y) ** 2 > radius2:
+                continue
+        yield iface
+
+
 def jain_index(shares: list[float]) -> float:
     """Fairness of a share vector: (sum x)^2 / (n * sum x^2), 1 when equal."""
     if not shares:
@@ -287,10 +320,15 @@ class Engine:
 
         self.medium: MediumModel = config.medium
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
-        self._loss_rows: dict[str, LossRow] = {}
-        # (source, power, interface threshold) -> WiFi stations that receive
-        # such an emission at or above that threshold, config order
-        self._reach: dict[tuple[str, float, str], tuple[_WifiRt, ...]] = {}
+        # the neighbour sets, each filled once on first use: receiver -> its
+        # loss row; (source, power) -> the WiFi stations whose carrier sense
+        # such an emission trips, or that receive it at or above decode
+        # sensitivity; (source, power, addressee) -> see _corrupting
+        self._loss_rows = _Memo(lambda dst: LossRow(self.medium, self.interfaces,
+                                                    self.interfaces[dst]))
+        self._sensers = _Memo(lambda key: self._reached(*key, "cca_threshold_dbm"))
+        self._hearers = _Memo(lambda key: self._reached(*key, "decode_sensitivity_dbm"))
+        self._corrupters = _Memo(lambda key: self._corrupting(*key))
         self.dcf = config.wifi
 
         # system name -> its record, in name order; node id -> its system's record
@@ -305,8 +343,8 @@ class Engine:
                                               len(self.stations), self.system_of[n.id])
         # per threshold level, its lowest value among the stations, which
         # bounds how far an emission can reach at that level
-        ifaces = [rt.station.iface for rt in self.stations.values()]
-        self._lowest = {level: min((getattr(i, level) for i in ifaces), default=0.0)
+        self._wifi_ifaces = [rt.station.iface for rt in self.stations.values()]
+        self._lowest = {level: min((getattr(i, level) for i in self._wifi_ifaces), default=0.0)
                         for level in ("cca_threshold_dbm", "decode_sensitivity_dbm")}
         # stations whose attempt was voided, keyed by config order; they
         # re-arm at the next frame end
@@ -339,7 +377,7 @@ class Engine:
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
-                           self._losses_to(res.coordinator.iface.id))
+                           self._loss_rows[res.coordinator.iface.id])
                           for ss in self.sses.values()
                           if (res := ss.reservation) and res.coordinator]
         # node id -> the strongest power any of its emissions can have: its
@@ -354,9 +392,6 @@ class Engine:
             cid = res.coordinator.iface.id
             self._ceiling[cid] = max(self._ceiling[cid], cts_ceiling)
         self._top_ceiling = max(self._ceiling.values(), default=0.0)
-        # (source, power, addressee) -> the sources able to corrupt such a
-        # frame at a receiver, see _corrupters
-        self._corrupt: dict[tuple[str, float, Optional[str]], frozenset] = {}
 
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
@@ -422,97 +457,43 @@ class Engine:
             self._hash.update(("\n".join(lines) + "\n").encode())
             lines.clear()
 
-    def _losses_to(self, dst: str) -> LossRow:
-        row = self._loss_rows.get(dst)
-        if row is None:
-            row = self._loss_rows[dst] = LossRow(self.medium, self.interfaces,
-                                                 self.interfaces[dst])
-        return row
-
-    def _sensers(self, src: str, power_dbm: float) -> tuple[_WifiRt, ...]:
-        """WiFi stations other than ``src`` whose carrier sense an emission
-        from ``src`` at ``power_dbm`` trips, in config order; memoised."""
-        return self._reached(src, power_dbm, "cca_threshold_dbm")
-
-    def _hearers(self, src: str, power_dbm: float) -> tuple[_WifiRt, ...]:
-        """WiFi stations other than ``src`` that receive an emission from
-        ``src`` at ``power_dbm`` at or above decode sensitivity, in config
-        order; memoised.  Only these can decode it."""
-        return self._reached(src, power_dbm, "decode_sensitivity_dbm")
-
     def _reached(self, src: str, power_dbm: float, level: str) -> tuple[_WifiRt, ...]:
-        """Stations other than ``src`` that receive its emission at
-        ``power_dbm`` at or above their ``level``, in config order; memoised.
+        """WiFi stations other than ``src`` that receive its emission at
+        ``power_dbm`` at or above their ``level``, in config order.  Only
+        those near enough for path loss alone to leave ``power_dbm`` minus
+        the lowest threshold of that level take the exact test."""
+        radius = invert_path_loss(power_dbm - self._lowest[level], self.medium.path_loss)
+        return tuple(self.stations[iface.id]
+                     for iface in _near(self.interfaces[src], radius, self._wifi_ifaces)
+                     if power_dbm - self._loss_rows[iface.id][src] >= getattr(iface, level))
 
-        Spillage rejection is never negative and path loss never falls with
-        distance, so a station can be reached only if it shares the source's
-        platform (coupling loss) or lies within the distance at which path
-        loss alone uses up ``power_dbm`` minus the lowest threshold of that
-        level.  Only those stations take the exact test."""
-        key = (src, power_dbm, level)
-        found = self._reach.get(key)
-        if found is None:
-            src_if = self.interfaces[src]
-            plat, x, y = src_if.platform, src_if.position.x, src_if.position.y
-            reach = invert_path_loss(power_dbm - self._lowest[level], self.medium.path_loss)
-            reach2 = (reach * (1.0 + _REACH_MARGIN)) ** 2
-            found = []
-            for sid, rt in self.stations.items():
-                iface = rt.station.iface
-                if sid == src:
-                    continue
-                if iface.platform is None or iface.platform != plat:
-                    pos = iface.position
-                    if (pos.x - x) ** 2 + (pos.y - y) ** 2 > reach2:
-                        continue
-                if power_dbm - self._losses_to(sid)[src] >= getattr(iface, level):
-                    found.append(rt)
-            found = self._reach[key] = tuple(found)
-        return found
-
-    def _corrupters(self, tx: Transmission) -> frozenset:
-        """Sources able to corrupt ``tx`` at one of its receivers, the
-        addressee or, for a CTS, each hearer; memoised by (source, power,
-        addressee).  Empty if the addressee gets it below sensitivity.
+    def _corrupting(self, src: str, power_dbm: float, dest: Optional[str]) -> frozenset:
+        """Sources able to corrupt a frame from ``src`` at ``power_dbm`` at one
+        of its receivers, the addressee ``dest`` or, for a CTS, each hearer.
+        Empty if the addressee gets it below sensitivity.
 
         ``delivery_result`` corrupts a frame only through the receiver's own
         emission or one that arrives above the frame's signal minus the SINR
         threshold, and no source emits above its config ceiling.  So the set
         holds each receiver and each source whose ceiling arrives at or above
-        that level.  As in :meth:`_reached`, only sources on the receiver's
-        platform or within the distance at which path loss alone uses up the
-        highest ceiling minus that level take the exact test."""
-        key = (tx.source, tx.power_dbm, tx.dest)
-        found = self._corrupt.get(key)
-        if found is not None:
-            return found
-        if tx.dest is not None:
-            rx = self.interfaces[tx.dest]
-            receivers = [rx] if (tx.power_dbm - self._losses_to(tx.dest)[tx.source]
+        that level.  Only sources near enough for path loss alone to leave
+        the highest ceiling at that level take the exact test."""
+        if dest is not None:
+            rx = self.interfaces[dest]
+            receivers = [rx] if (power_dbm - self._loss_rows[dest][src]
                                  >= rx.decode_sensitivity_dbm) else []
         else:
-            receivers = [rt.station.iface for rt in self._hearers(tx.source, tx.power_dbm)]
+            receivers = [rt.station.iface for rt in self._hearers[src, power_dbm]]
         ceiling, model = self._ceiling, self.medium.path_loss
         found = set()
         for rx in receivers:
-            row = self._losses_to(rx.id)
-            floor = (tx.power_dbm - row[tx.source] - self.medium.sinr_threshold_db
-                     - _CORRUPT_MARGIN_DB)
-            reach2 = (invert_path_loss(self._top_ceiling - floor, model)
-                      * (1.0 + _REACH_MARGIN)) ** 2
-            plat, x, y = rx.platform, rx.position.x, rx.position.y
+            row = self._loss_rows[rx.id]
+            floor = power_dbm - row[src] - self.medium.sinr_threshold_db - _CORRUPT_MARGIN_DB
+            radius = invert_path_loss(self._top_ceiling - floor, model)
             found.add(rx.id)  # half-duplex
-            for sid, iface in self.interfaces.items():
-                if sid in found:
-                    continue
-                if iface.platform is None or iface.platform != plat:
-                    pos = iface.position
-                    if (pos.x - x) ** 2 + (pos.y - y) ** 2 > reach2:
-                        continue
-                if ceiling[sid] - row[sid] >= floor:
-                    found.add(sid)
-        found = self._corrupt[key] = frozenset(found)
-        return found
+            found.update(iface.id for iface in _near(rx, radius, self.interfaces.values())
+                         if ceiling[iface.id] - row[iface.id] >= floor)
+        return frozenset(found)
 
     def _clip(self, start: int, end: int) -> int:
         """Length of [start, end) inside the measurement window."""
@@ -613,12 +594,14 @@ class Engine:
             if t.kind == "paced":
                 self._push(self.now + t.interval_us, P_CTRL, "arrival", node_id)
             return
-        # wimax-ss paced arrivals in fixed ticks
-        links = self.sses[node_id].links
+        # wimax-ss paced arrivals in fixed ticks, each what the rate owes by
+        # its end less what it owed at its start, so the run's sum is exact
+        links, now, tick = self.sses[node_id].links, self.now, _WIMAX_ARRIVAL_TICK_US
         for direction, rate in ((DL, t.dl_bytes_per_s), (UL, t.ul_bytes_per_s)):
-            if rate:
-                links[direction].offer(self.now, rate * _WIMAX_ARRIVAL_TICK_US // 1_000_000)
-        self._push(self.now + _WIMAX_ARRIVAL_TICK_US, P_CTRL, "arrival", node_id)
+            nbytes = rate * (now + tick) // 1_000_000 - rate * now // 1_000_000
+            if nbytes:
+                links[direction].offer(now, nbytes)
+        self._push(now + tick, P_CTRL, "arrival", node_id)
 
     def _top_up_saturated(self, cell: _Cell) -> None:
         target = self._top_up_bytes
@@ -777,29 +760,23 @@ class Engine:
 
     def _begin_tx(self, rec: _TxRec) -> None:
         tx = rec.tx
-        rec.src_plat = self.interfaces[tx.source].platform
-        # addressee side: is anyone listening?
-        if tx.dest is not None:
-            dst_if = self.interfaces[tx.dest]
-            if tx.power_dbm - self._losses_to(tx.dest)[tx.source] >= \
-                    dst_if.decode_sensitivity_dbm:
-                if not self._arbiter_request(tx.dest, arb.ArbiterState.RX,
-                                             (tx.start_us, tx.end_us), rec.holds):
-                    rec.missed = True
-                else:
-                    rec.rx_plat = dst_if.platform
+        source = tx.source
+        rec.src_plat = self.interfaces[source].platform
+        corrupters = self._corrupters[source, tx.power_dbm, tx.dest]
+        # an addressee that receives the frame at or above sensitivity, as a
+        # non-empty set says, is asked whether it listens
+        if tx.dest is not None and corrupters:
+            if self._arbiter_request(tx.dest, arb.ArbiterState.RX, (tx.start_us, tx.end_us),
+                                     rec.holds):
+                rec.rx_plat = self.interfaces[tx.dest].platform
+            else:
+                rec.missed = True
+                corrupters = _NO_SOURCES
+        rec.corrupters = corrupters
         if rec.src_plat is not None or rec.rx_plat is not None:
             self._count_conflict(rec)
 
         # each frame collects only the overlapping emissions of its corrupters
-        source = tx.source
-        if rec.missed:
-            corrupters = _NO_SOURCES
-        else:
-            corrupters = self._corrupt.get((source, tx.power_dbm, tx.dest))
-            if corrupters is None:
-                corrupters = self._corrupters(tx)
-            rec.corrupters = corrupters
         for other in self.active:
             if source in other.corrupters:
                 other.overlappers.append(tx)
@@ -828,10 +805,7 @@ class Engine:
         own = self.stations.get(tx.source)
         if own is not None and own.station.on_medium_busy(start, end, kind):
             resched[own.order] = own
-        sensers = self._reach.get((tx.source, tx.power_dbm, "cca_threshold_dbm"))
-        if sensers is None:
-            sensers = self._sensers(tx.source, tx.power_dbm)
-        for rt in sensers:
+        for rt in self._sensers[source, tx.power_dbm]:
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
         self._push(tx.end_us, P_END, "txend", rec)
@@ -850,7 +824,7 @@ class Engine:
                 result = "missed"
             else:
                 result = delivery_result(tx, rec.overlappers, self.interfaces[tx.dest], window,
-                                         self.medium, self._losses_to(tx.dest)).result
+                                         self.medium, self._loss_rows[tx.dest]).result
                 if result == CORRUPTED:
                     rec.link.stats.corrupted_frames += 1
             decoded = result == DECODED
@@ -863,11 +837,11 @@ class Engine:
         # decode-level overhearing (NAV from CTS) at stations not party to the
         # frame; the rest are below sensitivity
         if tx.kind is FrameKind.CTS:
-            for rt in self._hearers(tx.source, tx.power_dbm):
+            for rt in self._hearers[tx.source, tx.power_dbm]:
                 st = rt.station
                 sid = rt.node.id
                 heard = delivery_result(tx, rec.overlappers, st.iface, window, self.medium,
-                                        self._losses_to(sid))
+                                        self._loss_rows[sid])
                 if heard.result != DECODED:
                     continue
                 had_nav = st.nav_expiry_us

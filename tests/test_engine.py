@@ -333,7 +333,7 @@ class TestCachedFastPaths:
             want = brute_force_outcomes(active, ifaces, window, medium)
             ordered = sorted(active, key=lambda t: (t.start_us, t.source, t.dest))
             got = [delivery_result(tx, active, ifaces[tx.dest], window, medium,
-                                   engine._losses_to(tx.dest)) for tx in ordered]
+                                   engine._loss_rows[tx.dest]) for tx in ordered]
             assert [(o.receiver, o.result) for o in got] == \
                 [(o.receiver, o.result) for o in want]
             for g, w in zip(got, want):
@@ -352,9 +352,9 @@ class TestCachedFastPaths:
                 scan = [sid for sid in engine.stations if sid != src and
                         power - medium.link_loss_db(ifaces[src], ifaces[sid])
                         >= ifaces[sid].cca_threshold_dbm]
-                memo = engine._sensers(src, power)
+                memo = engine._sensers[src, power]
                 assert [rt.node.id for rt in memo] == scan
-                assert engine._sensers(src, power) is memo
+                assert engine._sensers[src, power] is memo
                 coupled += sum(ifaces[src].platform is not None
                                and ifaces[sid].platform == ifaces[src].platform
                                for sid in scan)
@@ -381,9 +381,9 @@ class TestCachedFastPaths:
                         dropped += 1
                     else:
                         scan.append(sid)
-                memo = engine._hearers(src, power)
+                memo = engine._hearers[src, power]
                 assert [rt.node.id for rt in memo] == scan
-                assert engine._hearers(src, power) is memo
+                assert engine._hearers[src, power] is memo
                 kept += len(scan)
         assert kept > 0 and dropped > 0
 
@@ -446,8 +446,8 @@ class TestCorrupterSets:
 
     def test_edges_of_the_bound(self):
         engine = Engine(parse_scenario(CORRUPT_EDGES), seed=1)
-        frame = Transmission("sta", FrameKind.DATA, 0, 100, 20.0, 2412.0, dest="ap")
-        assert engine._corrupters(frame) == {"ap", "sta", "near", "jam"}
+        # a 20 dBm frame from sta to ap
+        assert engine._corrupters["sta", 20.0, "ap"] == {"ap", "sta", "near", "jam"}
 
     def test_memoised_sets_equal_a_scan(self, engine):
         ifaces = engine.interfaces
@@ -463,9 +463,9 @@ class TestCorrupterSets:
                         continue
                     tx = Transmission(src, FrameKind.CTS if dest is None else FrameKind.DATA,
                                       0, 44, power, ifaces[src].channel_mhz, dest=dest)
-                    memo = engine._corrupters(tx)
+                    memo = engine._corrupters[src, power, dest]
                     assert memo == scanned_corrupters(engine, ceilings, tx), (src, power, dest)
-                    assert engine._corrupters(tx) is memo
+                    assert engine._corrupters[src, power, dest] is memo
                     found += len(memo)
         assert found > 0
 
@@ -488,13 +488,13 @@ class TestCorrupterSets:
                                           rng.uniform(-30.0, ceilings[src]))),
                     channel_mhz=ifaces[src].channel_mhz, dest=dest))
             for tx in active:
-                corrupters = engine._corrupters(tx)
+                corrupters = engine._corrupters[tx.source, tx.power_dbm, tx.dest]
                 kept = [u for u in active if u.source in corrupters]
                 dropped += len(active) - len(kept)
                 receivers = ([tx.dest] if tx.dest is not None else
-                             [rt.node.id for rt in engine._hearers(tx.source, tx.power_dbm)])
+                             [rt.node.id for rt in engine._hearers[tx.source, tx.power_dbm]])
                 for rid in receivers:
-                    args = (ifaces[rid], window, medium, engine._losses_to(rid))
+                    args = (ifaces[rid], window, medium, engine._loss_rows[rid])
                     want = delivery_result(tx, active, *args)
                     assert delivery_result(tx, kept, *args) == want
                     seen.add(want.result)
@@ -651,6 +651,23 @@ nodes:
         assert engine.stations["jam"].station.train_until_us == \
             train_end_us(100_000_000, 1000, engine.dcf.cts_airtime_us)
 
+    def test_wimax_paced_rates_are_exact_over_the_run(self):
+        """Each 10 ms tick offers what the rate owes by its end less what it
+        owed at its start: the 201 ticks of a 2 s run offer 2.01 s of each
+        rate, rounded down once (201 and 0 bytes when each tick rounded
+        down on its own)."""
+        text = """
+duration_us: 2000000
+warmup_us: 0
+nodes:
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_bytes_per_s: 150, ul_bytes_per_s: 99}}
+"""
+        links = run(parse_scenario(text), seed=1).links
+        assert links["bs->ss"].offered_bytes == 301
+        assert links["ss->bs"].offered_bytes == 198
+
     def test_shares_stay_in_unit_interval(self, conference_cfg):
         result = run(conference_cfg, seed=2)
         for system in result.system_airtime_us:
@@ -782,6 +799,24 @@ nodes:
         result = run(parse_scenario(text), seed=1)
         assert result.cts_count > 0
         assert result.colocated_conflict_us == 0
+
+    def test_no_receive_grant_below_sensitivity(self):
+        """Only an addressee that receives a frame at or above sensitivity
+        asks its arbiter for a receive grant: sta's frames reach ap, 2 km
+        away, below it, so ap's arbiter is never asked."""
+        text = """
+duration_us: 100000
+warmup_us: 0
+arbiter: {enabled: true}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [3000.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [2000.0, 0.0], bs: bs}
+  - {id: ap, kind: wifi, position: [2000.0, 0.0], collocated_with: ss}
+  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap, traffic: {kind: saturated}}
+"""
+        engine, _ = traced_run(parse_scenario(text))
+        assert any(line.endswith("|outcome|sta>ap|below-sensitivity") for line in engine.trace)
+        assert not any("|arb|ap|RX|" in line for line in engine.trace)
 
     def test_denied_interfaces_retry_and_still_deliver(self, colocated_cfg):
         result = run(colocated_cfg, seed=2)

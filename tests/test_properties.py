@@ -2,13 +2,21 @@
 validator accepts runs to its end, and the report keeps the invariants the
 README states for it."""
 
+import contextlib
+import io
+import pathlib
+import tempfile
+from dataclasses import replace
+
 from hypothesis import event, given, settings, strategies as st
 
+from coexsim import cli
 from coexsim.engine import Engine
 from coexsim.reservation import NAV_FIELD_CAP_US
-from coexsim.scenario import parse_scenario
+from coexsim.scenario import ScenarioConfig, emit_scenario, parse_scenario
 from oracles import (conflict_time, dcf_violations, line_by_line_hash, outcome_mismatches,
                      over_ceiling, own_overlaps, schedule_violations)
+from test_scenario import scenarios
 
 
 def _flag(draw) -> str:
@@ -140,3 +148,28 @@ class TestGeneratedScenarios:
         # the hash covers the behaviour notes alone, whether a trace is kept or not
         assert line_by_line_hash(engine.trace) == result.trace_hash
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash
+
+
+def _cut(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` cut to a warm-up of at most 50 ms plus 200 ms, with each
+    injector's first train moved inside the cut."""
+    warmup = min(cfg.warmup_us, 50_000)
+    duration = min(cfg.duration_us, warmup + 200_000)
+    nodes = tuple(replace(n, traffic=replace(n.traffic, at_us=n.traffic.at_us % duration))
+                  for n in cfg.nodes)
+    return replace(cfg, warmup_us=warmup, duration_us=duration, nodes=nodes)
+
+
+class TestBoundedScenarios:
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_accepted_scenarios_run_to_their_end(self, cfg):
+        """Any config drawn inside the fields' bounds, written out, runs
+        through ``coexsim run`` to its end: exit 0 and nothing on stderr."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "scenario.yaml")
+            path.write_text(emit_scenario(_cut(cfg)), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["run", str(path), "--out", str(pathlib.Path(tmp, "report"))])
+        assert (code, err.getvalue()) == (0, "")
