@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from coexsim.cli import render_run_json
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
@@ -129,6 +131,32 @@ ARBITER_VARIANTS = {
         "da3e6b824bff452b9cdec511715d77cafbf42fcb3c704fe52889c069dba3302f"),
 }
 
+# Two subscriber stations in one cell: ss1 saturated, with a co-located WiFi
+# coordinator that reserves; ss2 paced, with no coordinator.  Pacing holds
+# back each station's claim on its own, so frames map one station, the
+# other or both.  Seed-1 trace hash and SHA-256 of the JSON report.
+TWO_SS_CELL = """
+duration_us: 6000000
+warmup_us: 1000000
+medium: {path_loss: {kind: log-distance, exponent: 3.0}}
+reservation: {enabled: true}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [150.0, 0.0], system: wimax}
+  - {id: ss1, kind: wimax-ss, position: [0.0, 0.0], bs: bs, system: wimax,
+     traffic: {kind: wimax, dl_saturated: true, ul_saturated: true}}
+  - {id: ss1_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss1, system: wimax}
+  - {id: ss2, kind: wimax-ss, position: [20.0, 10.0], bs: bs, system: wimax,
+     traffic: {kind: wimax, dl_bytes_per_s: 150000, ul_bytes_per_s: 60000}}
+  - {id: sta1, kind: wifi, position: [2.0, 0.0], peer: ap1, system: wifi-a,
+     traffic: {kind: saturated, frame_bytes: 1500}}
+  - {id: ap1, kind: wifi, position: [2.0, 5.0], system: wifi-a}
+  - {id: sta2, kind: wifi, position: [0.0, 2.5], peer: ap2, system: wifi-b,
+     traffic: {kind: saturated, frame_bytes: 1500}}
+  - {id: ap2, kind: wifi, position: [-3.0, 2.5], system: wifi-b}
+"""
+TWO_SS_HASH = "14d4c09dcfd5ebb99b62392732c1195d8f63b1dcfea401c8b7d01f407223b229"
+TWO_SS_REPORT = "c6c12127c648971eee60eac535548474a22aec5543f9d0b2525f9ad2fb536ffc"
+
 
 def traced_run(cfg: ScenarioConfig, seed: int = 1):
     engine = Engine(cfg, seed=seed, collect_trace=True)
@@ -169,6 +197,13 @@ class TestPinnedHashes:
         assert len(notes) > 9 * _HASH_BATCH_LINES
         assert line_by_line_hash(engine.trace) == result.trace_hash
         assert run(cfg, seed=1).trace_hash == GRID_HASH  # untraced: the same hash
+
+    def test_two_station_cell(self):
+        engine, result = traced_run(parse_scenario(TWO_SS_CELL))
+        assert result.cts_count == 409  # ss1's coordinator reserved
+        assert result.trace_hash == TWO_SS_HASH
+        assert hashlib.sha256(render_run_json(result).encode()).hexdigest() == TWO_SS_REPORT
+        assert line_by_line_hash(engine.trace) == result.trace_hash
 
     @pytest.mark.parametrize("duration_us", [1_000, 120_000, 1_000_000])
     def test_batches_of_any_length_hash_like_lines(self, emulation_cfg, duration_us):
