@@ -374,6 +374,8 @@ class Engine:
         self._top_up_bytes = int(wx.capacity_bytes_per_us * wx.frame_us) * 2
         self._frame_geometry = (wx.frame_us, wx.dl_ratio, wx.capacity_bytes_per_us,
                                 wx.preamble_us, wx.ttg_us)
+        # a cell's frame plan, filled once per demand vector; see _plan
+        self._plans = _Memo(self._plan)
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
@@ -612,37 +614,54 @@ class Engine:
 
     # ------------------------------------------------------------------ wimax
 
-    def _on_boundary(self, bs_id: str) -> None:
-        now, frame_us = self.now, self._frame_us
-        cell = self.cells[bs_id]
-        frame_start = now + frame_us
-        self._top_up_saturated(cell)
-        demands = []
-        for ss in cell.sses:  # one that may not claim in this frame asks for nothing
-            if ss.reservation is None or ss.reservation.claims(frame_start):
-                demands += [SsDemand(ss.node.id, link.queue.queued_bytes, direction)
-                            for direction, link in ss.links.items()]
-        grants = build_frame_map(demands, *self._frame_geometry)
-        # one walk over the grants: push each burst, and keep each station's
-        # first grant start and last grant end (its grants come in time order)
+    def _plan(self, key: tuple) -> tuple[tuple, dict[str, tuple[int, int]]]:
+        """(grants, spans) of a frame whose claiming stations have the demands
+        of ``key``, one (station, DL queued bytes, UL queued bytes) per station
+        in id order: the grants ``build_frame_map`` makes, and each granted
+        station's first grant offset and last grant end, from the frame start.
+
+        A frame map is a pure function of the demands and the engine's frame
+        geometry, and its grants are immutable, so one plan serves every frame
+        with the same key."""
+        grants = build_frame_map([SsDemand(ss, nbytes, direction)
+                                  for ss, dl, ul in key
+                                  for direction, nbytes in ((DL, dl), (UL, ul))],
+                                 *self._frame_geometry)
+        # a station's grants come in time order
         spans: dict[str, tuple[int, int]] = {}
         for g in grants:
-            start = frame_start + g.offset_us
-            self._push(start, P_START, "burst", g)
-            spans[g.ss] = (spans[g.ss][0] if g.ss in spans else start, start + g.len_us)
+            first = spans[g.ss][0] if g.ss in spans else g.offset_us
+            spans[g.ss] = (first, g.offset_us + g.len_us)
+        return grants, spans
+
+    def _on_boundary(self, bs_id: str) -> None:
+        now = self.now
+        cell = self.cells[bs_id]
+        frame_start = now + self._frame_us
+        self._top_up_saturated(cell)
+        # one that may not claim in this frame asks for nothing; the key comes
+        # from a list because tuple() of a generator resizes each key, which
+        # parks up to 2,000 freed blocks (about 100 KB) on the tuple free list
+        grants, spans = self._plans[tuple([
+            (ss.node.id, ss.links[DL].queue.queued_bytes, ss.links[UL].queue.queued_bytes)
+            for ss in cell.sses
+            if ss.reservation is None or ss.reservation.claims(frame_start)])]
+        for g in grants:
+            self._push(frame_start + g.offset_us, P_START, "burst", g)
         for ss in cell.sses:
+            ss_id = ss.node.id
             slots = ss.slots
             if slots is not None:  # every WiFi span starts at or after now
                 while slots and slots[0][2] <= now:
                     slots.popleft()
                 slots.extend((g.direction, frame_start + g.offset_us,
                               frame_start + g.offset_us + g.len_us)
-                             for g in grants if g.ss == ss.node.id)
-            span = spans.get(ss.node.id)
+                             for g in grants if g.ss == ss_id)
+            span = spans.get(ss_id)
             res = ss.reservation
             if span is not None and res is not None and res.claimed(frame_start):
-                self._push(max(now, span[0] - self.cfg.reservation.lead_us), P_CTRL,
-                           "reserve", (ss, span[1]))
+                self._push(max(now, frame_start + span[0] - self.cfg.reservation.lead_us),
+                           P_CTRL, "reserve", (ss, frame_start + span[1]))
         self._push(frame_start, P_CTRL, "boundary", bs_id)
 
     def _on_burst(self, grant) -> None:

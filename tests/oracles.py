@@ -4,8 +4,9 @@ These deliberately avoid the library's interval logic: outcomes are computed
 by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time, a radio's overlaps with its
 own emissions, DCF rule violations, delivery outcomes, grants over
-scheduled WiMAX bursts, emissions above their source's power ceiling and
-the trace hash are read back from a run's trace.
+scheduled WiMAX bursts, WiMAX bursts outside their frame's layout,
+emissions above their source's power ceiling and the trace hash are read
+back from a run's trace.
 """
 
 from __future__ import annotations
@@ -317,6 +318,46 @@ def schedule_violations(cfg, trace: list[str]) -> int:
         lo = bisect.bisect_left(aired, (start - frame_us,))
         hi = bisect.bisect_left(aired, (end,))
         count += any(b_end > start and mapped < asked for _, b_end, mapped in aired[lo:hi])
+    return count
+
+
+def frame_map_violations(cfg, trace: list[str]) -> int:
+    """How many WiMAX bursts in a run's ``air`` notes break the frame layout.
+
+    With frame length F, the bursts of frame k (the one a burst starts in)
+    must lie in its downlink window [k*F + preamble_us, k*F + int(F *
+    dl_ratio)) or its uplink window [that end + ttg_us, (k+1)*F), by
+    direction: from the base station is downlink, to it uplink.  Within one
+    cell, frame and direction the bursts must not overlap and must come in
+    station-id order.  A burst counts once, however many rules it breaks;
+    one that overlaps or follows a later station's earlier burst counts
+    against the later of the two.
+    """
+    wx = cfg.wimax
+    frame_us = wx.frame_us
+    dl_end = int(frame_us * wx.dl_ratio)
+    windows = {"DL": (wx.preamble_us, dl_end), "UL": (dl_end + wx.ttg_us, frame_us)}
+    bs_of = {n.id: n.bs for n in cfg.nodes if n.kind == "wimax-ss"}
+    burst = FrameKind.WIMAX_BURST.value
+    last = {}  # (cell, frame, direction) -> (station, end) of its latest burst
+    count = 0
+    for line in trace:
+        parts = line.split("|")
+        if parts[1] != "air" or parts[2] != burst:
+            continue
+        start = int(parts[0])
+        end = start + int(parts[4])
+        source, dest = parts[3].split(">")
+        direction, ss = ("UL", source) if source in bs_of else ("DL", dest)
+        frame = start // frame_us
+        lo, hi = windows[direction]
+        bad = not frame * frame_us + lo <= start < end <= frame * frame_us + hi
+        group = (bs_of[ss], frame, direction)
+        if group in last:
+            prev_ss, prev_end = last[group]
+            bad = bad or start < prev_end or ss <= prev_ss
+        last[group] = (ss, end)
+        count += bad
     return count
 
 

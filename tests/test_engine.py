@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import pytest
 
+from coexsim import engine as engine_module
 from coexsim.cli import render_run_json
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power, train_end_us
 from coexsim.scenario import ScenarioConfig, parse_scenario
+from coexsim.wimax import SsDemand, build_frame_map
 from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     line_by_line_hash, outcome_mismatches, over_ceiling, own_overlaps,
-                     power_ceilings, schedule_violations)
+                     frame_map_violations, line_by_line_hash, outcome_mismatches, over_ceiling,
+                     own_overlaps, power_ceilings, schedule_violations)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -534,6 +536,74 @@ class TestCorrupterSets:
                     assert delivery_result(tx, kept, *args) == want
                     seen.add(want.result)
         assert CORRUPTED in seen and DECODED in seen and dropped > 0
+
+
+class TestFramePlans:
+    """Each cell's frame plan is built once per demand vector and reused:
+    at every boundary the cached plan equals the frame map built afresh from
+    the demands of that moment."""
+
+    @pytest.mark.parametrize("scene", ["conference_cfg", "colocated_cfg", "two-stations"])
+    def test_cached_plans_equal_fresh_maps(self, scene, request, monkeypatch):
+        cfg = (parse_scenario(TWO_SS_CELL) if scene == "two-stations"
+               else request.getfixturevalue(scene))
+        cfg = replace(cfg, duration_us=2_000_000)
+        built = []
+        monkeypatch.setattr(engine_module, "build_frame_map",
+                            lambda *args: built.append(args) or build_frame_map(*args))
+        engine = Engine(cfg, seed=1)
+        wx = cfg.wimax
+        geometry = (wx.frame_us, wx.dl_ratio, wx.capacity_bytes_per_us, wx.preamble_us,
+                    wx.ttg_us)
+        demands = []  # the demands of the boundary in progress, read after its top-up
+        top_up = engine._top_up_saturated
+
+        def topped_up(cell):
+            top_up(cell)
+            frame_start = engine.now + wx.frame_us
+            demands[:] = [SsDemand(ss.node.id, link.queue.queued_bytes, direction)
+                          for ss in cell.sses
+                          if ss.reservation is None or ss.reservation.claims(frame_start)
+                          for direction, link in ss.links.items()]
+
+        vectors, lookups = set(), []
+
+        class CheckedPlans(type(engine._plans)):
+            def __getitem__(self, key):
+                grants, spans = super().__getitem__(key)
+                want = build_frame_map(demands, *geometry)
+                assert grants == want
+                assert spans == {ss: (min(g.offset_us for g in want if g.ss == ss),
+                                      max(g.offset_us + g.len_us for g in want if g.ss == ss))
+                                 for ss in {g.ss for g in want}}
+                vectors.add(tuple(demands))
+                lookups.append(key)
+                return grants, spans
+
+        engine._top_up_saturated = topped_up
+        engine._plans = CheckedPlans(engine._plan)
+        engine.run()
+        assert len(lookups) == cfg.duration_us // wx.frame_us + 1  # every boundary
+        assert len(built) == len(vectors) == len(engine._plans)
+        if scene == "conference_cfg":  # claiming or not; a claim is always topped up
+            assert len(built) == 2
+        if scene == "two-stations":  # frames that map both stations, and one alone
+            assert {len({d.ss for d in v}) for v in vectors} >= {1, 2}
+
+
+class TestFrameLayout:
+    # the emulation scene has no WiMAX cell
+    @pytest.mark.parametrize("fixture", ["conference_cfg", "colocated_cfg"])
+    def test_shipped_scenario_bursts_keep_the_frame_layout(self, fixture, shipped_run,
+                                                           request):
+        engine, _ = shipped_run(fixture)
+        assert any("|air|wimax-burst|" in line for line in engine.trace)
+        assert frame_map_violations(request.getfixturevalue(fixture), engine.trace) == 0
+
+    def test_two_station_cell_keeps_the_frame_layout(self):
+        cfg = parse_scenario(TWO_SS_CELL)
+        engine, _ = traced_run(cfg)
+        assert frame_map_violations(cfg, engine.trace) == 0
 
 
 class TestPowerCeilings:

@@ -14,8 +14,8 @@ from coexsim import cli
 from coexsim.engine import Engine
 from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import ScenarioConfig, emit_scenario, parse_scenario
-from oracles import (conflict_time, dcf_violations, line_by_line_hash, outcome_mismatches,
-                     over_ceiling, own_overlaps, schedule_violations)
+from oracles import (conflict_time, dcf_violations, frame_map_violations, line_by_line_hash,
+                     outcome_mismatches, over_ceiling, own_overlaps, schedule_violations)
 from test_scenario import scenarios
 
 
@@ -33,14 +33,16 @@ def small_scenarios(draw) -> str:
     Each WiMAX station may carry a co-located WiFi radio: the subscriber
     station's has an access point that may share its platform and may send
     back to it; the base station's has a saturated access point sending to
-    it.  The injector may sit on the subscriber station's platform too.
+    it.  The injector may sit on the subscriber station's platform too.  A
+    second subscriber station, saturated or paced at either rate, may share
+    the cell; it has no WiFi radio, so it claims slots by pacing alone.
     With 100 ms frames the reservation scheme is on, ungated, and the
     subscriber station always has its saturated WiFi radio, so a reservation
     over its grants can pass the 32767 us duration cap and go out as a train
     of several chunks.  The DCF constants are drawn too."""
     pairs = draw(st.integers(1, 3))
     grid = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                         min_size=pairs + 3, max_size=pairs + 3, unique=True))
+                         min_size=pairs + 4, max_size=pairs + 4, unique=True))
     spots = iter([(x * 40.0, y * 40.0) for x, y in grid])
     frame_us = draw(st.sampled_from([1000, 2000, 5000, 100_000]))
     long_frames = frame_us == 100_000
@@ -86,6 +88,14 @@ def small_scenarios(draw) -> str:
     lines.append(f"  - {{id: ss, kind: wimax-ss, position: [{x}, {y}], bs: bs, traffic: "
                  f"{{kind: wimax, dl_saturated: {_flag(draw)}, ul_saturated: {_flag(draw)}, "
                  f"dl_bytes_per_s: {rate}, ul_bytes_per_s: {rate}}}}}")
+    if draw(st.booleans()):
+        event("second subscriber station in the cell")
+        x2, y2 = next(spots)
+        rate = draw(st.sampled_from([50_000, 400_000]))
+        traffic = ("dl_saturated: true, ul_saturated: true" if draw(st.booleans()) else
+                   f"dl_bytes_per_s: {rate}, ul_bytes_per_s: {rate}")
+        lines.append(f"  - {{id: ss2, kind: wimax-ss, position: [{x2}, {y2}], bs: bs, "
+                     f"traffic: {{kind: wimax, {traffic}}}}}")
     if long_frames or draw(st.booleans()):
         lines.append(f"  - {{id: ss_wifi, kind: wifi, position: [{x}, {y}], "
                      "collocated_with: ss, peer: ss_ap, traffic: {kind: saturated}}")
@@ -143,6 +153,7 @@ class TestGeneratedScenarios:
         assert outcome_mismatches(cfg, engine.trace) == 0
         # the engine's interferer sets assume no emission passes these ceilings
         assert over_ceiling(engine.trace, cfg) == 0
+        assert frame_map_violations(cfg, engine.trace) == 0
         if cfg.arbiter.enabled and cfg.arbiter.schedule_aware:
             assert schedule_violations(cfg, engine.trace) == 0
         # the hash covers the behaviour notes alone, whether a trace is kept or not
