@@ -190,9 +190,30 @@ class RunResult:
         }
 
 
+class _Emitter:
+    """What every emission from one source at one power to one addressee
+    (None for a CTS) shares, derived once from the static config."""
+
+    __slots__ = ("corrupters", "busy", "src_plat", "rx_plat", "system", "monitors", "pair",
+                 "power")
+
+    def __init__(self, engine: Engine, source: str, power_dbm: float, dest: Optional[str]):
+        ifaces, own = engine.interfaces, engine.stations.get(source)
+        self.corrupters = engine._corrupting(source, power_dbm, dest)
+        # the WiFi radios it makes busy: its own source, then its sensers
+        self.busy = ((own,) if own is not None else ()) + engine._sensers[source, power_dbm]
+        self.src_plat = plat = ifaces[source].platform
+        self.rx_plat = None if dest is None else ifaces[dest].platform
+        self.system = engine.system_of[source]
+        # (controller, power it hears) per coordinator on another platform
+        self.monitors = tuple((res, power_dbm - row[source])
+                              for p, res, row in engine._monitors if p != plat)
+        self.pair, self.power = f"|{source}>{dest}|", f"|{power_dbm}"  # its notes' text
+
+
 class _TxRec:
-    __slots__ = ("tx", "link", "served_bytes", "missed", "overlappers", "corrupters", "holds",
-                 "src_plat", "rx_plat")
+    __slots__ = ("tx", "emitter", "link", "served_bytes", "missed", "overlappers", "corrupters",
+                 "holds", "rx_plat")
 
     def __init__(self, tx: Transmission, holds: list[str], link: Optional[_Link] = None,
                  served_bytes: int = 0):
@@ -205,7 +226,7 @@ class _TxRec:
         # corrupt it at a receiver
         self.overlappers: list[Transmission] = []
         self.corrupters = _NO_SOURCES
-        self.src_plat = self.rx_plat = None  # source's platform; addressee's while it listens
+        self.emitter = self.rx_plat = None  # its _Emitter; its addressee's platform if heard
 
 
 class _ByteQueue:
@@ -323,12 +344,12 @@ class Engine:
         # the neighbour sets, each filled once on first use: receiver -> its
         # loss row; (source, power) -> the WiFi stations whose carrier sense
         # such an emission trips, or that receive it at or above decode
-        # sensitivity; (source, power, addressee) -> see _corrupting
+        # sensitivity; (source, power, addressee) -> its _Emitter
         self._loss_rows = _Memo(lambda dst: LossRow(self.medium, self.interfaces,
                                                     self.interfaces[dst]))
         self._sensers = _Memo(lambda key: self._reached(*key, "cca_threshold_dbm"))
         self._hearers = _Memo(lambda key: self._reached(*key, "decode_sensitivity_dbm"))
-        self._corrupters = _Memo(lambda key: self._corrupting(*key))
+        self._emitters = _Memo(lambda key: _Emitter(self, *key))
         self.dcf = config.wifi
 
         # system name -> its record, in name order; node id -> its system's record
@@ -676,10 +697,9 @@ class Engine:
             self._note(f"{self.now}|deny|{grant.direction.lower()}|{link.src}")
             return
         airtime = max(1, min(grant.len_us, math.ceil(serve / capacity)))
-        src_if = self.interfaces[link.src]
         tx = Transmission(source=link.src, kind=FrameKind.WIMAX_BURST, start_us=self.now,
-                          airtime_us=airtime, power_dbm=src_if.tx_power_dbm,
-                          channel_mhz=src_if.channel_mhz, dest=link.dst)
+                          airtime_us=airtime, power_dbm=self.interfaces[link.src].tx_power_dbm,
+                          dest=link.dst)
         self._begin_tx(_TxRec(tx, holds, link, serve))
 
     # ------------------------------------------------------------------ reservation
@@ -704,8 +724,7 @@ class Engine:
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
         airtime = self.dcf.cts_airtime_us
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
-                                 channel_mhz=node.channel_mhz, cts_airtime_us=airtime,
-                                 until_us=self._end_us)
+                                 cts_airtime_us=airtime, until_us=self._end_us)
         self._send_train(node_id, (start, train_end_us(t.reservation_us, start, airtime)),
                          chunks, f"inject|{node_id}")
         if t.repeat_us:
@@ -766,7 +785,7 @@ class Engine:
     def _count_conflict(self, rec: _TxRec) -> None:
         """Add the time, clipped, in which one radio transmits while a
         platform mate listens, pairing ``rec`` with itself and each frame on air."""
-        tx, src_plat, rx_plat = rec.tx, rec.src_plat, rec.rx_plat
+        tx, src_plat, rx_plat = rec.tx, rec.emitter.src_plat, rec.rx_plat
         if src_plat is not None and src_plat == rx_plat:
             self.conflict_us += self._clip(tx.start_us, tx.end_us)
         for other in self.active:
@@ -774,25 +793,25 @@ class Engine:
             overlap = self._clip(max(tx.start_us, o.start_us), min(tx.end_us, o.end_us))
             if src_plat is not None and other.rx_plat == src_plat and o.dest != tx.source:
                 self.conflict_us += overlap
-            if rx_plat is not None and other.src_plat == rx_plat and o.source != tx.dest:
+            if rx_plat is not None and other.emitter.src_plat == rx_plat and o.source != tx.dest:
                 self.conflict_us += overlap
 
     def _begin_tx(self, rec: _TxRec) -> None:
         tx = rec.tx
         source = tx.source
-        rec.src_plat = self.interfaces[source].platform
-        corrupters = self._corrupters[source, tx.power_dbm, tx.dest]
+        em = rec.emitter = self._emitters[source, tx.power_dbm, tx.dest]
+        corrupters = em.corrupters
         # an addressee that receives the frame at or above sensitivity, as a
         # non-empty set says, is asked whether it listens
         if tx.dest is not None and corrupters:
             if self._arbiter_request(tx.dest, arb.ArbiterState.RX, (tx.start_us, tx.end_us),
                                      rec.holds):
-                rec.rx_plat = self.interfaces[tx.dest].platform
+                rec.rx_plat = em.rx_plat
             else:
                 rec.missed = True
                 corrupters = _NO_SOURCES
         rec.corrupters = corrupters
-        if rec.src_plat is not None or rec.rx_plat is not None:
+        if em.src_plat is not None or rec.rx_plat is not None:
             self._count_conflict(rec)
 
         # each frame collects only the overlapping emissions of its corrupters
@@ -808,7 +827,7 @@ class Engine:
             rec.link.stats.airtime_us += clipped
         # a system's airtime is the union of its emissions; they begin in
         # time order, so only the part after its busy-until is new
-        system = self.system_of[tx.source]
+        system = em.system
         busy = system.busy_until
         if tx.end_us > busy:
             if busy > tx.start_us:
@@ -821,15 +840,11 @@ class Engine:
         # radio whose carrier sense it trips senses it; a voided attempt
         # re-arms at the next frame end
         start, end, kind, resched = tx.start_us, tx.end_us, tx.kind, self._resched
-        own = self.stations.get(tx.source)
-        if own is not None and own.station.on_medium_busy(start, end, kind):
-            resched[own.order] = own
-        for rt in self._sensers[source, tx.power_dbm]:
+        for rt in em.busy:
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
-        self._push(tx.end_us, P_END, "txend", rec)
-        self._note(f"{tx.start_us}|air|{_KIND_VALUES[kind]}|{tx.source}>{tx.dest}|{tx.airtime_us}|"
-                   f"{tx.power_dbm}")
+        self._push(end, P_END, "txend", rec)
+        self._note(f"{start}|air|{_KIND_VALUES[kind]}{em.pair}{tx.airtime_us}{em.power}")
 
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx
@@ -851,7 +866,7 @@ class Engine:
                 self._finish_burst(rec, decoded)
             else:
                 self._finish_wifi_data(rec, decoded)
-            self._note(f"{self.now}|outcome|{tx.source}>{tx.dest}|{result}")
+            self._note(f"{self.now}|outcome{rec.emitter.pair}{result}")
 
         # decode-level overhearing (NAV from CTS) at stations not party to the
         # frame; the rest are below sensitivity
@@ -870,9 +885,8 @@ class Engine:
                     self._note(f"{self.now}|nav|{sid}|{st.nav_expiry_us}")
 
         # neighbourhood monitoring by co-located coordinators, of other platforms
-        for plat, res, row in self._monitors:
-            if plat != rec.src_plat:
-                res.hear(self.now, tx.source, tx.power_dbm - row[tx.source])
+        for res, rx_dbm in rec.emitter.monitors:
+            res.hear(self.now, tx.source, rx_dbm)
 
         # wake frozen stations
         if self._resched:
@@ -937,10 +951,9 @@ class Engine:
             self._push(self.now + self.cfg.arbiter.retry_us, P_CTRL, "retry", sid)
             return
         st.transmitting = True
-        iface = st.iface
         tx = Transmission(source=sid, kind=FrameKind.DATA, start_us=self.now,
-                          airtime_us=airtime, power_dbm=iface.tx_power_dbm,
-                          channel_mhz=iface.channel_mhz, dest=rt.node.peer)
+                          airtime_us=airtime, power_dbm=st.iface.tx_power_dbm,
+                          dest=rt.node.peer)
         self._begin_tx(_TxRec(tx, holds, rt.link, head.frame_bytes))
 
     def _on_retry(self, sid: str) -> None:

@@ -157,7 +157,6 @@ class _Emission(NamedTuple):
     start_us: int
     airtime_us: int
     power_dbm: float
-    channel_mhz: float
     dest: Optional[str]
     nav_duration_us: int  # CTS only: medium time reserved past frame end
     # start_us + airtime_us, stored: the engine and the decode rule read it
@@ -171,21 +170,21 @@ class Transmission(_Emission):
 
     ``end_us`` is derived at construction and cannot be given (``_make``
     refuses one that disagrees); a copy made with ``_replace`` derives it
-    again.  ``channel_mhz`` equals the source interface's channel: link
-    budgets take the channel from the interface (see :class:`LossRow`).
+    again.  It goes out on its source interface's channel: link budgets
+    take the channel from the interface (see :class:`LossRow`).
     """
 
     __slots__ = ()
 
     def __new__(cls, source: str, kind: FrameKind, start_us: int, airtime_us: int,
-                power_dbm: float, channel_mhz: float, dest: Optional[str] = None,
+                power_dbm: float, dest: Optional[str] = None,
                 nav_duration_us: int = 0) -> Transmission:
         if airtime_us < 1:
             raise ValueError("airtime must be at least 1 us")
         if nav_duration_us < 0:
             raise ValueError("nav duration must be non-negative")
-        return tuple.__new__(cls, (source, kind, start_us, airtime_us, power_dbm, channel_mhz,
-                                   dest, nav_duration_us, start_us + airtime_us))
+        return tuple.__new__(cls, (source, kind, start_us, airtime_us, power_dbm, dest,
+                                   nav_duration_us, start_us + airtime_us))
 
     def __getnewargs__(self) -> tuple:
         # copy and pickle rebuild through __new__, which takes no end_us

@@ -37,8 +37,7 @@ CTS_POWER_MARGIN_DB = 3.0       # above the level that just trips carrier sense
 
 
 def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
-                    source: str, channel_mhz: float,
-                    min_reservation_us: int = 0,
+                    source: str, min_reservation_us: int = 0,
                     cts_airtime_us: int = DcfParams.cts_airtime_us,
                     until_us: Optional[int] = None) -> list[Transmission]:
     """CTS frames whose NAV fields cover ``reservation_us`` without a gap.
@@ -62,8 +61,7 @@ def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
         duration = min(remaining, NAV_FIELD_CAP_US)
         chunks.append(Transmission(
             source=source, kind=FrameKind.CTS, start_us=at,
-            airtime_us=cts_airtime_us, power_dbm=power_dbm,
-            channel_mhz=channel_mhz, nav_duration_us=duration))
+            airtime_us=cts_airtime_us, power_dbm=power_dbm, nav_duration_us=duration))
         at += duration
         remaining -= duration
     return chunks
@@ -226,7 +224,7 @@ class Reservation:
         power = (reservation_power(self.reach_m, iface.cca_threshold_dbm, self.model)
                  if cfg.power_sizing else cfg.cts_power_dbm)
         chunks = build_cts_train(
-            reservation, power, start, source=iface.id, channel_mhz=iface.channel_mhz,
+            reservation, power, start, source=iface.id,
             min_reservation_us=cfg.min_reservation_us if cfg.performance_gating else 0,
             cts_airtime_us=airtime)
         return reservation, chunks

@@ -26,7 +26,7 @@ def oracle_rx_power(tx: Transmission, src: RadioInterface, dst: RadioInterface,
     coupling = None
     if src.platform is not None and src.platform == dst.platform:
         coupling = medium.colocated_coupling_db
-    return received_power(tx.power_dbm, src.position, dst.position, tx.channel_mhz,
+    return received_power(tx.power_dbm, src.position, dst.position, src.channel_mhz,
                           dst.channel_mhz, medium.path_loss, medium.spillage,
                           coupling_db=coupling)
 
@@ -94,8 +94,7 @@ def conflict_time(cfg, trace: list[str]) -> int:
         if dst is None or dst.platform is None:
             continue
         tx = Transmission(source=source, kind=FrameKind(parts[2]), start_us=start,
-                          airtime_us=airtime, power_dbm=float(parts[5]),
-                          channel_mhz=src.channel_mhz, dest=dest)
+                          airtime_us=airtime, power_dbm=float(parts[5]), dest=dest)
         if oracle_rx_power(tx, src, dst, medium) >= dst.decode_sensitivity_dbm:
             listeners.setdefault(dst.platform, []).append((start, start + airtime, dest))
     total = 0
@@ -188,7 +187,7 @@ def dcf_violations(cfg, trace: list[str]) -> int:
         if who is None:
             src = interfaces[source]
             tx = Transmission(source=source, kind=FrameKind(kind), start_us=start, airtime_us=1,
-                              power_dbm=power, channel_mhz=src.channel_mhz)
+                              power_dbm=power)
             who = sensed_by[key] = [
                 s.id for s in stations if s.id == source
                 or oracle_rx_power(tx, src, s, medium) >= s.cca_threshold_dbm]
@@ -228,8 +227,7 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
             start, airtime = int(parts[0]), int(parts[4])
             source, dest = parts[3].split(">")
             fields = dict(source=source, kind=FrameKind(parts[2]), start_us=start,
-                          airtime_us=airtime, power_dbm=float(parts[5]),
-                          channel_mhz=interfaces[source].channel_mhz)
+                          airtime_us=airtime, power_dbm=float(parts[5]))
             tx = Transmission(**fields)
             if dest in interfaces:
                 frames.setdefault((source, dest, tx.end_us), []).append(
@@ -432,6 +430,5 @@ def random_micro_instance(rng: random.Random):
         txs.append(Transmission(
             source=src, kind=FrameKind.DATA,
             start_us=rng.randint(0, 60), airtime_us=rng.randint(5, 40),
-            power_dbm=interfaces[src].tx_power_dbm,
-            channel_mhz=interfaces[src].channel_mhz, dest=dest))
+            power_dbm=interfaces[src].tx_power_dbm, dest=dest))
     return txs, interfaces, (0, 120), medium

@@ -151,7 +151,7 @@ def test_criterion_8_reservation_threshold_gate():
     for _ in range(500):
         reservation = rng.randint(1, 200_000)
         chunks = build_cts_train(reservation, 1.0, rng.randint(0, 10_000_000),
-                                 "coord", 2412.0, min_reservation_us=threshold)
+                                 "coord", min_reservation_us=threshold)
         if reservation < threshold:
             assert chunks == []
             continue
@@ -159,8 +159,7 @@ def test_criterion_8_reservation_threshold_gate():
         assert all(c.nav_duration_us <= NAV_FIELD_CAP_US for c in chunks)
     for edge in (threshold - 1, threshold, threshold + 1, NAV_FIELD_CAP_US,
                  NAV_FIELD_CAP_US + 1, 3 * NAV_FIELD_CAP_US + 7):
-        chunks = build_cts_train(edge, 1.0, 0, "coord", 2412.0,
-                                 min_reservation_us=threshold)
+        chunks = build_cts_train(edge, 1.0, 0, "coord", min_reservation_us=threshold)
         if edge < threshold:
             assert chunks == []
         else:

@@ -159,6 +159,23 @@ nodes:
 TWO_SS_HASH = "14d4c09dcfd5ebb99b62392732c1195d8f63b1dcfea401c8b7d01f407223b229"
 TWO_SS_REPORT = "c6c12127c648971eee60eac535548474a22aec5543f9d0b2525f9ad2fb536ffc"
 
+# A coordinator that sends data to its peer and CTS trains whose
+# reservation passes the 32767 us duration cap, so each train has several
+# chunks.
+LONG_TRAINS = """
+duration_us: 2000000
+warmup_us: 100000
+wimax: {frame_us: 100000}
+reservation: {enabled: true, pacing: false, performance_gating: false}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
+  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_saturated: true}}
+  - {id: ss_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss, peer: ap,
+     traffic: {kind: saturated}}
+  - {id: ap, kind: wifi, position: [3.0, 0.0]}
+"""
+
 
 def traced_run(cfg: ScenarioConfig, seed: int = 1):
     engine = Engine(cfg, seed=seed, collect_trace=True)
@@ -339,8 +356,8 @@ FAINT_DBM = -60.0
 
 
 class TestCachedFastPaths:
-    """The engine's memoised carrier sense and cached link losses agree with
-    computing every loss afresh."""
+    """The engine's memoised carrier sense, cached link losses and emitter
+    records agree with computing them afresh."""
 
     @pytest.fixture(params=["grid", "colocated", "bound-edges"])
     def engine(self, request, colocated_cfg):
@@ -365,7 +382,6 @@ class TestCachedFastPaths:
                     source=src, kind=rng.choice(list(FrameKind)),
                     start_us=rng.randint(0, 60), airtime_us=rng.randint(1, 40),
                     power_dbm=rng.choice((iface.tx_power_dbm, rng.uniform(-30.0, 20.0))),
-                    channel_mhz=iface.channel_mhz,
                     dest=rng.choice([i for i in ids if i != src])))
             want = brute_force_outcomes(active, ifaces, window, medium)
             ordered = sorted(active, key=lambda t: (t.start_us, t.source, t.dest))
@@ -405,8 +421,7 @@ class TestCachedFastPaths:
         kept = dropped = 0
         for src in ifaces:
             for power in powers:
-                cts = Transmission(src, FrameKind.CTS, 0, 44, power,
-                                   ifaces[src].channel_mhz, nav_duration_us=1000)
+                cts = Transmission(src, FrameKind.CTS, 0, 44, power, nav_duration_us=1000)
                 scan = []
                 for sid in engine.stations:
                     if sid == src:
@@ -423,6 +438,42 @@ class TestCachedFastPaths:
                 assert engine._hearers[src, power] is memo
                 kept += len(scan)
         assert kept > 0 and dropped > 0
+
+    @pytest.mark.parametrize("scene, shared", [
+        ("conference_cfg", {"ss1_wifi"}), ("colocated_cfg", set()),
+        ("two-stations", {"bs", "ss1_wifi"}), ("long-trains", {"ss_wifi"})])
+    def test_emitter_records_equal_fresh_lookups(self, scene, shared, request):
+        """Each (source, power, addressee) record that a run fills holds
+        what the config gives afresh for that key, and every emission's air
+        note names a record.  The ``shared`` sources fill several records:
+        a base station that addresses two stations at one power, and radios
+        that send CTS at two powers or data and CTS."""
+        texts = {"two-stations": TWO_SS_CELL, "long-trains": LONG_TRAINS}
+        cfg = parse_scenario(texts[scene]) if scene in texts else request.getfixturevalue(scene)
+        engine, _ = traced_run(replace(cfg, duration_us=2_000_000))
+        ifaces, medium, records = engine.interfaces, engine.medium, dict(engine._emitters)
+        coordinators = [ss.reservation for ss in engine.sses.values()
+                        if ss.reservation is not None and ss.reservation.coordinator]
+        for (src, power, dest), record in records.items():
+            plat, own = ifaces[src].platform, engine.stations.get(src)
+            sensers = tuple(rt for sid, rt in engine.stations.items() if sid != src and
+                            power - medium.link_loss_db(ifaces[src], ifaces[sid])
+                            >= ifaces[sid].cca_threshold_dbm)
+            monitors = tuple((res, power - medium.link_loss_db(ifaces[src], res.coordinator.iface))
+                             for res in coordinators if res.coordinator.iface.platform != plat)
+            assert [getattr(record, name) for name in record.__slots__] == [
+                engine._corrupting(src, power, dest), ((own,) if own else ()) + sensers,
+                plat, None if dest is None else ifaces[dest].platform, engine.system_of[src],
+                monitors, f"|{src}>{dest}|", f"|{power}"], (src, power, dest)
+        emitted = set()
+        for line in engine.trace:
+            fields = line.split("|")
+            if fields[1] == "air":
+                src, dest = fields[3].split(">")
+                emitted.add((src, float(fields[5]), None if dest == "None" else dest))
+        assert emitted == set(records)
+        sources = [src for src, _, _ in records]
+        assert {src for src in sources if sources.count(src) > 1} == shared
 
 
 # The corrupter sets at their bounds.  sta's 20 dBm frame reaches ap, 5 m
@@ -484,7 +535,7 @@ class TestCorrupterSets:
     def test_edges_of_the_bound(self):
         engine = Engine(parse_scenario(CORRUPT_EDGES), seed=1)
         # a 20 dBm frame from sta to ap
-        assert engine._corrupters["sta", 20.0, "ap"] == {"ap", "sta", "near", "jam"}
+        assert engine._emitters["sta", 20.0, "ap"].corrupters == {"ap", "sta", "near", "jam"}
 
     def test_memoised_sets_equal_a_scan(self, engine):
         ifaces = engine.interfaces
@@ -499,10 +550,10 @@ class TestCorrupterSets:
                     if dest == src:
                         continue
                     tx = Transmission(src, FrameKind.CTS if dest is None else FrameKind.DATA,
-                                      0, 44, power, ifaces[src].channel_mhz, dest=dest)
-                    memo = engine._corrupters[src, power, dest]
+                                      0, 44, power, dest=dest)
+                    memo = engine._emitters[src, power, dest].corrupters
                     assert memo == scanned_corrupters(engine, ceilings, tx), (src, power, dest)
-                    assert engine._corrupters[src, power, dest] is memo
+                    assert engine._emitters[src, power, dest].corrupters is memo
                     found += len(memo)
         assert found > 0
 
@@ -522,10 +573,9 @@ class TestCorrupterSets:
                     source=src, kind=FrameKind.CTS if dest is None else FrameKind.DATA,
                     start_us=rng.randint(0, 60), airtime_us=rng.randint(1, 40),
                     power_dbm=rng.choice((ifaces[src].tx_power_dbm, ceilings[src],
-                                          rng.uniform(-30.0, ceilings[src]))),
-                    channel_mhz=ifaces[src].channel_mhz, dest=dest))
+                                          rng.uniform(-30.0, ceilings[src]))), dest=dest))
             for tx in active:
-                corrupters = engine._corrupters[tx.source, tx.power_dbm, tx.dest]
+                corrupters = engine._emitters[tx.source, tx.power_dbm, tx.dest].corrupters
                 kept = [u for u in active if u.source in corrupters]
                 dropped += len(active) - len(kept)
                 receivers = ([tx.dest] if tx.dest is not None else
@@ -716,20 +766,7 @@ nodes:
         sends a train of several chunks; its own CTS sets no NAV at itself,
         so it must hold its data until the train's last chunk (earlier
         versions sent data in the gaps: 17 chunks started under it)."""
-        text = """
-duration_us: 2000000
-warmup_us: 100000
-wimax: {frame_us: 100000}
-reservation: {enabled: true, pacing: false, performance_gating: false}
-nodes:
-  - {id: bs, kind: wimax-bs, position: [50.0, 0.0]}
-  - {id: ss, kind: wimax-ss, position: [0.0, 0.0], bs: bs,
-     traffic: {kind: wimax, dl_saturated: true}}
-  - {id: ss_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: ss, peer: ap,
-     traffic: {kind: saturated}}
-  - {id: ap, kind: wifi, position: [3.0, 0.0]}
-"""
-        engine = Engine(parse_scenario(text), seed=1, collect_trace=True)
+        engine = Engine(parse_scenario(LONG_TRAINS), seed=1, collect_trace=True)
         result = engine.run()
         starts = [int(line.split("|")[0]) for line in engine.trace
                   if "|air|cts|ss_wifi>" in line]

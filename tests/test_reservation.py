@@ -22,26 +22,24 @@ GATE = dict(enable_retx_threshold=3, eval_window_us=1_000_000, hold_us=2_000_000
 
 class TestCtsTrain:
     def test_single_chunk_under_cap(self):
-        chunks = build_cts_train(10_000, 1.0, 0, "coord", 2412.0,
-                                 min_reservation_us=2000)
+        chunks = build_cts_train(10_000, 1.0, 0, "coord", min_reservation_us=2000)
         assert len(chunks) == 1
         assert chunks[0].nav_duration_us == 10_000
         assert chunks[0].kind is FrameKind.CTS
 
     def test_cap_chunking(self):
-        chunks = build_cts_train(50_000, 1.0, 0, "coord", 2412.0)
+        chunks = build_cts_train(50_000, 1.0, 0, "coord")
         assert [c.nav_duration_us for c in chunks] == [32_767, 17_233]
 
     def test_below_threshold_sends_nothing(self):
-        assert build_cts_train(1000, 1.0, 0, "coord", 2412.0,
-                               min_reservation_us=2000) == []
+        assert build_cts_train(1000, 1.0, 0, "coord", min_reservation_us=2000) == []
 
     def test_non_positive_reservation_rejected(self):
         with pytest.raises(ValueError):
-            build_cts_train(0, 1.0, 0, "coord", 2412.0)
+            build_cts_train(0, 1.0, 0, "coord")
 
     def test_coverage_is_gapless(self):
-        chunks = build_cts_train(100_000, 1.0, 500, "coord", 2412.0)
+        chunks = build_cts_train(100_000, 1.0, 500, "coord")
         covered_until = chunks[0].end_us
         for c in chunks:
             # every chunk finishes flying before the running NAV coverage lapses
@@ -52,8 +50,7 @@ class TestCtsTrain:
     @given(st.integers(min_value=1, max_value=500_000),
            st.integers(min_value=0, max_value=5000))
     def test_durations_sum_exactly_and_respect_cap(self, reservation, threshold):
-        chunks = build_cts_train(reservation, 1.0, 0, "coord", 2412.0,
-                                 min_reservation_us=threshold)
+        chunks = build_cts_train(reservation, 1.0, 0, "coord", min_reservation_us=threshold)
         if reservation < threshold:
             assert chunks == []
             return
@@ -66,14 +63,14 @@ class TestCtsTrain:
     @given(st.integers(min_value=1, max_value=500_000), st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=1, max_value=100))
     def test_arithmetic_end_is_the_last_chunks(self, reservation, start, airtime):
-        chunks = build_cts_train(reservation, 1.0, start, "coord", 2412.0,
+        chunks = build_cts_train(reservation, 1.0, start, "coord",
                                  cts_airtime_us=airtime)
         assert train_end_us(reservation, start, airtime) == chunks[-1].end_us
 
     @given(st.integers(min_value=1, max_value=500_000), st.integers(min_value=0, max_value=600_000))
     def test_cut_train_keeps_the_chunks_that_start_by_then(self, reservation, until):
-        whole = build_cts_train(reservation, 1.0, 100, "coord", 2412.0)
-        cut = build_cts_train(reservation, 1.0, 100, "coord", 2412.0, until_us=until)
+        whole = build_cts_train(reservation, 1.0, 100, "coord")
+        cut = build_cts_train(reservation, 1.0, 100, "coord", until_us=until)
         assert cut == [c for c in whole if c.start_us <= until]
 
 

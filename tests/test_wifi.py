@@ -16,8 +16,7 @@ def make_station(seed=1):
 
 
 def cts(duration, start=0, power=-53.0):
-    return Transmission("coord", FrameKind.CTS, start, 44, power, 2412.0,
-                        nav_duration_us=duration)
+    return Transmission("coord", FrameKind.CTS, start, 44, power, nav_duration_us=duration)
 
 
 def test_data_airtime():
@@ -43,14 +42,13 @@ class TestNav:
 
     def test_own_cts_ignored(self):
         st_ = make_station()
-        own = Transmission("sta", FrameKind.CTS, 0, 44, 20.0, 2412.0,
-                           nav_duration_us=5000)
+        own = Transmission("sta", FrameKind.CTS, 0, 44, 20.0, nav_duration_us=5000)
         st_.on_overheard(own, rx_power_dbm=-10.0, now_us=44)
         assert st_.nav_expiry_us == 0
 
     def test_data_frames_do_not_touch_nav(self):
         st_ = make_station()
-        frame = Transmission("x", FrameKind.DATA, 0, 2000, 20.0, 2412.0, dest="y")
+        frame = Transmission("x", FrameKind.DATA, 0, 2000, 20.0, dest="y")
         st_.on_overheard(frame, rx_power_dbm=-40.0, now_us=2000)
         assert st_.nav_expiry_us == 0
 
@@ -169,8 +167,7 @@ class TestTryAccess:
         st_.enqueue(0, 1500)
         token, _ = st_.arm_attempt(0)
         # an inaudible CTS, or the station's own, leaves the attempt standing
-        own = Transmission("sta", FrameKind.CTS, 0, 44, 20.0, 2412.0,
-                           nav_duration_us=5000)
+        own = Transmission("sta", FrameKind.CTS, 0, 44, 20.0, nav_duration_us=5000)
         assert st_.on_overheard(cts(10000), rx_power_dbm=-90.0, now_us=44) is False
         assert st_.on_overheard(own, rx_power_dbm=-10.0, now_us=44) is False
         assert st_.arm_attempt(44) is None  # still pending
