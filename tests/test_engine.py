@@ -94,6 +94,14 @@ PINNED_HASHES = {
 }
 GRID_HASH = "d4502c62f077abfb7611790ff37a77252ff1fef5b47263eb3d2a56a2846cb856"
 
+# SHA-256 of the whole collected trace of 2 s seed-1 cuts, each line ending
+# in a newline: the per-event lines too, which the trace hash leaves out.
+TRACE_TEXT_HASHES = {
+    "emulation_cfg": "fa431cb0d0dfdcc794d133f524a92d74883b92beb5f1641da5cc3c2f9565984e",
+    "conference_cfg": "9c983e0aaa9ef49427a82adac05a5429b487ea048a28d1694d29d1eaf7467934",
+    "colocated_cfg": "b85300457634574090163b71386227e3f336c6759418bbf6b7c8d669c4f13ffd",
+}
+
 # Seed-1 hashes of 6 s runs that reach the reservation controller's less
 # common paths: fixture, reservation settings changed, hash.
 RESERVATION_VARIANTS = {
@@ -306,6 +314,18 @@ class TestEventLines:
         engine, _ = shipped_run(fixture)
         lines = event_lines(engine.trace)
         assert [f for f in lines if len(f) != 4 or (f[3] == "") != (f[2] == "warmup")] == []
+
+    def test_whole_trace_text(self, request):
+        """The per-event lines are pinned with the notes; together the cuts
+        pop every kind of event whose line names its subject."""
+        got, kinds = {}, set()
+        for fixture in TRACE_TEXT_HASHES:
+            cfg = replace(request.getfixturevalue(fixture), duration_us=2_000_000)
+            engine, _ = traced_run(cfg)
+            got[fixture] = hashlib.sha256(("\n".join(engine.trace) + "\n").encode()).hexdigest()
+            kinds.update(f[2] for f in event_lines(engine.trace))
+        assert got == TRACE_TEXT_HASHES
+        assert kinds >= set(engine_module._SUBJECTS)
 
 
 class TestDcfLegality:
