@@ -27,6 +27,10 @@ class ArbiterState(IntEnum):
     TX = 2  # transmission going on
 
 
+# the members as module names, cheaper to load than through the class
+S, RX, TX = ArbiterState
+
+
 GRANT = "grant"
 DENY = "deny"
 
@@ -41,7 +45,7 @@ class RadioArbiter:
 
     def __init__(self, interfaces: Sequence[str]):
         self._known = set(interfaces)
-        self.state = ArbiterState.S
+        self.state = S
         self.held: dict[str, int] = {}
 
     def request(self, interface: str, desired: ArbiterState) -> str:
@@ -57,23 +61,22 @@ class RadioArbiter:
         if interface not in self._known:
             raise LookupError(f"interface not registered: {interface!r}")
         held = self.held
-        if desired is ArbiterState.S:
+        if desired is S:
             left = held.pop(interface, 0) - 1
             if left > 0:
                 held[interface] = left
             elif not held:
-                self.state = ArbiterState.S
+                self.state = S
             return GRANT
         state = self.state
-        if (state is ArbiterState.RX and desired is ArbiterState.TX) or \
-           (state is ArbiterState.TX and desired is ArbiterState.RX):
+        if (state is RX and desired is TX) or (state is TX and desired is RX):
             return DENY
         self.state = desired
         held[interface] = held.get(interface, 0) + 1
         return GRANT
 
     def release(self, interface: str) -> None:
-        self.request(interface, ArbiterState.S)
+        self.request(interface, S)
 
 
 def schedule_aware_check(desired: ArbiterState, span_us: tuple[int, int],
@@ -89,9 +92,9 @@ def schedule_aware_check(desired: ArbiterState, span_us: tuple[int, int],
     unscheduled airtime are allowed.
     """
     lo, hi = span_us
-    if desired is ArbiterState.TX:
+    if desired is TX:
         conflicting = DL  # station receiving
-    elif desired is ArbiterState.RX:
+    elif desired is RX:
         conflicting = UL  # station transmitting
     else:
         return GRANT

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import arbiter as arb
-from .medium import (CORRUPTED, DECODED, FrameKind, LossRow, MediumModel, RadioInterface,
-                     Transmission, delivery_result, invert_path_loss)
+from .arbiter import RX, TX
+from .medium import (CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST, FrameKind, LossRow, MediumModel,
+                     RadioInterface, Transmission, delivery_result, invert_path_loss)
 from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train, train_end_us
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
@@ -64,8 +65,8 @@ _KIND_VALUES = {kind: kind.value for kind in FrameKind}
 _SUBJECTS = {
     "warmup": lambda _: "",
     "access": lambda d: f"{d[2].node.id} {d[1]}",  # (order, token, station)
-    "txend": lambda rec: f"{rec.tx.kind.value} {rec.tx.source}>{rec.tx.dest}",
-    "cts": lambda d: f"{d[0].kind.value} {d[0].source}>{d[0].dest}",
+    "txend": lambda rec: f"{_KIND_VALUES[rec.tx.kind]} {rec.tx.source}>{rec.tx.dest}",
+    "cts": lambda d: f"{_KIND_VALUES[d[0].kind]} {d[0].source}>{d[0].dest}",
     "burst": lambda grant: f"{grant.ss} {grant.direction}",
     "reserve": lambda d: f"{d[0].node.id} {d[1]}",  # subscriber station, last us
 }
@@ -692,12 +693,11 @@ class Engine:
         if serve <= 0:
             return
         holds: list[str] = []
-        if not self._arbiter_request(link.src, arb.ArbiterState.TX,
-                                     (self.now, self.now + grant.len_us), holds):
+        if not self._arbiter_request(link.src, TX, (self.now, self.now + grant.len_us), holds):
             self._note(f"{self.now}|deny|{grant.direction.lower()}|{link.src}")
             return
         airtime = max(1, min(grant.len_us, math.ceil(serve / capacity)))
-        tx = Transmission(source=link.src, kind=FrameKind.WIMAX_BURST, start_us=self.now,
+        tx = Transmission(source=link.src, kind=WIMAX_BURST, start_us=self.now,
                           airtime_us=airtime, power_dbm=self.interfaces[link.src].tx_power_dbm,
                           dest=link.dst)
         self._begin_tx(_TxRec(tx, holds, link, serve))
@@ -738,7 +738,7 @@ class Engine:
         ``deny|tag`` note instead if denied.  A train cut at the run's end
         keeps its grant to the end."""
         holds: list[str] = []
-        if not self._arbiter_request(source, arb.ArbiterState.TX, span, holds):
+        if not self._arbiter_request(source, TX, span, holds):
             self._note(f"{self.now}|deny|{tag}")
             return
         rt = self.stations[source]
@@ -804,8 +804,7 @@ class Engine:
         # an addressee that receives the frame at or above sensitivity, as a
         # non-empty set says, is asked whether it listens
         if tx.dest is not None and corrupters:
-            if self._arbiter_request(tx.dest, arb.ArbiterState.RX, (tx.start_us, tx.end_us),
-                                     rec.holds):
+            if self._arbiter_request(tx.dest, RX, (tx.start_us, tx.end_us), rec.holds):
                 rec.rx_plat = em.rx_plat
             else:
                 rec.missed = True
@@ -862,7 +861,7 @@ class Engine:
                 if result == CORRUPTED:
                     rec.link.stats.corrupted_frames += 1
             decoded = result == DECODED
-            if tx.kind is FrameKind.WIMAX_BURST:
+            if tx.kind is WIMAX_BURST:
                 self._finish_burst(rec, decoded)
             else:
                 self._finish_wifi_data(rec, decoded)
@@ -870,7 +869,7 @@ class Engine:
 
         # decode-level overhearing (NAV from CTS) at stations not party to the
         # frame; the rest are below sensitivity
-        if tx.kind is FrameKind.CTS:
+        if tx.kind is CTS:
             for rt in self._hearers[tx.source, tx.power_dbm]:
                 st = rt.station
                 sid = rt.node.id
@@ -901,7 +900,7 @@ class Engine:
             delays = link.queue.consume(rec.served_bytes, self.now)
             self._count_delivery(link, rec.served_bytes, delays)
             res = self.sses[link.dst if link.dst in self.sses else link.src].reservation
-            if res is not None:
+            if res is not None and res.delays is not None:  # kept for a QoS target
                 res.delays.extend((self.now, d) for d in delays)
         else:
             link.stats.retransmissions += 1
@@ -946,12 +945,11 @@ class Engine:
         head = st.head
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
         holds: list[str] = []
-        if not self._arbiter_request(sid, arb.ArbiterState.TX,
-                                     (self.now, self.now + airtime), holds):
+        if not self._arbiter_request(sid, TX, (self.now, self.now + airtime), holds):
             self._push(self.now + self.cfg.arbiter.retry_us, P_CTRL, "retry", sid)
             return
         st.transmitting = True
-        tx = Transmission(source=sid, kind=FrameKind.DATA, start_us=self.now,
+        tx = Transmission(source=sid, kind=DATA, start_us=self.now,
                           airtime_us=airtime, power_dbm=st.iface.tx_power_dbm,
                           dest=rt.node.peer)
         self._begin_tx(_TxRec(tx, holds, rt.link, head.frame_bytes))

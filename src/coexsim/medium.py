@@ -138,6 +138,11 @@ class FrameKind(str, Enum):
     WIMAX_BURST = "wimax-burst"
 
 
+# the members as module names: on CPython 3.10 and 3.11 a load through the
+# enum class goes through EnumType.__getattr__, several times the cost
+DATA, CTS, WIMAX_BURST = FrameKind
+
+
 @dataclass(frozen=True)
 class RadioInterface:
     """A positioned transceiver."""

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .medium import FrameKind, PathLossModel, Transmission, invert_path_loss, path_loss
+from .medium import CTS, PathLossModel, Transmission, invert_path_loss, path_loss
 from .wifi import DcfParams, WifiStation
 
 NAV_FIELD_CAP_US = 32767
@@ -60,7 +60,7 @@ def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
     while remaining > 0 and (until_us is None or at <= until_us):
         duration = min(remaining, NAV_FIELD_CAP_US)
         chunks.append(Transmission(
-            source=source, kind=FrameKind.CTS, start_us=at,
+            source=source, kind=CTS, start_us=at,
             airtime_us=cts_airtime_us, power_dbm=power_dbm, nav_duration_us=duration))
         at += duration
         remaining -= duration
@@ -187,8 +187,9 @@ class Reservation:
         self.next_check_us = 0               # no gate switch before this
         self.scale = 1.0                     # QoS reservation scale, in [1, qos_growth_cap]
         self.last_retx_cum = 0
-        self.heard: deque = deque()          # (t, source, rx power)
-        self.delays: deque = deque()         # (t, delay sample)
+        self.heard: dict = {}                # (source, rx power) -> last time heard
+        # (t, delay sample), kept only for a QoS target
+        self.delays: Optional[deque] = deque() if cfg.qos is not None else None
         self.share_points: deque = deque()   # (t, cumulative system airtime)
         self.delivered_points: deque = deque()
 
@@ -204,7 +205,7 @@ class Reservation:
 
     def hear(self, now: int, source: str, rx_dbm: float) -> None:
         if rx_dbm >= self.coordinator.iface.decode_sensitivity_dbm:
-            self.heard.append((now, source, rx_dbm))
+            self.heard[source, rx_dbm] = now
 
     def plan(self, now: int, last: int) -> Optional[tuple[int, list[Transmission]]]:
         """(reservation, CTS train) covering the medium until ``last``, with no
@@ -233,10 +234,9 @@ class Reservation:
         """Update the estimate and the claim interval; the ``pacing`` note."""
         cfg = self.cfg
         floor = now - cfg.monitor_window_us
-        while self.heard and self.heard[0][0] < floor:
-            self.heard.popleft()
+        self.heard = {key: t for key, t in self.heard.items() if t >= floor}
         self.interferers, self.reach_m = estimate_interferers(
-            [(s, rx) for _, s, rx in self.heard], cfg.assumed_tx_power_dbm, self.model)
+            list(self.heard), cfg.assumed_tx_power_dbm, self.model)
         if not cfg.pacing:
             return None
         share = min(1.0, _windowed(self.share_points, now, system_air_cum,
@@ -256,9 +256,6 @@ class Reservation:
         while the station reserves (the gate is on, or gating is off); a
         tick that meets it shrinks the scale by the same factor, down to 1."""
         cfg = self.cfg
-        floor = now - cfg.eval_window_us
-        while self.delays and self.delays[0][0] < floor:
-            self.delays.popleft()
         throughput = _windowed(self.delivered_points, now, delivered_cum, cfg.eval_window_us)
         was_on = self.cts_on
         if cfg.performance_gating:
@@ -270,8 +267,10 @@ class Reservation:
                 eval_window_us=cfg.eval_window_us, hold_us=cfg.hold_us)
         qos = cfg.qos
         if qos is not None:
-            mean_delay = (sum(d for _, d in self.delays) / len(self.delays)
-                          if self.delays else 0.0)
+            delays, floor = self.delays, now - cfg.eval_window_us
+            while delays and delays[0][0] < floor:
+                delays.popleft()
+            mean_delay = sum(d for _, d in delays) / len(delays) if delays else 0.0
             step = 1 + cfg.qos_growth_step
             if (throughput >= qos.min_throughput_bytes_per_s
                     and mean_delay <= qos.max_mean_delay_us):

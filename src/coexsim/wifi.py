@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .medium import FrameKind, RadioInterface, Transmission
+from .medium import CTS, DATA, FrameKind, RadioInterface, Transmission
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class WifiStation:
     # -- medium observations --------------------------------------------
 
     def on_medium_busy(self, start_us: int, until_us: int,
-                       kind: FrameKind = FrameKind.DATA) -> bool:
+                       kind: FrameKind = DATA) -> bool:
         """Carrier sense: the medium is occupied over [start, until).
 
         An armed attempt freezes: the slots counted down while the medium
@@ -99,7 +99,7 @@ class WifiStation:
         if attempt is None:  # most calls: nothing armed to void
             return False
         _, contend, start = attempt
-        if start_us > start or (start_us == start and kind is FrameKind.DATA):
+        if start_us > start or (start_us == start and kind is DATA):
             return False
         params = self.params
         # at most the pending slots, as start_us is not past the planned start
@@ -120,13 +120,13 @@ class WifiStation:
         """
         if rx_power_dbm < self.iface.decode_sensitivity_dbm:
             return False
-        if frame.kind is not FrameKind.CTS or frame.source == self.iface.id:
+        if frame.kind is not CTS or frame.source == self.iface.id:
             return False
         expiry = frame.end_us + frame.nav_duration_us
         if expiry <= self.nav_expiry_us:
             return False
         self.nav_expiry_us = expiry
-        return self.on_medium_busy(now_us, frame.end_us, FrameKind.CTS)
+        return self.on_medium_busy(now_us, frame.end_us, CTS)
 
     # -- channel access --------------------------------------------------
 
@@ -162,7 +162,7 @@ class WifiStation:
         the train, and an armed attempt that would start at or after the
         first chunk is void.  Returns whether this voided the access attempt."""
         self.train_until_us = until_us
-        return self.on_medium_busy(start_us, until_us, FrameKind.CTS)
+        return self.on_medium_busy(start_us, until_us, CTS)
 
     # -- transmission outcome ---------------------------------------------
 

@@ -265,7 +265,32 @@ class TestController:
         res = controller()
         res.hear(10, "sta1", -85.0)
         res.hear(20, "sta2", -85.1)
-        assert list(res.heard) == [(10, "sta1", -85.0)]
+        assert res.heard == {("sta1", -85.0): 10}
+
+    def test_pacing_window_matches_every_frame_heard(self):
+        """Keeping the last time each (source, power) was heard gives the
+        estimate over every frame heard in the monitor window, frames at its
+        floor included, as does a window emptied by a quiet stretch."""
+        res, rng = controller(), random.Random(5)
+        floor_dbm = res.coordinator.iface.decode_sensitivity_dbm
+        window = res.cfg.monitor_window_us
+        frames, counts = [], set()   # every (t, source, rx power) at or above sensitivity
+        for tick in range(1, 41):
+            now = tick * res.cfg.pacing_tick_us
+            for t in range(now - 400_000, now + 1, 100_000):
+                if 8_000_000 < t < 11_000_000 or rng.random() < 0.4:
+                    continue
+                source = rng.choice(["sta1", "sta2", "sta3", "sta4"])
+                rx = rng.choice([-60.0, -72.5, floor_dbm, -85.5])
+                res.hear(t, source, rx)
+                if rx >= floor_dbm:
+                    frames.append((t, source, rx))
+            res.pacing_tick(now, 0)
+            want = estimate_interferers([(s, rx) for t, s, rx in frames if t >= now - window],
+                                        res.cfg.assumed_tx_power_dbm, LOGD)
+            assert (res.interferers, res.reach_m) == want
+            counts.add(res.interferers)
+        assert {0, 4} <= counts
 
     def test_eval_tick_notes_only_gate_switches(self):
         res = controller(retx_enable_threshold=3, eval_window_us=100_000)
