@@ -34,9 +34,9 @@ from typing import Optional
 
 from . import arbiter as arb
 from .arbiter import RX, TX
-from .medium import (CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST, FrameKind, LossRow, MediumModel,
+from .medium import (CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST, FrameKind, MediumModel, Memo,
                      RadioInterface, Transmission, delivery_result, invert_path_loss)
-from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train, train_end_us
+from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
                    data_airtime_us)
@@ -46,6 +46,15 @@ P_END = 0      # frame ends, deliveries, NAV updates, releases
 P_CTRL = 1     # frame boundaries, ticks, arrivals, reservation decisions
 P_START = 2    # scheduled transmission starts (bursts, CTS)
 P_ACCESS = 3   # WiFi contention attempts
+
+# event kind -> its phase; the engine handles kind k in _on_<k>
+_PHASES = {
+    "warmup": P_END, "txend": P_END,
+    "arrival": P_CTRL, "boundary": P_CTRL, "reserve": P_CTRL, "inject": P_CTRL,
+    "pacing": P_CTRL, "eval": P_CTRL, "retry": P_CTRL,
+    "burst": P_START, "cts": P_START,
+    "access": P_ACCESS,
+}
 
 _WIMAX_ARRIVAL_TICK_US = 10_000
 # behaviour notes buffered before they go into the hash in one update
@@ -70,20 +79,6 @@ _SUBJECTS = {
     "burst": lambda grant: f"{grant.ss} {grant.direction}",
     "reserve": lambda d: f"{d[0].node.id} {d[1]}",  # subscriber station, last us
 }
-
-
-class _Memo(dict):
-    """Key -> value, filled by ``fill(key)`` on first use and kept."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 def _near(center: RadioInterface, radius_m: float, pool):
@@ -342,15 +337,21 @@ class Engine:
 
         self.medium: MediumModel = config.medium
         self.interfaces: dict[str, RadioInterface] = config.interfaces()
+        # platform -> the ids of its interfaces, in config order
+        platforms: dict[str, list[str]] = {}
+        for iface in self.interfaces.values():
+            if iface.platform is not None:
+                platforms.setdefault(iface.platform, []).append(iface.id)
         # the neighbour sets, each filled once on first use: receiver -> its
-        # loss row; (source, power) -> the WiFi stations whose carrier sense
-        # such an emission trips, or that receive it at or above decode
-        # sensitivity; (source, power, addressee) -> its _Emitter
-        self._loss_rows = _Memo(lambda dst: LossRow(self.medium, self.interfaces,
-                                                    self.interfaces[dst]))
-        self._sensers = _Memo(lambda key: self._reached(*key, "cca_threshold_dbm"))
-        self._hearers = _Memo(lambda key: self._reached(*key, "decode_sensitivity_dbm"))
-        self._emitters = _Memo(lambda key: _Emitter(self, *key))
+        # loss row, source -> link loss towards it; (source, power) -> the
+        # WiFi stations whose carrier sense such an emission trips, or that
+        # receive it at or above decode sensitivity; (source, power,
+        # addressee) -> its _Emitter
+        self._loss_rows = Memo(lambda dst: Memo(lambda src: self.medium.link_loss_db(
+            self.interfaces[src], self.interfaces[dst])))
+        self._sensers = Memo(lambda key: self._reached(*key, "cca_threshold_dbm"))
+        self._hearers = Memo(lambda key: self._reached(*key, "decode_sensitivity_dbm"))
+        self._emitters = Memo(lambda key: _Emitter(self, *key))
         self.dcf = config.wifi
 
         # system name -> its record, in name order; node id -> its system's record
@@ -375,9 +376,9 @@ class Engine:
         self.sses: dict[str, _SsRt] = {}
         for n in config.nodes:
             if n.kind == "wimax-ss":
-                plat = self.interfaces[n.id].platform
-                coord = next((rt.station for rt in self.stations.values()
-                              if plat is not None and rt.station.iface.platform == plat), None)
+                coord = next((self.stations[i].station
+                              for i in platforms.get(self.interfaces[n.id].platform, ())
+                              if i in self.stations), None)
                 res = (Reservation(config.reservation, coord, self.medium.path_loss,
                                    config.warmup_us)
                        if config.reservation.enabled else None)
@@ -397,7 +398,7 @@ class Engine:
         self._frame_geometry = (wx.frame_us, wx.dl_ratio, wx.capacity_bytes_per_us,
                                 wx.preamble_us, wx.ttg_us)
         # a cell's frame plan, filled once per demand vector; see _plan
-        self._plans = _Memo(self._plan)
+        self._plans = Memo(self._plan)
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
@@ -419,19 +420,17 @@ class Engine:
 
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
-        if config.arbiter.enabled:
-            for plat in {i.platform for i in self.interfaces.values()} - {None}:
-                members = [i.id for i in self.interfaces.values() if i.platform == plat]
-                self.arbiters.update(dict.fromkeys(members, arb.RadioArbiter(members)))
         # WiFi interface id -> the slots of its platform's subscriber stations,
         # each (direction, start, end) in time order, which a schedule-aware
         # arbiter checks the radio's spans against
         self._watched: dict[str, list[deque]] = {}
-        if config.arbiter.schedule_aware:
+        if config.arbiter.enabled:
+            for ids in platforms.values():
+                self.arbiters.update(dict.fromkeys(ids, arb.RadioArbiter(ids)))
+        if config.arbiter.enabled and config.arbiter.schedule_aware:
             for ss in self.sses.values():
-                arbiter = self.arbiters.get(ss.node.id)
-                mates = [sid for sid in self.stations
-                         if arbiter is not None and self.arbiters.get(sid) is arbiter]
+                mates = [i for i in platforms.get(self.interfaces[ss.node.id].platform, ())
+                         if i in self.stations]
                 if mates:
                     ss.slots = deque()
                     for sid in mates:
@@ -442,26 +441,13 @@ class Engine:
         self.cts_count = 0
         self.cts_airtime_us = 0
 
-        self._handlers = {
-            "warmup": self._on_warmup,
-            "arrival": self._on_arrival,
-            "boundary": self._on_boundary,
-            "reserve": self._on_reserve,
-            "inject": self._on_inject,
-            "burst": self._on_burst,
-            "cts": self._on_cts,
-            "access": self._on_access,
-            "txend": self._on_txend,
-            "pacing": self._on_pacing_tick,
-            "eval": self._on_eval_tick,
-            "retry": self._on_retry,
-        }
+        self._handlers = {kind: getattr(self, f"_on_{kind}") for kind in _PHASES}
 
     # ------------------------------------------------------------------ utils
 
-    def _push(self, time_us: int, phase: int, kind: str, data) -> None:
+    def _push(self, time_us: int, kind: str, data) -> None:
         assert time_us >= self.now, f"{kind} scheduled in the past"
-        heapq.heappush(self._heap, (time_us, phase, next(self._seq), kind, data))
+        heapq.heappush(self._heap, (time_us, _PHASES[kind], next(self._seq), kind, data))
 
     def _note(self, line: str) -> None:
         """Record a behaviour note: it goes into the trace hash, and into the
@@ -529,37 +515,32 @@ class Engine:
 
     def run(self) -> RunResult:
         cfg = self.cfg
-        self._push(cfg.warmup_us, P_END, "warmup", None)
+        self._push(cfg.warmup_us, "warmup", None)
         for n in cfg.nodes:  # config order keeps event sequencing reproducible
             t = n.traffic
             if n.kind == "wifi":
                 if t.kind in ("saturated", "paced"):
-                    self._push(0, P_CTRL, "arrival", n.id)
+                    self._push(0, "arrival", n.id)
                 elif t.kind == "cts-inject":
-                    self._push(t.at_us, P_CTRL, "inject", n.id)
+                    self._push(t.at_us, "inject", n.id)
             elif n.kind == "wimax-ss" and t.kind == "wimax":
                 if t.dl_bytes_per_s or t.ul_bytes_per_s:
-                    self._push(0, P_CTRL, "arrival", n.id)
+                    self._push(0, "arrival", n.id)
         for bs_id in sorted(self.cells):
-            self._push(0, P_CTRL, "boundary", bs_id)
+            self._push(0, "boundary", bs_id)
         if cfg.reservation.enabled:
             for ss_id in sorted(self.sses):
-                self._push(cfg.reservation.pacing_tick_us, P_CTRL, "pacing", ss_id)
-                self._push(cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
+                self._push(cfg.reservation.pacing_tick_us, "pacing", ss_id)
+                self._push(cfg.reservation.eval_tick_us, "eval", ss_id)
 
         heap, pop, handlers, end = self._heap, heapq.heappop, self._handlers, cfg.duration_us
-        if self._trace is None:
-            while heap and heap[0][0] <= end:
-                time_us, _, _, kind, data = pop(heap)
-                self.now = time_us
-                handlers[kind](data)
-        else:  # the same loop, keeping one line per popped event
-            append, subjects = self._trace.append, _SUBJECTS
-            while heap and heap[0][0] <= end:
-                time_us, phase, _, kind, data = pop(heap)
-                self.now = time_us
-                append(f"{time_us}|{phase}|{kind}|{subjects.get(kind, str)(data)}")
-                handlers[kind](data)
+        trace, subjects = self._trace, _SUBJECTS
+        while heap and heap[0][0] <= end:
+            time_us, phase, _, kind, data = pop(heap)
+            self.now = time_us
+            if trace is not None:  # one line per popped event
+                trace.append(f"{time_us}|{phase}|{kind}|{subjects.get(kind, str)(data)}")
+            handlers[kind](data)
         self._flush()
 
         shares = [s.airtime / (cfg.duration_us - cfg.warmup_us) for s in self.systems.values()]
@@ -616,7 +597,7 @@ class Engine:
             rt.link.offer(self.now, t.frame_bytes)  # the validator requires a peer
             self._schedule_access(rt)
             if t.kind == "paced":
-                self._push(self.now + t.interval_us, P_CTRL, "arrival", node_id)
+                self._push(self.now + t.interval_us, "arrival", node_id)
             return
         # wimax-ss paced arrivals in fixed ticks, each what the rate owes by
         # its end less what it owed at its start, so the run's sum is exact
@@ -625,7 +606,7 @@ class Engine:
             nbytes = rate * (now + tick) // 1_000_000 - rate * now // 1_000_000
             if nbytes:
                 links[direction].offer(now, nbytes)
-        self._push(now + tick, P_CTRL, "arrival", node_id)
+        self._push(now + tick, "arrival", node_id)
 
     def _top_up_saturated(self, cell: _Cell) -> None:
         target = self._top_up_bytes
@@ -669,7 +650,7 @@ class Engine:
             for ss in cell.sses
             if ss.reservation is None or ss.reservation.claims(frame_start)])]
         for g in grants:
-            self._push(frame_start + g.offset_us, P_START, "burst", g)
+            self._push(frame_start + g.offset_us, "burst", g)
         for ss in cell.sses:
             ss_id = ss.node.id
             slots = ss.slots
@@ -683,8 +664,8 @@ class Engine:
             res = ss.reservation
             if span is not None and res is not None and res.claimed(frame_start):
                 self._push(max(now, frame_start + span[0] - self.cfg.reservation.lead_us),
-                           P_CTRL, "reserve", (ss, frame_start + span[1]))
-        self._push(frame_start, P_CTRL, "boundary", bs_id)
+                           "reserve", (ss, frame_start + span[1]))
+        self._push(frame_start, "boundary", bs_id)
 
     def _on_burst(self, grant) -> None:
         link = self.sses[grant.ss].links[grant.direction]
@@ -713,8 +694,7 @@ class Engine:
         if not chunks:
             self._note(f"{self.now}|reserve-skip|{ss.node.id}|{reservation}")
             return
-        self._send_train(chunks[0].source, (chunks[0].start_us, chunks[-1].end_us), chunks,
-                         f"reserve|{ss.node.id}")
+        self._send_train(chunks, f"reserve|{ss.node.id}")
 
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
@@ -722,21 +702,20 @@ class Engine:
         st = self.stations[node_id].station
         start = max(self.now, st.busy_until_us)  # past its own last train too
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
-        airtime = self.dcf.cts_airtime_us
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
-                                 cts_airtime_us=airtime, until_us=self._end_us)
-        self._send_train(node_id, (start, train_end_us(t.reservation_us, start, airtime)),
-                         chunks, f"inject|{node_id}")
+                                 cts_airtime_us=self.dcf.cts_airtime_us)
+        self._send_train(chunks, f"inject|{node_id}")
         if t.repeat_us:
-            self._push(self.now + t.repeat_us, P_CTRL, "inject", node_id)
+            self._push(self.now + t.repeat_us, "inject", node_id)
 
-    def _send_train(self, source: str, span: tuple[int, int], chunks: list[Transmission],
-                    tag: str) -> None:
-        """Push the chunks of a CTS train over ``span`` that start within the
-        run, under one transmit grant over the whole span, released by the
-        last chunk's end, and keep its radio from contending until then; a
-        ``deny|tag`` note instead if denied.  A train cut at the run's end
-        keeps its grant to the end."""
+    def _send_train(self, chunks: list[Transmission], tag: str) -> None:
+        """Push the chunks of a CTS train that start within the run, under one
+        transmit grant over the train's span, from its first chunk's start to
+        its last chunk's end, released by that end, and keep its radio from
+        contending until then; a ``deny|tag`` note instead if denied.  A train
+        cut at the run's end keeps its grant to the end."""
+        source, last = chunks[0].source, chunks[-1]
+        span = (chunks[0].start_us, last.end_us)
         holds: list[str] = []
         if not self._arbiter_request(source, TX, span, holds):
             self._note(f"{self.now}|deny|{tag}")
@@ -747,8 +726,7 @@ class Engine:
         for chunk in chunks:
             if chunk.start_us > self._end_us:
                 break
-            self._push(chunk.start_us, P_START, "cts",
-                       (chunk, holds if chunk.end_us == span[1] else []))
+            self._push(chunk.start_us, "cts", (chunk, holds if chunk is last else []))
 
     def _on_cts(self, data) -> None:
         chunk, holds = data
@@ -842,7 +820,7 @@ class Engine:
         for rt in em.busy:
             if rt.station.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
-        self._push(end, P_END, "txend", rec)
+        self._push(end, "txend", rec)
         self._note(f"{start}|air|{_KIND_VALUES[kind]}{em.pair}{tx.airtime_us}{em.power}")
 
     def _on_txend(self, rec: _TxRec) -> None:
@@ -946,7 +924,7 @@ class Engine:
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
         holds: list[str] = []
         if not self._arbiter_request(sid, TX, (self.now, self.now + airtime), holds):
-            self._push(self.now + self.cfg.arbiter.retry_us, P_CTRL, "retry", sid)
+            self._push(self.now + self.cfg.arbiter.retry_us, "retry", sid)
             return
         st.transmitting = True
         tx = Transmission(source=sid, kind=DATA, start_us=self.now,
@@ -959,20 +937,20 @@ class Engine:
 
     # ------------------------------------------------------------------ feedback ticks
 
-    def _on_pacing_tick(self, ss_id: str) -> None:
+    def _on_pacing(self, ss_id: str) -> None:
         note = self.sses[ss_id].reservation.pacing_tick(
             self.now, self.system_of[ss_id].air_cum)
         if note is not None:
             self._note(f"{self.now}|pacing|{ss_id}|{note}")
-        self._push(self.now + self.cfg.reservation.pacing_tick_us, P_CTRL, "pacing", ss_id)
+        self._push(self.now + self.cfg.reservation.pacing_tick_us, "pacing", ss_id)
 
-    def _on_eval_tick(self, ss_id: str) -> None:
+    def _on_eval(self, ss_id: str) -> None:
         system = self.system_of[ss_id]
         note = self.sses[ss_id].reservation.eval_tick(
             self.now, system.retx_cum, system.delivered_cum)
         if note is not None:
             self._note(f"{self.now}|gate|{ss_id}|{note}")
-        self._push(self.now + self.cfg.reservation.eval_tick_us, P_CTRL, "eval", ss_id)
+        self._push(self.now + self.cfg.reservation.eval_tick_us, "eval", ss_id)
 
 
 def run(config: ScenarioConfig, seed: Optional[int] = None) -> RunResult:

@@ -176,7 +176,7 @@ class Transmission(_Emission):
     ``end_us`` is derived at construction and cannot be given (``_make``
     refuses one that disagrees); a copy made with ``_replace`` derives it
     again.  It goes out on its source interface's channel: link budgets
-    take the channel from the interface (see :class:`LossRow`).
+    take the channel from the interface (see :meth:`MediumModel.link_loss_db`).
     """
 
     __slots__ = ()
@@ -243,27 +243,18 @@ class MediumModel:
         return loss + self.spillage.rejection_db(src.channel_mhz - dst.channel_mhz)
 
 
-class LossRow(dict):
-    """Source id -> ``link_loss_db`` towards one receiver, filled on first use.
+class Memo(dict):
+    """Key -> value, filled by ``fill(key)`` on first use and kept."""
 
-    Positions and channels are static and every emission goes out on its
-    source interface's channel, so one entry serves every emission of that
-    source.  Lazy on purpose: the receiver's own emissions never ask for a
-    loss to itself, which has no distance.
-    """
+    __slots__ = ("fill",)
 
-    __slots__ = ("medium", "interfaces", "dst")
-
-    def __init__(self, medium: MediumModel, interfaces: Mapping[str, RadioInterface],
-                 dst: RadioInterface):
+    def __init__(self, fill):
         super().__init__()
-        self.medium = medium
-        self.interfaces = interfaces
-        self.dst = dst
+        self.fill = fill
 
-    def __missing__(self, src: str) -> float:
-        loss = self[src] = self.medium.link_loss_db(self.interfaces[src], self.dst)
-        return loss
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def received_power(tx_power_dbm: float, src: Position, dst: Position,
@@ -299,7 +290,11 @@ def delivery_result(tx: Transmission, active: Sequence[Transmission],
     addressee for a delivery, or any listener for overhearing.
 
     ``loss_db`` maps a source id to the link loss from that source to the
-    receiver, as a :class:`LossRow` does.
+    receiver.  Positions and channels are static and every emission goes out
+    on its source interface's channel, so a loss row, a :class:`Memo` filled
+    from ``link_loss_db``, serves every emission of each source.  Lazy on
+    purpose: the receiver's own emissions never ask for a loss to itself,
+    which has no distance.
     """
     rid = receiver.id
     signal = tx.power_dbm - loss_db[tx.source]
@@ -338,12 +333,7 @@ def resolve_deliveries(active: Sequence[Transmission],
     """
     ordered = sorted((tx for tx in active if tx.dest is not None and tx.dest in interfaces),
                      key=lambda t: (t.start_us, t.source, t.dest))
-    rows: dict[str, LossRow] = {}
-    out = []
-    for tx in ordered:
-        rx = interfaces[tx.dest]
-        row = rows.get(tx.dest)
-        if row is None:
-            row = rows[tx.dest] = LossRow(medium, interfaces, rx)
-        out.append(delivery_result(tx, active, rx, t_window, medium, row))
-    return out
+    rows = Memo(lambda dst: Memo(
+        lambda src: medium.link_loss_db(interfaces[src], interfaces[dst])))
+    return [delivery_result(tx, active, interfaces[tx.dest], t_window, medium, rows[tx.dest])
+            for tx in ordered]

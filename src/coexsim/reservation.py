@@ -38,17 +38,14 @@ CTS_POWER_MARGIN_DB = 3.0       # above the level that just trips carrier sense
 
 def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
                     source: str, min_reservation_us: int = 0,
-                    cts_airtime_us: int = DcfParams.cts_airtime_us,
-                    until_us: Optional[int] = None) -> list[Transmission]:
+                    cts_airtime_us: int = DcfParams.cts_airtime_us) -> list[Transmission]:
     """CTS frames whose NAV fields cover ``reservation_us`` without a gap.
 
     Returns no frames when the reservation is shorter than
     ``min_reservation_us``.  Chunk i+1 takes off at ``start_i + duration_i``,
     which keeps its airtime inside the NAV window of chunk i and ends it at
     the instant that window expires, so total coverage is the single interval
-    ``[start + airtime, start + airtime + reservation]``.  With ``until_us``,
-    only the chunks that start by then are built; :func:`train_end_us` gives
-    the whole train's end.
+    ``[start + airtime, start + airtime + reservation]``.
     """
     if reservation_us <= 0:
         raise ValueError("reservation must be positive")
@@ -57,7 +54,7 @@ def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
     chunks = []
     remaining = reservation_us
     at = start_us
-    while remaining > 0 and (until_us is None or at <= until_us):
+    while remaining > 0:
         duration = min(remaining, NAV_FIELD_CAP_US)
         chunks.append(Transmission(
             source=source, kind=CTS, start_us=at,
@@ -65,14 +62,6 @@ def build_cts_train(reservation_us: int, power_dbm: float, start_us: int,
         at += duration
         remaining -= duration
     return chunks
-
-
-def train_end_us(reservation_us: int, start_us: int,
-                 cts_airtime_us: int = DcfParams.cts_airtime_us) -> int:
-    """End of the last chunk of :func:`build_cts_train`'s train, without
-    building it: the last chunk starts at the last multiple of the duration
-    cap below ``reservation_us``."""
-    return start_us + (reservation_us - 1) // NAV_FIELD_CAP_US * NAV_FIELD_CAP_US + cts_airtime_us
 
 
 def estimate_interferers(overheard: Sequence[tuple[str, float]],

@@ -360,6 +360,9 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig], cts_airtime_us: i
             w.fail(f"nodes[{i}].id", f"duplicate node id {n.id!r}")
         if "|" in n.id or ">" in n.id:  # the separators of trace lines and link ids
             w.fail(f"nodes[{i}].id", f"node id {n.id!r} contains '|' or '>'")
+        if n.id == "None":  # what a CTS note prints as its missing addressee
+            w.fail(f"nodes[{i}].id", "node id 'None' contains the text a CTS note prints "
+                                      "as its missing addressee")
         ids[n.id] = i
     by_id = {n.id: n for n in nodes}
     for i, n in enumerate(nodes):

@@ -221,7 +221,7 @@ class TestMain:
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert "nodes[1].position" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("node_id", ["sta|1", "ss->1", "a>"])
+    @pytest.mark.parametrize("node_id", ["sta|1", "ss->1", "a>", "None"])
     def test_separator_in_a_node_id_is_a_validation_error(self, tmp_path, capsys, node_id):
         # accepted by earlier versions: link ids split on "->" and notes on "|"
         # then misread the node, e.g. compare missed an "ss->1" uplink

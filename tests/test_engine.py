@@ -10,7 +10,7 @@ from coexsim.cli import render_run_json
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
                             delivery_result)
-from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power, train_end_us
+from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from coexsim.wimax import SsDemand, build_frame_map
 from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
@@ -797,7 +797,9 @@ nodes:
     def test_train_longer_than_the_run_stops_at_its_end(self):
         """An injected train of 3,052 chunks in a 250 ms run pushes only the
         8 chunks that start within the run; its radio stays busy until the
-        whole train's end (earlier versions built and pushed every chunk)."""
+        whole train's end (earlier versions pushed every chunk).  With the
+        arbiter on and a platform mate, the cut train keeps its transmit
+        grant to the run's end: its last chunk, which releases it, never flies."""
         text = """
 duration_us: 250000
 warmup_us: 0
@@ -806,12 +808,15 @@ nodes:
      traffic: {kind: cts-inject, at_us: 1000, reservation_us: 100000000}}
   - {id: ap, kind: wifi, position: [6.0, 0.0]}
 """
-        engine = Engine(parse_scenario(text), seed=1)
-        result = engine.run()
-        assert [e for e in engine._heap if e[3] == "cts"] == []
-        assert result.cts_count == (250_000 - 1000) // NAV_FIELD_CAP_US + 1
-        assert engine.stations["jam"].station.train_until_us == \
-            train_end_us(100_000_000, 1000, engine.dcf.cts_airtime_us)
+        mate = "  - {id: mate, kind: wifi, position: [0.0, 0.0], collocated_with: jam}\n"
+        for scene in (text, "arbiter: {enabled: true}" + text + mate):
+            engine = Engine(parse_scenario(scene), seed=1)
+            result = engine.run()
+            assert [e for e in engine._heap if e[3] == "cts"] == []
+            assert result.cts_count == (250_000 - 1000) // NAV_FIELD_CAP_US + 1
+            assert engine.stations["jam"].station.train_until_us == \
+                1000 + 3051 * NAV_FIELD_CAP_US + engine.dcf.cts_airtime_us
+        assert engine.arbiters["jam"].held == {"jam": 1}
 
     def test_wimax_paced_rates_are_exact_over_the_run(self):
         """Each 10 ms tick offers what the rate owes by its end less what it

@@ -4,8 +4,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, LossRow,
-                            MediumModel, PathLossModel, Position, RadioInterface,
+from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, MediumModel,
+                            Memo, PathLossModel, Position, RadioInterface,
                             SpillageTable, Transmission, delivery_result,
                             invert_path_loss, path_loss, received_power,
                             required_isolation, resolve_deliveries)
@@ -255,7 +255,7 @@ class TestOverhearing:
     def heard(self, *others):
         lst = self.ifaces["lst"]
         return delivery_result(self.cts, [self.cts, *others], lst, (0, 44), self.medium,
-                               LossRow(self.medium, self.ifaces, lst))
+                               Memo(lambda src: self.medium.link_loss_db(self.ifaces[src], lst)))
 
     def test_clear_channel_decodes(self):
         out = self.heard()

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from coexsim.medium import FrameKind, PathLossModel, Position, RadioInterface
 from coexsim.reservation import (CTS_POWER_CEILING_DBM, CTS_POWER_FLOOR_DBM, NAV_FIELD_CAP_US,
                                  QosTarget, Reservation, build_cts_train, estimate_interferers,
-                                 evaluate_performance, reservation_power, train_end_us,
-                                 update_pacing)
+                                 evaluate_performance, reservation_power, update_pacing)
 from coexsim.scenario import ReservationConfig
 from coexsim.wifi import DcfParams, WifiStation
 
@@ -59,19 +58,6 @@ class TestCtsTrain:
         # follow-up chunks take off exactly when the previous duration elapses
         for prev, nxt in zip(chunks, chunks[1:]):
             assert nxt.start_us == prev.start_us + prev.nav_duration_us
-
-    @given(st.integers(min_value=1, max_value=500_000), st.integers(min_value=0, max_value=10_000),
-           st.integers(min_value=1, max_value=100))
-    def test_arithmetic_end_is_the_last_chunks(self, reservation, start, airtime):
-        chunks = build_cts_train(reservation, 1.0, start, "coord",
-                                 cts_airtime_us=airtime)
-        assert train_end_us(reservation, start, airtime) == chunks[-1].end_us
-
-    @given(st.integers(min_value=1, max_value=500_000), st.integers(min_value=0, max_value=600_000))
-    def test_cut_train_keeps_the_chunks_that_start_by_then(self, reservation, until):
-        whole = build_cts_train(reservation, 1.0, 100, "coord")
-        cut = build_cts_train(reservation, 1.0, 100, "coord", until_us=until)
-        assert cut == [c for c in whole if c.start_us <= until]
 
 
 class TestInterfererEstimate:
