@@ -190,14 +190,19 @@ class _Emitter:
     """What every emission from one source at one power to one addressee
     (None for a CTS) shares, derived once from the static config."""
 
-    __slots__ = ("corrupters", "busy", "src_plat", "rx_plat", "system", "monitors", "pair",
-                 "power")
+    __slots__ = ("corrupters", "busy", "hearers", "src_plat", "rx_plat", "system", "monitors",
+                 "pair", "power")
 
     def __init__(self, engine: Engine, source: str, power_dbm: float, dest: Optional[str]):
         ifaces, own = engine.interfaces, engine.stations.get(source)
-        self.corrupters = engine._corrupting(source, power_dbm, dest)
-        # the WiFi radios it makes busy: its own source, then its sensers
-        self.busy = ((own,) if own is not None else ()) + engine._sensers[source, power_dbm]
+        # the WiFi radios it makes busy: its own source, then those whose
+        # carrier sense it trips; for a CTS, those that receive it at or above
+        # decode sensitivity
+        self.busy = ((own,) if own is not None else ()) + engine._reached(
+            source, power_dbm, "cca_threshold_dbm")
+        self.hearers = (engine._reached(source, power_dbm, "decode_sensitivity_dbm")
+                        if dest is None else ())
+        self.corrupters = engine._corrupting(source, power_dbm, dest, self.hearers)
         self.src_plat = plat = ifaces[source].platform
         self.rx_plat = None if dest is None else ifaces[dest].platform
         self.system = engine.system_of[source]
@@ -288,14 +293,15 @@ class _Link:
         self.stats.offered_bytes += nbytes
 
 
-class _WifiRt:
-    __slots__ = ("node", "station", "order", "link")
+class _WifiRt(WifiStation):
+    """A WiFi station with its node, its config order among the WiFi
+    stations and its link, whose queue is the station itself."""
 
-    def __init__(self, node, station, order: int, system: _System):
+    def __init__(self, node, iface: RadioInterface, params, rng, order: int, system: _System):
+        super().__init__(iface, params, rng)
         self.node = node
-        self.station = station
-        self.order = order           # config order among the WiFi stations
-        self.link = _Link(node.id, node.peer, system, station) if node.peer else None
+        self.order = order
+        self.link = _Link(node.id, node.peer, system, self) if node.peer else None
 
 
 class _SsRt:
@@ -342,15 +348,10 @@ class Engine:
         for iface in self.interfaces.values():
             if iface.platform is not None:
                 platforms.setdefault(iface.platform, []).append(iface.id)
-        # the neighbour sets, each filled once on first use: receiver -> its
-        # loss row, source -> link loss towards it; (source, power) -> the
-        # WiFi stations whose carrier sense such an emission trips, or that
-        # receive it at or above decode sensitivity; (source, power,
-        # addressee) -> its _Emitter
+        # filled once on first use: receiver -> its loss row, source -> link
+        # loss towards it; (source, power, addressee) -> its _Emitter
         self._loss_rows = Memo(lambda dst: Memo(lambda src: self.medium.link_loss_db(
             self.interfaces[src], self.interfaces[dst])))
-        self._sensers = Memo(lambda key: self._reached(*key, "cca_threshold_dbm"))
-        self._hearers = Memo(lambda key: self._reached(*key, "decode_sensitivity_dbm"))
         self._emitters = Memo(lambda key: _Emitter(self, *key))
         self.dcf = config.wifi
 
@@ -361,12 +362,11 @@ class Engine:
         self.stations: dict[str, _WifiRt] = {}
         for n in config.nodes:
             if n.kind == "wifi":
-                self.stations[n.id] = _WifiRt(n, WifiStation(self.interfaces[n.id],
-                                                             self.dcf, self.rng),
+                self.stations[n.id] = _WifiRt(n, self.interfaces[n.id], self.dcf, self.rng,
                                               len(self.stations), self.system_of[n.id])
         # per threshold level, its lowest value among the stations, which
         # bounds how far an emission can reach at that level
-        self._wifi_ifaces = [rt.station.iface for rt in self.stations.values()]
+        self._wifi_ifaces = [rt.iface for rt in self.stations.values()]
         self._lowest = {level: min((getattr(i, level) for i in self._wifi_ifaces), default=0.0)
                         for level in ("cca_threshold_dbm", "decode_sensitivity_dbm")}
         # stations whose attempt was voided, keyed by config order; they
@@ -376,9 +376,8 @@ class Engine:
         self.sses: dict[str, _SsRt] = {}
         for n in config.nodes:
             if n.kind == "wimax-ss":
-                coord = next((self.stations[i].station
-                              for i in platforms.get(self.interfaces[n.id].platform, ())
-                              if i in self.stations), None)
+                mates = platforms.get(self.interfaces[n.id].platform, ())
+                coord = next((self.stations[i] for i in mates if i in self.stations), None)
                 res = (Reservation(config.reservation, coord, self.medium.path_loss,
                                    config.warmup_us)
                        if config.reservation.enabled else None)
@@ -477,9 +476,11 @@ class Engine:
                      for iface in _near(self.interfaces[src], radius, self._wifi_ifaces)
                      if power_dbm - self._loss_rows[iface.id][src] >= getattr(iface, level))
 
-    def _corrupting(self, src: str, power_dbm: float, dest: Optional[str]) -> frozenset:
+    def _corrupting(self, src: str, power_dbm: float, dest: Optional[str],
+                    hearers: tuple[_WifiRt, ...]) -> frozenset:
         """Sources able to corrupt a frame from ``src`` at ``power_dbm`` at one
-        of its receivers, the addressee ``dest`` or, for a CTS, each hearer.
+        of its receivers, the addressee ``dest`` or, for a CTS, each of its
+        ``hearers``.
         Empty if the addressee gets it below sensitivity.
 
         ``delivery_result`` corrupts a frame only through the receiver's own
@@ -493,7 +494,7 @@ class Engine:
             receivers = [rx] if (power_dbm - self._loss_rows[dest][src]
                                  >= rx.decode_sensitivity_dbm) else []
         else:
-            receivers = [rt.station.iface for rt in self._hearers[src, power_dbm]]
+            receivers = [rt.iface for rt in hearers]
         ceiling, model = self._ceiling, self.medium.path_loss
         found = set()
         for rx in receivers:
@@ -699,8 +700,7 @@ class Engine:
     def _on_inject(self, node_id: str) -> None:
         node = self.cfg.node(node_id)
         t = node.traffic
-        st = self.stations[node_id].station
-        start = max(self.now, st.busy_until_us)  # past its own last train too
+        start = max(self.now, self.stations[node_id].busy_until_us)  # past its own last train too
         power = node.tx_power_dbm if t.power_dbm is None else t.power_dbm
         chunks = build_cts_train(t.reservation_us, power, start, source=node_id,
                                  cts_airtime_us=self.dcf.cts_airtime_us)
@@ -721,7 +721,7 @@ class Engine:
             self._note(f"{self.now}|deny|{tag}")
             return
         rt = self.stations[source]
-        if rt.station.on_own_train(*span):
+        if rt.on_own_train(*span):
             self._resched[rt.order] = rt
         for chunk in chunks:
             if chunk.start_us > self._end_us:
@@ -818,7 +818,7 @@ class Engine:
         # re-arms at the next frame end
         start, end, kind, resched = tx.start_us, tx.end_us, tx.kind, self._resched
         for rt in em.busy:
-            if rt.station.on_medium_busy(start, end, kind):
+            if rt.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
         self._push(end, "txend", rec)
         self._note(f"{start}|air|{_KIND_VALUES[kind]}{em.pair}{tx.airtime_us}{em.power}")
@@ -848,18 +848,17 @@ class Engine:
         # decode-level overhearing (NAV from CTS) at stations not party to the
         # frame; the rest are below sensitivity
         if tx.kind is CTS:
-            for rt in self._hearers[tx.source, tx.power_dbm]:
-                st = rt.station
+            for rt in rec.emitter.hearers:
                 sid = rt.node.id
-                heard = delivery_result(tx, rec.overlappers, st.iface, window, self.medium,
+                heard = delivery_result(tx, rec.overlappers, rt.iface, window, self.medium,
                                         self._loss_rows[sid])
                 if heard.result != DECODED:
                     continue
-                had_nav = st.nav_expiry_us
-                if st.on_overheard(tx, heard.rx_power_dbm, self.now):
+                had_nav = rt.nav_expiry_us
+                if rt.on_overheard(tx, heard.rx_power_dbm, self.now):
                     self._resched[rt.order] = rt
-                if st.nav_expiry_us != had_nav:
-                    self._note(f"{self.now}|nav|{sid}|{st.nav_expiry_us}")
+                if rt.nav_expiry_us != had_nav:
+                    self._note(f"{self.now}|nav|{sid}|{rt.nav_expiry_us}")
 
         # neighbourhood monitoring by co-located coordinators, of other platforms
         for res, rx_dbm in rec.emitter.monitors:
@@ -887,13 +886,12 @@ class Engine:
     def _finish_wifi_data(self, rec: _TxRec, decoded: bool) -> None:
         link = rec.link
         rt = self.stations[link.src]
-        st = rt.station
         if decoded:
-            delay = self.now - st.head.enqueued_us
-            res = st.on_tx_outcome(True, self.now)
+            delay = self.now - rt.head.enqueued_us
+            res = rt.on_tx_outcome(True, self.now)
             self._count_delivery(link, rec.served_bytes, [delay])
         else:
-            res = st.on_tx_outcome(False, self.now)
+            res = rt.on_tx_outcome(False, self.now)
             if res == OUTCOME_RETRY:
                 link.stats.retransmissions += 1
                 link.system.retx_cum += 1
@@ -906,7 +904,7 @@ class Engine:
     # ------------------------------------------------------------------ wifi access
 
     def _schedule_access(self, rt: _WifiRt) -> None:
-        attempt = rt.station.arm_attempt(self.now)  # None if one is pending
+        attempt = rt.arm_attempt(self.now)  # None if one is pending
         if attempt is not None:
             token, start = attempt
             # (order, token, station) is both seq and data: same-time attempts
@@ -916,19 +914,18 @@ class Engine:
 
     def _on_access(self, data) -> None:
         _, token, rt = data
-        st = rt.station
-        if not st.take_attempt(token):
+        if not rt.take_attempt(token):
             return
         sid = rt.node.id
-        head = st.head
+        head = rt.head
         airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
         holds: list[str] = []
         if not self._arbiter_request(sid, TX, (self.now, self.now + airtime), holds):
             self._push(self.now + self.cfg.arbiter.retry_us, "retry", sid)
             return
-        st.transmitting = True
+        rt.transmitting = True
         tx = Transmission(source=sid, kind=DATA, start_us=self.now,
-                          airtime_us=airtime, power_dbm=st.iface.tx_power_dbm,
+                          airtime_us=airtime, power_dbm=rt.iface.tx_power_dbm,
                           dest=rt.node.peer)
         self._begin_tx(_TxRec(tx, holds, rt.link, head.frame_bytes))
 

@@ -12,6 +12,7 @@ validation enforces.  One generic parser and one generic emitter read them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Any, Optional, get_args, get_type_hints
@@ -256,6 +257,9 @@ class _Walker:
             return default
         if not isinstance(val, kind):
             self.fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
+            return default
+        if kind is float and not math.isfinite(val):  # NaN passes every bound test
+            self.fail(f"{path}.{key}", "must be finite")
             return default
         if lo is not None and val < lo:
             self.fail(f"{path}.{key}", f"must be >= {lo}")

@@ -6,7 +6,8 @@ slot accounting, and co-located conflict time, a radio's overlaps with its
 own emissions, DCF rule violations, delivery outcomes, grants over
 scheduled WiMAX bursts, WiMAX bursts outside their frame's layout,
 emissions above their source's power ceiling and the trace hash are read
-back from a run's trace.
+back from a run's trace, through one reader of its behaviour notes
+(:func:`notes`, :func:`air`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
+from typing import NamedTuple, Optional
 
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
                             FrameKind, MediumModel, PathLossModel, Position,
@@ -21,12 +23,41 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutco
                             received_power)
 
 
-def oracle_rx_power(tx: Transmission, src: RadioInterface, dst: RadioInterface,
+class Air(NamedTuple):
+    """One ``air`` note, ``start|air|kind|source>dest|airtime|power``; dest is
+    None for a CTS."""
+
+    start: int
+    end: int
+    kind: FrameKind
+    source: str
+    dest: Optional[str]
+    power: float
+
+
+def notes(trace: list[str]):
+    """The fields of each behaviour note of a trace, in order; per-event
+    lines (second field a phase digit) are skipped."""
+    for line in trace:
+        fields = line.split("|")
+        if not fields[1].isdigit():
+            yield fields
+
+
+def air(fields: list[str]) -> Air:
+    """The emission an ``air`` note's fields describe."""
+    start = int(fields[0])
+    source, dest = fields[3].split(">")
+    return Air(start, start + int(fields[4]), FrameKind(fields[2]), source,
+               None if dest == "None" else dest, float(fields[5]))
+
+
+def oracle_rx_power(power_dbm: float, src: RadioInterface, dst: RadioInterface,
                     medium: MediumModel) -> float:
     coupling = None
     if src.platform is not None and src.platform == dst.platform:
         coupling = medium.colocated_coupling_db
-    return received_power(tx.power_dbm, src.position, dst.position, src.channel_mhz,
+    return received_power(power_dbm, src.position, dst.position, src.channel_mhz,
                           dst.channel_mhz, medium.path_loss, medium.spillage,
                           coupling_db=coupling)
 
@@ -45,7 +76,7 @@ def brute_force_outcomes(active, interfaces, window, medium) -> list[DeliveryOut
     outcomes = []
     for tx in ordered:
         rx_if = interfaces[tx.dest]
-        sig = oracle_rx_power(tx, interfaces[tx.source], rx_if, medium)
+        sig = oracle_rx_power(tx.power_dbm, interfaces[tx.source], rx_if, medium)
         if sig < rx_if.decode_sensitivity_dbm:
             outcomes.append(DeliveryOutcome(tx.dest, BELOW_SENSITIVITY, sig))
             continue
@@ -53,7 +84,7 @@ def brute_force_outcomes(active, interfaces, window, medium) -> list[DeliveryOut
         # (start, end, power at the receiver) of each emission on air in
         # [lo, hi) but the frame; the receiver's own is infinitely strong
         others = [(u.start_us, u.end_us, float("inf") if u.source == tx.dest
-                   else oracle_rx_power(u, interfaces[u.source], rx_if, medium))
+                   else oracle_rx_power(u.power_dbm, interfaces[u.source], rx_if, medium))
                   for u in active if u is not tx and u.start_us < hi and u.end_us > lo]
         corrupted = False
         for t in range(lo, hi):
@@ -74,29 +105,23 @@ def conflict_time(cfg, trace: list[str]) -> int:
     emissions in which one radio transmits while a platform mate listens to
     the other (an addressee listens if the frame reaches it at or above its
     sensitivity).  A frame addressed to a platform mate pairs with itself.
-
-    Each ``air`` note ends with the emission's power.
     """
     interfaces = cfg.interfaces()
     medium = cfg.medium
     talkers = []    # (start, end, radio, platform) of each emission from a platform
     listeners = {}  # platform -> (start, end, radio) of each frame a member hears
-    for line in trace:
-        parts = line.split("|")
-        if parts[1] != "air":
+    for fields in notes(trace):
+        if fields[1] != "air":
             continue
-        start, airtime = int(parts[0]), int(parts[4])
-        source, dest = parts[3].split(">")
-        src = interfaces[source]
+        a = air(fields)
+        src = interfaces[a.source]
         if src.platform is not None:
-            talkers.append((start, start + airtime, source, src.platform))
-        dst = interfaces.get(dest)
+            talkers.append((a.start, a.end, a.source, src.platform))
+        dst = interfaces.get(a.dest)
         if dst is None or dst.platform is None:
             continue
-        tx = Transmission(source=source, kind=FrameKind(parts[2]), start_us=start,
-                          airtime_us=airtime, power_dbm=float(parts[5]), dest=dest)
-        if oracle_rx_power(tx, src, dst, medium) >= dst.decode_sensitivity_dbm:
-            listeners.setdefault(dst.platform, []).append((start, start + airtime, dest))
+        if oracle_rx_power(a.power, src, dst, medium) >= dst.decode_sensitivity_dbm:
+            listeners.setdefault(dst.platform, []).append((a.start, a.end, a.dest))
     total = 0
     for plat, heard in listeners.items():
         heard.sort()
@@ -119,9 +144,8 @@ def line_by_line_hash(trace: list[str]) -> str:
     every line of a collected trace whose second field is not a phase digit,
     each ending in a newline."""
     h = hashlib.sha256()
-    for line in trace:
-        if not line.split("|", 2)[1].isdigit():
-            h.update(f"{line}\n".encode())
+    for fields in notes(trace):
+        h.update(("|".join(fields) + "\n").encode())
     return h.hexdigest()
 
 
@@ -130,19 +154,18 @@ def own_overlaps(trace: list[str]) -> int:
     their source is still on air; a radio that sends one frame at a time has
     none.  A data frame does not count against an earlier data frame of its
     source that starts in the same microsecond."""
-    data = FrameKind.DATA.value
-    on_air: dict[str, list] = {}  # source -> (start, end, kind) of emissions not yet ended
+    data = FrameKind.DATA
+    on_air: dict[str, list[Air]] = {}  # source -> its emissions not yet ended
     count = 0
-    for line in trace:
-        parts = line.split("|")
-        if parts[1] != "air":
+    for fields in notes(trace):
+        if fields[1] != "air":
             continue
-        start, source, kind = int(parts[0]), parts[3].split(">")[0], parts[2]
+        a = air(fields)
         # notes come in time order, so an emission ended by now ends before every later one
-        earlier = on_air[source] = [e for e in on_air.get(source, ()) if e[1] > start]
-        if any(not (kind == data == k and s == start) for s, _, k in earlier):
+        earlier = on_air[a.source] = [e for e in on_air.get(a.source, ()) if e.end > a.start]
+        if any(not (a.kind is data is e.kind and e.start == a.start) for e in earlier):
             count += 1
-        earlier.append((start, start + int(parts[4]), kind))
+        earlier.append(a)
     return count
 
 
@@ -159,44 +182,39 @@ def dcf_violations(cfg, trace: list[str]) -> int:
     interfaces = cfg.interfaces()
     medium, difs = cfg.medium, cfg.wifi.difs_us
     stations = [interfaces[n.id] for n in cfg.nodes if n.kind == "wifi"]
-    data = FrameKind.DATA.value
+    data = FrameKind.DATA
     sensed_by: dict[tuple[str, float], list[str]] = {}
     busy_end = {s.id: 0 for s in stations}  # end of the last emission each sensed
     nav = dict.fromkeys(busy_end, 0)
     same_us: list[tuple[list[str], int]] = []  # DATA starts not yet applied, one instant
     now = count = 0
-    for line in trace:
-        parts = line.split("|")
-        if parts[1] == "nav":
-            nav[parts[2]] = int(parts[3])
+    for fields in notes(trace):
+        if fields[1] == "nav":
+            nav[fields[2]] = int(fields[3])
             continue
-        if parts[1] != "air":
+        if fields[1] != "air":
             continue
-        start, kind, power = int(parts[0]), parts[2], float(parts[5])
-        source = parts[3].split(">")[0]
-        if start > now:  # a new instant: the last one's DATA starts are sensed now
+        a = air(fields)
+        if a.start > now:  # a new instant: the last one's DATA starts are sensed now
             for who, end in same_us:
                 for sid in who:
                     busy_end[sid] = max(busy_end[sid], end)
             same_us.clear()
-            now = start
-        if kind == data and (start < busy_end[source] + difs or start < nav[source]):
+            now = a.start
+        if a.kind is data and (a.start < busy_end[a.source] + difs or a.start < nav[a.source]):
             count += 1
-        key = (source, power)
+        key = (a.source, a.power)
         who = sensed_by.get(key)
         if who is None:
-            src = interfaces[source]
-            tx = Transmission(source=source, kind=FrameKind(kind), start_us=start, airtime_us=1,
-                              power_dbm=power)
+            src = interfaces[a.source]
             who = sensed_by[key] = [
-                s.id for s in stations if s.id == source
-                or oracle_rx_power(tx, src, s, medium) >= s.cca_threshold_dbm]
-        end = start + int(parts[4])
-        if kind == data:
-            same_us.append((who, end))
+                s.id for s in stations if s.id == a.source
+                or oracle_rx_power(a.power, src, s, medium) >= s.cca_threshold_dbm]
+        if a.kind is data:
+            same_us.append((who, a.end))
         else:
             for sid in who:
-                busy_end[sid] = max(busy_end[sid], end)
+                busy_end[sid] = max(busy_end[sid], a.end)
     return count
 
 
@@ -215,30 +233,26 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
     # every emission without its addressee, in start order as the air notes
     # come: as an interferer it is not rated itself
     quiet, starts, longest = [], [], 0
-    frames = {}     # (source, dest, end) -> (index, frame) of each addressed one, oldest first
+    # ("source>dest", end) -> (index, frame) of each addressed one, oldest first
+    frames = {}
     denied = set()  # (time, interface) of each receive denial
     count = 0
-    for line in trace:
-        parts = line.split("|")
-        kind = parts[1]
-        if kind == "arb" and parts[3] == "RX" and parts[4] == "deny":
-            denied.add((int(parts[0]), parts[2]))
-        elif kind == "air":
-            start, airtime = int(parts[0]), int(parts[4])
-            source, dest = parts[3].split(">")
-            fields = dict(source=source, kind=FrameKind(parts[2]), start_us=start,
-                          airtime_us=airtime, power_dbm=float(parts[5]))
-            tx = Transmission(**fields)
-            if dest in interfaces:
-                frames.setdefault((source, dest, tx.end_us), []).append(
-                    (len(quiet), Transmission(**fields, dest=dest)))
+    for fields in notes(trace):
+        if fields[1] == "arb" and fields[3:5] == ["RX", "deny"]:
+            denied.add((int(fields[0]), fields[2]))
+        elif fields[1] == "air":
+            a = air(fields)
+            tx = Transmission(source=a.source, kind=a.kind, start_us=a.start,
+                              airtime_us=a.end - a.start, power_dbm=a.power)
+            if a.dest in interfaces:
+                frames.setdefault((fields[3], a.end), []).append(
+                    (len(quiet), tx._replace(dest=a.dest)))
             quiet.append(tx)
-            starts.append(start)
-            longest = max(longest, airtime)
-        elif kind == "outcome":
-            source, dest = parts[2].split(">")
-            index, tx = frames[(source, dest, int(parts[0]))].pop(0)
-            if (tx.start_us, dest) in denied:
+            starts.append(a.start)
+            longest = max(longest, a.end - a.start)
+        elif fields[1] == "outcome":  # start|outcome|source>dest|result
+            index, tx = frames[(fields[2], int(fields[0]))].pop(0)
+            if (tx.start_us, tx.dest) in denied:
                 want = "missed"
             else:
                 lo = bisect.bisect_left(starts, tx.start_us - longest)
@@ -247,7 +261,7 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
                           if i != index and u.end_us > tx.start_us]
                 want = brute_force_outcomes([tx] + others, interfaces,
                                             (tx.start_us, tx.end_us), medium)[0].result
-            count += parts[3] != want
+            count += fields[3] != want
     return count
 
 
@@ -278,38 +292,32 @@ def schedule_violations(cfg, trace: list[str]) -> int:
     ss_plat = {n.id: interfaces[n.id].platform for n in cfg.nodes
                if n.kind == "wimax-ss" and interfaces[n.id].platform is not None}
     plats = set(ss_plat.values())
-    burst = FrameKind.WIMAX_BURST.value
     bursts: dict[tuple[str, str], list] = {}  # (platform, mode it bars) -> (start, end, mapped at)
     requests = []   # (platform, mode, request time, start, end) of each granted WiFi emission
     last_tx = {}    # WiFi radio -> time of its last transmit grant
-    prev = ""       # the behaviour note before this one
-    for line in trace:
-        parts = line.split("|")
-        if parts[1].isdigit():  # a per-event line
-            continue
-        if parts[1] == "arb" and parts[3:5] == ["TX", "grant"]:
-            last_tx[parts[2]] = int(parts[0])
-        elif parts[1:3] == ["deny", "ul"] and parts[3] in ss_plat:
-            start = int(parts[0])
+    prev = []       # the fields of the behaviour note before this one
+    for fields in notes(trace):
+        if fields[1] == "arb" and fields[3:5] == ["TX", "grant"]:
+            last_tx[fields[2]] = int(fields[0])
+        elif fields[1:3] == ["deny", "ul"] and fields[3] in ss_plat:
+            start = int(fields[0])
             mapped = start - start % frame_us - frame_us
-            bursts.setdefault((ss_plat[parts[3]], "RX"), []).append((start, start + 1, mapped))
-        elif parts[1] == "air":
-            start = int(parts[0])
-            end = start + int(parts[4])
-            source, dest = parts[3].split(">")
-            if parts[2] == burst:
-                ss, mode = (dest, "TX") if dest in ss_plat else (source, "RX")
+            bursts.setdefault((ss_plat[fields[3]], "RX"), []).append((start, start + 1, mapped))
+        elif fields[1] == "air":
+            a = air(fields)
+            if a.kind is FrameKind.WIMAX_BURST:
+                ss, mode = (a.dest, "TX") if a.dest in ss_plat else (a.source, "RX")
                 if ss in ss_plat:
-                    mapped = start - start % frame_us - frame_us
-                    bursts.setdefault((ss_plat[ss], mode), []).append((start, end, mapped))
+                    mapped = a.start - a.start % frame_us - frame_us
+                    bursts.setdefault((ss_plat[ss], mode), []).append((a.start, a.end, mapped))
             else:  # a WiFi data frame or CTS
-                plat = interfaces[source].platform
-                if source in last_tx and plat in plats:
-                    requests.append((plat, "TX", last_tx[source], start, end))
-                plat = interfaces[dest].platform if dest in interfaces else None
-                if prev == f"{start}|arb|{dest}|RX|grant" and plat in plats:
-                    requests.append((plat, "RX", start, start, end))
-        prev = line
+                plat = interfaces[a.source].platform
+                if a.source in last_tx and plat in plats:
+                    requests.append((plat, "TX", last_tx[a.source], a.start, a.end))
+                plat = interfaces[a.dest].platform if a.dest in interfaces else None
+                if prev == [fields[0], "arb", a.dest, "RX", "grant"] and plat in plats:
+                    requests.append((plat, "RX", a.start, a.start, a.end))
+        prev = fields
     count = 0
     for plat, mode, asked, start, end in requests:
         aired = bursts.get((plat, mode), [])
@@ -336,25 +344,20 @@ def frame_map_violations(cfg, trace: list[str]) -> int:
     dl_end = int(frame_us * wx.dl_ratio)
     windows = {"DL": (wx.preamble_us, dl_end), "UL": (dl_end + wx.ttg_us, frame_us)}
     bs_of = {n.id: n.bs for n in cfg.nodes if n.kind == "wimax-ss"}
-    burst = FrameKind.WIMAX_BURST.value
     last = {}  # (cell, frame, direction) -> (station, end) of its latest burst
     count = 0
-    for line in trace:
-        parts = line.split("|")
-        if parts[1] != "air" or parts[2] != burst:
+    for fields in notes(trace):
+        if fields[1] != "air" or (a := air(fields)).kind is not FrameKind.WIMAX_BURST:
             continue
-        start = int(parts[0])
-        end = start + int(parts[4])
-        source, dest = parts[3].split(">")
-        direction, ss = ("UL", source) if source in bs_of else ("DL", dest)
-        frame = start // frame_us
+        direction, ss = ("UL", a.source) if a.source in bs_of else ("DL", a.dest)
+        frame = a.start // frame_us
         lo, hi = windows[direction]
-        bad = not frame * frame_us + lo <= start < end <= frame * frame_us + hi
+        bad = not frame * frame_us + lo <= a.start < a.end <= frame * frame_us + hi
         group = (bs_of[ss], frame, direction)
         if group in last:
             prev_ss, prev_end = last[group]
-            bad = bad or start < prev_end or ss <= prev_ss
-        last[group] = (ss, end)
+            bad = bad or a.start < prev_end or ss <= prev_ss
+        last[group] = (ss, a.end)
         count += bad
     return count
 
@@ -382,16 +385,12 @@ def power_ceilings(cfg) -> dict[str, float]:
     return ceiling
 
 
-def over_ceiling(trace: list[str], cfg) -> int:
+def over_ceiling(cfg, trace: list[str]) -> int:
     """How many ``air`` notes of a run carry a power above their source's
     :func:`power_ceilings` value."""
     ceiling = power_ceilings(cfg)
-    count = 0
-    for line in trace:
-        parts = line.split("|")
-        if parts[1] == "air":
-            count += float(parts[5]) > ceiling[parts[3].split(">")[0]]
-    return count
+    airs = (air(fields) for fields in notes(trace) if fields[1] == "air")
+    return sum(a.power > ceiling[a.source] for a in airs)
 
 
 def dcf_saturation_share(frame_airtime_us: int, difs_us: int = 50, slot_us: int = 20,

@@ -13,9 +13,9 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from coexsim.wimax import SsDemand, build_frame_map
-from oracles import (brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     frame_map_violations, line_by_line_hash, outcome_mismatches, over_ceiling,
-                     own_overlaps, power_ceilings, schedule_violations)
+from oracles import (Air, air, brute_force_outcomes, dcf_saturation_share, dcf_violations,
+                     frame_map_violations, line_by_line_hash, notes, outcome_mismatches,
+                     over_ceiling, own_overlaps, power_ceilings, schedule_violations)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -425,9 +425,10 @@ class TestCachedFastPaths:
                 scan = [sid for sid in engine.stations if sid != src and
                         power - medium.link_loss_db(ifaces[src], ifaces[sid])
                         >= ifaces[sid].cca_threshold_dbm]
-                memo = engine._sensers[src, power]
-                assert [rt.node.id for rt in memo] == scan
-                assert engine._sensers[src, power] is memo
+                record = engine._emitters[src, power, None]
+                own = [src] if src in engine.stations else []
+                assert [rt.node.id for rt in record.busy] == own + scan
+                assert engine._emitters[src, power, None] is record
                 coupled += sum(ifaces[src].platform is not None
                                and ifaces[sid].platform == ifaces[src].platform
                                for sid in scan)
@@ -453,9 +454,9 @@ class TestCachedFastPaths:
                         dropped += 1
                     else:
                         scan.append(sid)
-                memo = engine._hearers[src, power]
-                assert [rt.node.id for rt in memo] == scan
-                assert engine._hearers[src, power] is memo
+                record = engine._emitters[src, power, None]
+                assert [rt.node.id for rt in record.hearers] == scan
+                assert engine._emitters[src, power, None] is record
                 kept += len(scan)
         assert kept > 0 and dropped > 0
 
@@ -476,21 +477,19 @@ class TestCachedFastPaths:
                         if ss.reservation is not None and ss.reservation.coordinator]
         for (src, power, dest), record in records.items():
             plat, own = ifaces[src].platform, engine.stations.get(src)
-            sensers = tuple(rt for sid, rt in engine.stations.items() if sid != src and
-                            power - medium.link_loss_db(ifaces[src], ifaces[sid])
-                            >= ifaces[sid].cca_threshold_dbm)
+            sensers, hearers = (tuple(rt for sid, rt in engine.stations.items() if sid != src and
+                                      power - medium.link_loss_db(ifaces[src], ifaces[sid])
+                                      >= getattr(ifaces[sid], level))
+                                for level in ("cca_threshold_dbm", "decode_sensitivity_dbm"))
+            hearers = hearers if dest is None else ()
             monitors = tuple((res, power - medium.link_loss_db(ifaces[src], res.coordinator.iface))
                              for res in coordinators if res.coordinator.iface.platform != plat)
             assert [getattr(record, name) for name in record.__slots__] == [
-                engine._corrupting(src, power, dest), ((own,) if own else ()) + sensers,
-                plat, None if dest is None else ifaces[dest].platform, engine.system_of[src],
-                monitors, f"|{src}>{dest}|", f"|{power}"], (src, power, dest)
-        emitted = set()
-        for line in engine.trace:
-            fields = line.split("|")
-            if fields[1] == "air":
-                src, dest = fields[3].split(">")
-                emitted.add((src, float(fields[5]), None if dest == "None" else dest))
+                engine._corrupting(src, power, dest, hearers), ((own,) if own else ()) + sensers,
+                hearers, plat, None if dest is None else ifaces[dest].platform,
+                engine.system_of[src], monitors, f"|{src}>{dest}|", f"|{power}"], (src, power, dest)
+        emitted = {(a.source, a.power, a.dest)
+                   for a in (air(fields) for fields in notes(engine.trace) if fields[1] == "air")}
         assert emitted == set(records)
         sources = [src for src, _, _ in records]
         assert {src for src in sources if sources.count(src) > 1} == shared
@@ -595,11 +594,11 @@ class TestCorrupterSets:
                     power_dbm=rng.choice((ifaces[src].tx_power_dbm, ceilings[src],
                                           rng.uniform(-30.0, ceilings[src]))), dest=dest))
             for tx in active:
-                corrupters = engine._emitters[tx.source, tx.power_dbm, tx.dest].corrupters
-                kept = [u for u in active if u.source in corrupters]
+                record = engine._emitters[tx.source, tx.power_dbm, tx.dest]
+                kept = [u for u in active if u.source in record.corrupters]
                 dropped += len(active) - len(kept)
                 receivers = ([tx.dest] if tx.dest is not None else
-                             [rt.node.id for rt in engine._hearers[tx.source, tx.power_dbm]])
+                             [rt.node.id for rt in record.hearers])
                 for rid in receivers:
                     args = (ifaces[rid], window, medium, engine._loss_rows[rid])
                     want = delivery_result(tx, active, *args)
@@ -680,7 +679,22 @@ class TestPowerCeilings:
     @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
     def test_shipped_scenario_emits_under_its_ceilings(self, fixture, shipped_run, request):
         engine, _ = shipped_run(fixture)
-        assert over_ceiling(engine.trace, request.getfixturevalue(fixture)) == 0
+        assert over_ceiling(request.getfixturevalue(fixture), engine.trace) == 0
+
+
+class TestNoteReader:
+    def test_air_notes_read_back(self):
+        """The oracles' one reader skips per-event lines and reads each
+        ``air`` note's emission, a CTS's missing addressee as None."""
+        trace = ["1000|air|data|sta>ap|2000|20.0",
+                 "1000|3|access|sta 1",
+                 "5000|air|cts|jam>None|44|-3.5",
+                 "5200|air|wimax-burst|bs>ss1|300|30.0"]
+        got = [air(fields) for fields in notes(trace)]
+        assert got == [Air(1000, 3000, FrameKind.DATA, "sta", "ap", 20.0),
+                       Air(5000, 5044, FrameKind.CTS, "jam", None, -3.5),
+                       Air(5200, 5500, FrameKind.WIMAX_BURST, "bs", "ss1", 30.0)]
+        assert [type(a.kind) for a in got] == [FrameKind] * 3
 
 
 class TestJainIndex:
@@ -731,8 +745,7 @@ class TestEngineBasics:
         engine = Engine(cfg, seed=5)
         result = engine.run()
         stats = result.links["sta->ap"]
-        station = engine.stations["sta"].station
-        queued = sum(f.frame_bytes for f in station.queue)
+        queued = sum(f.frame_bytes for f in engine.stations["sta"].queue)
         dropped = stats.dropped_frames * 1500
         assert stats.offered_bytes == stats.delivered_bytes + dropped + queued
 
@@ -814,7 +827,7 @@ nodes:
             result = engine.run()
             assert [e for e in engine._heap if e[3] == "cts"] == []
             assert result.cts_count == (250_000 - 1000) // NAV_FIELD_CAP_US + 1
-            assert engine.stations["jam"].station.train_until_us == \
+            assert engine.stations["jam"].train_until_us == \
                 1000 + 3051 * NAV_FIELD_CAP_US + engine.dcf.cts_airtime_us
         assert engine.arbiters["jam"].held == {"jam": 1}
 

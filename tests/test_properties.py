@@ -152,7 +152,7 @@ class TestGeneratedScenarios:
         assert dcf_violations(cfg, engine.trace) == 0
         assert outcome_mismatches(cfg, engine.trace) == 0
         # the engine's interferer sets assume no emission passes these ceilings
-        assert over_ceiling(engine.trace, cfg) == 0
+        assert over_ceiling(cfg, engine.trace) == 0
         assert frame_map_violations(cfg, engine.trace) == 0
         if cfg.arbiter.enabled and cfg.arbiter.schedule_aware:
             assert schedule_violations(cfg, engine.trace) == 0

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.medium import FREE_SPACE, MediumModel, PathLossModel, Position, SpillageTable
 from coexsim.reservation import QosTarget
-from coexsim.scenario import (ArbiterConfig, NodeConfig, ReservationConfig,
+from coexsim.scenario import (_SCALARS, ArbiterConfig, NodeConfig, ReservationConfig,
                               ScenarioConfig, ScenarioError, TrafficConfig, WimaxConfig,
-                              emit_scenario, load_scenario, parse_scenario, toggled)
+                              _SpillageEntry, emit_scenario, load_scenario, parse_scenario,
+                              toggled)
 from coexsim.wifi import DcfParams
 from conftest import scenario_path
 
@@ -77,6 +78,24 @@ class TestCanonicalFiles:
         doc = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
         del doc["nodes"]
         assert parse_scenario(yaml.safe_dump(doc)) == parse_scenario("")
+
+
+# section -> (its path, a document that sets one of its fields to {field}: {value})
+_FLOAT_SITES = {
+    MediumModel: ("medium", "medium: {{{field}: {value}}}\n"),
+    PathLossModel: ("medium.path_loss", "medium: {{path_loss: {{{field}: {value}}}}}\n"),
+    _SpillageEntry: ("medium.spillage[0]", "medium: {{spillage: [{{separation_mhz: 20.0, "
+                     "rejection_db: 41.0, {field}: {value}}}]}}\n"),
+    DcfParams: ("wifi", "wifi: {{{field}: {value}}}\n"),
+    WimaxConfig: ("wimax", "wimax: {{{field}: {value}}}\n"),
+    ReservationConfig: ("reservation", "reservation: {{{field}: {value}}}\n"),
+    QosTarget: ("reservation.qos", "reservation: {{qos: {{{field}: {value}}}}}\n"),
+    NodeConfig: ("nodes[0]", "nodes: [{{id: a, position: [0.0, 0.0], {field}: {value}}}]\n"),
+    TrafficConfig: ("nodes[0].traffic", "nodes: [{{id: a, position: [0.0, 0.0], "
+                    "traffic: {{kind: cts-inject, {field}: {value}}}}}]\n"),
+}
+_FLOAT_FIELDS = [(cls, name) for cls, rows in _SCALARS.items()
+                 for name, kind, *_ in rows if kind is float]
 
 
 class TestValidation:
@@ -211,6 +230,16 @@ nodes:
         assert err.value.errors == ["nodes[2].position: same position as 'a' on another "
                                     "platform; radios on one platform set collocated_with"]
         assert parse_scenario(text % ", collocated_with: a").nodes[2].position == Position(0, 0)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+    def test_float_fields_must_be_finite(self, cls, name, value):
+        """NaN passes every bound test, and infinity every one-sided one."""
+        path, text = _FLOAT_SITES[cls]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text.format(field=name, value=value))
+        assert f"{path}.{name}: must be finite" in err.value.errors
 
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):
