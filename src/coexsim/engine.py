@@ -34,8 +34,9 @@ from typing import Optional
 
 from . import arbiter as arb
 from .arbiter import RX, TX
-from .medium import (CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST, FrameKind, MediumModel, Memo,
-                     RadioInterface, Transmission, delivery_result, invert_path_loss)
+from .medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST, FrameKind,
+                     MediumModel, Memo, RadioInterface, Transmission, delivery_result,
+                     invert_path_loss)
 from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train
 from .scenario import ScenarioConfig
 from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
@@ -190,8 +191,8 @@ class _Emitter:
     """What every emission from one source at one power to one addressee
     (None for a CTS) shares, derived once from the static config."""
 
-    __slots__ = ("corrupters", "busy", "hearers", "src_plat", "rx_plat", "system", "monitors",
-                 "pair", "power")
+    __slots__ = ("corrupters", "busy", "hearers", "heard_dbm", "src_plat", "rx_plat", "system",
+                 "monitors", "pair", "power")
 
     def __init__(self, engine: Engine, source: str, power_dbm: float, dest: Optional[str]):
         ifaces, own = engine.interfaces, engine.stations.get(source)
@@ -202,6 +203,9 @@ class _Emitter:
             source, power_dbm, "cca_threshold_dbm")
         self.hearers = (engine._reached(source, power_dbm, "decode_sensitivity_dbm")
                         if dest is None else ())
+        # the power each hearer receives, the rx_power_dbm delivery_result gives
+        self.heard_dbm = tuple(power_dbm - engine._loss_rows[rt.node.id][source]
+                               for rt in self.hearers)
         self.corrupters = engine._corrupting(source, power_dbm, dest, self.hearers)
         self.src_plat = plat = ifaces[source].platform
         self.rx_plat = None if dest is None else ifaces[dest].platform
@@ -276,9 +280,11 @@ class _System:
 
 class _Link:
     """One directed link: its id, its source's system, the queue that feeds
-    it (a WifiStation or a _ByteQueue) and its counters."""
+    it (a WifiStation or a _ByteQueue), its counters and, from its first
+    emission on, its emitter record: every frame of a link has one source,
+    power and addressee."""
 
-    __slots__ = ("id", "src", "dst", "system", "queue", "stats")
+    __slots__ = ("id", "src", "dst", "system", "queue", "stats", "emitter")
 
     def __init__(self, src: str, dst: str, system: _System, queue):
         self.id = f"{src}->{dst}"
@@ -287,6 +293,7 @@ class _Link:
         self.system = system
         self.queue = queue
         self.stats = LinkStats()
+        self.emitter: Optional[_Emitter] = None
 
     def offer(self, now: int, nbytes: int) -> None:
         self.queue.enqueue(now, nbytes)
@@ -398,6 +405,8 @@ class Engine:
                                 wx.preamble_us, wx.ttg_us)
         # a cell's frame plan, filled once per demand vector; see _plan
         self._plans = Memo(self._plan)
+        # frame size -> its WiFi data airtime
+        self._airtimes = Memo(lambda nbytes: data_airtime_us(nbytes, self.dcf.phy_rate_mbps))
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
@@ -775,9 +784,13 @@ class Engine:
                 self.conflict_us += overlap
 
     def _begin_tx(self, rec: _TxRec) -> None:
-        tx = rec.tx
+        tx, link = rec.tx, rec.link
         source = tx.source
-        em = rec.emitter = self._emitters[source, tx.power_dbm, tx.dest]
+        if link is None:  # a CTS chunk
+            em = self._emitters[source, tx.power_dbm, None]
+        elif (em := link.emitter) is None:
+            em = link.emitter = self._emitters[source, tx.power_dbm, tx.dest]
+        rec.emitter = em
         corrupters = em.corrupters
         # an addressee that receives the frame at or above sensitivity, as a
         # non-empty set says, is asked whether it listens
@@ -800,8 +813,8 @@ class Engine:
         self.active[rec] = None
 
         clipped = self._clip(tx.start_us, tx.end_us)
-        if rec.link:
-            rec.link.stats.airtime_us += clipped
+        if link:
+            link.stats.airtime_us += clipped
         # a system's airtime is the union of its emissions; they begin in
         # time order, so only the part after its busy-until is new
         system = em.system
@@ -829,12 +842,17 @@ class Engine:
         for iface_id in rec.holds:
             self.arbiters[iface_id].release(iface_id)
 
-        window = (tx.start_us, tx.end_us)
+        # a frame that nothing overlapped decodes wherever it arrives at or
+        # above sensitivity, as its record says: its corrupter set holds the
+        # addressee, and its hearers each CTS receiver, exactly when they do
+        window, overlappers, em = (tx.start_us, tx.end_us), rec.overlappers, rec.emitter
         if tx.dest is not None:
             if rec.missed:  # the addressee was not listening
                 result = "missed"
+            elif not overlappers:
+                result = DECODED if rec.corrupters else BELOW_SENSITIVITY
             else:
-                result = delivery_result(tx, rec.overlappers, self.interfaces[tx.dest], window,
+                result = delivery_result(tx, overlappers, self.interfaces[tx.dest], window,
                                          self.medium, self._loss_rows[tx.dest]).result
                 if result == CORRUPTED:
                     rec.link.stats.corrupted_frames += 1
@@ -843,25 +861,24 @@ class Engine:
                 self._finish_burst(rec, decoded)
             else:
                 self._finish_wifi_data(rec, decoded)
-            self._note(f"{self.now}|outcome{rec.emitter.pair}{result}")
+            self._note(f"{self.now}|outcome{em.pair}{result}")
 
         # decode-level overhearing (NAV from CTS) at stations not party to the
         # frame; the rest are below sensitivity
         if tx.kind is CTS:
-            for rt in rec.emitter.hearers:
+            for rt, rx_dbm in zip(em.hearers, em.heard_dbm):
                 sid = rt.node.id
-                heard = delivery_result(tx, rec.overlappers, rt.iface, window, self.medium,
-                                        self._loss_rows[sid])
-                if heard.result != DECODED:
+                if overlappers and delivery_result(tx, overlappers, rt.iface, window, self.medium,
+                                                   self._loss_rows[sid]).result != DECODED:
                     continue
                 had_nav = rt.nav_expiry_us
-                if rt.on_overheard(tx, heard.rx_power_dbm, self.now):
+                if rt.on_overheard(tx, rx_dbm, self.now):
                     self._resched[rt.order] = rt
                 if rt.nav_expiry_us != had_nav:
                     self._note(f"{self.now}|nav|{sid}|{rt.nav_expiry_us}")
 
         # neighbourhood monitoring by co-located coordinators, of other platforms
-        for res, rx_dbm in rec.emitter.monitors:
+        for res, rx_dbm in em.monitors:
             res.hear(self.now, tx.source, rx_dbm)
 
         # wake frozen stations
@@ -918,7 +935,7 @@ class Engine:
             return
         sid = rt.node.id
         head = rt.head
-        airtime = data_airtime_us(head.frame_bytes, self.dcf.phy_rate_mbps)
+        airtime = self._airtimes[head.frame_bytes]
         holds: list[str] = []
         if not self._arbiter_request(sid, TX, (self.now, self.now + airtime), holds):
             self._push(self.now + self.cfg.arbiter.retry_us, "retry", sid)

@@ -226,7 +226,9 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
     channel.  A frame's outcome must be :func:`brute_force_outcomes`' verdict
     over the frame and the emissions that overlap it, except that a frame
     whose addressee was denied receive when it began (an
-    ``arb|<dest>|RX|deny`` note at its start) must read ``missed``.
+    ``arb|<dest>|RX|deny`` note at its start) must read ``missed``.  An
+    outcome with no unmatched ``air`` note of its pair ending at its time
+    counts as one mismatch.
     """
     interfaces = cfg.interfaces()
     medium = cfg.medium
@@ -251,7 +253,11 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
             starts.append(a.start)
             longest = max(longest, a.end - a.start)
         elif fields[1] == "outcome":  # start|outcome|source>dest|result
-            index, tx = frames[(fields[2], int(fields[0]))].pop(0)
+            pending = frames.get((fields[2], int(fields[0])))
+            if not pending:  # no air note of its pair ends at its time
+                count += 1
+                continue
+            index, tx = pending.pop(0)
             if (tx.start_us, tx.dest) in denied:
                 want = "missed"
             else:

@@ -348,6 +348,23 @@ class TestOutcomeReplay:
         assert ("missed" in results) == (fixture == "colocated_cfg")
         assert outcome_mismatches(cfg, engine.trace) == 0
 
+    def test_a_dropped_or_doubled_frame_is_a_mismatch(self, conference_cfg):
+        """A trace without the ``air`` note of a decoded frame, or with it
+        twice, reads at least one mismatch: the frame's outcome has no
+        emission left to match, or its copy corrupts it."""
+        cfg = replace(conference_cfg, duration_us=2_000_000)
+        engine, _ = traced_run(cfg)
+        trace = engine.trace
+        decoded = {(fields[2], int(fields[0])) for fields in notes(trace)
+                   if fields[1] == "outcome" and fields[3] == DECODED}
+        i = next(i for i, line in enumerate(trace)
+                 if (fields := line.split("|"))[1] == "air"
+                 and (fields[3], int(fields[0]) + int(fields[4])) in decoded)
+        dropped = trace[:i] + trace[i + 1:]
+        doubled = trace[:i + 1] + trace[i:]
+        assert outcome_mismatches(cfg, dropped) >= 1
+        assert outcome_mismatches(cfg, doubled) >= 1
+
 
 # The reach memo's distance bound at its edges: free-space loss, per-node
 # thresholds, two channels, radios under 1 m apart on different platforms
@@ -482,15 +499,21 @@ class TestCachedFastPaths:
                                       >= getattr(ifaces[sid], level))
                                 for level in ("cca_threshold_dbm", "decode_sensitivity_dbm"))
             hearers = hearers if dest is None else ()
+            heard = tuple(power - medium.link_loss_db(ifaces[src], rt.iface) for rt in hearers)
             monitors = tuple((res, power - medium.link_loss_db(ifaces[src], res.coordinator.iface))
                              for res in coordinators if res.coordinator.iface.platform != plat)
             assert [getattr(record, name) for name in record.__slots__] == [
                 engine._corrupting(src, power, dest, hearers), ((own,) if own else ()) + sensers,
-                hearers, plat, None if dest is None else ifaces[dest].platform,
+                hearers, heard, plat, None if dest is None else ifaces[dest].platform,
                 engine.system_of[src], monitors, f"|{src}>{dest}|", f"|{power}"], (src, power, dest)
         emitted = {(a.source, a.power, a.dest)
                    for a in (air(fields) for fields in notes(engine.trace) if fields[1] == "air")}
         assert emitted == set(records)
+        # a link keeps the very record of its key from its first emission on
+        kept = [link for link in engine._links() if link.emitter is not None]
+        assert kept
+        for link in kept:
+            assert link.emitter is records[link.src, ifaces[link.src].tx_power_dbm, link.dst]
         sources = [src for src, _, _ in records]
         assert {src for src in sources if sources.count(src) > 1} == shared
 
@@ -605,6 +628,59 @@ class TestCorrupterSets:
                     assert delivery_result(tx, kept, *args) == want
                     seen.add(want.result)
         assert CORRUPTED in seen and DECODED in seen and dropped > 0
+
+
+# Frames that nothing overlaps, at the decode-sensitivity bound.  With
+# log-distance exponent 3, bs's 30 dBm bursts reach a -90 dBm station within
+# 10^(79.95/30) = 462.381 m, and jam's 20 dBm CTS a -85 dBm one within
+# 10^(64.95/30) = 146.218 m.  ss_in and inner sit 0.05 m inside those radii,
+# ss_out and outer 0.05 m outside.  Bursts fill the first 3 ms of each 5 ms
+# frame and each CTS starts 4 ms into one, so no two emissions overlap.
+SENSITIVITY_EDGES = """
+duration_us: 100000
+warmup_us: 0
+medium: {path_loss: {kind: log-distance, exponent: 3.0}}
+nodes:
+  - {id: bs, kind: wimax-bs, position: [0.0, 0.0]}
+  - {id: ss_in, kind: wimax-ss, position: [462.331, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_bytes_per_s: 100000}}
+  - {id: ss_out, kind: wimax-ss, position: [-462.431, 0.0], bs: bs,
+     traffic: {kind: wimax, dl_bytes_per_s: 100000}}
+  - {id: jam, kind: wifi, position: [5000.0, 0.0],
+     traffic: {kind: cts-inject, at_us: 4000, repeat_us: 5000, reservation_us: 500}}
+  - {id: inner, kind: wifi, position: [5146.168, 0.0]}
+  - {id: outer, kind: wifi, position: [4853.732, 0.0]}
+"""
+
+
+class TestSensitivityEdges:
+    def test_unoverlapped_frames_follow_the_decode_rule(self):
+        """Every outcome of a frame that nothing overlapped is the decode
+        rule's over no overlappers, and only the hearer inside the radius
+        takes a CTS's NAV."""
+        cfg = parse_scenario(SENSITIVITY_EDGES)
+        engine, _ = traced_run(cfg)
+        ifaces, medium = engine.interfaces, engine.medium
+        fields = list(notes(engine.trace))
+        emissions = [air(f) for f in fields if f[1] == "air"]
+        spans = sorted((a.start, a.end) for a in emissions)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        assert {a.kind for a in emissions} == {FrameKind.CTS, FrameKind.WIMAX_BURST}
+        frames = {(f"{a.source}>{a.dest}", a.end): a for a in emissions if a.dest is not None}
+        results = {}
+        for f in fields:
+            if f[1] != "outcome":
+                continue
+            a = frames[(f[2], int(f[0]))]
+            tx = Transmission(a.source, a.kind, a.start, a.end - a.start, a.power, dest=a.dest)
+            rx = ifaces[a.dest]
+            want = delivery_result(tx, [], rx, (a.start, a.end), medium,
+                                   {a.source: medium.link_loss_db(ifaces[a.source], rx)})
+            assert f[3] == want.result, f
+            results.setdefault(a.dest, set()).add(f[3])
+        assert results == {"ss_in": {DECODED}, "ss_out": {BELOW_SENSITIVITY}}
+        assert {f[2] for f in fields if f[1] == "nav"} == {"inner"}
+        assert outcome_mismatches(cfg, engine.trace) == 0
 
 
 class TestFramePlans:
