@@ -29,7 +29,7 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import arbiter as arb
@@ -39,8 +39,7 @@ from .medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BUR
                      invert_path_loss)
 from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train
 from .scenario import ScenarioConfig
-from .wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, WifiStation,
-                   data_airtime_us)
+from .wifi import OUTCOME_DROP, OUTCOME_RETRY, WifiStation, data_airtime_us
 from .wimax import DL, UL, SsDemand, build_frame_map
 
 P_END = 0      # frame ends, deliveries, NAV updates, releases
@@ -122,11 +121,12 @@ class LinkStats:
     retransmissions: int = 0
     dropped_frames: int = 0
     airtime_us: int = 0
-    delay_samples: list = field(default_factory=list)
+    # the delivered frames' delays: how many, their sum and their maximum
+    delay_count: int = 0
+    delay_sum_us: int = 0
+    max_delay_us: int = 0
 
     def to_dict(self, measure_us: int) -> dict:
-        mean_delay = (sum(self.delay_samples) / len(self.delay_samples)
-                      if self.delay_samples else 0.0)
         return {
             "offered_bytes": self.offered_bytes,
             "delivered_bytes": self.delivered_bytes,
@@ -136,8 +136,8 @@ class LinkStats:
             "airtime_us": self.airtime_us,
             "airtime_share": self.airtime_us / measure_us if measure_us else 0.0,
             "throughput_bytes_per_s": self.delivered_bytes * 1e6 / measure_us if measure_us else 0.0,
-            "mean_delay_us": mean_delay,
-            "delay_samples": list(self.delay_samples),
+            "mean_delay_us": self.delay_sum_us / self.delay_count if self.delay_count else 0.0,
+            "max_delay_us": self.max_delay_us,
         }
 
 
@@ -593,8 +593,13 @@ class Engine:
                                    airtime_us=link.stats.airtime_us)
 
     def _count_delivery(self, link: _Link, nbytes: int, delays: list[int]) -> None:
-        link.stats.delivered_bytes += nbytes
-        link.stats.delay_samples.extend(delays)
+        stats = link.stats
+        stats.delivered_bytes += nbytes
+        for delay in delays:
+            stats.delay_count += 1
+            stats.delay_sum_us += delay
+            if delay > stats.max_delay_us:
+                stats.max_delay_us = delay
         link.system.delivered_cum += nbytes
 
     # ------------------------------------------------------------------ traffic
@@ -903,19 +908,20 @@ class Engine:
     def _finish_wifi_data(self, rec: _TxRec, decoded: bool) -> None:
         link = rec.link
         rt = self.stations[link.src]
+        res = rt.on_tx_outcome(decoded, self.now)
         if decoded:
-            delay = self.now - rt.head.enqueued_us
-            res = rt.on_tx_outcome(True, self.now)
-            self._count_delivery(link, rec.served_bytes, [delay])
-        else:
-            res = rt.on_tx_outcome(False, self.now)
-            if res == OUTCOME_RETRY:
-                link.stats.retransmissions += 1
-                link.system.retx_cum += 1
-            elif res == OUTCOME_DROP:
-                link.stats.dropped_frames += 1
-        if rt.node.traffic.kind == "saturated" and res in (OUTCOME_DONE, OUTCOME_DROP):
-            link.offer(self.now, rt.node.traffic.frame_bytes)
+            self._count_delivery(link, rec.served_bytes, [self.now - rt.head_us])
+        elif res == OUTCOME_RETRY:
+            link.stats.retransmissions += 1
+            link.system.retx_cum += 1
+        elif res == OUTCOME_DROP:
+            link.stats.dropped_frames += 1
+        if res != OUTCOME_RETRY:  # the frame left
+            t = rt.node.traffic
+            if t.kind == "saturated":  # it holds one frame; the next comes now
+                link.offer(self.now, t.frame_bytes)
+            else:  # paced frames arrive every interval from time 0
+                rt.head_us += t.interval_us
         self._schedule_access(rt)
 
     # ------------------------------------------------------------------ wifi access
@@ -934,8 +940,7 @@ class Engine:
         if not rt.take_attempt(token):
             return
         sid = rt.node.id
-        head = rt.head
-        airtime = self._airtimes[head.frame_bytes]
+        airtime = self._airtimes[rt.frame_bytes]
         holds: list[str] = []
         if not self._arbiter_request(sid, TX, (self.now, self.now + airtime), holds):
             self._push(self.now + self.cfg.arbiter.retry_us, "retry", sid)
@@ -944,7 +949,7 @@ class Engine:
         tx = Transmission(source=sid, kind=DATA, start_us=self.now,
                           airtime_us=airtime, power_dbm=rt.iface.tx_power_dbm,
                           dest=rt.node.peer)
-        self._begin_tx(_TxRec(tx, holds, rt.link, head.frame_bytes))
+        self._begin_tx(_TxRec(tx, holds, rt.link, rt.frame_bytes))
 
     def _on_retry(self, sid: str) -> None:
         self._schedule_access(self.stations[sid])

@@ -20,6 +20,8 @@ _FSPL_CONST_DB = 27.55
 
 FREE_SPACE = "free-space"
 LOG_DISTANCE = "log-distance"
+# the largest magnitude of a coordinate; squared distances stay far from overflow
+POSITION_LIMIT_M = 1e6
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,8 @@ class Position:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("coordinates must be finite")
+        if not (abs(self.x) <= POSITION_LIMIT_M and abs(self.y) <= POSITION_LIMIT_M):
+            raise ValueError(f"coordinates must be finite, within {POSITION_LIMIT_M:,.0f} m of 0")
 
     def distance_to(self, other: "Position") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .medium import CTS, DATA, FrameKind, RadioInterface, Transmission
@@ -37,12 +36,6 @@ def data_airtime_us(frame_bytes: int, phy_rate_mbps: float) -> int:
     return max(1, math.ceil(frame_bytes * 8 / phy_rate_mbps))
 
 
-@dataclass
-class QueuedFrame:
-    enqueued_us: int
-    frame_bytes: int
-
-
 OUTCOME_DONE = "done"
 OUTCOME_RETRY = "retry"
 OUTCOME_DROP = "drop"
@@ -61,7 +54,8 @@ class WifiStation:
         self.contention_window = params.cw_min
         self.pending_slots = 0
         self.retry_count = 0
-        self.queue: deque[QueuedFrame] = deque()
+        # its queue: how many frames wait (the head too), their one size, and when the head came
+        self.queued = self.frame_bytes = self.head_us = 0
         # current access attempt: (token, contend_begin, planned_start)
         self._attempt: tuple[int, int, int] | None = None
         self._token = 0
@@ -70,15 +64,14 @@ class WifiStation:
     # -- queue ---------------------------------------------------------
 
     def enqueue(self, now_us: int, frame_bytes: int) -> None:
-        self.queue.append(QueuedFrame(now_us, frame_bytes))
-
-    @property
-    def head(self) -> QueuedFrame | None:
-        return self.queue[0] if self.queue else None
+        if not self.queued:
+            self.head_us = now_us
+        self.queued += 1
+        self.frame_bytes = frame_bytes
 
     @property
     def queued_bytes(self) -> int:
-        return sum(f.frame_bytes for f in self.queue)
+        return self.queued * self.frame_bytes
 
     # -- medium observations --------------------------------------------
 
@@ -137,7 +130,7 @@ class WifiStation:
         The start accounts for medium busy (the radio's own CTS train
         included), NAV, a DIFS of idle air and the remaining backoff slots.
         """
-        if self._attempt is not None or not self.queue or self.transmitting:
+        if self._attempt is not None or not self.queued or self.transmitting:
             return None
         contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
         start = contend + self.params.difs_us + self.pending_slots * self.params.slot_us
@@ -176,7 +169,7 @@ class WifiStation:
         if outcome == OUTCOME_RETRY:
             self.contention_window = min(self.contention_window * 2 + 1, self.params.cw_max)
         else:  # the frame leaves the queue, acked or out of retries
-            self.queue.popleft()
+            self.queued -= 1
             self.contention_window = self.params.cw_min
             self.retry_count = 0
         self.pending_slots = self.rng.randint(0, self.contention_window)

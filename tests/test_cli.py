@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import coexsim
 from coexsim.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
                          compare_command, main, run_command)
 from coexsim.engine import Engine
+from coexsim.medium import POSITION_LIMIT_M
 from conftest import scenario_path
 from oracles import line_by_line_hash
 
@@ -33,7 +35,7 @@ class TestRunCommand:
         link = report["links"]["node2->ap"]
         for key in ("offered_bytes", "delivered_bytes", "corrupted_frames",
                     "retransmissions", "dropped_frames", "airtime_us",
-                    "delay_samples", "throughput_bytes_per_s"):
+                    "max_delay_us", "throughput_bytes_per_s"):
             assert key in link
         assert "fairness_index" in report
         assert "trace_hash" in report
@@ -220,6 +222,31 @@ class TestMain:
                        "  - {id: b, kind: wifi, position: [0.0, 0.0]}\n")
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert "nodes[1].position" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("value, code", [
+        (POSITION_LIMIT_M, EXIT_OK), (-POSITION_LIMIT_M, EXIT_OK),
+        (math.nextafter(POSITION_LIMIT_M, math.inf), EXIT_VALIDATION),
+        (-math.nextafter(POSITION_LIMIT_M, math.inf), EXIT_VALIDATION),
+    ], ids=["at", "at-neg", "past", "past-neg"])
+    def test_positions_past_the_bound_are_a_validation_error(self, tmp_path, capsys, axis,
+                                                             value, code):
+        # accepted by earlier versions: an access point at [1.0e+160, 0.0]
+        # overflowed a squared distance, and the run exited 3
+        position = [3.0, 3.0]
+        position[axis] = value
+        scene = tmp_path / "far.yaml"
+        scene.write_text("duration_us: 20000\nwarmup_us: 0\nnodes:\n"
+                         "  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap,"
+                         " traffic: {kind: saturated}}\n"
+                         f"  - {{id: ap, kind: wifi, position: [{position[0]!r},"
+                         f" {position[1]!r}]}}\n")
+        assert main(["run", str(scene), "--out", os.devnull]) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+        else:
+            assert lines and all(line.startswith("error: nodes[1].position: ") for line in lines)
 
     @pytest.mark.parametrize("node_id", ["sta|1", "ss->1", "a>", "None"])
     def test_separator_in_a_node_id_is_a_validation_error(self, tmp_path, capsys, node_id):

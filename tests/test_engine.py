@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -26,6 +28,16 @@ nodes:
      traffic: {kind: saturated, frame_bytes: 1500}}
   - {id: ap, kind: wifi, position: [5.0, 0.0], system: cell, traffic: {kind: none}}
 """
+
+# a paced station offered a frame every 10 us, far past what the air carries
+OVER_CAPACITY = """
+warmup_us: 0
+nodes:
+  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap,
+     traffic: {kind: paced, interval_us: 10}}
+  - {id: ap, kind: wifi, position: [3.0, 0.0]}
+"""
+
 
 # one system, two saturated pairs out of each other's carrier sense range
 FAR_PAIRS = """
@@ -165,7 +177,7 @@ nodes:
   - {id: ap2, kind: wifi, position: [-3.0, 2.5], system: wifi-b}
 """
 TWO_SS_HASH = "14d4c09dcfd5ebb99b62392732c1195d8f63b1dcfea401c8b7d01f407223b229"
-TWO_SS_REPORT = "c6c12127c648971eee60eac535548474a22aec5543f9d0b2525f9ad2fb536ffc"
+TWO_SS_REPORT = "be56051dd9346074f952c54b39de693349dcffea1451e80147b165018c3dfcbc"
 
 # A coordinator that sends data to its peer and CTS trains whose
 # reservation passes the 32767 us duration cap, so each train has several
@@ -821,9 +833,23 @@ class TestEngineBasics:
         engine = Engine(cfg, seed=5)
         result = engine.run()
         stats = result.links["sta->ap"]
-        queued = sum(f.frame_bytes for f in engine.stations["sta"].queue)
+        queued = engine.stations["sta"].queued * 1500
         dropped = stats.dropped_frames * 1500
         assert stats.offered_bytes == stats.delivered_bytes + dropped + queued
+
+    def test_backlogged_paced_delays(self):
+        """An over-capacity paced station sends its frames in arrival order,
+        and nothing corrupts them: the k-th outcome (from 0) is the frame that
+        arrived at 10k us, and its delay is its outcome time less that."""
+        cfg = replace(parse_scenario(OVER_CAPACITY), duration_us=200_000)
+        engine = Engine(cfg, seed=1, collect_trace=True)
+        stats = engine.run().links["sta->ap"]
+        outcomes = [fields for fields in notes(engine.trace) if fields[1] == "outcome"]
+        assert len(outcomes) > 50
+        assert {fields[3] for fields in outcomes} == {DECODED}
+        delays = [int(fields[0]) - 10 * k for k, fields in enumerate(outcomes)]
+        assert (stats.delay_count, stats.delay_sum_us, stats.max_delay_us) == \
+            (len(delays), sum(delays), max(delays))
 
     def test_system_airtime_is_the_union_of_its_emissions(self):
         """Two pairs of one system that transmit at once count their common
@@ -907,6 +933,29 @@ nodes:
                 1000 + 3051 * NAV_FIELD_CAP_US + engine.dcf.cts_airtime_us
         assert engine.arbiters["jam"].held == {"jam": 1}
 
+    def test_chunk_starting_at_the_run_end_flies(self):
+        """A chunk that starts exactly at ``duration_us`` goes on air, as
+        every event at the end time runs: the cut run's notes are those of a
+        longer run up to that time.  ``jam`` senses the pair's first frame,
+        so its train starts at 2050 us, one chunk every 32767 us."""
+        text = """
+warmup_us: 0
+nodes:
+  - {id: jam, kind: wifi, position: [0.0, 0.0],
+     traffic: {kind: cts-inject, at_us: 1000, reservation_us: 200000}}
+  - {id: sta, kind: wifi, position: [2.0, 0.0], peer: ap, traffic: {kind: saturated}}
+  - {id: ap, kind: wifi, position: [4.0, 0.0]}
+"""
+        end = 2050 + 2 * NAV_FIELD_CAP_US
+        runs = []
+        for duration in (end, 400_000):
+            engine = Engine(parse_scenario(f"duration_us: {duration}" + text), seed=1,
+                            collect_trace=True)
+            engine.run()
+            runs.append([fields for fields in notes(engine.trace) if int(fields[0]) <= end])
+        assert runs[0] == runs[1]
+        assert runs[0][-1] == [str(end), "air", "cts", "jam>None", "44", "20.0"]
+
     def test_wimax_paced_rates_are_exact_over_the_run(self):
         """Each 10 ms tick offers what the rate owes by its end less what it
         owed at its start: the 201 ticks of a 2 s run offer 2.01 s of each
@@ -958,6 +1007,32 @@ nodes:
   - {id: bs_wifi, kind: wifi, position: [0.0, 0.0], collocated_with: bs}
   - {id: ap, kind: wifi, position: [5.0, 0.0], peer: bs_wifi, traffic: {kind: saturated}}
 """
+
+
+def untraced_peak_bytes(cfg: ScenarioConfig) -> int:
+    """The tracemalloc peak of building and running an untraced engine."""
+    gc.collect()  # garbage left by earlier tests would be freed at an arbitrary point
+    tracemalloc.start()
+    try:
+        Engine(cfg, seed=1).run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("scene, short_us", [("over_capacity", 300_000),
+                                                 ("colocated", 3_000_000)])
+    def test_peak_does_not_grow_with_the_run(self, scene, short_us, colocated_cfg):
+        """Twice the run takes at most 10 % more memory at its peak.  Earlier
+        versions kept a record per queued WiFi frame and per delivered
+        frame's delay: the over-capacity station's peak doubled (3.9 to
+        7.7 MB) and colocated's grew 38 % (206 to 285 KB); now they grow by
+        about 1 KB and 7 KB, the latter as the frame plans fill."""
+        cfg = parse_scenario(OVER_CAPACITY) if scene == "over_capacity" else colocated_cfg
+        short, long = (untraced_peak_bytes(replace(cfg, duration_us=d))
+                       for d in (short_us, 2 * short_us))
+        assert long <= 1.1 * short, (short, long)
 
 
 class TestArbitratedRuns:

@@ -190,7 +190,7 @@ class TestTxOutcome:
         assert st_.on_tx_outcome(True, 2000) == OUTCOME_DONE
         assert st_.retry_count == 0
         assert st_.contention_window == PARAMS.cw_min
-        assert not st_.queue
+        assert not st_.queued
 
     def test_no_ack_doubles_window(self):
         st_ = make_station()
@@ -198,7 +198,7 @@ class TestTxOutcome:
         assert st_.on_tx_outcome(False, 2000) == OUTCOME_RETRY
         assert st_.contention_window == 31
         assert st_.retry_count == 1
-        assert len(st_.queue) == 1  # frame stays queued for retry
+        assert st_.queued == 1  # frame stays queued for retry
 
     def test_drop_past_retry_limit(self):
         st_ = make_station()
@@ -206,7 +206,7 @@ class TestTxOutcome:
         results = [st_.on_tx_outcome(False, 0) for _ in range(PARAMS.retry_limit + 1)]
         assert results[:-1] == [OUTCOME_RETRY] * PARAMS.retry_limit
         assert results[-1] == OUTCOME_DROP
-        assert not st_.queue
+        assert not st_.queued
         assert st_.retry_count == 0
         assert st_.contention_window == PARAMS.cw_min
 
