@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from typing import Callable, Optional
 
-from .engine import Engine, RunResult, run
+from .engine import Engine, LinkStats, RunResult, run
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, toggled
 
 EXIT_OK = 0
@@ -45,10 +45,8 @@ def render_run_csv(result: RunResult) -> str:
                         + [""] * len(_SUMMARY_COLUMNS))
         for k in _SUMMED_COLUMNS:
             totals[k] += st[k]
-    measure = d["duration_us"] - d["warmup_us"]
-    writer.writerow(["TOTAL", *totals.values(),
-                     totals["airtime_us"] / measure if measure else 0.0,
-                     totals["delivered_bytes"] * 1e6 / measure if measure else 0.0, "",
+    total = LinkStats(**totals).to_dict(result.measure_us)
+    writer.writerow(["TOTAL", *(total[k] for k in _LINK_COLUMNS[1:-1]), "",
                      *(d[k] for k in _SUMMARY_COLUMNS)])
     return buf.getvalue()
 
@@ -133,10 +131,11 @@ def _execute(scenario_path: str, work: Callable[[ScenarioConfig], None],
             print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     if duration_us is not None:
-        if duration_us <= cfg.warmup_us:
-            print("error: duration override must exceed the warm-up", file=sys.stderr)
+        try:
+            cfg = replace(cfg, duration_us=duration_us)
+        except ValueError as exc:  # the config checks its window
+            print(f"error: --duration-us: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        cfg = replace(cfg, duration_us=duration_us)
     try:
         work(cfg)
     except Exception as exc:  # the command-line boundary: one line, never a traceback

@@ -134,8 +134,8 @@ class LinkStats:
             "retransmissions": self.retransmissions,
             "dropped_frames": self.dropped_frames,
             "airtime_us": self.airtime_us,
-            "airtime_share": self.airtime_us / measure_us if measure_us else 0.0,
-            "throughput_bytes_per_s": self.delivered_bytes * 1e6 / measure_us if measure_us else 0.0,
+            "airtime_share": self.airtime_us / measure_us,
+            "throughput_bytes_per_s": self.delivered_bytes * 1e6 / measure_us,
             "mean_delay_us": self.delay_sum_us / self.delay_count if self.delay_count else 0.0,
             "max_delay_us": self.max_delay_us,
         }
@@ -172,10 +172,9 @@ class RunResult:
             "systems": {
                 sys: {
                     "airtime_us": air,
-                    "share": air / measure if measure else 0.0,
+                    "share": air / measure,
                     "delivered_bytes": self.system_delivered_bytes[sys],
-                    "throughput_bytes_per_s": (self.system_delivered_bytes[sys] * 1e6 / measure
-                                               if measure else 0.0),
+                    "throughput_bytes_per_s": self.system_delivered_bytes[sys] * 1e6 / measure,
                 }
                 for sys, air in sorted(self.system_airtime_us.items())
             },
@@ -301,12 +300,14 @@ class _Link:
 
 
 class _WifiRt(WifiStation):
-    """A WiFi station with its node, its config order among the WiFi
-    stations and its link, whose queue is the station itself."""
+    """A WiFi station with its node, its data frames' airtime, its config
+    order among the WiFi stations and its link, whose queue is the station
+    itself."""
 
     def __init__(self, node, iface: RadioInterface, params, rng, order: int, system: _System):
         super().__init__(iface, params, rng)
         self.node = node
+        self.airtime_us = data_airtime_us(node.traffic.frame_bytes, params.phy_rate_mbps)
         self.order = order
         self.link = _Link(node.id, node.peer, system, self) if node.peer else None
 
@@ -405,8 +406,6 @@ class Engine:
                                 wx.preamble_us, wx.ttg_us)
         # a cell's frame plan, filled once per demand vector; see _plan
         self._plans = Memo(self._plan)
-        # frame size -> its WiFi data airtime
-        self._airtimes = Memo(lambda nbytes: data_airtime_us(nbytes, self.dcf.phy_rate_mbps))
 
         # (platform, controller, loss row) of each coordinator; it hears other platforms
         self._monitors = [(res.coordinator.iface.platform, res,
@@ -940,7 +939,7 @@ class Engine:
         if not rt.take_attempt(token):
             return
         sid = rt.node.id
-        airtime = self._airtimes[rt.frame_bytes]
+        airtime = rt.airtime_us
         holds: list[str] = []
         if not self._arbiter_request(sid, TX, (self.now, self.now + airtime), holds):
             self._push(self.now + self.cfg.arbiter.retry_us, "retry", sid)

@@ -19,8 +19,7 @@ from typing import Any, Optional, get_args, get_type_hints
 
 import yaml
 
-from .medium import (FREE_SPACE, MediumModel, PathLossModel, Position, RadioInterface,
-                     SpillageTable)
+from .medium import MediumModel, PathLossModel, Position, RadioInterface, SpillageTable
 from .reservation import QosTarget
 from .wifi import DcfParams
 
@@ -143,6 +142,10 @@ class ScenarioConfig:
     reservation: ReservationConfig = field(default_factory=ReservationConfig)
     arbiter: ArbiterConfig = field(default_factory=ArbiterConfig)
     nodes: tuple[NodeConfig, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.warmup_us >= self.duration_us:
+            raise ValueError("warm-up must be shorter than the run")
 
     @cached_property
     def _by_id(self) -> dict[str, NodeConfig]:
@@ -287,13 +290,8 @@ def _section(w: _Walker, raw: Any, path: str, cls: type) -> Any:
 def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
     m = w.mapping(raw, "medium", _KEYS[MediumModel])
     pl_raw = w.mapping(m.get("path_loss"), "medium.path_loss", _KEYS[PathLossModel])
-    pl = _scalars(w, pl_raw, "medium.path_loss", PathLossModel)
-    pinned = PathLossModel.exponent
-    if pl["kind"] == FREE_SPACE and pl["exponent"] != pinned:
-        w.fail("medium.path_loss.exponent", f"free-space pins the exponent to {pinned}")
-        pl["exponent"] = pinned
     try:
-        path_loss = PathLossModel(**pl)
+        path_loss = PathLossModel(**_scalars(w, pl_raw, "medium.path_loss", PathLossModel))
     except ValueError as exc:
         w.fail("medium.path_loss", str(exc))
         path_loss = PathLossModel()
@@ -422,9 +420,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError([f"(syntax): {exc}"]) from exc
     w = _Walker()
     top = w.mapping(raw, "(top)", _KEYS[ScenarioConfig])
-    run = _scalars(w, top, "(top)", ScenarioConfig)
-    if run["warmup_us"] >= run["duration_us"]:
-        w.fail("warmup_us", "warm-up must be shorter than the run")
+    try:  # the sections go in at the end
+        cfg = ScenarioConfig(**_scalars(w, top, "(top)", ScenarioConfig))
+    except ValueError as exc:
+        w.fail("warmup_us", str(exc))
+        cfg = ScenarioConfig()
 
     medium = _parse_medium(w, top.get("medium"))
 
@@ -465,8 +465,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     if w.errors:
         raise ScenarioError(w.errors)
-    return ScenarioConfig(medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
-                          arbiter=arbiter, nodes=tuple(nodes), **run)
+    return replace(cfg, medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
+                   arbiter=arbiter, nodes=tuple(nodes))
 
 
 def load_scenario(path: str) -> ScenarioConfig:

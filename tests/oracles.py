@@ -5,7 +5,8 @@ by walking every microsecond, DCF saturation throughput comes from plain
 slot accounting, and co-located conflict time, a radio's overlaps with its
 own emissions, DCF rule violations, delivery outcomes, grants over
 scheduled WiMAX bursts, WiMAX bursts outside their frame's layout,
-emissions above their source's power ceiling and the trace hash are read
+emissions above their source's power ceiling, the report's airtimes,
+corrupted frames and CTS counters, NAV updates and the trace hash are read
 back from a run's trace, through one reader of its behaviour notes
 (:func:`notes`, :func:`air`).
 """
@@ -218,6 +219,17 @@ def dcf_violations(cfg, trace: list[str]) -> int:
     return count
 
 
+def _overlapping(quiet: list[Transmission], starts: list[int], longest: int,
+                 index: int) -> list[Transmission]:
+    """The emissions of ``quiet`` that overlap ``quiet[index]``, itself
+    left out; ``quiet`` is in start order, ``starts`` holds its starts and
+    none of it lasts longer than ``longest``."""
+    tx = quiet[index]
+    lo = bisect.bisect_left(starts, tx.start_us - longest)
+    hi = bisect.bisect_left(starts, tx.end_us)
+    return [u for i, u in enumerate(quiet[lo:hi], lo) if i != index and u.end_us > tx.start_us]
+
+
 def outcome_mismatches(cfg, trace: list[str]) -> int:
     """How many ``outcome`` notes of a run disagree with the per-microsecond
     oracle.
@@ -261,14 +273,97 @@ def outcome_mismatches(cfg, trace: list[str]) -> int:
             if (tx.start_us, tx.dest) in denied:
                 want = "missed"
             else:
-                lo = bisect.bisect_left(starts, tx.start_us - longest)
-                hi = bisect.bisect_left(starts, tx.end_us)
-                others = [u for i, u in enumerate(quiet[lo:hi], lo)
-                          if i != index and u.end_us > tx.start_us]
+                others = _overlapping(quiet, starts, longest, index)
                 want = brute_force_outcomes([tx] + others, interfaces,
                                             (tx.start_us, tx.end_us), medium)[0].result
             count += fields[3] != want
     return count
+
+
+def nav_violations(cfg, trace: list[str]) -> int:
+    """How many ``nav`` notes of a run break a NAV rule.
+
+    Each station's expiries must strictly increase, since a CTS that does
+    not move the NAV leaves no note.  A note at t must sit at the end of a
+    CTS from another source, ending at t, that the station decodes by
+    :func:`brute_force_outcomes` over the emissions that overlap it.  A note
+    counts once, however many rules it breaks.
+    """
+    interfaces = cfg.interfaces()
+    quiet, starts, longest = [], [], 0  # every emission, in start order
+    ends: dict[int, list[int]] = {}  # end -> the index of each CTS ending then
+    expiry: dict[str, int] = {}  # station -> its last NAV expiry
+    count = 0
+    for fields in notes(trace):
+        if fields[1] == "air":
+            a = air(fields)
+            if a.kind is FrameKind.CTS:
+                ends.setdefault(a.end, []).append(len(quiet))
+            quiet.append(Transmission(source=a.source, kind=a.kind, start_us=a.start,
+                                      airtime_us=a.end - a.start, power_dbm=a.power))
+            starts.append(a.start)
+            longest = max(longest, a.end - a.start)
+        elif fields[1] == "nav":  # time|nav|station|expiry_us
+            sid, until = fields[2], int(fields[3])
+            bad = until <= expiry.get(sid, 0)
+            expiry[sid] = until
+            decoded = False
+            for index in ends.get(int(fields[0]), ()):
+                cts = quiet[index]
+                if cts.source == sid:
+                    continue
+                others = _overlapping(quiet, starts, longest, index)
+                heard = brute_force_outcomes([cts._replace(dest=sid)] + others, interfaces,
+                                             (cts.start_us, cts.end_us), cfg.medium)[0]
+                decoded = decoded or heard.result == DECODED
+            count += bad or not decoded
+    return count
+
+
+def report_mismatches(cfg, trace: list[str], report: dict) -> list[str]:
+    """The values of a run's report (``RunResult.to_dict()``) that its
+    trace does not give back, each named by its path in the report.
+
+    From the ``air`` notes: each link's ``airtime_us``, its frames clipped
+    to the measured window; each system's ``airtime_us``, the union of its
+    sources' emissions clipped to the window; ``cts_count`` and
+    ``cts_airtime_us``, over the whole run.  From the ``outcome`` notes at
+    or after ``warmup_us``: each link's ``corrupted_frames``.  A link that
+    the trace names but the report lacks is a mismatch too.
+    """
+    w0, w1 = cfg.warmup_us, cfg.duration_us
+    system = {n.id: n.system for n in cfg.nodes}
+    want = {}
+    for lid in report["links"]:
+        want[f"links.{lid}.airtime_us"] = want[f"links.{lid}.corrupted_frames"] = 0
+    spans = {name: [] for name in report["systems"]}  # system -> (start, end) of each emission
+    want["cts_count"] = want["cts_airtime_us"] = 0
+    for fields in notes(trace):
+        if fields[1] == "air":
+            a = air(fields)
+            spans.setdefault(system[a.source], []).append((a.start, a.end))
+            if a.dest is None:
+                want["cts_count"] += 1
+                want["cts_airtime_us"] += a.end - a.start
+            else:
+                key = f"links.{a.source}->{a.dest}.airtime_us"
+                want[key] = want.get(key, 0) + max(0, min(a.end, w1) - max(a.start, w0))
+        elif fields[1] == "outcome" and fields[3] == CORRUPTED and int(fields[0]) >= w0:
+            key = f"links.{fields[2].replace('>', '->')}.corrupted_frames"
+            want[key] = want.get(key, 0) + 1
+    for name, emitted in spans.items():
+        total = reach = 0  # the clipped union so far; the end of the last merged span
+        for start, end in sorted(emitted):
+            start = max(start, reach, w0)
+            reach = max(reach, end)
+            total += max(0, min(end, w1) - start)
+        want[f"systems.{name}.airtime_us"] = total
+    got = {"cts_count": report["cts_count"], "cts_airtime_us": report["cts_airtime_us"]}
+    for section in ("links", "systems"):
+        for name, row in report[section].items():
+            for key, value in row.items():
+                got[f"{section}.{name}.{key}"] = value
+    return sorted(key for key, value in want.items() if got.get(key) != value)
 
 
 def schedule_violations(cfg, trace: list[str]) -> int:

@@ -174,6 +174,19 @@ class TestMain:
     def test_bad_format_rejected(self):
         assert main(["run", "x.yaml", "--format", "xml"]) == EXIT_USAGE
 
+    def test_duration_override_inside_the_warmup_is_a_validation_error(self, capsys):
+        assert main(["run", scenario_path("colocated"), "--duration-us", "1000000"]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --duration-us: warm-up must be shorter than the run"]
+
+    def test_warmup_at_the_run_end_is_a_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_us: 1000\nwarmup_us: 1000\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: warmup_us: warm-up must be shorter than the run\n")
+
     def test_subframe_geometry_is_a_validation_error(self, tmp_path, capsys):
         # accepted by earlier versions, then crashed in the first frame map
         bad = tmp_path / "bad.yaml"

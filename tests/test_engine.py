@@ -16,8 +16,9 @@ from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from coexsim.wimax import SsDemand, build_frame_map
 from oracles import (Air, air, brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     frame_map_violations, line_by_line_hash, notes, outcome_mismatches,
-                     over_ceiling, own_overlaps, power_ceilings, schedule_violations)
+                     frame_map_violations, line_by_line_hash, nav_violations, notes,
+                     outcome_mismatches, over_ceiling, own_overlaps, power_ceilings,
+                     report_mismatches, schedule_violations)
 
 SINGLE_CELL = """
 duration_us: 30000000
@@ -51,6 +52,19 @@ nodes:
   - {id: b, kind: wifi, position: [1000.0, 0.0], peer: ap_b, system: one,
      traffic: {kind: saturated}}
   - {id: ap_b, kind: wifi, position: [1005.0, 0.0], system: one}
+"""
+
+# a CTS that a station decodes inside a longer NAV it already holds: the
+# short CTS ends at 5044 us, inside the NAV to 21044 us that the long one set
+NAV_KEPT = """
+duration_us: 30000
+warmup_us: 0
+nodes:
+  - {id: long, kind: wifi, position: [0.0, 0.0],
+     traffic: {kind: cts-inject, at_us: 1000, reservation_us: 20000}}
+  - {id: short, kind: wifi, position: [6.0, 0.0],
+     traffic: {kind: cts-inject, at_us: 5000, reservation_us: 100}}
+  - {id: sta, kind: wifi, position: [3.0, 4.0]}
 """
 
 TWO_CELLS = """
@@ -402,6 +416,32 @@ nodes:
 """
 # its loss budget down to the lowest thresholds is below the 1 m loss (40.05 dB)
 FAINT_DBM = -60.0
+
+
+class TestReportReplay:
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_shipped_report_replays_from_its_trace(self, fixture, request):
+        """The airtimes, corrupted frames and CTS counters of a 2 s run's
+        report are those its ``air`` and ``outcome`` notes give."""
+        cfg = replace(request.getfixturevalue(fixture), duration_us=2_000_000)
+        engine, result = traced_run(cfg)
+        assert report_mismatches(cfg, engine.trace, result.to_dict()) == []
+
+    def test_system_airtime_replays_as_a_union(self):
+        """Two pairs of one system send at once, so its airtime, the union
+        of their frames, is less than the sum of its links' airtimes; a
+        report that gives the sum, or any other value off, is named."""
+        cfg = replace(parse_scenario(FAR_PAIRS), duration_us=1_000_000)
+        engine, result = traced_run(cfg)
+        report = result.to_dict()
+        assert report_mismatches(cfg, engine.trace, report) == []
+        summed = sum(row["airtime_us"] for row in report["links"].values())
+        assert report["systems"]["one"]["airtime_us"] < summed
+        report["systems"]["one"]["airtime_us"] = summed
+        report["links"]["a->ap_a"]["corrupted_frames"] += 1
+        report["cts_airtime_us"] += 44
+        assert report_mismatches(cfg, engine.trace, report) == [
+            "cts_airtime_us", "links.a->ap_a.corrupted_frames", "systems.one.airtime_us"]
 
 
 class TestCachedFastPaths:
@@ -1178,6 +1218,25 @@ class TestNavHonoring:
         for heard, expiry in nav_windows:
             for s, e in intervals:
                 assert not (s < expiry and e > heard)
+
+    @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
+    def test_nav_notes_follow_decoded_cts(self, fixture, shipped_run, request):
+        engine, _ = shipped_run(fixture)
+        assert nav_violations(request.getfixturevalue(fixture), engine.trace) == 0
+
+    def test_a_cts_inside_a_longer_nav_leaves_no_note(self):
+        """``sta`` decodes both CTS frames, but only the long one moves its
+        NAV, so it has one ``nav`` note; a second note at the short one's
+        end breaks a rule only if it repeats the expiry."""
+        cfg = parse_scenario(NAV_KEPT)
+        engine, _ = traced_run(cfg)
+        trace = engine.trace
+        assert [f[3] for f in notes(trace) if f[1] == "air"] == ["long>None", "short>None"]
+        assert [f for f in notes(trace) if f[1:3] == ["nav", "sta"]] == [
+            ["1044", "nav", "sta", "21044"]]
+        assert nav_violations(cfg, trace) == 0
+        assert nav_violations(cfg, trace + ["5044|nav|sta|21044"]) == 1
+        assert nav_violations(cfg, trace + ["5044|nav|sta|21045"]) == 0
 
     def test_trace_lines_are_time_ordered(self, shipped_run):
         engine, _ = shipped_run("emulation_cfg")

@@ -3,19 +3,23 @@ validator accepts runs to its end, and the report keeps the invariants the
 README states for it."""
 
 import contextlib
+import copy
 import io
 import pathlib
 import tempfile
 from dataclasses import replace
 
+import yaml
 from hypothesis import event, given, settings, strategies as st
 
 from coexsim import cli
 from coexsim.engine import Engine
 from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import ScenarioConfig, emit_scenario, parse_scenario
+from conftest import scenario_path
 from oracles import (conflict_time, dcf_violations, frame_map_violations, line_by_line_hash,
-                     outcome_mismatches, over_ceiling, own_overlaps, schedule_violations)
+                     nav_violations, outcome_mismatches, over_ceiling, own_overlaps,
+                     report_mismatches, schedule_violations)
 from test_scenario import scenarios
 
 
@@ -151,6 +155,8 @@ class TestGeneratedScenarios:
         assert own_overlaps(engine.trace) == 0  # a radio sends one frame at a time
         assert dcf_violations(cfg, engine.trace) == 0
         assert outcome_mismatches(cfg, engine.trace) == 0
+        assert report_mismatches(cfg, engine.trace, result.to_dict()) == []
+        assert nav_violations(cfg, engine.trace) == 0
         # the engine's interferer sets assume no emission passes these ceilings
         assert over_ceiling(cfg, engine.trace) == 0
         assert frame_map_violations(cfg, engine.trace) == 0
@@ -177,10 +183,102 @@ class TestBoundedScenarios:
     def test_accepted_scenarios_run_to_their_end(self, cfg):
         """Any config drawn inside the fields' bounds, written out, runs
         through ``coexsim run`` to its end: exit 0 and nothing on stderr."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp, "scenario.yaml")
-            path.write_text(emit_scenario(_cut(cfg)), encoding="utf-8")
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = cli.main(["run", str(path), "--out", str(pathlib.Path(tmp, "report"))])
-        assert (code, err.getvalue()) == (0, "")
+        assert run_document(emit_scenario(_cut(cfg))) == (0, "")
+
+
+def run_document(text: str) -> tuple[int, str]:
+    """(exit code, stderr) of ``coexsim run`` on a scenario document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "scenario.yaml")
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(pathlib.Path(tmp, "report"))])
+    return code, err.getvalue()
+
+
+# the shipped documents, each cut to a 20 ms warm-up and a 100 ms run before
+# it is edited; an edit that lengthens the run or drops its length is cut back
+_CUT_US, _CUT_WARMUP_US = 100_000, 20_000
+_JUNK = ("junk", True, -1, 1e300, float("nan"), [1, "x"], {"key": 1}, None)
+
+
+def _shipped_document(name: str) -> dict:
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    doc.update(duration_us=_CUT_US, warmup_us=_CUT_WARMUP_US)
+    return doc
+
+
+_DOCUMENTS = [_shipped_document(name) for name in ("emulation", "conference_room", "colocated")]
+
+
+def _spots(doc: dict) -> list[tuple]:
+    """(container, key) of every value in ``doc``, depth first."""
+    out = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                out.append((node, key))
+                walk(node[key])
+
+    walk(doc)
+    return out
+
+
+def _edit(draw, doc: dict) -> None:
+    """One random edit of ``doc``: a value replaced by junk, a key deleted, a
+    number scaled or negated, a list entry duplicated, or the warm-up set at
+    or past the run's end."""
+    kind = draw(st.sampled_from(["junk", "delete", "scale", "duplicate", "warmup"]))
+    if kind == "warmup":
+        end = doc.get("duration_us")
+        end = end if type(end) is int else _CUT_US
+        doc["warmup_us"] = end + draw(st.sampled_from([0, 1, 10_000]))
+        return
+    spots = [(node, key) for node, key in _spots(doc)
+             if kind == "junk"
+             or kind == "delete" and isinstance(node, dict)
+             or kind == "scale" and type(node[key]) in (int, float)
+             or kind == "duplicate" and isinstance(node, list)]
+    if not spots:
+        return
+    node, key = draw(st.sampled_from(spots))
+    if kind == "junk":
+        node[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+    elif kind == "delete":
+        del node[key]
+    elif kind == "scale":
+        scaled = node[key] * draw(st.sampled_from([-1, 0, 0.5, 2, 10]))
+        node[key] = int(scaled) if type(node[key]) is int else scaled
+    else:
+        node.insert(key, copy.deepcopy(node[key]))
+
+
+@st.composite
+def edited_documents(draw) -> dict:
+    """A shipped document, cut short, with 1-3 random edits."""
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        _edit(draw, doc)
+    end = doc.get("duration_us")
+    if end is None or type(end) is int and end > _CUT_US:
+        doc["duration_us"] = _CUT_US
+    return doc
+
+
+class TestEditedDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(edited_documents())
+    def test_edited_documents_run_or_fail_validation(self, doc):
+        """Any document in ends in a report (exit 0, nothing on stderr) or
+        in validation errors (exit 2, only ``error:`` lines), never in a
+        runtime failure (exit 3) or a traceback."""
+        code, err = run_document(yaml.safe_dump(doc))
+        event(f"exit {code}")
+        lines = err.splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code == 2 and lines and all(line.startswith("error: ") for line in lines), err

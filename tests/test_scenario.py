@@ -1,5 +1,5 @@
 import pathlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional, get_type_hints
 
 import pytest
@@ -244,6 +244,19 @@ nodes:
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):
             parse_scenario("duration_us: 1000\nwarmup_us: 1000\n")
+
+    @pytest.mark.parametrize("duration_us", [1_000_000, 500_000])
+    def test_a_copy_keeps_its_window(self, colocated_cfg, duration_us):
+        """Earlier versions let a copy end at or before its 1 s warm-up; its
+        run then divided by zero or reported a negative throughput."""
+        with pytest.raises(ValueError, match="warm-up must be shorter than the run"):
+            replace(colocated_cfg, duration_us=duration_us)
+
+    def test_the_model_checks_the_free_space_exponent(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("medium: {path_loss: {kind: free-space, exponent: 3.0}}\n")
+        assert err.value.errors == [
+            "medium.path_loss: free-space model has a fixed exponent of 2.0"]
 
 
 class TestToggle:
