@@ -123,7 +123,7 @@ def _execute(scenario_path: str, work: Callable[[ScenarioConfig], None],
     """
     try:
         cfg = load_scenario(scenario_path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, or not UTF-8 text
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ScenarioError as exc:

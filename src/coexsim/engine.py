@@ -34,7 +34,7 @@ from typing import Optional
 
 from . import arbiter as arb
 from .arbiter import RX, TX
-from .medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST, FrameKind,
+from .medium import (BELOW_SENSITIVITY, CORRUPTED, DATA, DECODED, WIMAX_BURST, FrameKind,
                      MediumModel, Memo, RadioInterface, Transmission, delivery_result,
                      invert_path_loss)
 from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train
@@ -190,21 +190,18 @@ class _Emitter:
     """What every emission from one source at one power to one addressee
     (None for a CTS) shares, derived once from the static config."""
 
-    __slots__ = ("corrupters", "busy", "hearers", "heard_dbm", "src_plat", "rx_plat", "system",
-                 "monitors", "pair", "power")
+    __slots__ = ("corrupters", "busy", "hearers", "src_plat", "rx_plat", "system", "monitors",
+                 "pair", "power")
 
     def __init__(self, engine: Engine, source: str, power_dbm: float, dest: Optional[str]):
         ifaces, own = engine.interfaces, engine.stations.get(source)
         # the WiFi radios it makes busy: its own source, then those whose
-        # carrier sense it trips; for a CTS, those that receive it at or above
-        # decode sensitivity
+        # carrier sense it trips; for a CTS, its hearers: the other stations
+        # that receive it at or above decode sensitivity
         self.busy = ((own,) if own is not None else ()) + engine._reached(
             source, power_dbm, "cca_threshold_dbm")
         self.hearers = (engine._reached(source, power_dbm, "decode_sensitivity_dbm")
                         if dest is None else ())
-        # the power each hearer receives, the rx_power_dbm delivery_result gives
-        self.heard_dbm = tuple(power_dbm - engine._loss_rows[rt.node.id][source]
-                               for rt in self.hearers)
         self.corrupters = engine._corrupting(source, power_dbm, dest, self.hearers)
         self.src_plat = plat = ifaces[source].platform
         self.rx_plat = None if dest is None else ifaces[dest].platform
@@ -402,8 +399,6 @@ class Engine:
         self._frame_us = wx.frame_us
         self._capacity = wx.capacity_bytes_per_us
         self._top_up_bytes = int(wx.capacity_bytes_per_us * wx.frame_us) * 2
-        self._frame_geometry = (wx.frame_us, wx.dl_ratio, wx.capacity_bytes_per_us,
-                                wx.preamble_us, wx.ttg_us)
         # a cell's frame plan, filled once per demand vector; see _plan
         self._plans = Memo(self._plan)
 
@@ -637,13 +632,13 @@ class Engine:
         in id order: the grants ``build_frame_map`` makes, and each granted
         station's first grant offset and last grant end, from the frame start.
 
-        A frame map is a pure function of the demands and the engine's frame
+        A frame map is a pure function of the demands and the frame
         geometry, and its grants are immutable, so one plan serves every frame
         with the same key."""
         grants = build_frame_map([SsDemand(ss, nbytes, direction)
                                   for ss, dl, ul in key
                                   for direction, nbytes in ((DL, dl), (UL, ul))],
-                                 *self._frame_geometry)
+                                 self.cfg.wimax)
         # a station's grants come in time order
         spans: dict[str, tuple[int, int]] = {}
         for g in grants:
@@ -867,19 +862,18 @@ class Engine:
                 self._finish_wifi_data(rec, decoded)
             self._note(f"{self.now}|outcome{em.pair}{result}")
 
-        # decode-level overhearing (NAV from CTS) at stations not party to the
-        # frame; the rest are below sensitivity
-        if tx.kind is CTS:
-            for rt, rx_dbm in zip(em.hearers, em.heard_dbm):
-                sid = rt.node.id
-                if overlappers and delivery_result(tx, overlappers, rt.iface, window, self.medium,
-                                                   self._loss_rows[sid]).result != DECODED:
-                    continue
-                had_nav = rt.nav_expiry_us
-                if rt.on_overheard(tx, rx_dbm, self.now):
-                    self._resched[rt.order] = rt
-                if rt.nav_expiry_us != had_nav:
-                    self._note(f"{self.now}|nav|{sid}|{rt.nav_expiry_us}")
+        # a CTS sets the NAV of each hearer that decodes it; a frame with an
+        # addressee has no hearers
+        for rt in em.hearers:
+            sid = rt.node.id
+            if overlappers and delivery_result(tx, overlappers, rt.iface, window, self.medium,
+                                               self._loss_rows[sid]).result != DECODED:
+                continue
+            had_nav = rt.nav_expiry_us
+            if rt.on_overheard(tx, self.now):
+                self._resched[rt.order] = rt
+            if rt.nav_expiry_us != had_nav:
+                self._note(f"{self.now}|nav|{sid}|{rt.nav_expiry_us}")
 
         # neighbourhood monitoring by co-located coordinators, of other platforms
         for res, rx_dbm in em.monitors:

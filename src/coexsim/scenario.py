@@ -22,6 +22,7 @@ import yaml
 from .medium import MediumModel, PathLossModel, Position, RadioInterface, SpillageTable
 from .reservation import QosTarget
 from .wifi import DcfParams
+from .wimax import WimaxConfig
 
 TRAFFIC_KINDS = ("none", "saturated", "paced", "cts-inject", "wimax")
 NODE_KINDS = ("wifi", "wimax-ss", "wimax-bs")
@@ -88,17 +89,6 @@ class _SpillageEntry:
 
 
 @dataclass(frozen=True)
-class WimaxConfig:
-    # finite upper bounds keep a frame's top-up, capacity times frame length,
-    # a finite byte count
-    frame_us: int = field(default=5000, metadata={"lo": 100, "hi": 1_000_000})
-    dl_ratio: float = field(default=0.6, metadata={"lo": 0.05, "hi": 0.95})
-    capacity_bytes_per_us: float = field(default=2.0, metadata={"lo": 0.01, "hi": 1000.0})
-    preamble_us: int = field(default=200, metadata={"lo": 0})
-    ttg_us: int = field(default=100, metadata={"lo": 0})
-
-
-@dataclass(frozen=True)
 class ReservationConfig:
     enabled: bool = False
     pacing: bool = True
@@ -122,6 +112,10 @@ class ReservationConfig:
     qos: Optional[QosTarget] = None
     qos_growth_step: float = field(default=0.25, metadata={"lo": 0.0, "hi": 4.0})
     qos_growth_cap: float = field(default=2.0, metadata={"lo": 1.0, "hi": 16.0})
+
+    def __post_init__(self) -> None:
+        if self.claim_interval_max_us < self.claim_interval_min_us:
+            raise ValueError("claim_interval_max_us: must be >= claim_interval_min_us")
 
 
 @dataclass(frozen=True)
@@ -282,19 +276,29 @@ def _scalars(w: _Walker, m: dict, path: str, cls: type) -> dict:
             for name, kind, default, lo, hi, choices in _SCALARS[cls]}
 
 
-def _section(w: _Walker, raw: Any, path: str, cls: type) -> Any:
-    """A section made only of scalar fields."""
-    return cls(**_scalars(w, w.mapping(raw, path, _KEYS[cls]), path, cls))
+def _section(w: _Walker, raw: Any, path: str, cls: type, **nested: type) -> Any:
+    """A section of scalar fields and of the ``nested`` sections given, each
+    a field name and its section type.  A ValueError from the constructor
+    fails at the field its message starts with, as ``name: problem``, or
+    else at the section, which then takes its defaults."""
+    m = w.mapping(raw, path, _KEYS[cls])
+    values = {name: _section(w, m[name], f"{path}.{name}", kind)
+              for name, kind in nested.items() if m.get(name) is not None}
+    values.update(_scalars(w, m, path, cls))
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        name, colon, problem = str(exc).partition(": ")
+        if colon and name in _KEYS[cls]:
+            w.fail(f"{path}.{name}", problem)
+        else:
+            w.fail(path, str(exc))
+        return cls()
 
 
 def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
     m = w.mapping(raw, "medium", _KEYS[MediumModel])
-    pl_raw = w.mapping(m.get("path_loss"), "medium.path_loss", _KEYS[PathLossModel])
-    try:
-        path_loss = PathLossModel(**_scalars(w, pl_raw, "medium.path_loss", PathLossModel))
-    except ValueError as exc:
-        w.fail("medium.path_loss", str(exc))
-        path_loss = PathLossModel()
+    path_loss = _section(w, m.get("path_loss"), "medium.path_loss", PathLossModel)
     spillage = SpillageTable()
     if m.get("spillage") is not None:
         raw_entries = m["spillage"]
@@ -429,24 +433,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     medium = _parse_medium(w, top.get("medium"))
 
     wifi = _section(w, top.get("wifi"), "wifi", DcfParams)
-    if wifi.cw_max < wifi.cw_min:
-        w.fail("wifi.cw_max", "must be >= cw_min")
-
     wimax = _section(w, top.get("wimax"), "wimax", WimaxConfig)
-    dl_end = int(wimax.frame_us * wimax.dl_ratio)
-    if not wimax.preamble_us <= dl_end <= wimax.frame_us - wimax.ttg_us:
-        w.fail("wimax.dl_ratio", "subframe split leaves no room for preamble/turnaround: "
-               "need preamble_us <= int(frame_us * dl_ratio) <= frame_us - ttg_us")
-
-    rv = w.mapping(top.get("reservation"), "reservation", _KEYS[ReservationConfig])
-    qos = None
-    if rv.get("qos") is not None:
-        qos = _section(w, rv["qos"], "reservation.qos", QosTarget)
-    reservation = ReservationConfig(qos=qos, **_scalars(w, rv, "reservation",
-                                                        ReservationConfig))
-    if reservation.claim_interval_max_us < reservation.claim_interval_min_us:
-        w.fail("reservation.claim_interval_max_us", "must be >= claim_interval_min_us")
-
+    reservation = _section(w, top.get("reservation"), "reservation", ReservationConfig,
+                           qos=QosTarget)
     arbiter = _section(w, top.get("arbiter"), "arbiter", ArbiterConfig)
 
     nodes_raw = top.get("nodes", [])

@@ -31,6 +31,10 @@ class DcfParams:
     phy_rate_mbps: float = field(default=6.0, metadata={"lo": 0.1})
     cts_airtime_us: int = field(default=44, metadata={"lo": 1})
 
+    def __post_init__(self) -> None:
+        if self.cw_max < self.cw_min:
+            raise ValueError("cw_max: must be >= cw_min")
+
 
 def data_airtime_us(frame_bytes: int, phy_rate_mbps: float) -> int:
     return max(1, math.ceil(frame_bytes * 8 / phy_rate_mbps))
@@ -102,19 +106,13 @@ class WifiStation:
         self._attempt = None
         return True
 
-    def on_overheard(self, frame: Transmission, rx_power_dbm: float, now_us: int) -> bool:
-        """Decode-level observation, called when the frame leaves the air.
-
-        Frames below decode sensitivity are invisible.  A CTS extends the NAV
-        to max(current, frame end + duration field), which freezes an armed
-        attempt as carrier sense does; other frames carry no
-        virtual-carrier-sense information (their airtime was already sensed).
-        Returns whether this voided the access attempt.
+    def on_overheard(self, frame: Transmission, now_us: int) -> bool:
+        """A CTS from another radio that this station decoded, as it leaves
+        the air; other frames carry no virtual-carrier-sense information
+        (their airtime was already sensed).  The NAV extends to max(current,
+        frame end + duration field), which freezes an armed attempt as
+        carrier sense does.  Returns whether this voided the access attempt.
         """
-        if rx_power_dbm < self.iface.decode_sensitivity_dbm:
-            return False
-        if frame.kind is not CTS or frame.source == self.iface.id:
-            return False
         expiry = frame.end_us + frame.nav_duration_us
         if expiry <= self.nav_expiry_us:
             return False

@@ -10,10 +10,37 @@ the subframes stay unallocated.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 DL = "DL"
 UL = "UL"
+
+
+@dataclass(frozen=True)
+class WimaxConfig:
+    """Frame geometry and capacity; the scenario's ``wimax`` section.  Field
+    metadata holds the bounds a scenario file may set."""
+
+    # finite upper bounds keep a frame's top-up, capacity times frame length,
+    # a finite byte count
+    frame_us: int = field(default=5000, metadata={"lo": 100, "hi": 1_000_000})
+    dl_ratio: float = field(default=0.6, metadata={"lo": 0.05, "hi": 0.95})
+    capacity_bytes_per_us: float = field(default=2.0, metadata={"lo": 0.01, "hi": 1000.0})
+    preamble_us: int = field(default=200, metadata={"lo": 0})
+    ttg_us: int = field(default=100, metadata={"lo": 0})
+
+    def __post_init__(self) -> None:
+        if self.frame_us <= 0:
+            raise ValueError("frame_us: must be positive")
+        if self.capacity_bytes_per_us <= 0:
+            raise ValueError("capacity_bytes_per_us: must be positive")
+        if not 0 < self.dl_ratio < 1:
+            raise ValueError("dl_ratio: must be in (0, 1)")
+        dl_end = int(self.frame_us * self.dl_ratio)
+        if not self.preamble_us <= dl_end <= self.frame_us - self.ttg_us:
+            raise ValueError("dl_ratio: subframe split leaves no room for preamble/turnaround: "
+                             "need preamble_us <= int(frame_us * dl_ratio) <= frame_us - ttg_us")
 
 
 class Grant(NamedTuple):
@@ -48,16 +75,14 @@ def _pack(claimants: list[SsDemand], window_start: int, window_len: int,
     return grants
 
 
-def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: float,
-                    capacity_bytes_per_us: float, preamble_us: int,
-                    ttg_us: int) -> tuple[Grant, ...]:
+def build_frame_map(demands: Sequence[SsDemand], wimax: WimaxConfig) -> tuple[Grant, ...]:
     """Allocate one frame's slots proportionally to demand; the grants come
     in time order and do not overlap.
 
-    DL grants live in [preamble_us, dl_end); UL grants in
-    [dl_end + ttg_us, frame_len).  When aggregate demand exceeds a subframe
-    the window is split proportionally, rounding down, in ascending
-    station-id order.  Zero-demand stations get no slot.
+    DL grants live in [preamble_us, dl_end), dl_end = int(frame_us *
+    dl_ratio); UL grants in [dl_end + ttg_us, frame_us).  When aggregate
+    demand exceeds a subframe the window is split proportionally, rounding
+    down, in ascending station-id order.  Zero-demand stations get no slot.
     """
     claims: dict[str, list[SsDemand]] = {DL: [], UL: []}
     for d in demands:
@@ -67,16 +92,8 @@ def build_frame_map(demands: Sequence[SsDemand], frame_len_us: int, dl_ratio: fl
             raise ValueError(f"bad direction: {d.direction!r}")
         if d.queued_bytes:
             claims[d.direction].append(d)
-    if frame_len_us <= 0:
-        raise ValueError("frame_len_us must be positive")
-    if not 0 < dl_ratio < 1:
-        raise ValueError("dl_ratio must be in (0, 1)")
-    if capacity_bytes_per_us <= 0:
-        raise ValueError("capacity must be positive")
-    dl_end = int(frame_len_us * dl_ratio)
-    if not preamble_us <= dl_end <= frame_len_us - ttg_us:
-        raise ValueError("subframe split leaves no room for preamble/turnaround")
-    dl = _pack(claims[DL], preamble_us, dl_end - preamble_us, capacity_bytes_per_us, DL)
-    ul = _pack(claims[UL], dl_end + ttg_us, frame_len_us - dl_end - ttg_us,
-               capacity_bytes_per_us, UL)
+    dl_end, capacity = int(wimax.frame_us * wimax.dl_ratio), wimax.capacity_bytes_per_us
+    ul_start = dl_end + wimax.ttg_us
+    dl = _pack(claims[DL], wimax.preamble_us, dl_end - wimax.preamble_us, capacity, DL)
+    ul = _pack(claims[UL], ul_start, wimax.frame_us - ul_start, capacity, UL)
     return tuple(dl + ul)

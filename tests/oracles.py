@@ -326,31 +326,71 @@ def report_mismatches(cfg, trace: list[str], report: dict) -> list[str]:
 
     From the ``air`` notes: each link's ``airtime_us``, its frames clipped
     to the measured window; each system's ``airtime_us``, the union of its
-    sources' emissions clipped to the window; ``cts_count`` and
-    ``cts_airtime_us``, over the whole run.  From the ``outcome`` notes at
-    or after ``warmup_us``: each link's ``corrupted_frames``.  A link that
+    sources' emissions clipped to the window, and ``fairness_index``, Jain's
+    index of the shares these give; ``cts_count`` and ``cts_airtime_us``,
+    over the whole run.  From the ``outcome`` notes at or after
+    ``warmup_us``: each link's ``corrupted_frames``; a WiFi link's
+    ``delivered_bytes``, its decoded frames times the source's
+    ``frame_bytes``, and its ``retransmissions`` and ``dropped_frames``,
+    each failure a retry until the frame has failed ``retry_limit`` + 1
+    times in a row, which drops it (the count of a frame's failures runs
+    across the warm-up); a WiMAX link's ``retransmissions``, one per burst
+    not decoded, and its ``delivered_bytes``, which may not pass its
+    decoded bursts' airtime times ``capacity_bytes_per_us``.  A link that
     the trace names but the report lacks is a mismatch too.
     """
-    w0, w1 = cfg.warmup_us, cfg.duration_us
-    system = {n.id: n.system for n in cfg.nodes}
+    w0, w1, bytes_per_us = cfg.warmup_us, cfg.duration_us, cfg.wimax.capacity_bytes_per_us
+    nodes = {n.id: n for n in cfg.nodes}
     want = {}
+    capacity = {}  # WiMAX link -> the bytes its decoded bursts can carry
     for lid in report["links"]:
-        want[f"links.{lid}.airtime_us"] = want[f"links.{lid}.corrupted_frames"] = 0
+        keys = ["airtime_us", "corrupted_frames", "retransmissions"]
+        if nodes[lid.split("->")[0]].kind == "wifi":
+            keys += ["delivered_bytes", "dropped_frames"]
+        else:
+            capacity[lid] = 0.0
+        want.update((f"links.{lid}.{key}", 0) for key in keys)
     spans = {name: [] for name in report["systems"]}  # system -> (start, end) of each emission
     want["cts_count"] = want["cts_airtime_us"] = 0
+    airtimes = {}  # ("source>dest", end) -> the airtime of each addressed frame, oldest first
+    failures = {}  # WiFi link -> how often its head frame has failed
     for fields in notes(trace):
         if fields[1] == "air":
             a = air(fields)
-            spans.setdefault(system[a.source], []).append((a.start, a.end))
+            spans.setdefault(nodes[a.source].system, []).append((a.start, a.end))
             if a.dest is None:
                 want["cts_count"] += 1
                 want["cts_airtime_us"] += a.end - a.start
             else:
                 key = f"links.{a.source}->{a.dest}.airtime_us"
                 want[key] = want.get(key, 0) + max(0, min(a.end, w1) - max(a.start, w0))
-        elif fields[1] == "outcome" and fields[3] == CORRUPTED and int(fields[0]) >= w0:
-            key = f"links.{fields[2].replace('>', '->')}.corrupted_frames"
-            want[key] = want.get(key, 0) + 1
+                airtimes.setdefault((fields[3], a.end), []).append(a.end - a.start)
+        elif fields[1] == "outcome":  # end|outcome|source>dest|result
+            lid, result, counted = fields[2].replace(">", "->"), fields[3], int(fields[0]) >= w0
+            source = nodes[fields[2].split(">")[0]]
+            pending = airtimes.get((fields[2], int(fields[0])))
+            airtime = pending.pop(0) if pending else 0
+            count = []  # the report values this outcome adds to
+            if result == CORRUPTED:
+                count.append(("corrupted_frames", 1))
+            if source.kind != "wifi":  # a WiMAX burst
+                if result != DECODED:
+                    count.append(("retransmissions", 1))
+                elif counted:
+                    capacity[lid] = capacity.get(lid, 0.0) + airtime * bytes_per_us
+            elif result == DECODED:
+                failures[lid] = 0
+                count.append(("delivered_bytes", source.traffic.frame_bytes))
+            else:
+                failures[lid] = failures.get(lid, 0) + 1
+                if failures[lid] > cfg.wifi.retry_limit:
+                    failures[lid] = 0
+                    count.append(("dropped_frames", 1))
+                else:
+                    count.append(("retransmissions", 1))
+            for name, amount in count if counted else ():
+                key = f"links.{lid}.{name}"
+                want[key] = want.get(key, 0) + amount
     for name, emitted in spans.items():
         total = reach = 0  # the clipped union so far; the end of the last merged span
         for start, end in sorted(emitted):
@@ -358,12 +398,17 @@ def report_mismatches(cfg, trace: list[str], report: dict) -> list[str]:
             reach = max(reach, end)
             total += max(0, min(end, w1) - start)
         want[f"systems.{name}.airtime_us"] = total
-    got = {"cts_count": report["cts_count"], "cts_airtime_us": report["cts_airtime_us"]}
+    shares = [want[f"systems.{name}.airtime_us"] / (w1 - w0) for name in sorted(spans)]
+    total, squares = sum(shares), sum(share * share for share in shares)
+    want["fairness_index"] = total * total / (len(shares) * squares) if squares else 0.0
+    got = {key: report[key] for key in ("cts_count", "cts_airtime_us", "fairness_index")}
     for section in ("links", "systems"):
         for name, row in report[section].items():
             for key, value in row.items():
                 got[f"{section}.{name}.{key}"] = value
-    return sorted(key for key, value in want.items() if got.get(key) != value)
+    over = [f"links.{lid}.delivered_bytes" for lid, most in capacity.items()
+            if got.get(f"links.{lid}.delivered_bytes", 0) > most * (1 + 1e-12)]
+    return sorted(over + [key for key, value in want.items() if got.get(key) != value])
 
 
 def schedule_violations(cfg, trace: list[str]) -> int:

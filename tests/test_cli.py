@@ -187,6 +187,14 @@ class TestMain:
         assert capsys.readouterr().err == (
             "error: warmup_us: warm-up must be shorter than the run\n")
 
+    def test_scenario_that_is_not_utf8_cannot_be_read(self, tmp_path, capsys):
+        # earlier versions let UnicodeDecodeError out: a traceback and exit 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"duration_us: 1000\nnodes: [\xff]\n")
+        assert main(["run", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario: ") and len(err.splitlines()) == 1
+
     def test_subframe_geometry_is_a_validation_error(self, tmp_path, capsys):
         # accepted by earlier versions, then crashed in the first frame map
         bad = tmp_path / "bad.yaml"

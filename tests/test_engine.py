@@ -15,9 +15,9 @@ from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Tr
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from coexsim.wimax import SsDemand, build_frame_map
-from oracles import (Air, air, brute_force_outcomes, dcf_saturation_share, dcf_violations,
-                     frame_map_violations, line_by_line_hash, nav_violations, notes,
-                     outcome_mismatches, over_ceiling, own_overlaps, power_ceilings,
+from oracles import (Air, air, brute_force_outcomes, conflict_time, dcf_saturation_share,
+                     dcf_violations, frame_map_violations, line_by_line_hash, nav_violations,
+                     notes, outcome_mismatches, over_ceiling, own_overlaps, power_ceilings,
                      report_mismatches, schedule_violations)
 
 SINGLE_CELL = """
@@ -52,6 +52,27 @@ nodes:
   - {id: b, kind: wifi, position: [1000.0, 0.0], peer: ap_b, system: one,
      traffic: {kind: saturated}}
   - {id: ap_b, kind: wifi, position: [1005.0, 0.0], system: one}
+"""
+
+# two WiFi radios of one platform, one sending to the other
+MATES = """
+duration_us: 300000
+warmup_us: 100000
+nodes:
+  - {id: a, kind: wifi, position: [0.0, 0.0], peer: b, traffic: {kind: saturated}}
+  - {id: b, kind: wifi, position: [0.0, 0.0], collocated_with: a}
+"""
+
+# the addressee is out of range, so every frame fails: three times, by
+# retry_limit, before it drops; the warm-up ends partway through a frame's
+# failures
+UNREACHABLE = """
+duration_us: 200000
+warmup_us: 50000
+wifi: {retry_limit: 2}
+nodes:
+  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap, traffic: {kind: saturated}}
+  - {id: ap, kind: wifi, position: [5000.0, 0.0]}
 """
 
 # a CTS that a station decodes inside a longer NAV it already holds: the
@@ -294,6 +315,15 @@ class TestPinnedConflict:
                       arbiter=replace(colocated_cfg.arbiter, enabled=False))
         assert run(cfg, seed=1).colocated_conflict_us == 1_922_160
 
+    def test_frame_to_a_platform_mate(self):
+        """A frame from one radio to its platform mate conflicts with itself:
+        the talker sends while the mate listens to it, over the frame's whole
+        airtime in the window."""
+        engine, result = traced_run(parse_scenario(MATES))
+        assert result.colocated_conflict_us == 181_140
+        assert result.links["a->b"].airtime_us == 181_140
+        assert conflict_time(engine.cfg, engine.trace) == 181_140
+
 
 class _ReversedWake(dict):
     """A set of voided stations that wakes them in reverse order."""
@@ -443,6 +473,42 @@ class TestReportReplay:
         assert report_mismatches(cfg, engine.trace, report) == [
             "cts_airtime_us", "links.a->ap_a.corrupted_frames", "systems.one.airtime_us"]
 
+    def test_failed_frames_replay_as_retries_and_drops(self):
+        """A frame's failures count across the warm-up, so a replay that
+        restarted them there would be off; a retry counted as a drop is
+        named."""
+        cfg = parse_scenario(UNREACHABLE)
+        w0 = cfg.warmup_us
+        engine, result = traced_run(cfg)
+        report = result.to_dict()
+        assert report_mismatches(cfg, engine.trace, report) == []
+        before = [f for f in notes(engine.trace) if f[1] == "outcome" and int(f[0]) < w0]
+        assert len(before) % (cfg.wifi.retry_limit + 1)  # the warm-up ends inside a frame's run
+        row = report["links"]["sta->ap"]
+        assert row["retransmissions"] > 0 and row["dropped_frames"] > 0
+        row["retransmissions"] -= 1
+        row["dropped_frames"] += 1
+        assert report_mismatches(cfg, engine.trace, report) == [
+            "links.sta->ap.dropped_frames", "links.sta->ap.retransmissions"]
+
+    def test_delivery_and_fairness_off_by_a_little_are_named(self, conference_cfg):
+        """WiFi and WiMAX delivered bytes, WiMAX retransmissions and the
+        fairness index each replay from the trace.  WiMAX bytes are bounded
+        by what the decoded bursts' airtime carries, so only an excess shows."""
+        cfg = replace(conference_cfg, duration_us=2_000_000)
+        engine, result = traced_run(cfg)
+        report = result.to_dict()
+        assert report_mismatches(cfg, engine.trace, report) == []
+        links = report["links"]
+        links["sta1->ap1"]["delivered_bytes"] -= 1
+        links["ss1->bs"]["retransmissions"] += 1
+        links["bs->ss1"]["delivered_bytes"] += int(2 * cfg.wimax.frame_us
+                                                   * cfg.wimax.capacity_bytes_per_us)
+        report["fairness_index"] *= 1 + 1e-12
+        assert report_mismatches(cfg, engine.trace, report) == [
+            "fairness_index", "links.bs->ss1.delivered_bytes", "links.ss1->bs.retransmissions",
+            "links.sta1->ap1.delivered_bytes"]
+
 
 class TestCachedFastPaths:
     """The engine's memoised carrier sense, cached link losses and emitter
@@ -551,12 +617,11 @@ class TestCachedFastPaths:
                                       >= getattr(ifaces[sid], level))
                                 for level in ("cca_threshold_dbm", "decode_sensitivity_dbm"))
             hearers = hearers if dest is None else ()
-            heard = tuple(power - medium.link_loss_db(ifaces[src], rt.iface) for rt in hearers)
             monitors = tuple((res, power - medium.link_loss_db(ifaces[src], res.coordinator.iface))
                              for res in coordinators if res.coordinator.iface.platform != plat)
             assert [getattr(record, name) for name in record.__slots__] == [
                 engine._corrupting(src, power, dest, hearers), ((own,) if own else ()) + sensers,
-                hearers, heard, plat, None if dest is None else ifaces[dest].platform,
+                hearers, plat, None if dest is None else ifaces[dest].platform,
                 engine.system_of[src], monitors, f"|{src}>{dest}|", f"|{power}"], (src, power, dest)
         emitted = {(a.source, a.power, a.dest)
                    for a in (air(fields) for fields in notes(engine.trace) if fields[1] == "air")}
@@ -750,8 +815,6 @@ class TestFramePlans:
                             lambda *args: built.append(args) or build_frame_map(*args))
         engine = Engine(cfg, seed=1)
         wx = cfg.wimax
-        geometry = (wx.frame_us, wx.dl_ratio, wx.capacity_bytes_per_us, wx.preamble_us,
-                    wx.ttg_us)
         demands = []  # the demands of the boundary in progress, read after its top-up
         top_up = engine._top_up_saturated
 
@@ -768,7 +831,7 @@ class TestFramePlans:
         class CheckedPlans(type(engine._plans)):
             def __getitem__(self, key):
                 grants, spans = super().__getitem__(key)
-                want = build_frame_map(demands, *geometry)
+                want = build_frame_map(demands, wx)
                 assert grants == want
                 assert spans == {ss: (min(g.offset_us for g in want if g.ss == ss),
                                       max(g.offset_us + g.len_us for g in want if g.ss == ss))

@@ -258,6 +258,26 @@ nodes:
         assert err.value.errors == [
             "medium.path_loss: free-space model has a fixed exponent of 2.0"]
 
+    @pytest.mark.parametrize("section, changes, path", [
+        ("wifi", {"cw_min": 64, "cw_max": 15}, "wifi.cw_max"),
+        ("wimax", {"ttg_us": 4000}, "wimax.dl_ratio"),
+        ("reservation", {"claim_interval_min_us": 8000, "claim_interval_max_us": 1000},
+         "reservation.claim_interval_max_us"),
+    ], ids=["cw", "subframe", "claim_interval"])
+    def test_a_section_checks_its_cross_field_rules(self, colocated_cfg, section, changes,
+                                                    path):
+        """Earlier versions checked these rules in the parser alone, so a
+        copy made with replace() ran with a window below cw_min, failed at
+        its first frame map, or paced claims with a maximum below the
+        minimum.  The parser reports the constructor's own text."""
+        with pytest.raises(ValueError) as raised:
+            replace(getattr(colocated_cfg, section), **changes)
+        name, problem = str(raised.value).split(": ", 1)
+        assert f"{section}.{name}" == path
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump({section: changes}))
+        assert err.value.errors == [f"{path}: {problem}"]
+
 
 class TestToggle:
     def test_toggle_is_the_only_difference(self, conference_cfg):
