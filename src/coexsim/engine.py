@@ -310,23 +310,20 @@ class _WifiRt(WifiStation):
 
 
 class _SsRt:
-    __slots__ = ("node", "links", "reservation", "slots")
+    __slots__ = ("node", "links", "saturated", "reservation", "slots")
 
     def __init__(self, node, bs_node, system_of: dict[str, _System],
-                 reservation: Optional[Reservation]):
+                 reservation: Optional[Reservation], slots: Optional[deque]):
         self.node = node
         self.links = {DL: _Link(bs_node.id, node.id, system_of[bs_node.id], _ByteQueue()),
                       UL: _Link(node.id, bs_node.id, system_of[node.id], _ByteQueue())}
+        # its links topped up at each boundary, DL then UL; a station without
+        # wimax traffic offers nothing, whatever its flags say
+        t = node.traffic
+        self.saturated = [self.links[d] for d, sat in ((DL, t.dl_saturated), (UL, t.ul_saturated))
+                          if sat and t.kind == "wimax"]
         self.reservation = reservation  # None with reservation off
-        self.slots: Optional[deque] = None  # its slots not yet ended, if watched
-
-
-class _Cell:
-    __slots__ = ("sses", "saturated")
-
-    def __init__(self):
-        self.sses: list[_SsRt] = []  # its subscriber stations, in id order
-        self.saturated: list[_Link] = []  # links topped up at each boundary
+        self.slots = slots  # its slots not yet ended if watched, else None
 
 
 class Engine:
@@ -364,11 +361,16 @@ class Engine:
         self.systems = {s: _System(s) for s in sorted({n.system for n in config.nodes})}
         self.system_of = {n.id: self.systems[n.system] for n in config.nodes}
 
+        # node id -> the strongest power any of its emissions can have: its
+        # own, an injector's, and a coordinator's strongest CTS
+        self._ceiling = {n.id: n.tx_power_dbm for n in config.nodes}
         self.stations: dict[str, _WifiRt] = {}
         for n in config.nodes:
             if n.kind == "wifi":
                 self.stations[n.id] = _WifiRt(n, self.interfaces[n.id], self.dcf, self.rng,
                                               len(self.stations), self.system_of[n.id])
+                if n.traffic.kind == "cts-inject" and n.traffic.power_dbm is not None:
+                    self._ceiling[n.id] = max(n.tx_power_dbm, n.traffic.power_dbm)
         # per threshold level, its lowest value among the stations, which
         # bounds how far an emission can reach at that level
         self._wifi_ifaces = [rt.iface for rt in self.stations.values()]
@@ -377,66 +379,52 @@ class Engine:
         # stations whose attempt was voided, keyed by config order; they
         # re-arm at the next frame end
         self._resched: dict[int, _WifiRt] = {}
-        self.cells = {n.id: _Cell() for n in config.nodes if n.kind == "wimax-bs"}
+
+        # interface id -> its platform's arbiter
+        self.arbiters: dict[str, arb.RadioArbiter] = {}
+        if config.arbiter.enabled:
+            for ids in platforms.values():
+                self.arbiters.update(dict.fromkeys(ids, arb.RadioArbiter(ids)))
+        watch = config.arbiter.enabled and config.arbiter.schedule_aware
+        # WiFi interface id -> the slots of its platform's subscriber stations,
+        # each (direction, start, end) in time order, which a schedule-aware
+        # arbiter checks the radio's spans against
+        self._watched: dict[str, list[deque]] = {}
+        # (platform, controller, loss row) of each coordinator, the first WiFi
+        # radio on its station's platform; it hears other platforms
+        self._monitors: list[tuple] = []
+        rc = config.reservation
+        cts_ceiling = CTS_POWER_CEILING_DBM if rc.power_sizing else rc.cts_power_dbm
         self.sses: dict[str, _SsRt] = {}
         for n in config.nodes:
-            if n.kind == "wimax-ss":
-                mates = platforms.get(self.interfaces[n.id].platform, ())
-                coord = next((self.stations[i] for i in mates if i in self.stations), None)
-                res = (Reservation(config.reservation, coord, self.medium.path_loss,
-                                   config.warmup_us)
-                       if config.reservation.enabled else None)
-                self.sses[n.id] = _SsRt(n, config.node(n.bs), self.system_of, res)
+            if n.kind != "wimax-ss":
+                continue
+            plat = self.interfaces[n.id].platform
+            mates = [self.stations[i] for i in platforms.get(plat, ()) if i in self.stations]
+            res = None
+            if rc.enabled:
+                coord = mates[0] if mates else None
+                res = Reservation(rc, coord, self.medium.path_loss, config.warmup_us)
+                if coord is not None:
+                    self._monitors.append((plat, res, self._loss_rows[coord.node.id]))
+                    self._ceiling[coord.node.id] = max(self._ceiling[coord.node.id], cts_ceiling)
+            slots = deque() if watch and mates else None
+            if slots is not None:
+                for rt in mates:
+                    self._watched.setdefault(rt.node.id, []).append(slots)
+            self.sses[n.id] = _SsRt(n, config.node(n.bs), self.system_of, res, slots)
+        self._top_ceiling = max(self._ceiling.values(), default=0.0)
+        # base station id -> its subscriber stations, in id order
+        self.cells: dict[str, list[_SsRt]] = {n.id: [] for n in config.nodes
+                                              if n.kind == "wimax-bs"}
         for ss_id in sorted(self.sses):
-            ss = self.sses[ss_id]
-            cell = self.cells[ss.node.bs]
-            cell.sses.append(ss)
-            t = ss.node.traffic
-            if t.kind == "wimax":
-                cell.saturated += [ss.links[d] for d, saturated in
-                                   ((DL, t.dl_saturated), (UL, t.ul_saturated)) if saturated]
+            self.cells[self.sses[ss_id].node.bs].append(self.sses[ss_id])
         wx = config.wimax
         self._frame_us = wx.frame_us
         self._capacity = wx.capacity_bytes_per_us
         self._top_up_bytes = int(wx.capacity_bytes_per_us * wx.frame_us) * 2
         # a cell's frame plan, filled once per demand vector; see _plan
         self._plans = Memo(self._plan)
-
-        # (platform, controller, loss row) of each coordinator; it hears other platforms
-        self._monitors = [(res.coordinator.iface.platform, res,
-                           self._loss_rows[res.coordinator.iface.id])
-                          for ss in self.sses.values()
-                          if (res := ss.reservation) and res.coordinator]
-        # node id -> the strongest power any of its emissions can have: its
-        # own, an injector's, and a coordinator's strongest CTS
-        self._ceiling = {n.id: n.tx_power_dbm for n in config.nodes}
-        for n in config.nodes:
-            if n.traffic.kind == "cts-inject" and n.traffic.power_dbm is not None:
-                self._ceiling[n.id] = max(n.tx_power_dbm, n.traffic.power_dbm)
-        cts_ceiling = (CTS_POWER_CEILING_DBM if config.reservation.power_sizing
-                       else config.reservation.cts_power_dbm)
-        for _, res, _ in self._monitors:
-            cid = res.coordinator.iface.id
-            self._ceiling[cid] = max(self._ceiling[cid], cts_ceiling)
-        self._top_ceiling = max(self._ceiling.values(), default=0.0)
-
-        # interface id -> its platform's arbiter
-        self.arbiters: dict[str, arb.RadioArbiter] = {}
-        # WiFi interface id -> the slots of its platform's subscriber stations,
-        # each (direction, start, end) in time order, which a schedule-aware
-        # arbiter checks the radio's spans against
-        self._watched: dict[str, list[deque]] = {}
-        if config.arbiter.enabled:
-            for ids in platforms.values():
-                self.arbiters.update(dict.fromkeys(ids, arb.RadioArbiter(ids)))
-        if config.arbiter.enabled and config.arbiter.schedule_aware:
-            for ss in self.sses.values():
-                mates = [i for i in platforms.get(self.interfaces[ss.node.id].platform, ())
-                         if i in self.stations]
-                if mates:
-                    ss.slots = deque()
-                    for sid in mates:
-                        self._watched.setdefault(sid, []).append(ss.slots)
 
         self.active: dict[_TxRec, None] = {}  # frames on air, in start order
         self.conflict_us = 0
@@ -617,12 +605,13 @@ class Engine:
                 links[direction].offer(now, nbytes)
         self._push(now + tick, "arrival", node_id)
 
-    def _top_up_saturated(self, cell: _Cell) -> None:
+    def _top_up_saturated(self, sses: list[_SsRt]) -> None:
         target = self._top_up_bytes
-        for link in cell.saturated:
-            queued = link.queue.queued_bytes
-            if queued < target:
-                link.offer(self.now, target - queued)
+        for ss in sses:
+            for link in ss.saturated:
+                queued = link.queue.queued_bytes
+                if queued < target:
+                    link.offer(self.now, target - queued)
 
     # ------------------------------------------------------------------ wimax
 
@@ -648,19 +637,19 @@ class Engine:
 
     def _on_boundary(self, bs_id: str) -> None:
         now = self.now
-        cell = self.cells[bs_id]
+        sses = self.cells[bs_id]
         frame_start = now + self._frame_us
-        self._top_up_saturated(cell)
+        self._top_up_saturated(sses)
         # one that may not claim in this frame asks for nothing; the key comes
         # from a list because tuple() of a generator resizes each key, which
         # parks up to 2,000 freed blocks (about 100 KB) on the tuple free list
         grants, spans = self._plans[tuple([
             (ss.node.id, ss.links[DL].queue.queued_bytes, ss.links[UL].queue.queued_bytes)
-            for ss in cell.sses
+            for ss in sses
             if ss.reservation is None or ss.reservation.claims(frame_start)])]
         for g in grants:
             self._push(frame_start + g.offset_us, "burst", g)
-        for ss in cell.sses:
+        for ss in sses:
             ss_id = ss.node.id
             slots = ss.slots
             if slots is not None:  # every WiFi span starts at or after now

@@ -388,14 +388,16 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig], cts_airtime_us: i
         else:
             if n.bs is not None:
                 w.fail(f"{path}.bs", "only wimax-ss nodes reference a base station")
+        if n.peer is not None:
+            if n.kind != "wifi":
+                w.fail(f"{path}.peer", "only wifi nodes reference a peer")
+            elif n.peer not in by_id or by_id[n.peer].kind != "wifi":
+                w.fail(f"{path}.peer", f"{n.peer!r} is not a wifi node")
+            elif n.peer == n.id:
+                w.fail(f"{path}.peer", "a node cannot peer with itself")
+        elif n.kind == "wifi" and n.traffic.kind in ("saturated", "paced"):
+            w.fail(f"{path}.peer", f"{n.traffic.kind} traffic needs a peer")
         if n.kind == "wifi":
-            if n.traffic.kind in ("saturated", "paced"):
-                if n.peer is None:
-                    w.fail(f"{path}.peer", f"{n.traffic.kind} traffic needs a peer")
-                elif n.peer not in by_id or by_id[n.peer].kind != "wifi":
-                    w.fail(f"{path}.peer", f"{n.peer!r} is not a wifi node")
-                elif n.peer == n.id:
-                    w.fail(f"{path}.peer", "a node cannot peer with itself")
             if n.traffic.kind == "wimax":
                 w.fail(f"{path}.traffic.kind", "'wimax' traffic belongs on a wimax-ss node")
             span = n.traffic.reservation_us + cts_airtime_us

@@ -5,14 +5,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import coexsim
 from coexsim.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION,
-                         compare_command, main, run_command)
-from coexsim.engine import Engine
+                         compare_command, compare_report, main, render_run_json, run_command)
+from coexsim.engine import Engine, run
 from coexsim.medium import POSITION_LIMIT_M
+from coexsim.scenario import emit_scenario, load_scenario
 from conftest import scenario_path
 from oracles import line_by_line_hash
 
@@ -24,6 +26,14 @@ def run_emulation(tmp_path, name, fmt="json", duration=3_000_000, seed=1, trace=
                        trace_path=str(tmp_path / trace) if trace else None)
     assert code == EXIT_OK
     return out
+
+
+def write_cut(tmp_path, name):
+    """A 100 ms cut of a shipped scenario, 20 ms of it warm-up, and its path."""
+    cfg = replace(load_scenario(scenario_path(name)), duration_us=100_000, warmup_us=20_000)
+    path = tmp_path / f"{name}-cut.yaml"
+    path.write_text(emit_scenario(cfg))
+    return cfg, str(path)
 
 
 class TestRunCommand:
@@ -158,6 +168,43 @@ class TestMain:
                    for seed in ("0", "1", "2")]
         assert json.loads(reports[0])["duration_us"] == 2_000_000
         assert reports[0] == reports[1] == reports[2]
+
+    def test_run_without_out_prints_the_report(self, tmp_path, capsys):
+        cfg, path = write_cut(tmp_path, "conference_room")
+        assert main(["run", path]) == EXIT_OK
+        assert capsys.readouterr().out == render_run_json(run(cfg))
+
+    def test_compare_via_main(self, tmp_path, capsys):
+        cfg, path = write_cut(tmp_path, "colocated")
+        assert main(["compare", path, "--toggle", "arbiter", "--seeds", "1,2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == compare_report(cfg, "arbiter", [1, 2])
+
+    @pytest.mark.parametrize("seeds, message", [
+        (",", "error: empty seed list"),
+        ("x", "error: argument --seeds: bad seed list: 'x'"),
+    ], ids=["empty", "not_a_number"])
+    def test_bad_seed_list_is_a_usage_error(self, capsys, seeds, message):
+        assert main(["compare", scenario_path("colocated"), "--toggle", "arbiter",
+                     "--seeds", seeds]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
+
+    def test_trace_needs_collect_trace(self, emulation_cfg):
+        with pytest.raises(RuntimeError, match="collect_trace=True"):
+            Engine(emulation_cfg).trace
+
+    def test_dangling_peer_is_a_validation_error(self, tmp_path, capsys):
+        # accepted by earlier versions: the idle ap's peer became a link
+        # ap->ghost and a system of its own
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("duration_us: 100000\nwarmup_us: 0\nnodes:\n"
+                       "  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap,"
+                       " traffic: {kind: saturated}}\n"
+                       "  - {id: ap, kind: wifi, position: [3.0, 0.0], peer: ghost}\n")
+        assert main(["run", str(bad), "--out", os.devnull]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: nodes[1].peer: 'ghost' is not a wifi node"]
 
     def test_usage_error_exit_code(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -822,7 +822,7 @@ class TestFramePlans:
             top_up(cell)
             frame_start = engine.now + wx.frame_us
             demands[:] = [SsDemand(ss.node.id, link.queue.queued_bytes, direction)
-                          for ss in cell.sses
+                          for ss in cell
                           if ss.reservation is None or ss.reservation.claims(frame_start)
                           for direction, link in ss.links.items()]
 

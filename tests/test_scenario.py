@@ -22,6 +22,22 @@ nodes:
   - {id: a, kind: wifi, position: [0.0, 0.0], traffic: {kind: none}}
 """
 
+# a document whose first node, WiFi station a, has the fields given; more
+# nodes may follow
+WIFI_A = "nodes:\n  - {id: a, kind: wifi, position: [0.0, 0.0]%s}\n"
+# a base station and a subscriber station of it, with the fields given
+CELL = ("nodes:\n  - {id: b, kind: wimax-bs, position: [0.0, 0.0]}\n"
+        "  - {id: s, kind: wimax-ss, position: [1.0, 0.0], bs: b%s}\n")
+
+# a peer on an idle station that names no node, and peers on WiMAX nodes
+GHOST_PEERS = """
+nodes:
+  - {id: sta, kind: wifi, position: [0.0, 0.0], peer: ap, traffic: {kind: saturated}}
+  - {id: ap, kind: wifi, position: [3.0, 0.0], peer: ghost}
+  - {id: bs, kind: wimax-bs, position: [50.0, 0.0], peer: nobody}
+  - {id: ss, kind: wimax-ss, position: [10.0, 0.0], bs: bs, peer: sta}
+"""
+
 # scenarios written inline, round-tripped next to the shipped files
 INLINE = {
     # fields the traffic kind does not use are still part of the config
@@ -277,6 +293,54 @@ nodes:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(yaml.safe_dump({section: changes}))
         assert err.value.errors == [f"{path}: {problem}"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("medium: {sinr_threshold_db: 12}\n",
+         ScenarioConfig(medium=MediumModel(sinr_threshold_db=12.0))),
+        ("nodes: null\n", ScenarioConfig()),
+        ("medium: {spillage: 5}\n", ["medium.spillage: expected a list of entries"]),
+        ("medium: {spillage: []}\n",
+         ["medium.spillage: spillage table needs at least one entry"]),
+        ("medium: {spillage: [{separation_mhz: 20.0, rejection_db: 30.0},"
+         " {separation_mhz: 10.0, rejection_db: 40.0}]}\n",
+         ["medium.spillage: entries must be sorted by separation, no duplicates"]),
+        (WIFI_A % ", collocated_with: a",
+         ["nodes[0].collocated_with: a node cannot be collocated with itself"]),
+        (WIFI_A % "" + "  - {id: s, kind: wimax-ss, position: [1.0, 0.0], bs: a}\n",
+         ["nodes[1].bs: 'a' is not a wimax-bs node"]),
+        (CELL % ", traffic: {kind: paced}",
+         ["nodes[1].traffic.kind: subscriber stations use 'wimax' or 'none' traffic"]),
+        (WIFI_A % ", bs: b" + "  - {id: b, kind: wimax-bs, position: [1.0, 0.0]}\n",
+         ["nodes[0].bs: only wimax-ss nodes reference a base station"]),
+        (WIFI_A % ", peer: b, traffic: {kind: saturated}"
+         + "  - {id: b, kind: wimax-bs, position: [1.0, 0.0]}\n",
+         ["nodes[0].peer: 'b' is not a wifi node"]),
+        (WIFI_A % ", peer: a, traffic: {kind: paced}",
+         ["nodes[0].peer: a node cannot peer with itself"]),
+        (WIFI_A % ", traffic: {kind: wimax}",
+         ["nodes[0].traffic.kind: 'wimax' traffic belongs on a wimax-ss node"]),
+        ("nodes:\n  - {id: b, kind: wimax-bs, position: [0.0, 0.0], traffic: {kind: paced}}\n",
+         ["nodes[0].traffic.kind: base stations carry no traffic"]),
+        # earlier versions checked a peer only under saturated or paced
+        # traffic: an idle station's dangling peer became a link and a system
+        # of its own, and a WiMAX node's peer was ignored
+        (GHOST_PEERS, ["nodes[1].peer: 'ghost' is not a wifi node",
+                       "nodes[2].peer: only wifi nodes reference a peer",
+                       "nodes[3].peer: only wifi nodes reference a peer"]),
+    ], ids=["int_for_float", "null_nodes", "spillage_not_a_list", "spillage_empty",
+            "spillage_unsorted", "collocated_with_itself", "bs_not_a_base_station",
+            "ss_traffic", "bs_off_a_subscriber_station", "peer_not_wifi", "peer_itself",
+            "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set"])
+    def test_each_rule_reports_its_path(self, text, expected):
+        """A rejected document gives exactly its rule's errors; an accepted
+        one parses as the config given, emitted alike, so an int given for a
+        float field must read as that float (YAML writes 12 and 12.0 apart)."""
+        if isinstance(expected, ScenarioConfig):
+            assert emit_scenario(parse_scenario(text)) == emit_scenario(expected)
+            return
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.errors == expected
 
 
 class TestToggle:
