@@ -1,6 +1,6 @@
 """Mutation checks: each planted fault must make its named tests fail.
 
-Usage: python tools/mutants.py [name ...]
+Usage: python tools/mutants.py
 
 Each row of ``MUTANTS`` names one fault: a module under ``src/coexsim``,
 a text of it, the text that replaces it, and the tests that must catch
@@ -185,13 +185,8 @@ def run_tests(copy: Path, tests: tuple) -> int:
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    stale = [m.name for m in chosen
+def main() -> int:
+    stale = [m.name for m in MUTANTS
              if (ROOT / "src" / "coexsim" / m.module).read_text().count(m.old) != 1]
     if stale:
         print(f"old text does not occur exactly once: {', '.join(stale)}", file=sys.stderr)
@@ -206,11 +201,11 @@ def main(argv: list[str]) -> int:
         if not Path(found).resolve().is_relative_to(copy.resolve()):
             print(f"coexsim imports from {found}, not the copy", file=sys.stderr)
             return 2
-        if run_tests(copy, tuple(dict.fromkeys(t for m in chosen for t in m.tests))) != 0:
+        if run_tests(copy, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))) != 0:
             print("the named tests fail without a mutant", file=sys.stderr)
             return 2
         survived = []
-        for m in chosen:
+        for m in MUTANTS:
             path = copy / "src" / "coexsim" / m.module
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
@@ -221,9 +216,9 @@ def main(argv: list[str]) -> int:
             print(f"{m.name}: {verdict} in {time.monotonic() - began:.1f} s", flush=True)
             if code != 1:
                 survived.append(m.name)
-    print(f"{len(chosen) - len(survived)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
