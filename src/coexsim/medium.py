@@ -11,7 +11,7 @@ in MHz, times in integer microseconds of virtual clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -22,6 +22,55 @@ FREE_SPACE = "free-space"
 LOG_DISTANCE = "log-distance"
 # the largest magnitude of a coordinate; squared distances stay far from overflow
 POSITION_LIMIT_M = 1e6
+
+
+class Memo(dict):
+    """Key -> value, filled by ``fill(key)`` on first use and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _bound_problem(value, lo, hi, choices) -> Optional[str]:
+    """What is wrong with a field's value against its metadata, or None."""
+    if isinstance(value, float) and not math.isfinite(value):  # NaN passes every bound test
+        return "must be finite"
+    if lo is not None and value < lo:
+        return f"must be >= {lo}"
+    if hi is not None and value > hi:
+        return f"must be <= {hi}"
+    if choices is not None and value not in choices:
+        return f"must be one of {sorted(choices)}"
+    return None
+
+
+# (name, lo, hi, choices) of each field with metadata, per section class
+_BOUNDS = Memo(lambda cls: tuple((f.name, f.metadata.get("lo"), f.metadata.get("hi"),
+                                  f.metadata.get("choices")) for f in fields(cls) if f.metadata))
+
+
+class Bounded:
+    """Base of the config sections.  Field metadata holds the bounds a
+    scenario file may set: ``lo``, ``hi``, ``choices``, and a float must be
+    finite.  Construction checks them, so a section built in code or with
+    ``dataclasses.replace`` keeps them too; the first field out of bounds
+    raises ``ValueError("<field>: <problem>")``, the parser's text.  A
+    section with cross-field rules checks them after calling this."""
+
+    def __post_init__(self) -> None:
+        for name, lo, hi, choices in _BOUNDS[type(self)]:
+            value = getattr(self, name)
+            if value is not None:
+                problem = _bound_problem(value, lo, hi, choices)
+                if problem:
+                    raise ValueError(f"{name}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -40,15 +89,13 @@ class Position:
 
 
 @dataclass(frozen=True)
-class PathLossModel:
+class PathLossModel(Bounded):
     """Free-space or log-distance attenuation.
 
     ``reference_loss_db`` is the loss at 1 m.  For the free-space model the
     exponent is pinned to 2.0 and the loss is computed from ``frequency_mhz``
     directly; for log-distance the loss is
     ``reference_loss_db + 10 * exponent * log10(d / 1 m)``.
-
-    Field metadata holds the bounds a scenario file may set.
     """
 
     kind: str = field(default=FREE_SPACE, metadata={"choices": (FREE_SPACE, LOG_DISTANCE)})
@@ -57,16 +104,9 @@ class PathLossModel:
     frequency_mhz: float = field(default=2400.0, metadata={"lo": 400.0, "hi": 7125.0})
 
     def __post_init__(self) -> None:
-        if self.kind not in (FREE_SPACE, LOG_DISTANCE):
-            raise ValueError(f"unknown path loss kind: {self.kind!r}")
+        super().__post_init__()
         if self.kind == FREE_SPACE and self.exponent != 2.0:
             raise ValueError("free-space model has a fixed exponent of 2.0")
-        if self.exponent < 2.0:
-            raise ValueError("exponent must be >= 2.0")
-        if self.reference_loss_db <= 0:
-            raise ValueError("reference_loss_db must be positive")
-        if self.frequency_mhz <= 0:
-            raise ValueError("frequency_mhz must be positive")
 
 
 def path_loss(distance_m: float, model: PathLossModel) -> float:
@@ -95,6 +135,15 @@ def invert_path_loss(loss_db: float, model: PathLossModel) -> float:
 
 
 @dataclass(frozen=True)
+class SpillageEntry(Bounded):
+    """One row of a spillage table, the scenario's ``medium.spillage`` list;
+    the table keeps rows as tuples.  Both keys are required."""
+
+    separation_mhz: float = field(metadata={"lo": 0.1})
+    rejection_db: float = field(metadata={"lo": 0.0})
+
+
+@dataclass(frozen=True)
 class SpillageTable:
     """Adjacent-channel rejection versus channel-center separation.
 
@@ -108,14 +157,11 @@ class SpillageTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("spillage table needs at least one entry")
-        seps = [e[0] for e in self.entries]
-        rejs = [e[1] for e in self.entries]
-        if any(s <= 0 for s in seps):
-            raise ValueError("channel separations must be positive")
+        rows = [SpillageEntry(*e) for e in self.entries]  # each checks its bounds
+        seps = [r.separation_mhz for r in rows]
+        rejs = [r.rejection_db for r in rows]
         if sorted(seps) != seps or len(set(seps)) != len(seps):
             raise ValueError("entries must be sorted by separation, no duplicates")
-        if any(r < 0 for r in rejs):
-            raise ValueError("rejection must be non-negative")
         if any(b < a for a, b in zip(rejs, rejs[1:])):
             raise ValueError("rejection must be non-decreasing with separation")
 
@@ -223,9 +269,9 @@ class DeliveryOutcome(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MediumModel:
+class MediumModel(Bounded):
     """Propagation parameters shared by one scenario; the scenario's
-    ``medium`` section.  Field metadata holds the bounds a scenario file may set.
+    ``medium`` section.
 
     ``colocated_coupling_db`` replaces path loss between interfaces on the
     same platform, where the geometric distance would be 0 m.
@@ -243,20 +289,6 @@ class MediumModel:
         else:
             loss = path_loss(src.position.distance_to(dst.position), self.path_loss)
         return loss + self.spillage.rejection_db(src.channel_mhz - dst.channel_mhz)
-
-
-class Memo(dict):
-    """Key -> value, filled by ``fill(key)`` on first use and kept."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 def received_power(tx_power_dbm: float, src: Position, dst: Position,

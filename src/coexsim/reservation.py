@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .medium import CTS, PathLossModel, Transmission, invert_path_loss, path_loss
+from .medium import CTS, Bounded, PathLossModel, Transmission, invert_path_loss, path_loss
 from .wifi import DcfParams, WifiStation
 
 NAV_FIELD_CAP_US = 32767
@@ -115,9 +115,8 @@ def reservation_power(reach_m: float, cca_threshold_dbm: float,
 
 
 @dataclass(frozen=True)
-class QosTarget:
-    """The scenario's optional ``reservation.qos`` section; field metadata
-    holds the bounds a scenario file may set."""
+class QosTarget(Bounded):
+    """The scenario's optional ``reservation.qos`` section."""
 
     min_throughput_bytes_per_s: float = field(default=0.0, metadata={"lo": 0.0})
     max_mean_delay_us: float = field(default=1e12, metadata={"lo": 0.0})

@@ -7,19 +7,20 @@ equivalent config.  See README.md for the full schema reference.
 Each section of the schema is a dataclass: its field names are the allowed
 keys, its field defaults are the schema defaults, and each field's metadata
 holds the bounds (``lo``, ``hi``) and allowed values (``choices``) that
-validation enforces.  One generic parser and one generic emitter read them.
+validation and the constructor (``medium.Bounded``) enforce alike.  One
+generic parser and one generic emitter read them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Any, Optional, get_args, get_type_hints
 
 import yaml
 
-from .medium import MediumModel, PathLossModel, Position, RadioInterface, SpillageTable
+from .medium import (Bounded, MediumModel, PathLossModel, Position, RadioInterface,
+                     SpillageEntry, SpillageTable, _bound_problem)
 from .reservation import QosTarget
 from .wifi import DcfParams
 from .wimax import WimaxConfig
@@ -44,7 +45,7 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrafficConfig:
+class TrafficConfig(Bounded):
     kind: str = field(default="none", metadata={"choices": TRAFFIC_KINDS})
     frame_bytes: int = field(default=1500, metadata={"lo": 1, "hi": 60_000})
     interval_us: int = field(default=10000, metadata={"lo": 1})        # paced
@@ -61,7 +62,7 @@ class TrafficConfig:
 
 
 @dataclass(frozen=True, kw_only=True)
-class NodeConfig:
+class NodeConfig(Bounded):
     """One radio.  The radio fields without a default take theirs from
     ``_NODE_DEFAULTS`` by kind; ``system`` defaults as ``_parse_node`` says."""
 
@@ -80,16 +81,7 @@ class NodeConfig:
 
 
 @dataclass(frozen=True)
-class _SpillageEntry:
-    """One row of ``medium.spillage``; SpillageTable keeps rows as tuples.
-    Both keys are required."""
-
-    separation_mhz: float = field(metadata={"lo": 0.1})
-    rejection_db: float = field(metadata={"lo": 0.0})
-
-
-@dataclass(frozen=True)
-class ReservationConfig:
+class ReservationConfig(Bounded):
     enabled: bool = False
     pacing: bool = True
     power_sizing: bool = True
@@ -114,19 +106,20 @@ class ReservationConfig:
     qos_growth_cap: float = field(default=2.0, metadata={"lo": 1.0, "hi": 16.0})
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.claim_interval_max_us < self.claim_interval_min_us:
             raise ValueError("claim_interval_max_us: must be >= claim_interval_min_us")
 
 
 @dataclass(frozen=True)
-class ArbiterConfig:
+class ArbiterConfig(Bounded):
     enabled: bool = False
     schedule_aware: bool = False
     retry_us: int = field(default=500, metadata={"lo": 1})
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Bounded):
     duration_us: int = field(default=30_000_000, metadata={"lo": 1})
     warmup_us: int = field(default=1_000_000, metadata={"lo": 0})
     seed: int = 1
@@ -138,6 +131,7 @@ class ScenarioConfig:
     nodes: tuple[NodeConfig, ...] = ()
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.warmup_us >= self.duration_us:
             raise ValueError("warm-up must be shorter than the run")
 
@@ -212,7 +206,7 @@ def _scalar_fields(cls: type) -> tuple:
     return tuple(out)
 
 
-_SECTIONS = (ScenarioConfig, MediumModel, PathLossModel, _SpillageEntry, DcfParams,
+_SECTIONS = (ScenarioConfig, MediumModel, PathLossModel, SpillageEntry, DcfParams,
              WimaxConfig, ReservationConfig, QosTarget, ArbiterConfig, NodeConfig,
              TrafficConfig)
 _SCALARS = {cls: _scalar_fields(cls) for cls in _SECTIONS}
@@ -255,17 +249,9 @@ class _Walker:
         if not isinstance(val, kind):
             self.fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
             return default
-        if kind is float and not math.isfinite(val):  # NaN passes every bound test
-            self.fail(f"{path}.{key}", "must be finite")
-            return default
-        if lo is not None and val < lo:
-            self.fail(f"{path}.{key}", f"must be >= {lo}")
-            return default
-        if hi is not None and val > hi:
-            self.fail(f"{path}.{key}", f"must be <= {hi}")
-            return default
-        if choices is not None and val not in choices:
-            self.fail(f"{path}.{key}", f"must be one of {sorted(choices)}")
+        problem = _bound_problem(val, lo, hi, choices)
+        if problem:
+            self.fail(f"{path}.{key}", problem)
             return default
         return val
 
@@ -308,8 +294,8 @@ def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
             entries = []
             for i, e in enumerate(raw_entries):
                 path = f"medium.spillage[{i}]"
-                given = w.mapping(e, path, _KEYS[_SpillageEntry])
-                row = _scalars(w, given, path, _SpillageEntry)
+                given = w.mapping(e, path, _KEYS[SpillageEntry])
+                row = _scalars(w, given, path, SpillageEntry)
                 for key in row:
                     if given.get(key) is None:
                         w.fail(f"{path}.{key}", "required")
@@ -471,7 +457,7 @@ def _plain(value: Any) -> Any:
     if isinstance(value, Position):
         return [value.x, value.y]
     if isinstance(value, SpillageTable):
-        return [_plain(_SpillageEntry(*entry)) for entry in value.entries]
+        return [_plain(SpillageEntry(*entry)) for entry in value.entries]
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if is_dataclass(value):

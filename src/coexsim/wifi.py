@@ -15,13 +15,12 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .medium import CTS, DATA, FrameKind, RadioInterface, Transmission
+from .medium import CTS, DATA, Bounded, FrameKind, RadioInterface, Transmission
 
 
 @dataclass(frozen=True)
-class DcfParams:
-    """DCF constants; the scenario's ``wifi`` section.  Field metadata holds
-    the bounds a scenario file may set."""
+class DcfParams(Bounded):
+    """DCF constants; the scenario's ``wifi`` section."""
 
     slot_us: int = field(default=20, metadata={"lo": 1})
     difs_us: int = field(default=50, metadata={"lo": 1})
@@ -32,6 +31,7 @@ class DcfParams:
     cts_airtime_us: int = field(default=44, metadata={"lo": 1})
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.cw_max < self.cw_min:
             raise ValueError("cw_max: must be >= cw_min")
 

@@ -13,14 +13,15 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+from .medium import Bounded
+
 DL = "DL"
 UL = "UL"
 
 
 @dataclass(frozen=True)
-class WimaxConfig:
-    """Frame geometry and capacity; the scenario's ``wimax`` section.  Field
-    metadata holds the bounds a scenario file may set."""
+class WimaxConfig(Bounded):
+    """Frame geometry and capacity; the scenario's ``wimax`` section."""
 
     # finite upper bounds keep a frame's top-up, capacity times frame length,
     # a finite byte count
@@ -31,12 +32,7 @@ class WimaxConfig:
     ttg_us: int = field(default=100, metadata={"lo": 0})
 
     def __post_init__(self) -> None:
-        if self.frame_us <= 0:
-            raise ValueError("frame_us: must be positive")
-        if self.capacity_bytes_per_us <= 0:
-            raise ValueError("capacity_bytes_per_us: must be positive")
-        if not 0 < self.dl_ratio < 1:
-            raise ValueError("dl_ratio: must be in (0, 1)")
+        super().__post_init__()
         dl_end = int(self.frame_us * self.dl_ratio)
         if not self.preamble_us <= dl_end <= self.frame_us - self.ttg_us:
             raise ValueError("dl_ratio: subframe split leaves no room for preamble/turnaround: "

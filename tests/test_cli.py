@@ -227,6 +227,15 @@ class TestMain:
         assert capsys.readouterr().err.splitlines() == [
             "error: --duration-us: warm-up must be shorter than the run"]
 
+    @pytest.mark.parametrize("duration", ["0", "-5"])
+    def test_duration_override_below_one_microsecond_is_a_validation_error(self, capsys,
+                                                                           duration):
+        """The override meets the field's own bound before the warm-up rule."""
+        assert main(["run", scenario_path("colocated"), "--duration-us", duration]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --duration-us: duration_us: must be >= 1"]
+
     def test_warmup_at_the_run_end_is_a_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("duration_us: 1000\nwarmup_us: 1000\n")

@@ -54,7 +54,7 @@ class TestPathLoss:
             assert path_loss(d * factor, model) > path_loss(d, model)
 
     def test_free_space_pins_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^free-space model has a fixed exponent of 2\.0$"):
             PathLossModel(kind="free-space", exponent=3.0)
 
 
@@ -76,8 +76,19 @@ class TestSpillage:
         assert table.rejection_db(-32.0) == 41.0   # separation is unsigned
 
     def test_rejects_decreasing_rejection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rejection must be non-decreasing with separation$"):
             SpillageTable(((10.0, 50.0), (20.0, 40.0)))
+
+    @pytest.mark.parametrize("entries, message", [
+        (((10.0, 40.0), (10.0, 50.0)), "entries must be sorted by separation, no duplicates"),
+        (((0.0, 40.0),), "separation_mhz: must be >= 0.1"),
+        (((10.0, -1.0),), "rejection_db: must be >= 0.0"),
+    ], ids=["duplicate", "zero_separation", "negative_rejection"])
+    def test_rejects_bad_entries(self, entries, message):
+        """Each row keeps the bounds of a scenario file's row."""
+        with pytest.raises(ValueError) as raised:
+            SpillageTable(entries)
+        assert str(raised.value) == message
 
 
 class TestReceivedPower:

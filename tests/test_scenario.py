@@ -1,3 +1,4 @@
+import math
 import pathlib
 from dataclasses import fields, replace
 from typing import Optional, get_type_hints
@@ -6,12 +7,12 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from coexsim.medium import FREE_SPACE, MediumModel, PathLossModel, Position, SpillageTable
+from coexsim.medium import (FREE_SPACE, MediumModel, PathLossModel, Position, SpillageEntry,
+                            SpillageTable)
 from coexsim.reservation import QosTarget
 from coexsim.scenario import (_SCALARS, ArbiterConfig, NodeConfig, ReservationConfig,
                               ScenarioConfig, ScenarioError, TrafficConfig, WimaxConfig,
-                              _SpillageEntry, emit_scenario, load_scenario, parse_scenario,
-                              toggled)
+                              emit_scenario, load_scenario, parse_scenario, toggled)
 from coexsim.wifi import DcfParams
 from conftest import scenario_path
 
@@ -96,22 +97,45 @@ class TestCanonicalFiles:
         assert parse_scenario(yaml.safe_dump(doc)) == parse_scenario("")
 
 
-# section -> (its path, a document that sets one of its fields to {field}: {value})
-_FLOAT_SITES = {
-    MediumModel: ("medium", "medium: {{{field}: {value}}}\n"),
-    PathLossModel: ("medium.path_loss", "medium: {{path_loss: {{{field}: {value}}}}}\n"),
-    _SpillageEntry: ("medium.spillage[0]", "medium: {{spillage: [{{separation_mhz: 20.0, "
-                     "rejection_db: 41.0, {field}: {value}}}]}}\n"),
-    DcfParams: ("wifi", "wifi: {{{field}: {value}}}\n"),
-    WimaxConfig: ("wimax", "wimax: {{{field}: {value}}}\n"),
-    ReservationConfig: ("reservation", "reservation: {{{field}: {value}}}\n"),
-    QosTarget: ("reservation.qos", "reservation: {{qos: {{{field}: {value}}}}}\n"),
-    NodeConfig: ("nodes[0]", "nodes: [{{id: a, position: [0.0, 0.0], {field}: {value}}}]\n"),
-    TrafficConfig: ("nodes[0].traffic", "nodes: [{{id: a, position: [0.0, 0.0], "
-                    "traffic: {{kind: cts-inject, {field}: {value}}}}}]\n"),
+# section -> (its path, the document that sets the fields given in it, and a
+# valid section that document parses to when it sets none)
+_SITES = {
+    ScenarioConfig: ("(top)", lambda f: f, ScenarioConfig()),
+    MediumModel: ("medium", lambda f: {"medium": f}, MediumModel()),
+    PathLossModel: ("medium.path_loss", lambda f: {"medium": {"path_loss": f}},
+                    PathLossModel()),
+    SpillageEntry: ("medium.spillage[0]", lambda f: {"medium": {"spillage": [
+        {"separation_mhz": 20.0, "rejection_db": 41.0, **f}]}}, SpillageEntry(20.0, 41.0)),
+    DcfParams: ("wifi", lambda f: {"wifi": f}, DcfParams()),
+    WimaxConfig: ("wimax", lambda f: {"wimax": f}, WimaxConfig()),
+    ReservationConfig: ("reservation", lambda f: {"reservation": f}, ReservationConfig()),
+    QosTarget: ("reservation.qos", lambda f: {"reservation": {"qos": f}}, QosTarget()),
+    ArbiterConfig: ("arbiter", lambda f: {"arbiter": f}, ArbiterConfig()),
+    NodeConfig: ("nodes[0]", lambda f: {"nodes": [{"id": "a", "position": [0.0, 0.0], **f}]},
+                 parse_scenario(WIFI_A % "").nodes[0]),
+    TrafficConfig: ("nodes[0].traffic", lambda f: {"nodes": [{
+        "id": "a", "position": [0.0, 0.0], "traffic": {"kind": "cts-inject", **f}}]},
+                    TrafficConfig(kind="cts-inject")),
 }
 _FLOAT_FIELDS = [(cls, name) for cls, rows in _SCALARS.items()
                  for name, kind, *_ in rows if kind is float]
+
+
+def _out_of_bounds(kind, lo, hi, choices):
+    """(case, value) pairs just outside a field's bounds."""
+    if lo is not None:
+        yield "lo", lo - 1 if kind is int else math.nextafter(lo, -math.inf)
+    if hi is not None:
+        yield "hi", hi + 1 if kind is int else math.nextafter(hi, math.inf)
+    if choices is not None:
+        yield "choices", "bogus"
+    if kind is float:
+        yield "nan", math.nan
+
+
+_BOUND_CASES = [(cls, name, case, value) for cls, rows in _SCALARS.items()
+                for name, kind, _, lo, hi, choices in rows
+                for case, value in _out_of_bounds(kind, lo, hi, choices)]
 
 
 class TestValidation:
@@ -252,10 +276,41 @@ nodes:
                              ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
     def test_float_fields_must_be_finite(self, cls, name, value):
         """NaN passes every bound test, and infinity every one-sided one."""
-        path, text = _FLOAT_SITES[cls]
+        path, document, _ = _SITES[cls]
         with pytest.raises(ScenarioError) as err:
-            parse_scenario(text.format(field=name, value=value))
+            parse_scenario(yaml.safe_dump(document({name: yaml.safe_load(value)})))
         assert f"{path}.{name}: must be finite" in err.value.errors
+
+    @pytest.mark.parametrize("cls, name, case, value", _BOUND_CASES,
+                             ids=[f"{cls.__name__}.{name}-{case}"
+                                  for cls, name, case, _ in _BOUND_CASES])
+    def test_constructors_keep_the_parser_bounds(self, cls, name, case, value):
+        """A section refuses a value just outside a field's bounds with the
+        text the parser gives at that field's path.  Earlier versions
+        checked the bounds in the parser alone, so a section built in code
+        or with replace() could hold any value."""
+        path, document, valid = _SITES[cls]
+        with pytest.raises(ValueError) as raised:
+            replace(valid, **{name: value})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(yaml.safe_dump(document({name: value})))
+        assert err.value.errors == [f"{path}.{raised.value}"]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PathLossModel(reference_loss_db=0.5, frequency_mhz=100.0),
+         "reference_loss_db: must be >= 1.0"),
+        (lambda: WimaxConfig(frame_us=50, dl_ratio=0.99, capacity_bytes_per_us=0.001,
+                             preamble_us=0, ttg_us=0), "frame_us: must be >= 100"),
+        (lambda: SpillageTable(((0.05, 1.0),)), "separation_mhz: must be >= 0.1"),
+        (lambda: replace(ScenarioConfig().wifi, slot_us=0), "slot_us: must be >= 1"),
+    ], ids=["path_loss", "wimax", "spillage", "slot"])
+    def test_sections_built_in_code_keep_their_bounds(self, build, message):
+        """Each of these built without error in earlier versions, whose
+        constructors restated looser bounds than the parser's; the engine
+        divides by slot_us."""
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):

@@ -36,9 +36,9 @@ class TestBuildFrameMap:
 
     def test_bad_parameters(self):
         """The section refuses a geometry that no frame map can follow."""
-        with pytest.raises(ValueError, match="^frame_us: "):
+        with pytest.raises(ValueError, match=r"^frame_us: must be >= 100$"):
             WimaxConfig(frame_us=0)
-        with pytest.raises(ValueError, match="^dl_ratio: "):
+        with pytest.raises(ValueError, match=r"^dl_ratio: must be <= 0\.95$"):
             WimaxConfig(dl_ratio=1.2)
 
     def test_bad_demand(self):

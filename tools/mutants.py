@@ -50,6 +50,7 @@ SETTLED = E + "TestSensitivityEdges::test_unoverlapped_frames_follow_the_decode_
 SLOTS = E + "TestArbitratedRuns::test_only_upcoming_slots_are_kept"
 OUTCOMES = E + "TestOutcomeReplay::test_shipped_scenario_outcomes_match_the_oracle[colocated_cfg]"
 DROP = "tests/test_wifi.py::TestTxOutcome::test_drop_past_retry_limit"
+BOUNDS = "tests/test_scenario.py::TestValidation::test_constructors_keep_the_parser_bounds"
 GENERATED = ("tests/test_properties.py::TestGeneratedScenarios"
              "::test_valid_scenarios_run_and_keep_the_invariants")
 
@@ -163,6 +164,14 @@ MUTANTS = (
     Mutant("burst_before_its_grant", ENGINE,
            '            self._push(frame_start + g.offset_us, "burst", g)\n',
            '            self._push(frame_start + g.offset_us - 150, "burst", g)\n', (LAYOUT,)),
+    # no field is checked against its upper bound, by the parser or a constructor
+    Mutant("no_upper_bound", "medium.py",
+           "    if hi is not None and value > hi:\n",
+           "    if False:\n", (f"{BOUNDS}[WimaxConfig.dl_ratio-hi]",)),
+    # the wimax section checks its cross-field rule but not its bounds
+    Mutant("wimax_skips_its_bounds", "wimax.py",
+           "        super().__post_init__()\n",
+           "", (f"{BOUNDS}[WimaxConfig.capacity_bytes_per_us-lo]",)),
 )
 
 
