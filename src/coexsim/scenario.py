@@ -8,7 +8,10 @@ Each section of the schema is a dataclass: its field names are the allowed
 keys, its field defaults are the schema defaults, and each field's metadata
 holds the bounds (``lo``, ``hi``) and allowed values (``choices``) that
 validation and the constructor (``medium.Bounded``) enforce alike.  One
-generic parser and one generic emitter read them.
+generic parser and one generic emitter read them.  The node rules hold in
+``ScenarioConfig``'s constructor too, so a config built in code or with
+``dataclasses.replace`` fails with the parser's text and path, such as
+``nodes[1].peer: 'ghost' is not a wifi node``.
 """
 
 from __future__ import annotations
@@ -134,6 +137,9 @@ class ScenarioConfig(Bounded):
         super().__post_init__()
         if self.warmup_us >= self.duration_us:
             raise ValueError("warm-up must be shorter than the run")
+        problems = _node_problems(self.nodes, self.wifi.cts_airtime_us)
+        if problems:
+            raise ValueError(problems[0])
 
     @cached_property
     def _by_id(self) -> dict[str, NodeConfig]:
@@ -145,26 +151,7 @@ class ScenarioConfig(Bounded):
 
     def platforms(self) -> dict[str, Optional[str]]:
         """Node id -> platform id (None for standalone radios)."""
-        parent = {n.id: n.id for n in self.nodes}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for n in self.nodes:
-            if n.collocated_with:
-                parent[find(n.id)] = find(n.collocated_with)
-        groups: dict[str, list[str]] = {}
-        for n in self.nodes:
-            groups.setdefault(find(n.id), []).append(n.id)
-        out: dict[str, Optional[str]] = {}
-        for members in groups.values():
-            plat = "plat:" + min(members) if len(members) > 1 else None
-            for m in members:
-                out[m] = plat
-        return out
+        return _platforms(self.nodes)
 
     def interfaces(self) -> dict[str, RadioInterface]:
         plats = self.platforms()
@@ -176,6 +163,30 @@ class ScenarioConfig(Bounded):
                 cca_threshold_dbm=n.cca_threshold_dbm, platform=plats[n.id])
             for n in self.nodes
         }
+
+
+def _platforms(nodes: tuple[NodeConfig, ...]) -> dict[str, Optional[str]]:
+    """Node id -> platform id; every ``collocated_with`` must name a node."""
+    parent = {n.id: n.id for n in nodes}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for n in nodes:
+        if n.collocated_with:
+            parent[find(n.id)] = find(n.collocated_with)
+    groups: dict[str, list[str]] = {}
+    for n in nodes:
+        groups.setdefault(find(n.id), []).append(n.id)
+    out: dict[str, Optional[str]] = {}
+    for members in groups.values():
+        plat = "plat:" + min(members) if len(members) > 1 else None
+        for m in members:
+            out[m] = plat
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +296,7 @@ def _section(w: _Walker, raw: Any, path: str, cls: type, **nested: type) -> Any:
 def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
     m = w.mapping(raw, "medium", _KEYS[MediumModel])
     path_loss = _section(w, m.get("path_loss"), "medium.path_loss", PathLossModel)
-    spillage = SpillageTable()
+    spillage = {}  # the default table unless the document gives one
     if m.get("spillage") is not None:
         raw_entries = m["spillage"]
         if not isinstance(raw_entries, list):
@@ -302,11 +313,10 @@ def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
                 entries.append(tuple(row.values()))
             if all(None not in e for e in entries):
                 try:
-                    spillage = SpillageTable(tuple(entries))
+                    spillage["spillage"] = SpillageTable(tuple(entries))
                 except ValueError as exc:
                     w.fail("medium.spillage", str(exc))
-    return MediumModel(path_loss=path_loss, spillage=spillage,
-                       **_scalars(w, m, "medium", MediumModel))
+    return MediumModel(path_loss=path_loss, **spillage, **_scalars(w, m, "medium", MediumModel))
 
 
 def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:
@@ -345,7 +355,9 @@ def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:
     return NodeConfig(position=position, traffic=traffic, **vals)
 
 
-def _check_node_relations(w: _Walker, nodes: list[NodeConfig], cts_airtime_us: int) -> None:
+def _node_problems(nodes: tuple[NodeConfig, ...], cts_airtime_us: int) -> list[str]:
+    """'path: problem' of each node rule broken; positions only if all others hold."""
+    w = _Walker()
     ids: dict[str, int] = {}
     for i, n in enumerate(nodes):
         if n.id in ids:
@@ -393,30 +405,29 @@ def _check_node_relations(w: _Walker, nodes: list[NodeConfig], cts_airtime_us: i
         if n.kind == "wimax-bs" and n.traffic.kind != "none":
             w.fail(f"{path}.traffic.kind", "base stations carry no traffic")
     if w.errors:
-        return  # platforms need every reference resolved
+        return w.errors  # platforms need every reference resolved
     # path loss has no distance 0; only radios on one platform may coincide
-    plats = ScenarioConfig(nodes=tuple(nodes)).platforms()
+    plats = _platforms(nodes)
     first_at: dict[Position, NodeConfig] = {}
     for i, n in enumerate(nodes):
         other = first_at.setdefault(n.position, n)
         if other is not n and (plats[n.id] is None or plats[n.id] != plats[other.id]):
             w.fail(f"nodes[{i}].position", f"same position as {other.id!r} on another "
                    "platform; radios on one platform set collocated_with")
+    return w.errors
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document; raise ScenarioError on problems."""
+    """Parse and validate a scenario document; raise ScenarioError listing
+    every problem, each node rule the config's constructor checks included."""
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"(syntax): {exc}"]) from exc
     w = _Walker()
     top = w.mapping(raw, "(top)", _KEYS[ScenarioConfig])
-    try:  # the sections go in at the end
-        cfg = ScenarioConfig(**_scalars(w, top, "(top)", ScenarioConfig))
-    except ValueError as exc:
-        w.fail("warmup_us", str(exc))
-        cfg = ScenarioConfig()
+    scalars = _scalars(w, top, "(top)", ScenarioConfig)
+    window_at = len(w.errors)  # a window error goes after the top-level scalars'
 
     medium = _parse_medium(w, top.get("medium"))
 
@@ -432,18 +443,18 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(nodes_raw, list):
         w.fail("nodes", "expected a list")
         nodes_raw = []
-    nodes = []
-    for i, nr in enumerate(nodes_raw):
-        node = _parse_node(w, nr, i)
-        if node is not None:
-            nodes.append(node)
-    if not w.errors:
-        _check_node_relations(w, nodes, wifi.cts_airtime_us)
-
+    nodes = tuple(filter(None, (_parse_node(w, nr, i) for i, nr in enumerate(nodes_raw))))
+    try:  # the node rules run only on an otherwise valid document
+        cfg = ScenarioConfig(medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
+                             arbiter=arbiter, nodes=() if w.errors else nodes, **scalars)
+    except ValueError as exc:
+        if str(exc).startswith("nodes["):
+            w.errors += _node_problems(nodes, wifi.cts_airtime_us)
+        else:
+            w.errors.insert(window_at, f"warmup_us: {exc}")
     if w.errors:
         raise ScenarioError(w.errors)
-    return replace(cfg, medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
-                   arbiter=arbiter, nodes=tuple(nodes))
+    return cfg
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -17,9 +17,9 @@ from coexsim.engine import Engine
 from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import ScenarioConfig, emit_scenario, parse_scenario
 from conftest import scenario_path
-from oracles import (conflict_time, dcf_violations, frame_map_violations, line_by_line_hash,
-                     nav_violations, outcome_mismatches, over_ceiling, own_overlaps,
-                     report_mismatches, schedule_violations)
+from oracles import (air, conflict_time, dcf_violations, frame_map_violations,
+                     line_by_line_hash, nav_violations, notes, outcome_mismatches, over_ceiling,
+                     own_overlaps, report_mismatches, schedule_violations)
 from test_scenario import scenarios
 
 
@@ -165,6 +165,29 @@ class TestGeneratedScenarios:
         # the hash covers the behaviour notes alone, whether a trace is kept or not
         assert line_by_line_hash(engine.trace) == result.trace_hash
         assert Engine(cfg, seed=seed).run().trace_hash == result.trace_hash
+
+
+class TestRunLength:
+    @settings(max_examples=40, deadline=None)
+    @given(small_scenarios(), st.integers(1, 1000), st.data())
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, text, seed, data):
+        """Cut at a time T1 after the warm-up, a run's notes are the full
+        run's notes up to T1: nothing before the end depends on where the
+        end is.  T1 falls anywhere, or inside a CTS on air, since a train's
+        chunks are all queued when it is sent and the end decides which fly."""
+        cfg = parse_scenario(text)
+        full = Engine(cfg, seed=seed, collect_trace=True)
+        full.run()
+        last = cfg.duration_us - 1
+        frames = [(a.start, min(a.end, last))
+                  for a in (air(f) for f in notes(full.trace) if f[1:3] == ["air", "cts"])
+                  if cfg.warmup_us < a.start <= last]
+        anywhere = st.integers(cfg.warmup_us + 1, last)
+        inside = st.sampled_from(frames).flatmap(lambda f: st.integers(*f)) if frames else anywhere
+        end = data.draw(anywhere | inside, label="T1")
+        cut = Engine(replace(cfg, duration_us=end), seed=seed, collect_trace=True)
+        cut.run()
+        assert list(notes(cut.trace)) == [f for f in notes(full.trace) if int(f[0]) <= end]
 
 
 def _cut(cfg: ScenarioConfig) -> ScenarioConfig:

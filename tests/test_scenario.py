@@ -1,3 +1,4 @@
+import collections
 import math
 import pathlib
 from dataclasses import fields, replace
@@ -7,8 +8,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from coexsim.medium import (FREE_SPACE, MediumModel, PathLossModel, Position, SpillageEntry,
-                            SpillageTable)
+from coexsim.medium import (FREE_SPACE, Bounded, MediumModel, PathLossModel, Position,
+                            SpillageEntry, SpillageTable)
 from coexsim.reservation import QosTarget
 from coexsim.scenario import (_SCALARS, ArbiterConfig, NodeConfig, ReservationConfig,
                               ScenarioConfig, ScenarioError, TrafficConfig, WimaxConfig,
@@ -38,6 +39,14 @@ nodes:
   - {id: bs, kind: wimax-bs, position: [50.0, 0.0], peer: nobody}
   - {id: ss, kind: wimax-ss, position: [10.0, 0.0], bs: bs, peer: sta}
 """
+
+
+def node_changed(cfg: ScenarioConfig, index: int, **changes) -> ScenarioConfig:
+    """``cfg`` with the fields given changed on node ``index``."""
+    nodes = list(cfg.nodes)
+    nodes[index] = replace(nodes[index], **changes)
+    return replace(cfg, nodes=tuple(nodes))
+
 
 # scenarios written inline, round-tripped next to the shipped files
 INLINE = {
@@ -297,20 +306,54 @@ nodes:
         assert err.value.errors == [f"{path}.{raised.value}"]
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: PathLossModel(reference_loss_db=0.5, frequency_mhz=100.0),
+        (lambda cfg: PathLossModel(reference_loss_db=0.5, frequency_mhz=100.0),
          "reference_loss_db: must be >= 1.0"),
-        (lambda: WimaxConfig(frame_us=50, dl_ratio=0.99, capacity_bytes_per_us=0.001,
-                             preamble_us=0, ttg_us=0), "frame_us: must be >= 100"),
-        (lambda: SpillageTable(((0.05, 1.0),)), "separation_mhz: must be >= 0.1"),
-        (lambda: replace(ScenarioConfig().wifi, slot_us=0), "slot_us: must be >= 1"),
-    ], ids=["path_loss", "wimax", "spillage", "slot"])
-    def test_sections_built_in_code_keep_their_bounds(self, build, message):
+        (lambda cfg: WimaxConfig(frame_us=50, dl_ratio=0.99, capacity_bytes_per_us=0.001,
+                                 preamble_us=0, ttg_us=0), "frame_us: must be >= 100"),
+        (lambda cfg: SpillageTable(((0.05, 1.0),)), "separation_mhz: must be >= 0.1"),
+        (lambda cfg: replace(ScenarioConfig().wifi, slot_us=0), "slot_us: must be >= 1"),
+        (lambda cfg: node_changed(cfg, 3, peer="ghost"),
+         "nodes[3].peer: 'ghost' is not a wifi node"),
+        (lambda cfg: node_changed(cfg, 1, bs=None),
+         "nodes[1].bs: a subscriber station must reference a base station"),
+        (lambda cfg: node_changed(cfg, 2, collocated_with="ghost"),
+         "nodes[2].collocated_with: unknown node 'ghost'"),
+        (lambda cfg: node_changed(cfg, 4, position=Position(2.0, 0.0)),
+         "nodes[4].position: same position as 'sta1' on another platform; radios on one "
+         "platform set collocated_with"),
+        (lambda cfg: replace(cfg, nodes=cfg.nodes + cfg.nodes[4:5]),
+         "nodes[7].id: duplicate node id 'ap1'"),
+        (lambda cfg: node_changed(cfg, 2, id="ss1|wifi"),
+         "nodes[2].id: node id 'ss1|wifi' contains '|' or '>'"),
+        (lambda cfg: node_changed(cfg, 1, traffic=TrafficConfig(kind="saturated")),
+         "nodes[1].traffic.kind: subscriber stations use 'wimax' or 'none' traffic"),
+    ], ids=["path_loss", "wimax", "spillage", "slot", "peer", "bs", "collocated_with",
+            "position", "duplicate_id", "id_separator", "ss_traffic"])
+    def test_sections_built_in_code_keep_their_bounds(self, conference_cfg, build, message):
         """Each of these built without error in earlier versions, whose
-        constructors restated looser bounds than the parser's; the engine
-        divides by slot_us."""
+        constructors restated looser bounds than the parser's or left the
+        node rules to the parser alone; the engine divides by slot_us, and
+        failed on each node row with a KeyError or a zero distance or ran a
+        scene the parser refuses.  The text is the parser's error line."""
         with pytest.raises(ValueError) as raised:
-            build()
+            build(conference_cfg)
         assert str(raised.value) == message
+
+    def test_a_parse_builds_each_section_once(self, monkeypatch):
+        """Earlier versions built every section three times per document,
+        twice from its defaults, and kept one of each."""
+        built = collections.Counter()
+        check = Bounded.__post_init__
+
+        def counted(section):
+            built[type(section)] += 1
+            check(section)
+
+        monkeypatch.setattr(Bounded, "__post_init__", counted)
+        load_scenario(scenario_path("colocated"))
+        once = (ScenarioConfig, MediumModel, PathLossModel, DcfParams, WimaxConfig,
+                ReservationConfig, ArbiterConfig)
+        assert {cls: built[cls] for cls in once} == dict.fromkeys(once, 1)
 
     def test_warmup_must_fit_inside_run(self):
         with pytest.raises(ScenarioError):

@@ -51,8 +51,12 @@ SLOTS = E + "TestArbitratedRuns::test_only_upcoming_slots_are_kept"
 OUTCOMES = E + "TestOutcomeReplay::test_shipped_scenario_outcomes_match_the_oracle[colocated_cfg]"
 DROP = "tests/test_wifi.py::TestTxOutcome::test_drop_past_retry_limit"
 BOUNDS = "tests/test_scenario.py::TestValidation::test_constructors_keep_the_parser_bounds"
+CODE_BUILT = ("tests/test_scenario.py::TestValidation"
+              "::test_sections_built_in_code_keep_their_bounds")
 GENERATED = ("tests/test_properties.py::TestGeneratedScenarios"
              "::test_valid_scenarios_run_and_keep_the_invariants")
+RUN_LENGTH = ("tests/test_properties.py::TestRunLength"
+              "::test_a_shorter_run_is_a_prefix_of_a_longer_one")
 
 class Mutant(NamedTuple):
     name: str
@@ -71,6 +75,10 @@ MUTANTS = (
     Mutant("train_chunk_at_the_end", ENGINE,
            "            if chunk.start_us > self._end_us:\n",
            "            if chunk.start_us >= self._end_us:\n", (TRAIN,)),
+    # a train chunk in flight at the run's end is dropped
+    Mutant("train_chunk_across_the_end", ENGINE,
+           "            if chunk.start_us > self._end_us:\n",
+           "            if chunk.end_us > self._end_us:\n", (RUN_LENGTH,)),
     # a frame to a platform mate no longer conflicts with itself
     Mutant("no_own_pair_conflict", ENGINE,
            "        if src_plat is not None and src_plat == rx_plat:\n"
@@ -168,6 +176,10 @@ MUTANTS = (
     Mutant("no_upper_bound", "medium.py",
            "    if hi is not None and value > hi:\n",
            "    if False:\n", (f"{BOUNDS}[WimaxConfig.dl_ratio-hi]",)),
+    # a config built in code skips the node rules
+    Mutant("config_skips_the_node_rules", "scenario.py",
+           "        problems = _node_problems(self.nodes, self.wifi.cts_airtime_us)\n",
+           "        problems = []\n", (CODE_BUILT,)),
     # the wimax section checks its cross-field rule but not its bounds
     Mutant("wimax_skips_its_bounds", "wimax.py",
            "        super().__post_init__()\n",
