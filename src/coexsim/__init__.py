@@ -6,7 +6,7 @@ adaptive pacing, power sizing and performance gating, and a three-state
 transmit/receive arbiter for co-located radios on one platform.
 """
 
-from .medium import (DeliveryOutcome, FrameKind, MediumModel, PathLossModel,
+from .medium import (DeliveryOutcome, MediumModel, PathLossModel,
                      Position, RadioInterface, SpillageTable, Transmission,
                      path_loss, received_power, required_isolation, resolve_deliveries)
 from .engine import Engine, LinkStats, RunResult, jain_index, run
@@ -15,7 +15,7 @@ from .scenario import ScenarioConfig, ScenarioError, load_scenario, parse_scenar
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeliveryOutcome", "Engine", "FrameKind", "LinkStats", "MediumModel",
+    "DeliveryOutcome", "Engine", "LinkStats", "MediumModel",
     "PathLossModel", "Position", "RadioInterface", "RunResult",
     "ScenarioConfig", "ScenarioError", "SpillageTable", "Transmission",
     "jain_index", "load_scenario", "parse_scenario", "path_loss",

@@ -15,20 +15,12 @@ releases, so no frame's end yanks the state from under another on air.
 
 from __future__ import annotations
 
-from enum import IntEnum
 from typing import Iterable, Sequence
 
 from .wimax import DL, UL
 
-
-class ArbiterState(IntEnum):
-    S = 0   # sleep: nothing going on
-    RX = 1  # reception going on
-    TX = 2  # transmission going on
-
-
-# the members as module names, cheaper to load than through the class
-S, RX, TX = ArbiterState
+# the controller's modes: sleep (nothing going on), receive, transmit
+S, RX, TX = "S", "RX", "TX"
 
 
 GRANT = "grant"
@@ -48,7 +40,7 @@ class RadioArbiter:
         self.state = S
         self.held: dict[str, int] = {}
 
-    def request(self, interface: str, desired: ArbiterState) -> str:
+    def request(self, interface: str, desired: str) -> str:
         """Apply one interface's request for mode ``desired`` against the
         transition rules.
 
@@ -79,7 +71,7 @@ class RadioArbiter:
         self.request(interface, S)
 
 
-def schedule_aware_check(desired: ArbiterState, span_us: tuple[int, int],
+def schedule_aware_check(desired: str, span_us: tuple[int, int],
                          slots: Iterable[tuple[str, int, int]]) -> str:
     """Deny a WiFi request for mode ``desired`` over the absolute interval
     ``span_us`` that lands on a conflicting scheduled slot of its platform's

@@ -34,7 +34,7 @@ from typing import Optional
 
 from . import arbiter as arb
 from .arbiter import RX, TX
-from .medium import (BELOW_SENSITIVITY, CORRUPTED, DATA, DECODED, WIMAX_BURST, FrameKind,
+from .medium import (BELOW_SENSITIVITY, CORRUPTED, DATA, DECODED, WIMAX_BURST,
                      MediumModel, Memo, RadioInterface, Transmission, delivery_result,
                      invert_path_loss)
 from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train
@@ -66,16 +66,13 @@ _REACH_MARGIN = 1e-9
 # float rounding in the received powers
 _CORRUPT_MARGIN_DB = 1e-9
 _NO_SOURCES: frozenset = frozenset()
-# names and values the behaviour notes print, read without Enum's properties
-_STATE_NAMES = {state: state.name for state in arb.ArbiterState}
-_KIND_VALUES = {kind: kind.value for kind in FrameKind}
 # the data field of a traced per-event line, for events whose data is not
 # already a node id; every other one prints its string
 _SUBJECTS = {
     "warmup": lambda _: "",
     "access": lambda d: f"{d[2].node.id} {d[1]}",  # (order, token, station)
-    "txend": lambda rec: f"{_KIND_VALUES[rec.tx.kind]} {rec.tx.source}>{rec.tx.dest}",
-    "cts": lambda d: f"{_KIND_VALUES[d[0].kind]} {d[0].source}>{d[0].dest}",
+    "txend": lambda rec: f"{rec.tx.kind} {rec.tx.source}>{rec.tx.dest}",
+    "cts": lambda d: f"{d[0].kind} {d[0].source}>{d[0].dest}",
     "burst": lambda grant: f"{grant.ss} {grant.direction}",
     "reserve": lambda d: f"{d[0].node.id} {d[1]}",  # subscriber station, last us
 }
@@ -749,7 +746,7 @@ class Engine:
                 break
         else:
             decision = arbiter.request(iface_id, desired)
-        self._note(f"{self.now}|arb|{iface_id}|{_STATE_NAMES[desired]}|{decision}")
+        self._note(f"{self.now}|arb|{iface_id}|{desired}|{decision}")
         if decision == arb.DENY:
             return False
         holds.append(iface_id)
@@ -822,7 +819,7 @@ class Engine:
             if rt.on_medium_busy(start, end, kind):
                 resched[rt.order] = rt
         self._push(end, "txend", rec)
-        self._note(f"{start}|air|{_KIND_VALUES[kind]}{em.pair}{tx.airtime_us}{em.power}")
+        self._note(f"{start}|air|{kind}{em.pair}{tx.airtime_us}{em.power}")
 
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx

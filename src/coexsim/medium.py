@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 # 20*log10(4*pi/c) for d in meters and f in MHz
@@ -180,15 +179,8 @@ class SpillageTable:
         raise AssertionError("unreachable")
 
 
-class FrameKind(str, Enum):
-    DATA = "data"
-    CTS = "cts"
-    WIMAX_BURST = "wimax-burst"
-
-
-# the members as module names: on CPython 3.10 and 3.11 a load through the
-# enum class goes through EnumType.__getattr__, several times the cost
-DATA, CTS, WIMAX_BURST = FrameKind
+# the kinds of emission on the air, as the behaviour notes print them
+DATA, CTS, WIMAX_BURST = "data", "cts", "wimax-burst"
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ class RadioInterface:
 
 class _Emission(NamedTuple):
     source: str
-    kind: FrameKind
+    kind: str
     start_us: int
     airtime_us: int
     power_dbm: float
@@ -229,7 +221,7 @@ class Transmission(_Emission):
 
     __slots__ = ()
 
-    def __new__(cls, source: str, kind: FrameKind, start_us: int, airtime_us: int,
+    def __new__(cls, source: str, kind: str, start_us: int, airtime_us: int,
                 power_dbm: float, dest: Optional[str] = None,
                 nav_duration_us: int = 0) -> Transmission:
         if airtime_us < 1:

@@ -149,12 +149,8 @@ class ScenarioConfig(Bounded):
         """The node with this id; KeyError if there is none."""
         return self._by_id[node_id]
 
-    def platforms(self) -> dict[str, Optional[str]]:
-        """Node id -> platform id (None for standalone radios)."""
-        return _platforms(self.nodes)
-
     def interfaces(self) -> dict[str, RadioInterface]:
-        plats = self.platforms()
+        plats = _platforms(self.nodes)
         return {
             n.id: RadioInterface(
                 id=n.id, position=n.position,
@@ -364,6 +360,9 @@ def _node_problems(nodes: tuple[NodeConfig, ...], cts_airtime_us: int) -> list[s
             w.fail(f"nodes[{i}].id", f"duplicate node id {n.id!r}")
         if "|" in n.id or ">" in n.id:  # the separators of trace lines and link ids
             w.fail(f"nodes[{i}].id", f"node id {n.id!r} contains '|' or '>'")
+        if not n.id.isprintable():  # a line break would split a traced line
+            w.fail(f"nodes[{i}].id", f"node id {n.id!r} holds a character that is not "
+                                      "printable, such as a line break")
         if n.id == "None":  # what a CTS note prints as its missing addressee
             w.fail(f"nodes[{i}].id", "node id 'None' contains the text a CTS note prints "
                                       "as its missing addressee")

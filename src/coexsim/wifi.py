@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .medium import CTS, DATA, Bounded, FrameKind, RadioInterface, Transmission
+from .medium import CTS, DATA, Bounded, RadioInterface, Transmission
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class WifiStation:
     # -- medium observations --------------------------------------------
 
     def on_medium_busy(self, start_us: int, until_us: int,
-                       kind: FrameKind = DATA) -> bool:
+                       kind: str = DATA) -> bool:
         """Carrier sense: the medium is occupied over [start, until).
 
         An armed attempt freezes: the slots counted down while the medium

@@ -18,10 +18,14 @@ import hashlib
 import random
 from typing import NamedTuple, Optional
 
-from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, DeliveryOutcome,
-                            FrameKind, MediumModel, PathLossModel, Position,
+from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST,
+                            DeliveryOutcome, MediumModel, PathLossModel, Position,
                             RadioInterface, SpillageTable, Transmission,
                             received_power)
+
+
+# each kind as the note prints it -> the module constant, so readers can test with ``is``
+_KINDS = {kind: kind for kind in (DATA, CTS, WIMAX_BURST)}
 
 
 class Air(NamedTuple):
@@ -30,7 +34,7 @@ class Air(NamedTuple):
 
     start: int
     end: int
-    kind: FrameKind
+    kind: str
     source: str
     dest: Optional[str]
     power: float
@@ -49,7 +53,7 @@ def air(fields: list[str]) -> Air:
     """The emission an ``air`` note's fields describe."""
     start = int(fields[0])
     source, dest = fields[3].split(">")
-    return Air(start, start + int(fields[4]), FrameKind(fields[2]), source,
+    return Air(start, start + int(fields[4]), _KINDS[fields[2]], source,
                None if dest == "None" else dest, float(fields[5]))
 
 
@@ -155,7 +159,6 @@ def own_overlaps(trace: list[str]) -> int:
     their source is still on air; a radio that sends one frame at a time has
     none.  A data frame does not count against an earlier data frame of its
     source that starts in the same microsecond."""
-    data = FrameKind.DATA
     on_air: dict[str, list[Air]] = {}  # source -> its emissions not yet ended
     count = 0
     for fields in notes(trace):
@@ -164,7 +167,7 @@ def own_overlaps(trace: list[str]) -> int:
         a = air(fields)
         # notes come in time order, so an emission ended by now ends before every later one
         earlier = on_air[a.source] = [e for e in on_air.get(a.source, ()) if e.end > a.start]
-        if any(not (a.kind is data is e.kind and e.start == a.start) for e in earlier):
+        if any(not (a.kind is DATA is e.kind and e.start == a.start) for e in earlier):
             count += 1
         earlier.append(a)
     return count
@@ -183,7 +186,6 @@ def dcf_violations(cfg, trace: list[str]) -> int:
     interfaces = cfg.interfaces()
     medium, difs = cfg.medium, cfg.wifi.difs_us
     stations = [interfaces[n.id] for n in cfg.nodes if n.kind == "wifi"]
-    data = FrameKind.DATA
     sensed_by: dict[tuple[str, float], list[str]] = {}
     busy_end = {s.id: 0 for s in stations}  # end of the last emission each sensed
     nav = dict.fromkeys(busy_end, 0)
@@ -202,7 +204,7 @@ def dcf_violations(cfg, trace: list[str]) -> int:
                     busy_end[sid] = max(busy_end[sid], end)
             same_us.clear()
             now = a.start
-        if a.kind is data and (a.start < busy_end[a.source] + difs or a.start < nav[a.source]):
+        if a.kind is DATA and (a.start < busy_end[a.source] + difs or a.start < nav[a.source]):
             count += 1
         key = (a.source, a.power)
         who = sensed_by.get(key)
@@ -211,7 +213,7 @@ def dcf_violations(cfg, trace: list[str]) -> int:
             who = sensed_by[key] = [
                 s.id for s in stations if s.id == a.source
                 or oracle_rx_power(a.power, src, s, medium) >= s.cca_threshold_dbm]
-        if a.kind is data:
+        if a.kind is DATA:
             same_us.append((who, a.end))
         else:
             for sid in who:
@@ -297,7 +299,7 @@ def nav_violations(cfg, trace: list[str]) -> int:
     for fields in notes(trace):
         if fields[1] == "air":
             a = air(fields)
-            if a.kind is FrameKind.CTS:
+            if a.kind is CTS:
                 ends.setdefault(a.end, []).append(len(quiet))
             quiet.append(Transmission(source=a.source, kind=a.kind, start_us=a.start,
                                       airtime_us=a.end - a.start, power_dbm=a.power))
@@ -451,7 +453,7 @@ def schedule_violations(cfg, trace: list[str]) -> int:
             bursts.setdefault((ss_plat[fields[3]], "RX"), []).append((start, start + 1, mapped))
         elif fields[1] == "air":
             a = air(fields)
-            if a.kind is FrameKind.WIMAX_BURST:
+            if a.kind is WIMAX_BURST:
                 ss, mode = (a.dest, "TX") if a.dest in ss_plat else (a.source, "RX")
                 if ss in ss_plat:
                     mapped = a.start - a.start % frame_us - frame_us
@@ -493,7 +495,7 @@ def frame_map_violations(cfg, trace: list[str]) -> int:
     last = {}  # (cell, frame, direction) -> (station, end) of its latest burst
     count = 0
     for fields in notes(trace):
-        if fields[1] != "air" or (a := air(fields)).kind is not FrameKind.WIMAX_BURST:
+        if fields[1] != "air" or (a := air(fields)).kind is not WIMAX_BURST:
             continue
         direction, ss = ("UL", a.source) if a.source in bs_of else ("DL", a.dest)
         frame = a.start // frame_us
@@ -520,12 +522,13 @@ def power_ceilings(cfg) -> dict[str, float]:
             ceiling[n.id] = max(ceiling[n.id], n.traffic.power_dbm)
     if cfg.reservation.enabled:
         cts = 20.0 if cfg.reservation.power_sizing else cfg.reservation.cts_power_dbm
-        plats = cfg.platforms()
+        ifaces = cfg.interfaces()
         for ss in cfg.nodes:
-            if ss.kind != "wimax-ss" or plats[ss.id] is None:
+            plat = ifaces[ss.id].platform
+            if ss.kind != "wimax-ss" or plat is None:
                 continue
             coord = next((n.id for n in cfg.nodes
-                          if n.kind == "wifi" and plats[n.id] == plats[ss.id]), None)
+                          if n.kind == "wifi" and ifaces[n.id].platform == plat), None)
             if coord is not None:
                 ceiling[coord] = max(ceiling[coord], cts)
     return ceiling
@@ -573,7 +576,7 @@ def random_micro_instance(rng: random.Random):
         src = rng.choice(ids)
         dest = rng.choice([i for i in ids if i != src] + [None])
         txs.append(Transmission(
-            source=src, kind=FrameKind.DATA,
+            source=src, kind=DATA,
             start_us=rng.randint(0, 60), airtime_us=rng.randint(5, 40),
             power_dbm=interfaces[src].tx_power_dbm, dest=dest))
     return txs, interfaces, (0, 120), medium

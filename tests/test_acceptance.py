@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from coexsim.arbiter import DENY, GRANT, ArbiterState, RadioArbiter
+from coexsim.arbiter import DENY, GRANT, RX, S, TX, RadioArbiter
 from coexsim.cli import render_run_json
 from coexsim.engine import Engine, run
 from coexsim.medium import DECODED, PathLossModel, SpillageTable, Position, path_loss, \
@@ -27,7 +27,6 @@ def ok(criterion: int, text: str) -> None:
 
 
 def test_criterion_1_transition_table_conformance():
-    S, RX, TX = ArbiterState.S, ArbiterState.RX, ArbiterState.TX
     table = {
         (S, S): (GRANT, S), (S, RX): (GRANT, RX), (S, TX): (GRANT, TX),
         (RX, S): (GRANT, S), (RX, RX): (GRANT, RX), (RX, TX): (DENY, RX),
@@ -38,8 +37,8 @@ def test_criterion_1_transition_table_conformance():
         if state is not S:
             assert a.request("radio-a", state) == GRANT
         assert a.request("radio-a", req) == want_decision, \
-            f"wrong decision for ({state.name}, {req.name})"
-        assert a.state is want_state, f"wrong next state for ({state.name}, {req.name})"
+            f"wrong decision for ({state}, {req})"
+        assert a.state is want_state, f"wrong next state for ({state}, {req})"
     # persisting the current state from another interface is always accepted
     for state in (RX, TX):
         a = RadioArbiter(["radio-a", "radio-b"])

@@ -1,10 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.arbiter import DENY, GRANT, ArbiterState, RadioArbiter, schedule_aware_check
+from coexsim.arbiter import DENY, GRANT, RX, S, TX, RadioArbiter, schedule_aware_check
 from coexsim.wimax import DL, UL
-
-S, RX, TX = ArbiterState.S, ArbiterState.RX, ArbiterState.TX
 
 # (current state, requested state) -> (decision, next state)
 TRANSITION_TABLE = {
@@ -14,7 +12,7 @@ TRANSITION_TABLE = {
 }
 
 
-def arbiter_in_state(state: ArbiterState) -> RadioArbiter:
+def arbiter_in_state(state: str) -> RadioArbiter:
     a = RadioArbiter(["radio-a", "radio-b"])
     if state is not S:
         assert a.request("radio-a", state) == GRANT

@@ -10,8 +10,8 @@ import pytest
 from coexsim import engine as engine_module
 from coexsim.cli import render_run_json
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
-from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, Transmission,
-                            delivery_result)
+from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST,
+                            Transmission, delivery_result)
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from coexsim.wimax import SsDemand, build_frame_map
@@ -534,7 +534,7 @@ class TestCachedFastPaths:
                 src = rng.choice(ids)
                 iface = ifaces[src]
                 active.append(Transmission(
-                    source=src, kind=rng.choice(list(FrameKind)),
+                    source=src, kind=rng.choice((DATA, CTS, WIMAX_BURST)),
                     start_us=rng.randint(0, 60), airtime_us=rng.randint(1, 40),
                     power_dbm=rng.choice((iface.tx_power_dbm, rng.uniform(-30.0, 20.0))),
                     dest=rng.choice([i for i in ids if i != src])))
@@ -577,7 +577,7 @@ class TestCachedFastPaths:
         kept = dropped = 0
         for src in ifaces:
             for power in powers:
-                cts = Transmission(src, FrameKind.CTS, 0, 44, power, nav_duration_us=1000)
+                cts = Transmission(src, CTS, 0, 44, power, nav_duration_us=1000)
                 scan = []
                 for sid in engine.stations:
                     if sid == src:
@@ -708,7 +708,7 @@ class TestCorrupterSets:
                 for dest in rng.sample(ids, min(6, len(ids))) + [None]:
                     if dest == src:
                         continue
-                    tx = Transmission(src, FrameKind.CTS if dest is None else FrameKind.DATA,
+                    tx = Transmission(src, CTS if dest is None else DATA,
                                       0, 44, power, dest=dest)
                     memo = engine._emitters[src, power, dest].corrupters
                     assert memo == scanned_corrupters(engine, ceilings, tx), (src, power, dest)
@@ -729,7 +729,7 @@ class TestCorrupterSets:
                 src = rng.choice(ids)
                 dest = rng.choice([i for i in ids if i != src] + [None])
                 active.append(Transmission(
-                    source=src, kind=FrameKind.CTS if dest is None else FrameKind.DATA,
+                    source=src, kind=CTS if dest is None else DATA,
                     start_us=rng.randint(0, 60), airtime_us=rng.randint(1, 40),
                     power_dbm=rng.choice((ifaces[src].tx_power_dbm, ceilings[src],
                                           rng.uniform(-30.0, ceilings[src]))), dest=dest))
@@ -782,7 +782,7 @@ class TestSensitivityEdges:
         emissions = [air(f) for f in fields if f[1] == "air"]
         spans = sorted((a.start, a.end) for a in emissions)
         assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
-        assert {a.kind for a in emissions} == {FrameKind.CTS, FrameKind.WIMAX_BURST}
+        assert {a.kind for a in emissions} == {CTS, WIMAX_BURST}
         frames = {(f"{a.source}>{a.dest}", a.end): a for a in emissions if a.dest is not None}
         results = {}
         for f in fields:
@@ -882,10 +882,10 @@ class TestNoteReader:
                  "5000|air|cts|jam>None|44|-3.5",
                  "5200|air|wimax-burst|bs>ss1|300|30.0"]
         got = [air(fields) for fields in notes(trace)]
-        assert got == [Air(1000, 3000, FrameKind.DATA, "sta", "ap", 20.0),
-                       Air(5000, 5044, FrameKind.CTS, "jam", None, -3.5),
-                       Air(5200, 5500, FrameKind.WIMAX_BURST, "bs", "ss1", 30.0)]
-        assert [type(a.kind) for a in got] == [FrameKind] * 3
+        assert got == [Air(1000, 3000, DATA, "sta", "ap", 20.0),
+                       Air(5000, 5044, CTS, "jam", None, -3.5),
+                       Air(5200, 5500, WIMAX_BURST, "bs", "ss1", 30.0)]
+        assert all(a.kind is kind for a, kind in zip(got, (DATA, CTS, WIMAX_BURST)))
 
 
 class TestJainIndex:

@@ -4,8 +4,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, DECODED, FrameKind, MediumModel,
-                            Memo, PathLossModel, Position, RadioInterface,
+from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST,
+                            MediumModel, Memo, PathLossModel, Position, RadioInterface,
                             SpillageTable, Transmission, delivery_result,
                             invert_path_loss, path_loss, received_power,
                             required_isolation, resolve_deliveries)
@@ -135,38 +135,38 @@ class TestRequiredIsolation:
 
 class TestTransmission:
     def test_end_is_start_plus_airtime(self):
-        tx = Transmission("a", FrameKind.DATA, 120, 2000, 20.0, dest="b")
+        tx = Transmission("a", DATA, 120, 2000, 20.0, dest="b")
         assert tx.end_us == 2120
-        kw = Transmission(source="a", kind=FrameKind.DATA, start_us=120, airtime_us=2000,
+        kw = Transmission(source="a", kind=DATA, start_us=120, airtime_us=2000,
                           power_dbm=20.0, dest="b")
         assert kw == tx and hash(kw) == hash(tx)
 
     def test_replace_recomputes_the_end(self):
-        tx = Transmission("a", FrameKind.DATA, 0, 100, 20.0)
+        tx = Transmission("a", DATA, 0, 100, 20.0)
         assert tx._replace(start_us=500).end_us == 600
         assert tx._replace(airtime_us=7).end_us == 7
-        assert tx._replace(dest="b") == Transmission("a", FrameKind.DATA, 0, 100, 20.0, dest="b")
+        assert tx._replace(dest="b") == Transmission("a", DATA, 0, 100, 20.0, dest="b")
         assert copy.copy(tx) == tx and pickle.loads(pickle.dumps(tx)) == tx
 
     def test_end_cannot_be_set_or_given(self):
-        tx = Transmission("a", FrameKind.CTS, 0, 44, 20.0, nav_duration_us=500)
+        tx = Transmission("a", CTS, 0, 44, 20.0, nav_duration_us=500)
         with pytest.raises(AttributeError):
             tx.end_us = 3
         with pytest.raises(ValueError):
             tx._replace(end_us=3)
         with pytest.raises(TypeError):
-            Transmission("a", FrameKind.CTS, 0, 44, 20.0, end_us=3)
+            Transmission("a", CTS, 0, 44, 20.0, end_us=3)
         with pytest.raises(TypeError):
-            Transmission("a", FrameKind.CTS, 0, 44, 20.0, None, 500, 3)
+            Transmission("a", CTS, 0, 44, 20.0, None, 500, 3)
         with pytest.raises(ValueError):
-            Transmission._make(("a", FrameKind.CTS, 0, 44, 20.0, None, 500, 3))
+            Transmission._make(("a", CTS, 0, 44, 20.0, None, 500, 3))
         assert Transmission._make(tx) == tx
 
     @pytest.mark.parametrize("airtime, nav", [(0, 0), (-5, 0), (44, -1)])
     def test_bad_airtime_or_nav_rejected(self, airtime, nav):
-        tx = Transmission("a", FrameKind.CTS, 0, 44, 20.0)
+        tx = Transmission("a", CTS, 0, 44, 20.0)
         with pytest.raises(ValueError):
-            Transmission("a", FrameKind.CTS, 0, airtime, 20.0, nav_duration_us=nav)
+            Transmission("a", CTS, 0, airtime, 20.0, nav_duration_us=nav)
         with pytest.raises(ValueError):
             tx._replace(airtime_us=airtime, nav_duration_us=nav)
 
@@ -177,7 +177,7 @@ class TestResolveDeliveries:
 
     def test_clean_delivery(self):
         ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0)}
-        tx = Transmission("a", FrameKind.DATA, 0, 2000, 20.0, dest="b")
+        tx = Transmission("a", DATA, 0, 2000, 20.0, dest="b")
         out = resolve_deliveries([tx], ifaces, (0, 2000), self.medium)
         assert len(out) == 1
         assert out[0].result == DECODED
@@ -185,7 +185,7 @@ class TestResolveDeliveries:
 
     def test_below_sensitivity(self):
         ifaces = {"a": wifi_iface("a", 0, 0, power=-30.0), "b": wifi_iface("b", 200, 0)}
-        tx = Transmission("a", FrameKind.DATA, 0, 100, -30.0, dest="b")
+        tx = Transmission("a", DATA, 0, 100, -30.0, dest="b")
         out = resolve_deliveries([tx], ifaces, (0, 100), self.medium)
         assert out[0].result == BELOW_SENSITIVITY
 
@@ -198,8 +198,8 @@ class TestResolveDeliveries:
                                  23.0, -90.0, -82.0),
             "sta": wifi_iface("sta", 2, 0),
         }
-        burst = Transmission("bs", FrameKind.WIMAX_BURST, 0, 3000, 30.0, dest="ss")
-        jam = Transmission("sta", FrameKind.DATA, 1000, 2000, 20.0)
+        burst = Transmission("bs", WIMAX_BURST, 0, 3000, 30.0, dest="ss")
+        jam = Transmission("sta", DATA, 1000, 2000, 20.0)
         out = resolve_deliveries([burst, jam], ifaces, (0, 3000), self.medium)
         assert out[0].result == CORRUPTED
 
@@ -208,16 +208,16 @@ class TestResolveDeliveries:
             "a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 10, 0),
             "x": wifi_iface("x", 5, 4), "y": wifi_iface("y", 5, -4),
         }
-        t1 = Transmission("a", FrameKind.DATA, 0, 1000, 20.0, dest="x")
-        t2 = Transmission("b", FrameKind.DATA, 0, 1000, 20.0, dest="y")
+        t1 = Transmission("a", DATA, 0, 1000, 20.0, dest="x")
+        t2 = Transmission("b", DATA, 0, 1000, 20.0, dest="y")
         out = resolve_deliveries([t1, t2], ifaces, (0, 1000), self.medium)
         assert [o.result for o in out] == [CORRUPTED, CORRUPTED]
 
     def test_non_overlapping_interferer_is_harmless(self):
         ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0),
                   "c": wifi_iface("c", 1, 1)}
-        tx = Transmission("a", FrameKind.DATA, 0, 100, 20.0, dest="b")
-        later = Transmission("c", FrameKind.DATA, 100, 100, 20.0)
+        tx = Transmission("a", DATA, 0, 100, 20.0, dest="b")
+        later = Transmission("c", DATA, 100, 100, 20.0)
         out = resolve_deliveries([tx, later], ifaces, (0, 200), self.medium)
         assert out[0].result == DECODED
 
@@ -225,15 +225,15 @@ class TestResolveDeliveries:
         """No instant of the frame lies in the window, so even the receiver's
         own emission over the window cannot corrupt it."""
         ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0)}
-        tx = Transmission("a", FrameKind.DATA, 0, 50, 20.0, dest="b")
-        own = Transmission("b", FrameKind.DATA, 40, 60, 20.0)
+        tx = Transmission("a", DATA, 0, 50, 20.0, dest="b")
+        own = Transmission("b", DATA, 40, 60, 20.0)
         out = resolve_deliveries([tx, own], ifaces, (60, 70), self.medium)
         assert out[0].result == DECODED
 
     def test_half_duplex_receiver(self):
         ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0)}
-        tx = Transmission("a", FrameKind.DATA, 0, 100, 20.0, dest="b")
-        own = Transmission("b", FrameKind.DATA, 50, 100, 20.0)
+        tx = Transmission("a", DATA, 0, 100, 20.0, dest="b")
+        own = Transmission("b", DATA, 50, 100, 20.0)
         out = resolve_deliveries([tx, own], ifaces, (0, 200), self.medium)
         assert out[0].result == CORRUPTED
 
@@ -241,9 +241,9 @@ class TestResolveDeliveries:
         ifaces = {"a": wifi_iface("a", 0, 0), "b": wifi_iface("b", 5, 0),
                   "c": wifi_iface("c", 3, 3)}
         txs = [
-            Transmission("a", FrameKind.DATA, 0, 50, 20.0, dest="b"),
-            Transmission("c", FrameKind.DATA, 10, 50, 20.0, dest="a"),
-            Transmission("b", FrameKind.CTS, 70, 44, 20.0),  # unaddressed
+            Transmission("a", DATA, 0, 50, 20.0, dest="b"),
+            Transmission("c", DATA, 10, 50, 20.0, dest="a"),
+            Transmission("b", CTS, 70, 44, 20.0),  # unaddressed
         ]
         first = resolve_deliveries(txs, ifaces, (0, 150), self.medium)
         second = resolve_deliveries(list(reversed(txs)), ifaces, (0, 150), self.medium)
@@ -261,7 +261,7 @@ class TestOverhearing:
         self.medium = MediumModel(path_loss=LOGD)
         self.ifaces = {"coord": wifi_iface("coord", 0, 0), "lst": wifi_iface("lst", 5, 0),
                        "near": wifi_iface("near", 6, 0), "far": wifi_iface("far", 400, 0)}
-        self.cts = Transmission("coord", FrameKind.CTS, 0, 44, 20.0, nav_duration_us=5000)
+        self.cts = Transmission("coord", CTS, 0, 44, 20.0, nav_duration_us=5000)
 
     def heard(self, *others):
         lst = self.ifaces["lst"]
@@ -275,14 +275,14 @@ class TestOverhearing:
             20.0 - self.medium.link_loss_db(self.ifaces["coord"], self.ifaces["lst"]))
 
     def test_listener_on_air_is_corrupted(self):
-        own = Transmission("lst", FrameKind.DATA, 10, 2000, 20.0, dest="near")
+        own = Transmission("lst", DATA, 10, 2000, 20.0, dest="near")
         assert self.heard(own).result == CORRUPTED
 
     def test_strong_overlapper_corrupts(self):
-        loud = Transmission("near", FrameKind.DATA, 20, 2000, 20.0, dest="coord")
+        loud = Transmission("near", DATA, 20, 2000, 20.0, dest="coord")
         assert self.heard(loud).result == CORRUPTED
 
     def test_weak_or_disjoint_overlapper_is_harmless(self):
-        weak = Transmission("far", FrameKind.DATA, 20, 2000, 20.0, dest="coord")
-        later = Transmission("near", FrameKind.DATA, 44, 2000, 20.0, dest="coord")
+        weak = Transmission("far", DATA, 20, 2000, 20.0, dest="coord")
+        later = Transmission("near", DATA, 44, 2000, 20.0, dest="coord")
         assert self.heard(weak, later).result == DECODED

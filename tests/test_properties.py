@@ -8,12 +8,14 @@ import io
 import pathlib
 import tempfile
 from dataclasses import replace
+from typing import Optional
 
 import yaml
 from hypothesis import event, given, settings, strategies as st
 
 from coexsim import cli
 from coexsim.engine import Engine
+from coexsim.medium import Position
 from coexsim.reservation import NAV_FIELD_CAP_US
 from coexsim.scenario import ScenarioConfig, emit_scenario, parse_scenario
 from conftest import scenario_path
@@ -188,6 +190,53 @@ class TestRunLength:
         cut = Engine(replace(cfg, duration_us=end), seed=seed, collect_trace=True)
         cut.run()
         assert list(notes(cut.trace)) == [f for f in notes(full.trace) if int(f[0]) <= end]
+
+
+# maps of the plane that are exact on generated positions (multiples of 40 m,
+# plus 3 m), so no distance moves by a rounding step
+_MOTIONS = {
+    "shift": lambda p: Position(p.x + 1024.0, p.y - 2048.0),
+    "rotation": lambda p: Position(-p.y, p.x),
+    "mirror": lambda p: Position(-p.x, p.y),
+    "swap": lambda p: Position(p.y, p.x),
+}
+# put before every name; a common prefix keeps the ids' sorted order, which
+# a frame map reads when a cell has two subscriber stations
+_PREFIX = "renamed."
+
+
+def _renamed(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` with every id, and every reference to one, prefixed."""
+    def name(value: Optional[str]) -> Optional[str]:
+        return None if value is None else _PREFIX + value
+
+    return replace(cfg, nodes=tuple(
+        replace(n, id=name(n.id), peer=name(n.peer), bs=name(n.bs),
+                collocated_with=name(n.collocated_with), system=name(n.system))
+        for n in cfg.nodes))
+
+
+class TestRelations:
+    @settings(max_examples=80, deadline=None)
+    @given(small_scenarios(), st.integers(1, 1000), st.sampled_from([*_MOTIONS, "renaming"]))
+    def test_related_scenes_run_alike(self, text, seed, relation):
+        """Moving every radio by one rigid motion keeps the trace hash, since
+        only distances reach the medium.  Renaming every radio in a way that
+        keeps the ids' sorted order keeps the notes, once the names are
+        mapped back."""
+        cfg = parse_scenario(text)
+        if relation == "renaming":
+            base = Engine(cfg, seed=seed, collect_trace=True)
+            base.run()
+            renamed = Engine(_renamed(cfg), seed=seed, collect_trace=True)
+            renamed.run()
+            assert [[f.replace(_PREFIX, "") for f in fields] for fields in notes(renamed.trace)] \
+                == list(notes(base.trace))
+            return
+        move = _MOTIONS[relation]
+        moved = replace(cfg, nodes=tuple(replace(n, position=move(n.position))
+                                         for n in cfg.nodes))
+        assert Engine(moved, seed=seed).run().trace_hash == Engine(cfg, seed=seed).run().trace_hash
 
 
 def _cut(cfg: ScenarioConfig) -> ScenarioConfig:

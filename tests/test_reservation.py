@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from coexsim.medium import FrameKind, PathLossModel, Position, RadioInterface
+from coexsim.medium import CTS, PathLossModel, Position, RadioInterface
 from coexsim.reservation import (CTS_POWER_CEILING_DBM, CTS_POWER_FLOOR_DBM, NAV_FIELD_CAP_US,
                                  QosTarget, Reservation, build_cts_train, estimate_interferers,
                                  evaluate_performance, reservation_power, update_pacing)
@@ -24,7 +24,7 @@ class TestCtsTrain:
         chunks = build_cts_train(10_000, 1.0, 0, "coord", min_reservation_us=2000)
         assert len(chunks) == 1
         assert chunks[0].nav_duration_us == 10_000
-        assert chunks[0].kind is FrameKind.CTS
+        assert chunks[0].kind is CTS
 
     def test_cap_chunking(self):
         chunks = build_cts_train(50_000, 1.0, 0, "coord")

@@ -85,10 +85,10 @@ class TestCanonicalFiles:
 
     def test_colocated_platform(self, colocated_cfg):
         assert colocated_cfg.arbiter.enabled
-        plats = colocated_cfg.platforms()
-        assert plats["ss1"] is not None
-        assert plats["ss1"] == plats["wifi1"]
-        assert plats["ap"] is None
+        ifaces = colocated_cfg.interfaces()
+        assert ifaces["ss1"].platform is not None
+        assert ifaces["ss1"].platform == ifaces["wifi1"].platform
+        assert ifaces["ap"].platform is None
 
     @pytest.mark.parametrize("name", ["emulation", "conference_room", "colocated",
                                       "unused_traffic_fields"])
@@ -325,10 +325,13 @@ nodes:
          "nodes[7].id: duplicate node id 'ap1'"),
         (lambda cfg: node_changed(cfg, 2, id="ss1|wifi"),
          "nodes[2].id: node id 'ss1|wifi' contains '|' or '>'"),
+        (lambda cfg: node_changed(cfg, 2, id="ss1\u2028wifi"),
+         "nodes[2].id: node id 'ss1\\u2028wifi' holds a character that is not printable, "
+         "such as a line break"),
         (lambda cfg: node_changed(cfg, 1, traffic=TrafficConfig(kind="saturated")),
          "nodes[1].traffic.kind: subscriber stations use 'wimax' or 'none' traffic"),
     ], ids=["path_loss", "wimax", "spillage", "slot", "peer", "bs", "collocated_with",
-            "position", "duplicate_id", "id_separator", "ss_traffic"])
+            "position", "duplicate_id", "id_separator", "id_unprintable", "ss_traffic"])
     def test_sections_built_in_code_keep_their_bounds(self, conference_cfg, build, message):
         """Each of these built without error in earlier versions, whose
         constructors restated looser bounds than the parser's or left the
@@ -425,10 +428,17 @@ nodes:
         (GHOST_PEERS, ["nodes[1].peer: 'ghost' is not a wifi node",
                        "nodes[2].peer: only wifi nodes reference a peer",
                        "nodes[3].peer: only wifi nodes reference a peer"]),
+        # earlier versions ran this scene, and its trace broke the id across
+        # two lines
+        ('nodes:\n  - {id: "st\\na", kind: wifi, position: [0.0, 0.0], peer: ap,'
+         ' traffic: {kind: saturated}}\n  - {id: ap, kind: wifi, position: [3.0, 0.0]}\n',
+         ["nodes[0].id: node id 'st\\na' holds a character that is not printable, such as a "
+          "line break"]),
     ], ids=["int_for_float", "null_nodes", "spillage_not_a_list", "spillage_empty",
             "spillage_unsorted", "collocated_with_itself", "bs_not_a_base_station",
             "ss_traffic", "bs_off_a_subscriber_station", "peer_not_wifi", "peer_itself",
-            "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set"])
+            "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set",
+            "id_unprintable"])
     def test_each_rule_reports_its_path(self, text, expected):
         """A rejected document gives exactly its rule's errors; an accepted
         one parses as the config given, emitted alike, so an int given for a

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from coexsim.medium import FrameKind, Position, RadioInterface, Transmission
+from coexsim.medium import CTS, DATA, Position, RadioInterface, Transmission
 from coexsim.wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, DcfParams,
                           WifiStation, data_airtime_us)
 
@@ -16,7 +16,7 @@ def make_station(seed=1):
 
 
 def cts(duration, start=0, power=-53.0):
-    return Transmission("coord", FrameKind.CTS, start, 44, power, nav_duration_us=duration)
+    return Transmission("coord", CTS, start, 44, power, nav_duration_us=duration)
 
 
 def test_data_airtime():
@@ -108,7 +108,7 @@ class TestTryAccess:
         st_ = make_station()
         st_.enqueue(0, 1500)
         token, start = st_.arm_attempt(0)
-        assert st_.on_medium_busy(start, start + 2000, FrameKind.DATA) is False
+        assert st_.on_medium_busy(start, start + 2000, DATA) is False
         assert st_.take_attempt(token) is True
 
     def test_same_microsecond_scheduled_emission_wins(self):
@@ -116,7 +116,7 @@ class TestTryAccess:
         st_.enqueue(0, 1500)
         st_.pending_slots = 2
         token, start = st_.arm_attempt(0)
-        assert st_.on_medium_busy(start, start + 44, FrameKind.CTS) is True
+        assert st_.on_medium_busy(start, start + 44, CTS) is True
         assert st_.take_attempt(token) is False
         assert st_.pending_slots == 0  # every slot was counted down
 
@@ -124,7 +124,7 @@ class TestTryAccess:
         st_ = make_station()
         st_.enqueue(0, 1500)
         token, start = st_.arm_attempt(0)
-        assert st_.on_medium_busy(start + 1, start + 100, FrameKind.CTS) is False
+        assert st_.on_medium_busy(start + 1, start + 100, CTS) is False
         assert st_.take_attempt(token) is True
 
     def test_own_train_voids_a_later_attempt_and_defers_the_next(self):

@@ -57,6 +57,7 @@ GENERATED = ("tests/test_properties.py::TestGeneratedScenarios"
              "::test_valid_scenarios_run_and_keep_the_invariants")
 RUN_LENGTH = ("tests/test_properties.py::TestRunLength"
               "::test_a_shorter_run_is_a_prefix_of_a_longer_one")
+RELATIONS = "tests/test_properties.py::TestRelations::test_related_scenes_run_alike"
 
 class Mutant(NamedTuple):
     name: str
@@ -180,6 +181,14 @@ MUTANTS = (
     Mutant("config_skips_the_node_rules", "scenario.py",
            "        problems = _node_problems(self.nodes, self.wifi.cts_airtime_us)\n",
            "        problems = []\n", (CODE_BUILT,)),
+    # a node id may hold a line break, which splits its traced lines
+    Mutant("unprintable_id", "scenario.py",
+           "        if not n.id.isprintable():",
+           "        if False:", (f"{CODE_BUILT}[id_unprintable]",)),
+    # distances stretch along y, so a rotation of the scene changes its run
+    Mutant("distance_stretched_along_y", "medium.py",
+           "        return math.hypot(self.x - other.x, self.y - other.y)\n",
+           "        return math.hypot(self.x - other.x, 2 * (self.y - other.y))\n", (RELATIONS,)),
     # the wimax section checks its cross-field rule but not its bounds
     Mutant("wimax_skips_its_bounds", "wimax.py",
            "        super().__post_init__()\n",
