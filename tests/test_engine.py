@@ -1,12 +1,16 @@
+import enum
 import gc
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+import coexsim
 from coexsim import engine as engine_module
 from coexsim.cli import render_run_json
 from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
@@ -886,6 +890,18 @@ class TestNoteReader:
                        Air(5000, 5044, CTS, "jam", None, -3.5),
                        Air(5200, 5500, WIMAX_BURST, "bs", "ss1", 30.0)]
         assert all(a.kind is kind for a, kind in zip(got, (DATA, CTS, WIMAX_BURST)))
+
+    def test_no_module_defines_an_enum(self):
+        """Frame kinds and arbiter modes are plain strings, the text the
+        notes print.  Earlier versions held them as Enums, whose attribute
+        loads on the per-event path went through ``EnumType.__getattr__``
+        and whose notes needed name tables."""
+        found = []
+        for info in pkgutil.iter_modules(coexsim.__path__):
+            module = importlib.import_module(f"coexsim.{info.name}")
+            found += [f"{info.name}.{name}" for name, value in vars(module).items()
+                      if value is enum or isinstance(value, enum.EnumMeta)]
+        assert found == []
 
 
 class TestJainIndex:

@@ -330,8 +330,12 @@ nodes:
          "such as a line break"),
         (lambda cfg: node_changed(cfg, 1, traffic=TrafficConfig(kind="saturated")),
          "nodes[1].traffic.kind: subscriber stations use 'wimax' or 'none' traffic"),
+        (lambda cfg: node_changed(cfg, 2, id="ss1\x85wifi"),
+         "nodes[2].id: node id 'ss1\\x85wifi' holds a character that is not printable, "
+         "such as a line break"),
     ], ids=["path_loss", "wimax", "spillage", "slot", "peer", "bs", "collocated_with",
-            "position", "duplicate_id", "id_separator", "id_unprintable", "ss_traffic"])
+            "position", "duplicate_id", "id_separator", "id_unprintable", "ss_traffic",
+            "id_next_line"])
     def test_sections_built_in_code_keep_their_bounds(self, conference_cfg, build, message):
         """Each of these built without error in earlier versions, whose
         constructors restated looser bounds than the parser's or left the
@@ -434,11 +438,18 @@ nodes:
          ' traffic: {kind: saturated}}\n  - {id: ap, kind: wifi, position: [3.0, 0.0]}\n',
          ["nodes[0].id: node id 'st\\na' holds a character that is not printable, such as a "
           "line break"]),
+        # a carriage return splits a line too, and a tab is not printable
+        ('nodes:\n  - {id: "st\\ra", kind: wifi, position: [0.0, 0.0]}\n',
+         ["nodes[0].id: node id 'st\\ra' holds a character that is not printable, such as a "
+          "line break"]),
+        ('nodes:\n  - {id: "st\\ta", kind: wifi, position: [0.0, 0.0]}\n',
+         ["nodes[0].id: node id 'st\\ta' holds a character that is not printable, such as a "
+          "line break"]),
     ], ids=["int_for_float", "null_nodes", "spillage_not_a_list", "spillage_empty",
             "spillage_unsorted", "collocated_with_itself", "bs_not_a_base_station",
             "ss_traffic", "bs_off_a_subscriber_station", "peer_not_wifi", "peer_itself",
             "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set",
-            "id_unprintable"])
+            "id_unprintable", "id_carriage_return", "id_tab"])
     def test_each_rule_reports_its_path(self, text, expected):
         """A rejected document gives exactly its rule's errors; an accepted
         one parses as the config given, emitted alike, so an int given for a
