@@ -8,10 +8,11 @@ Each section of the schema is a dataclass: its field names are the allowed
 keys, its field defaults are the schema defaults, and each field's metadata
 holds the bounds (``lo``, ``hi``) and allowed values (``choices``) that
 validation and the constructor (``medium.Bounded``) enforce alike.  One
-generic parser and one generic emitter read them.  The node rules hold in
-``ScenarioConfig``'s constructor too, so a config built in code or with
-``dataclasses.replace`` fails with the parser's text and path, such as
-``nodes[1].peer: 'ghost' is not a wifi node``.
+generic parser and one generic emitter read them, and a constructor judges
+only values that passed their own checks.  ``ScenarioConfig``'s constructor
+holds the node rules: one built in code or with ``dataclasses.replace``
+raises ``ScenarioError`` listing each broken rule with the parser's text and
+path, such as ``nodes[1].peer: 'ghost' is not a wifi node``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any, Optional, get_args, get_type_hints
 
 import yaml
 
-from .medium import (Bounded, MediumModel, PathLossModel, Position, RadioInterface,
+from .medium import (Bounded, MediumModel, Memo, PathLossModel, Position, RadioInterface,
                      SpillageEntry, SpillageTable, _bound_problem)
 from .reservation import QosTarget
 from .wifi import DcfParams
@@ -139,7 +140,7 @@ class ScenarioConfig(Bounded):
             raise ValueError("warm-up must be shorter than the run")
         problems = _node_problems(self.nodes, self.wifi.cts_airtime_us)
         if problems:
-            raise ValueError(problems[0])
+            raise ScenarioError(problems)
 
     @cached_property
     def _by_id(self) -> dict[str, NodeConfig]:
@@ -186,7 +187,7 @@ def _platforms(nodes: tuple[NodeConfig, ...]) -> dict[str, Optional[str]]:
 
 
 # ---------------------------------------------------------------------------
-# field tables, built once at import
+# field tables, built on first use
 
 _SCALAR_TYPES = (bool, int, float, str)
 
@@ -213,11 +214,8 @@ def _scalar_fields(cls: type) -> tuple:
     return tuple(out)
 
 
-_SECTIONS = (ScenarioConfig, MediumModel, PathLossModel, SpillageEntry, DcfParams,
-             WimaxConfig, ReservationConfig, QosTarget, ArbiterConfig, NodeConfig,
-             TrafficConfig)
-_SCALARS = {cls: _scalar_fields(cls) for cls in _SECTIONS}
-_KEYS = {cls: frozenset(f.name for f in fields(cls)) for cls in _SECTIONS}
+_SCALARS = Memo(_scalar_fields)
+_KEYS = Memo(lambda cls: frozenset(f.name for f in fields(cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +269,25 @@ def _scalars(w: _Walker, m: dict, path: str, cls: type) -> dict:
 
 def _section(w: _Walker, raw: Any, path: str, cls: type, **nested: type) -> Any:
     """A section of scalar fields and of the ``nested`` sections given, each
-    a field name and its section type.  A ValueError from the constructor
-    fails at the field its message starts with, as ``name: problem``, or
-    else at the section, which then takes its defaults."""
+    a field name and its section type, built only if each scalar field passed
+    its own check.  A ValueError from the constructor fails at the field its
+    message starts with, as ``name: problem``, or else at the section.  A
+    section not built takes its defaults."""
     m = w.mapping(raw, path, _KEYS[cls])
     values = {name: _section(w, m[name], f"{path}.{name}", kind)
               for name, kind in nested.items() if m.get(name) is not None}
+    checked = len(w.errors)
     values.update(_scalars(w, m, path, cls))
     try:
-        return cls(**values)
+        if len(w.errors) == checked:
+            return cls(**values)
     except ValueError as exc:
         name, colon, problem = str(exc).partition(": ")
         if colon and name in _KEYS[cls]:
             w.fail(f"{path}.{name}", problem)
         else:
             w.fail(path, str(exc))
-        return cls()
+    return cls()
 
 
 def _parse_medium(w: _Walker, raw: Any) -> MediumModel:
@@ -320,7 +321,8 @@ def _parse_node(w: _Walker, raw: Any, index: int) -> Optional[NodeConfig]:
     n = w.mapping(raw, path, _KEYS[NodeConfig])
     vals = _scalars(w, n, path, NodeConfig)
     if not vals["id"]:
-        w.fail(f"{path}.id", "required")
+        if n.get("id") in (None, ""):  # else the id failed its own check
+            w.fail(f"{path}.id", "required")
         return None
     kind = vals["kind"]
     for key, default in _NODE_DEFAULTS[kind].items():
@@ -418,7 +420,8 @@ def _node_problems(nodes: tuple[NodeConfig, ...], cts_airtime_us: int) -> list[s
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document; raise ScenarioError listing
-    every problem, each node rule the config's constructor checks included."""
+    every problem.  The config's constructor, which checks the run window
+    and the node rules, runs only on an otherwise valid document."""
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -426,7 +429,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
     w = _Walker()
     top = w.mapping(raw, "(top)", _KEYS[ScenarioConfig])
     scalars = _scalars(w, top, "(top)", ScenarioConfig)
-    window_at = len(w.errors)  # a window error goes after the top-level scalars'
 
     medium = _parse_medium(w, top.get("medium"))
 
@@ -443,17 +445,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
         w.fail("nodes", "expected a list")
         nodes_raw = []
     nodes = tuple(filter(None, (_parse_node(w, nr, i) for i, nr in enumerate(nodes_raw))))
-    try:  # the node rules run only on an otherwise valid document
-        cfg = ScenarioConfig(medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
-                             arbiter=arbiter, nodes=() if w.errors else nodes, **scalars)
-    except ValueError as exc:
-        if str(exc).startswith("nodes["):
-            w.errors += _node_problems(nodes, wifi.cts_airtime_us)
-        else:
-            w.errors.insert(window_at, f"warmup_us: {exc}")
-    if w.errors:
-        raise ScenarioError(w.errors)
-    return cfg
+    if not w.errors:
+        try:
+            return ScenarioConfig(medium=medium, wifi=wifi, wimax=wimax, reservation=reservation,
+                                  arbiter=arbiter, nodes=nodes, **scalars)
+        except ScenarioError as exc:  # the node rules
+            w.errors += exc.errors
+        except ValueError as exc:  # the run window
+            w.fail("warmup_us", str(exc))
+    raise ScenarioError(w.errors)
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -4,6 +4,7 @@ README states for it."""
 
 import contextlib
 import copy
+import importlib.util
 import io
 import pathlib
 import tempfile
@@ -205,6 +206,21 @@ _MOTIONS = {
 _PREFIX = "renamed."
 
 
+def _moved(cfg: ScenarioConfig, motion: str) -> ScenarioConfig:
+    """``cfg`` with every radio moved by one of ``_MOTIONS``."""
+    move = _MOTIONS[motion]
+    return replace(cfg, nodes=tuple(replace(n, position=move(n.position)) for n in cfg.nodes))
+
+
+def _pairs_grid_yaml(seed: int, pairs: int) -> str:
+    """The benchmark's grid scenario, from ``bench/pairs_grid.py`` loaded by path."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "pairs_grid.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pairs_grid_yaml(seed, pairs)
+
+
 def _renamed(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg`` with every id, and every reference to one, prefixed."""
     def name(value: Optional[str]) -> Optional[str]:
@@ -233,10 +249,17 @@ class TestRelations:
             assert [[f.replace(_PREFIX, "") for f in fields] for fields in notes(renamed.trace)] \
                 == list(notes(base.trace))
             return
-        move = _MOTIONS[relation]
-        moved = replace(cfg, nodes=tuple(replace(n, position=move(n.position))
-                                         for n in cfg.nodes))
+        moved = _moved(cfg, relation)
         assert Engine(moved, seed=seed).run().trace_hash == Engine(cfg, seed=seed).run().trace_hash
+
+    def test_rigid_motions_keep_the_grid_run(self):
+        """The generated scenes are a few cells; the benchmark's 100-pair
+        grid, cut to 300 ms, keeps its trace hash under each motion too."""
+        cfg = replace(parse_scenario(_pairs_grid_yaml(1, 100)), duration_us=300_000,
+                      warmup_us=0)
+        base = Engine(cfg).run().trace_hash
+        assert {m: Engine(_moved(cfg, m)).run().trace_hash for m in _MOTIONS} \
+            == dict.fromkeys(_MOTIONS, base)
 
 
 def _cut(cfg: ScenarioConfig) -> ScenarioConfig:

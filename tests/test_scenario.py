@@ -126,8 +126,9 @@ _SITES = {
         "id": "a", "position": [0.0, 0.0], "traffic": {"kind": "cts-inject", **f}}]},
                     TrafficConfig(kind="cts-inject")),
 }
-_FLOAT_FIELDS = [(cls, name) for cls, rows in _SCALARS.items()
-                 for name, kind, *_ in rows if kind is float]
+# ``_SCALARS`` fills on first use, so the cases read it through ``_SITES``
+_FLOAT_FIELDS = [(cls, name) for cls in _SITES for name, kind, *_ in _SCALARS[cls]
+                 if kind is float]
 
 
 def _out_of_bounds(kind, lo, hi, choices):
@@ -142,9 +143,14 @@ def _out_of_bounds(kind, lo, hi, choices):
         yield "nan", math.nan
 
 
-_BOUND_CASES = [(cls, name, case, value) for cls, rows in _SCALARS.items()
-                for name, kind, _, lo, hi, choices in rows
+_BOUND_CASES = [(cls, name, case, value) for cls in _SITES
+                for name, kind, _, lo, hi, choices in _SCALARS[cls]
                 for case, value in _out_of_bounds(kind, lo, hi, choices)]
+
+
+def test_sites_cover_every_section():
+    """The bound and finiteness cases reach every section class."""
+    assert set(_SITES) == set(Bounded.__subclasses__())
 
 
 class TestValidation:
@@ -344,7 +350,18 @@ nodes:
         scene the parser refuses.  The text is the parser's error line."""
         with pytest.raises(ValueError) as raised:
             build(conference_cfg)
-        assert str(raised.value) == message
+        assert getattr(raised.value, "errors", [str(raised.value)]) == [message]
+
+    def test_a_config_built_in_code_lists_every_node_problem(self, conference_cfg):
+        """Earlier versions raised a plain ValueError with the first one only."""
+        nodes = list(conference_cfg.nodes)
+        nodes[1] = replace(nodes[1], bs=None)
+        nodes[3] = replace(nodes[3], peer="ghost")
+        with pytest.raises(ScenarioError) as raised:
+            replace(conference_cfg, nodes=tuple(nodes))
+        assert raised.value.errors == [
+            "nodes[1].bs: a subscriber station must reference a base station",
+            "nodes[3].peer: 'ghost' is not a wifi node"]
 
     def test_a_parse_builds_each_section_once(self, monkeypatch):
         """Earlier versions built every section three times per document,
@@ -445,11 +462,37 @@ nodes:
         ('nodes:\n  - {id: "st\\ta", kind: wifi, position: [0.0, 0.0]}\n',
          ["nodes[0].id: node id 'st\\ta' holds a character that is not printable, such as a "
           "line break"]),
+        # earlier versions also judged a section's cross-field rule, the
+        # window rule or the presence of an id against the default put in
+        # place of a value that failed its own check
+        ("wifi: {cw_min: 0, cw_max: 5}\n", ["wifi.cw_min: must be >= 1"]),
+        ("wifi: {cw_min: 'x', cw_max: 5}\n", ["wifi.cw_min: expected int, got str"]),
+        ("reservation: {claim_interval_min_us: 0, claim_interval_max_us: 500}\n",
+         ["reservation.claim_interval_min_us: must be >= 1"]),
+        ("medium: {path_loss: {kind: bogus, exponent: 3.0}}\n",
+         ["medium.path_loss.kind: must be one of ['free-space', 'log-distance']"]),
+        ("wimax: {dl_ratio: 2.0, preamble_us: 4000}\n", ["wimax.dl_ratio: must be <= 0.95"]),
+        ("duration_us: 500\nwarmup_us: -1\n", ["(top).warmup_us: must be >= 0"]),
+        ("nodes:\n  - {id: 5, position: [0, 0]}\n", ["nodes[0].id: expected str, got int"]),
+        # the window rule waits for an otherwise valid document, as the node
+        # rules do
+        ("duration_us: 500\nwifi: {slot_us: 0}\n", ["wifi.slot_us: must be >= 1"]),
+        # a rule whose own fields passed still reports, also beside a failed
+        # nested section
+        ("wifi: {cw_min: 20, cw_max: 5}\n", ["wifi.cw_max: must be >= cw_min"]),
+        ("reservation: {qos: {max_mean_delay_us: -1.0}, claim_interval_min_us: 10,"
+         " claim_interval_max_us: 5}\n",
+         ["reservation.qos.max_mean_delay_us: must be >= 0.0",
+          "reservation.claim_interval_max_us: must be >= claim_interval_min_us"]),
     ], ids=["int_for_float", "null_nodes", "spillage_not_a_list", "spillage_empty",
             "spillage_unsorted", "collocated_with_itself", "bs_not_a_base_station",
             "ss_traffic", "bs_off_a_subscriber_station", "peer_not_wifi", "peer_itself",
             "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set",
-            "id_unprintable", "id_carriage_return", "id_tab"])
+            "id_unprintable", "id_carriage_return", "id_tab", "cw_min_below_bound",
+            "cw_min_not_an_int", "claim_interval_min_below_bound", "path_loss_kind_unknown",
+            "dl_ratio_above_bound", "warmup_below_bound", "id_not_a_string",
+            "window_waits_for_a_valid_document", "cw_max_below_cw_min",
+            "claim_interval_beside_a_bad_qos"])
     def test_each_rule_reports_its_path(self, text, expected):
         """A rejected document gives exactly its rule's errors; an accepted
         one parses as the config given, emitted alike, so an int given for a

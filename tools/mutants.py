@@ -53,11 +53,15 @@ DROP = "tests/test_wifi.py::TestTxOutcome::test_drop_past_retry_limit"
 BOUNDS = "tests/test_scenario.py::TestValidation::test_constructors_keep_the_parser_bounds"
 CODE_BUILT = ("tests/test_scenario.py::TestValidation"
               "::test_sections_built_in_code_keep_their_bounds")
+EVERY_NODE_PROBLEM = ("tests/test_scenario.py::TestValidation"
+                      "::test_a_config_built_in_code_lists_every_node_problem")
+RULES = "tests/test_scenario.py::TestValidation::test_each_rule_reports_its_path"
 GENERATED = ("tests/test_properties.py::TestGeneratedScenarios"
              "::test_valid_scenarios_run_and_keep_the_invariants")
 RUN_LENGTH = ("tests/test_properties.py::TestRunLength"
               "::test_a_shorter_run_is_a_prefix_of_a_longer_one")
 RELATIONS = "tests/test_properties.py::TestRelations::test_related_scenes_run_alike"
+GRID_MOTIONS = "tests/test_properties.py::TestRelations::test_rigid_motions_keep_the_grid_run"
 
 class Mutant(NamedTuple):
     name: str
@@ -188,11 +192,21 @@ MUTANTS = (
     # distances stretch along y, so a rotation of the scene changes its run
     Mutant("distance_stretched_along_y", "medium.py",
            "        return math.hypot(self.x - other.x, self.y - other.y)\n",
-           "        return math.hypot(self.x - other.x, 2 * (self.y - other.y))\n", (RELATIONS,)),
+           "        return math.hypot(self.x - other.x, 2 * (self.y - other.y))\n",
+           (RELATIONS, GRID_MOTIONS)),
     # the wimax section checks its cross-field rule but not its bounds
     Mutant("wimax_skips_its_bounds", "wimax.py",
            "        super().__post_init__()\n",
            "", (f"{BOUNDS}[WimaxConfig.capacity_bytes_per_us-lo]",)),
+    # a section's cross-field rule judges the default put in place of a bad value
+    Mutant("section_judges_a_default", "scenario.py",
+           "        if len(w.errors) == checked:\n",
+           "        if True:\n",
+           (f"{RULES}[path_loss_kind_unknown]", f"{RULES}[dl_ratio_above_bound]")),
+    # a config built in code reports only its first broken node rule
+    Mutant("config_lists_first_node_problem", "scenario.py",
+           "            raise ScenarioError(problems)\n",
+           "            raise ScenarioError(problems[:1])\n", (EVERY_NODE_PROBLEM,)),
 )
 
 
