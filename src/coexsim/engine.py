@@ -30,6 +30,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import arbiter as arb
@@ -62,6 +63,12 @@ _HASH_BATCH_LINES = 256
 # relative slack on the reach radius, far above float rounding in the
 # distance and the inverted path loss
 _REACH_MARGIN = 1e-9
+# side of a neighbour-grid cell
+_CELL_M = 32.0
+# how far the cells searched reach past a radius: coordinates lie within
+# POSITION_LIMIT_M of 0, where float rounding in the bounds of the window
+# and in a squared distance moves a point by under 1e-9 m
+_WINDOW_PAD_M = 1e-6
 # slack in dB on the test of which sources can corrupt a frame, far above
 # float rounding in the received powers
 _CORRUPT_MARGIN_DB = 1e-9
@@ -78,23 +85,50 @@ _SUBJECTS = {
 }
 
 
-def _near(center: RadioInterface, radius_m: float, pool):
-    """The interfaces of ``pool`` other than ``center`` that share its
-    platform or lie within ``radius_m`` of it, in pool order.
+class _Grid:
+    """A pool of interfaces in square cells of ``_CELL_M``, floored from
+    their coordinates, each cell's members as (pool index, x, y); and each
+    platform's members, by pool index."""
 
-    Spillage rejection is never negative and path loss never falls with
-    distance, so only these can receive, from ``center`` or at it, more than
-    path loss alone over ``radius_m`` leaves."""
-    plat, x, y = center.platform, center.position.x, center.position.y
-    radius2 = (radius_m * (1.0 + _REACH_MARGIN)) ** 2
-    for iface in pool:
-        if iface is center:
-            continue
-        if iface.platform is None or iface.platform != plat:
-            pos = iface.position
-            if (pos.x - x) ** 2 + (pos.y - y) ** 2 > radius2:
-                continue
-        yield iface
+    __slots__ = ("pool", "cells", "platforms")
+
+    def __init__(self, pool):
+        self.pool = tuple(pool)
+        self.cells: dict[tuple[int, int], list[tuple]] = {}
+        self.platforms: dict[str, list[int]] = {}
+        for i, iface in enumerate(self.pool):
+            x, y = iface.position.x, iface.position.y
+            self.cells.setdefault((math.floor(x / _CELL_M), math.floor(y / _CELL_M)),
+                                  []).append((i, x, y))
+            if iface.platform is not None:
+                self.platforms.setdefault(iface.platform, []).append(i)
+
+    def near(self, center: RadioInterface, radius_m: float) -> list[RadioInterface]:
+        """The interfaces of the pool other than ``center`` that share its
+        platform or lie within ``radius_m`` of it, in pool order.
+
+        Spillage rejection is never negative and path loss never falls with
+        distance, so only these can receive, from ``center`` or at it, more
+        than path loss alone over ``radius_m`` leaves.  The cells searched
+        reach ``_WINDOW_PAD_M`` past the radius; a window of more cells than
+        the pool occupies is a scan of the whole pool instead."""
+        plat, x, y = center.platform, center.position.x, center.position.y
+        radius = radius_m * (1.0 + _REACH_MARGIN)
+        radius2, reach = radius ** 2, radius + _WINDOW_PAD_M
+        pool, cells = self.pool, self.cells
+        x0, x1 = math.floor((x - reach) / _CELL_M), math.floor((x + reach) / _CELL_M)
+        y0, y1 = math.floor((y - reach) / _CELL_M), math.floor((y + reach) / _CELL_M)
+        if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
+            return [iface for iface in pool if iface is not center and (
+                (iface.platform is not None and iface.platform == plat)
+                or (iface.position.x - x) ** 2 + (iface.position.y - y) ** 2 <= radius2)]
+        hits = set(self.platforms.get(plat, ()))
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
+                for i, px, py in cells.get((cx, cy), ()):
+                    if (px - x) ** 2 + (py - y) ** 2 <= radius2:
+                        hits.add(i)
+        return [pool[i] for i in sorted(hits) if pool[i] is not center]
 
 
 def jain_index(shares: list[float]) -> float:
@@ -370,8 +404,8 @@ class Engine:
                     self._ceiling[n.id] = max(n.tx_power_dbm, n.traffic.power_dbm)
         # per threshold level, its lowest value among the stations, which
         # bounds how far an emission can reach at that level
-        self._wifi_ifaces = [rt.iface for rt in self.stations.values()]
-        self._lowest = {level: min((getattr(i, level) for i in self._wifi_ifaces), default=0.0)
+        wifi_ifaces = [rt.iface for rt in self.stations.values()]
+        self._lowest = {level: min((getattr(i, level) for i in wifi_ifaces), default=0.0)
                         for level in ("cca_threshold_dbm", "decode_sensitivity_dbm")}
         # stations whose attempt was voided, keyed by config order; they
         # re-arm at the next frame end
@@ -454,6 +488,16 @@ class Engine:
             self._hash.update(("\n".join(lines) + "\n").encode())
             lines.clear()
 
+    # the neighbour grids that the memo fills query, of the WiFi radios and
+    # of every interface; built on first use, as the fills run
+    @cached_property
+    def _wifi_grid(self) -> _Grid:
+        return _Grid(rt.iface for rt in self.stations.values())
+
+    @cached_property
+    def _grid(self) -> _Grid:
+        return _Grid(self.interfaces.values())
+
     def _reached(self, src: str, power_dbm: float, level: str) -> tuple[_WifiRt, ...]:
         """WiFi stations other than ``src`` that receive its emission at
         ``power_dbm`` at or above their ``level``, in config order.  Only
@@ -461,7 +505,7 @@ class Engine:
         the lowest threshold of that level take the exact test."""
         radius = invert_path_loss(power_dbm - self._lowest[level], self.medium.path_loss)
         return tuple(self.stations[iface.id]
-                     for iface in _near(self.interfaces[src], radius, self._wifi_ifaces)
+                     for iface in self._wifi_grid.near(self.interfaces[src], radius)
                      if power_dbm - self._loss_rows[iface.id][src] >= getattr(iface, level))
 
     def _corrupting(self, src: str, power_dbm: float, dest: Optional[str],
@@ -490,7 +534,7 @@ class Engine:
             floor = power_dbm - row[src] - self.medium.sinr_threshold_db - _CORRUPT_MARGIN_DB
             radius = invert_path_loss(self._top_ceiling - floor, model)
             found.add(rx.id)  # half-duplex
-            found.update(iface.id for iface in _near(rx, radius, self.interfaces.values())
+            found.update(iface.id for iface in self._grid.near(rx, radius)
                          if ceiling[iface.id] - row[iface.id] >= floor)
         return frozenset(found)
 
@@ -529,6 +573,9 @@ class Engine:
             self.now = time_us
             if trace is not None:  # one line per popped event
                 trace.append(f"{time_us}|{phase}|{kind}|{subjects.get(kind, str)(data)}")
+            # an access attempt voided since it was armed stops here, after its line
+            if phase == P_ACCESS and not data[2].take_attempt(data[1]):
+                continue
             handlers[kind](data)
         self._flush()
 
@@ -589,7 +636,7 @@ class Engine:
         if node.kind == "wifi":
             rt = self.stations[node_id]
             rt.link.offer(self.now, t.frame_bytes)  # the validator requires a peer
-            self._schedule_access(rt)
+            self._schedule_access((rt,))
             if t.kind == "paced":
                 self._push(self.now + t.interval_us, "arrival", node_id)
             return
@@ -867,10 +914,8 @@ class Engine:
 
         # wake frozen stations
         if self._resched:
-            waking = list(self._resched.values())
+            self._schedule_access(self._resched.values())
             self._resched.clear()
-            for rt in waking:
-                self._schedule_access(rt)
 
     def _finish_burst(self, rec: _TxRec, decoded: bool) -> None:
         link = rec.link
@@ -901,23 +946,25 @@ class Engine:
                 link.offer(self.now, t.frame_bytes)
             else:  # paced frames arrive every interval from time 0
                 rt.head_us += t.interval_us
-        self._schedule_access(rt)
+        self._schedule_access((rt,))
 
     # ------------------------------------------------------------------ wifi access
 
-    def _schedule_access(self, rt: _WifiRt) -> None:
-        attempt = rt.arm_attempt(self.now)  # None if one is pending
-        if attempt is not None:
-            token, start = attempt
-            # (order, token, station) is both seq and data: same-time attempts
-            # pop in config order, whatever order they were armed in
-            key = (rt.order, token, rt)
-            heapq.heappush(self._heap, (start, P_ACCESS, key, "access", key))
+    def _schedule_access(self, stations) -> None:
+        """Arm an access attempt for each of ``stations`` that has none
+        pending and a frame to send."""
+        for rt in stations:
+            attempt = rt.arm_attempt(self.now)  # None if one is pending
+            if attempt is not None:
+                token, start = attempt
+                # (order, token, station) is both seq and data: same-time
+                # attempts pop in config order, whatever order they were armed in
+                key = (rt.order, token, rt)
+                heapq.heappush(self._heap, (start, P_ACCESS, key, "access", key))
 
     def _on_access(self, data) -> None:
-        _, token, rt = data
-        if not rt.take_attempt(token):
-            return
+        """A live attempt, whose token the run loop has taken."""
+        rt = data[2]
         sid = rt.node.id
         airtime = rt.airtime_us
         holds: list[str] = []
@@ -931,7 +978,7 @@ class Engine:
         self._begin_tx(_TxRec(tx, holds, rt.link, rt.frame_bytes))
 
     def _on_retry(self, sid: str) -> None:
-        self._schedule_access(self.stations[sid])
+        self._schedule_access((self.stations[sid],))
 
     # ------------------------------------------------------------------ feedback ticks
 

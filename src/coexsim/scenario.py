@@ -452,7 +452,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         except ScenarioError as exc:  # the node rules
             w.errors += exc.errors
         except ValueError as exc:  # the run window
-            w.fail("warmup_us", str(exc))
+            w.fail("(top).warmup_us", str(exc))
     raise ScenarioError(w.errors)
 
 

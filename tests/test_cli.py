@@ -241,7 +241,7 @@ class TestMain:
         bad.write_text("duration_us: 1000\nwarmup_us: 1000\n")
         assert main(["run", str(bad)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "error: warmup_us: warm-up must be shorter than the run\n")
+            "error: (top).warmup_us: warm-up must be shorter than the run\n")
 
     def test_scenario_that_is_not_utf8_cannot_be_read(self, tmp_path, capsys):
         # earlier versions let UnicodeDecodeError out: a traceback and exit 1

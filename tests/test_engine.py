@@ -451,6 +451,30 @@ nodes:
 # its loss budget down to the lowest thresholds is below the 1 m loss (40.05 dB)
 FAINT_DBM = -60.0
 
+# The neighbour grid at its edges.  Its cells are 32 m squares floored from
+# the coordinates.  The 0 dBm radios sense at -50 dBm, which with
+# log-distance exponent 3 they reach within 10^(9.95/30) = 2.146 m.  w and e
+# sit either side of the x = 0 edge, 2 m apart; edge sits on the x = -32 m
+# edge, in the cell of below_edge at -31.9 m, and past_edge in the cell west
+# of it.  in_x and out_y sit 0.005 m inside and outside that radius around c,
+# each in the cell across an edge from it.  Platform mate m2 is 250 m from
+# m0 and m1.
+GRID_EDGES = """
+duration_us: 100000
+warmup_us: 0
+medium: {path_loss: {kind: log-distance, exponent: 3.0}}
+nodes:
+""" + "".join(
+    f"  - {{id: {node}, kind: wifi, position: [{x}, {y}], tx_power_dbm: 0.0,"
+    f" cca_threshold_dbm: -50.0, decode_sensitivity_dbm: -56.0{mate}}}\n"
+    for node, x, y, mate in [
+        ("w", -1.0, 0.5, ""), ("e", 1.0, 0.5, ""),
+        ("edge", -32.0, 16.0, ""), ("below_edge", -31.9, 17.5, ""),
+        ("past_edge", -33.5, 16.0, ""),
+        ("c", 30.6, 33.0, ""), ("in_x", 32.741, 33.0, ""), ("out_y", 30.6, 30.849, ""),
+        ("m0", 70.0, 70.0, ""), ("m1", 70.0, 71.0, ", collocated_with: m0"),
+        ("m2", -150.0, -90.0, ", collocated_with: m0")])
+
 
 class TestReportReplay:
     @pytest.mark.parametrize("fixture", sorted(PINNED_HASHES))
@@ -518,10 +542,11 @@ class TestCachedFastPaths:
     """The engine's memoised carrier sense, cached link losses and emitter
     records agree with computing them afresh."""
 
-    @pytest.fixture(params=["grid", "colocated", "bound-edges"])
+    @pytest.fixture(params=["grid", "colocated", "bound-edges", "grid-edges"])
     def engine(self, request, colocated_cfg):
-        cfg = (colocated_cfg if request.param == "colocated" else
-               parse_scenario(pairs_grid() if request.param == "grid" else BOUND_EDGES))
+        texts = {"grid": pairs_grid(), "bound-edges": BOUND_EDGES, "grid-edges": GRID_EDGES}
+        cfg = (colocated_cfg if request.param == "colocated"
+               else parse_scenario(texts[request.param]))
         return Engine(cfg, seed=1)
 
     def test_cached_delivery_equals_uncached(self, engine):
@@ -687,10 +712,10 @@ class TestCorrupterSets:
     interface at its power ceiling, and decoding over the filtered list
     agrees with decoding over every overlapper."""
 
-    @pytest.fixture(params=["grid", "colocated", "bound-edges", "corrupt-edges"])
+    @pytest.fixture(params=["grid", "colocated", "bound-edges", "corrupt-edges", "grid-edges"])
     def engine(self, request, colocated_cfg):
         texts = {"grid": pairs_grid(), "bound-edges": BOUND_EDGES,
-                 "corrupt-edges": CORRUPT_EDGES}
+                 "corrupt-edges": CORRUPT_EDGES, "grid-edges": GRID_EDGES}
         cfg = (colocated_cfg if request.param == "colocated"
                else parse_scenario(texts[request.param]))
         return Engine(cfg, seed=1)

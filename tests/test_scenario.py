@@ -473,6 +473,8 @@ nodes:
          ["medium.path_loss.kind: must be one of ['free-space', 'log-distance']"]),
         ("wimax: {dl_ratio: 2.0, preamble_us: 4000}\n", ["wimax.dl_ratio: must be <= 0.95"]),
         ("duration_us: 500\nwarmup_us: -1\n", ["(top).warmup_us: must be >= 0"]),
+        # the run window reports at its field's path, as the field's bound does
+        ("duration_us: 500\n", ["(top).warmup_us: warm-up must be shorter than the run"]),
         ("nodes:\n  - {id: 5, position: [0, 0]}\n", ["nodes[0].id: expected str, got int"]),
         # the window rule waits for an otherwise valid document, as the node
         # rules do
@@ -490,8 +492,8 @@ nodes:
             "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set",
             "id_unprintable", "id_carriage_return", "id_tab", "cw_min_below_bound",
             "cw_min_not_an_int", "claim_interval_min_below_bound", "path_loss_kind_unknown",
-            "dl_ratio_above_bound", "warmup_below_bound", "id_not_a_string",
-            "window_waits_for_a_valid_document", "cw_max_below_cw_min",
+            "dl_ratio_above_bound", "warmup_below_bound", "window_past_the_run",
+            "id_not_a_string", "window_waits_for_a_valid_document", "cw_max_below_cw_min",
             "claim_interval_beside_a_bad_qos"])
     def test_each_rule_reports_its_path(self, text, expected):
         """A rejected document gives exactly its rule's errors; an accepted

@@ -62,6 +62,8 @@ RUN_LENGTH = ("tests/test_properties.py::TestRunLength"
               "::test_a_shorter_run_is_a_prefix_of_a_longer_one")
 RELATIONS = "tests/test_properties.py::TestRelations::test_related_scenes_run_alike"
 GRID_MOTIONS = "tests/test_properties.py::TestRelations::test_rigid_motions_keep_the_grid_run"
+GRID_SCAN = E + "TestCachedFastPaths::test_memoised_sensing_equals_a_scan[grid-edges]"
+EMULATION_PIN = E + "TestPinnedHashes::test_shipped_scenario[emulation_cfg]"
 
 class Mutant(NamedTuple):
     name: str
@@ -207,6 +209,20 @@ MUTANTS = (
     Mutant("config_lists_first_node_problem", "scenario.py",
            "            raise ScenarioError(problems)\n",
            "            raise ScenarioError(problems[:1])\n", (EVERY_NODE_PROBLEM,)),
+    # the neighbour grid finds a platform mate only within the radius
+    Mutant("grid_skips_platform_mates", ENGINE,
+           "        hits = set(self.platforms.get(plat, ()))\n",
+           "        hits = set()\n", (GRID_SCAN,)),
+    # the window's lowest column is rounded toward zero, the cells down
+    Mutant("grid_window_truncated", ENGINE,
+           "        x0, x1 = math.floor((x - reach) / _CELL_M),",
+           "        x0, x1 = int((x - reach) / _CELL_M),", (GRID_SCAN,)),
+    # the run loop hands an attempt voided since it was armed to its handler
+    Mutant("stale_attempt_dispatched", ENGINE,
+           "            if phase == P_ACCESS and not data[2].take_attempt(data[1]):\n"
+           "                continue\n",
+           "            if phase == P_ACCESS and not data[2].take_attempt(data[1]):\n"
+           "                pass\n", (EMULATION_PIN,)),
 )
 
 
