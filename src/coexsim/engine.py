@@ -40,7 +40,7 @@ from .medium import (BELOW_SENSITIVITY, CORRUPTED, DATA, DECODED, WIMAX_BURST,
                      invert_path_loss)
 from .reservation import CTS_POWER_CEILING_DBM, Reservation, build_cts_train
 from .scenario import ScenarioConfig
-from .wifi import OUTCOME_DROP, OUTCOME_RETRY, WifiStation, data_airtime_us
+from .wifi import OUTCOME_DROP, OUTCOME_RETRY, WifiStation, data_airtime_us, sense
 from .wimax import DL, UL, SsDemand, build_frame_map
 
 P_END = 0      # frame ends, deliveries, NAV updates, releases
@@ -407,9 +407,8 @@ class Engine:
         wifi_ifaces = [rt.iface for rt in self.stations.values()]
         self._lowest = {level: min((getattr(i, level) for i in wifi_ifaces), default=0.0)
                         for level in ("cca_threshold_dbm", "decode_sensitivity_dbm")}
-        # stations whose attempt was voided, keyed by config order; they
-        # re-arm at the next frame end
-        self._resched: dict[int, _WifiRt] = {}
+        # stations whose attempt was voided; they re-arm at the next frame end
+        self._resched: dict[_WifiRt, None] = {}
 
         # interface id -> its platform's arbiter
         self.arbiters: dict[str, arb.RadioArbiter] = {}
@@ -763,7 +762,7 @@ class Engine:
             return
         rt = self.stations[source]
         if rt.on_own_train(*span):
-            self._resched[rt.order] = rt
+            self._resched[rt] = None
         for chunk in chunks:
             if chunk.start_us > self._end_us:
                 break
@@ -861,12 +860,9 @@ class Engine:
         # a WiFi source is busy with its own emission, and every other WiFi
         # radio whose carrier sense it trips senses it; a voided attempt
         # re-arms at the next frame end
-        start, end, kind, resched = tx.start_us, tx.end_us, tx.kind, self._resched
-        for rt in em.busy:
-            if rt.on_medium_busy(start, end, kind):
-                resched[rt.order] = rt
-        self._push(end, "txend", rec)
-        self._note(f"{start}|air|{kind}{em.pair}{tx.airtime_us}{em.power}")
+        sense(em.busy, tx.start_us, tx.end_us, tx.kind, self._resched)
+        self._push(tx.end_us, "txend", rec)
+        self._note(f"{tx.start_us}|air|{tx.kind}{em.pair}{tx.airtime_us}{em.power}")
 
     def _on_txend(self, rec: _TxRec) -> None:
         tx = rec.tx
@@ -904,7 +900,7 @@ class Engine:
                 continue
             had_nav = rt.nav_expiry_us
             if rt.on_overheard(tx, self.now):
-                self._resched[rt.order] = rt
+                self._resched[rt] = None
             if rt.nav_expiry_us != had_nav:
                 self._note(f"{self.now}|nav|{sid}|{rt.nav_expiry_us}")
 
@@ -914,7 +910,7 @@ class Engine:
 
         # wake frozen stations
         if self._resched:
-            self._schedule_access(self._resched.values())
+            self._schedule_access(self._resched)
             self._resched.clear()
 
     def _finish_burst(self, rec: _TxRec, decoded: bool) -> None:
@@ -953,14 +949,15 @@ class Engine:
     def _schedule_access(self, stations) -> None:
         """Arm an access attempt for each of ``stations`` that has none
         pending and a frame to send."""
+        now, heap, push = self.now, self._heap, heapq.heappush
         for rt in stations:
-            attempt = rt.arm_attempt(self.now)  # None if one is pending
+            attempt = rt.arm_attempt(now)  # None if one is pending
             if attempt is not None:
                 token, start = attempt
                 # (order, token, station) is both seq and data: same-time
                 # attempts pop in config order, whatever order they were armed in
                 key = (rt.order, token, rt)
-                heapq.heappush(self._heap, (start, P_ACCESS, key, "access", key))
+                push(heap, (start, P_ACCESS, key, "access", key))
 
     def _on_access(self, data) -> None:
         """A live attempt, whose token the run loop has taken."""

@@ -40,6 +40,36 @@ def data_airtime_us(frame_bytes: int, phy_rate_mbps: float) -> int:
     return max(1, math.ceil(frame_bytes * 8 / phy_rate_mbps))
 
 
+def sense(stations, start_us: int, until_us: int, kind: str, voided: dict) -> None:
+    """Carrier sense: each of ``stations`` finds the medium occupied over
+    [start, until).
+
+    A station's busy-until grows to ``until_us``.  Its armed attempt
+    freezes: the slots counted down while the medium was idle are credited,
+    the attempt is void, and the station is added to ``voided``.  Busy from
+    after the planned start voids nothing, and neither does a data frame
+    starting exactly then: both stations committed to the same slot and
+    collide.  Scheduled emissions (CTS, WiMAX bursts) win such ties instead.
+    """
+    data = kind is DATA
+    for st in stations:
+        if until_us > st.busy_until_us:
+            st.busy_until_us = until_us
+        attempt = st._attempt
+        if attempt is None:  # most stations: nothing armed to void
+            continue
+        _, contend, start = attempt
+        if start_us > start or (data and start_us == start):
+            continue
+        params = st.params
+        # at most the pending slots, as start_us is not past the planned start
+        elapsed = (start_us - contend - params.difs_us) // params.slot_us
+        if elapsed > 0:
+            st.pending_slots -= elapsed
+        st._attempt = None
+        voided[st] = None
+
+
 OUTCOME_DONE = "done"
 OUTCOME_RETRY = "retry"
 OUTCOME_DROP = "drop"
@@ -81,30 +111,11 @@ class WifiStation:
 
     def on_medium_busy(self, start_us: int, until_us: int,
                        kind: str = DATA) -> bool:
-        """Carrier sense: the medium is occupied over [start, until).
-
-        An armed attempt freezes: the slots counted down while the medium
-        was idle are credited, and the attempt is void.  Busy from after its
-        planned start voids nothing, and neither does a data frame starting
-        exactly then — both stations committed to the same slot and collide.
-        Scheduled emissions (CTS, WiMAX bursts) win such ties instead.
-        Returns whether this voided the access attempt.
-        """
-        if until_us > self.busy_until_us:
-            self.busy_until_us = until_us
-        attempt = self._attempt
-        if attempt is None:  # most calls: nothing armed to void
-            return False
-        _, contend, start = attempt
-        if start_us > start or (start_us == start and kind is DATA):
-            return False
-        params = self.params
-        # at most the pending slots, as start_us is not past the planned start
-        elapsed = (start_us - contend - params.difs_us) // params.slot_us
-        if elapsed > 0:
-            self.pending_slots -= elapsed
-        self._attempt = None
-        return True
+        """Carrier sense of [start, until) at this station alone: ``sense``
+        over one station.  Returns whether this voided the access attempt."""
+        voided: dict = {}
+        sense((self,), start_us, until_us, kind, voided)
+        return bool(voided)
 
     def on_overheard(self, frame: Transmission, now_us: int) -> bool:
         """A CTS from another radio that this station decoded, as it leaves
@@ -130,11 +141,16 @@ class WifiStation:
         """
         if self._attempt is not None or not self.queued or self.transmitting:
             return None
-        contend = max(now_us, self.busy_until_us, self.nav_expiry_us)
-        start = contend + self.params.difs_us + self.pending_slots * self.params.slot_us
-        self._token += 1
-        self._attempt = (self._token, contend, start)
-        return self._token, start
+        contend = self.busy_until_us
+        if now_us > contend:
+            contend = now_us
+        if self.nav_expiry_us > contend:
+            contend = self.nav_expiry_us
+        params = self.params
+        start = contend + params.difs_us + self.pending_slots * params.slot_us
+        token = self._token = self._token + 1
+        self._attempt = (token, contend, start)
+        return token, start
 
     def take_attempt(self, token: int) -> bool:
         """Claim the pending attempt to transmit, if ``token`` is its token.

@@ -332,8 +332,8 @@ class TestPinnedConflict:
 class _ReversedWake(dict):
     """A set of voided stations that wakes them in reverse order."""
 
-    def values(self):
-        return list(reversed(list(super().values())))
+    def __iter__(self):
+        return reversed(list(super().__iter__()))
 
 
 def event_lines(trace: list[str]) -> list[list[str]]:

@@ -1,10 +1,10 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coexsim.medium import CTS, DATA, Position, RadioInterface, Transmission
 from coexsim.wifi import (OUTCOME_DONE, OUTCOME_DROP, OUTCOME_RETRY, DcfParams,
-                          WifiStation, data_airtime_us)
+                          WifiStation, data_airtime_us, sense)
 
 PARAMS = DcfParams()
 
@@ -157,6 +157,58 @@ class TestTryAccess:
         # a shorter CTS leaves the NAV, and so the new attempt, alone
         assert st_.on_overheard(cts(100, start=2000), now_us=2044) is False
         assert st_.take_attempt(token) is True
+
+
+# (busy until, NAV expiry, arm time, pending slots, armed) of one station;
+# times on a 100 us step, so they often tie
+TIMES = st.integers(0, 4).map(lambda k: 100 * k)
+STATION = st.tuples(TIMES, TIMES, TIMES, st.integers(0, 6), st.booleans())
+
+
+def station_in(busy, nav, now, slots, armed):
+    st_ = make_station()
+    st_.busy_until_us, st_.nav_expiry_us, st_.pending_slots = busy, nav, slots
+    st_.enqueue(0, 1500)
+    if armed:
+        st_.arm_attempt(now)
+    return st_
+
+
+def dcf_state(st_):
+    return st_.busy_until_us, st_.pending_slots, st_._attempt
+
+
+class TestSense:
+    @given(st.lists(STATION, min_size=1, max_size=6), st.sampled_from([DATA, CTS]),
+           st.data())
+    def test_one_call_equals_one_call_per_station(self, specs, kind, data):
+        """One ``sense`` over several stations leaves each in the state one
+        ``on_medium_busy`` call of its own leaves it in, and voids the same
+        attempts; busy starts at each planned start, a slot either side
+        and anywhere else."""
+        fanned = [station_in(*spec) for spec in specs]
+        single = [station_in(*spec) for spec in specs]
+        planned = [s._attempt[2] + d for s in fanned if s._attempt is not None
+                   for d in (-PARAMS.slot_us, 0, PARAMS.slot_us)]
+        start = data.draw(st.sampled_from(planned) | st.integers(0, 1000) if planned
+                          else st.integers(0, 1000))
+        until = start + data.draw(st.integers(1, 3000))
+        voided: dict = {}
+        sense(fanned, start, until, kind, voided)
+        for a, b in zip(fanned, single):
+            assert b.on_medium_busy(start, until, kind) is (a in voided)
+            assert dcf_state(a) == dcf_state(b)
+
+    @given(TIMES, TIMES, TIMES, st.integers(0, 6))
+    @example(200, 200, 200, 3)  # all three tie
+    @example(100, 300, 300, 0)  # busy and NAV tie past now
+    @example(300, 300, 100, 1)  # now and busy tie past the NAV
+    def test_arming_starts_after_the_latest_of_now_busy_and_nav(self, now, busy, nav, slots):
+        st_ = station_in(busy, nav, now, slots, armed=False)
+        token, start = st_.arm_attempt(now)
+        assert start == (max(now, busy, nav) + PARAMS.difs_us
+                         + slots * PARAMS.slot_us)
+        assert st_._attempt == (token, max(now, busy, nav), start)
 
 
 class TestTxOutcome:

@@ -14,10 +14,11 @@ a time, it plants the fault in the copy, runs only that mutant's tests with
 ``-x`` and the ``mutants`` Hypothesis profile (no shrinking, so a failing
 example fails at once, and no example database, so no run replays
 another's), and restores the module.  A mutant is killed when pytest reports a failed
-test (exit 1); any other exit, a pass included, marks it survived.
+test (exit 1); any other exit, a pass included, marks it survived, and so
+does a run that takes longer than ``TIMEOUT_S``, which is stopped there.
 
 Exit status: 0 when every mutant is killed, 1 when any survives, 2 when the
-table does not match the code or the unmutated tests fail.
+table does not match the code or the unmutated tests fail or time out.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ LAYOUT = E + "TestFrameLayout::test_two_station_cell_keeps_the_frame_layout"
 SETTLED = E + "TestSensitivityEdges::test_unoverlapped_frames_follow_the_decode_rule"
 SLOTS = E + "TestArbitratedRuns::test_only_upcoming_slots_are_kept"
 OUTCOMES = E + "TestOutcomeReplay::test_shipped_scenario_outcomes_match_the_oracle[colocated_cfg]"
-DROP = "tests/test_wifi.py::TestTxOutcome::test_drop_past_retry_limit"
+W = "tests/test_wifi.py::"
+DROP = W + "TestTxOutcome::test_drop_past_retry_limit"
+SAME_SLOT = W + "TestTryAccess::test_same_microsecond_data_start_collides"
+FREEZE = W + "TestTryAccess::test_busy_mid_backoff_freezes_remaining_slots"
+NAV_DEFERS = W + "TestTryAccess::test_nav_defers_at_least_to_expiry"
 BOUNDS = "tests/test_scenario.py::TestValidation::test_constructors_keep_the_parser_bounds"
 CODE_BUILT = ("tests/test_scenario.py::TestValidation"
               "::test_sections_built_in_code_keep_their_bounds")
@@ -64,6 +69,8 @@ RELATIONS = "tests/test_properties.py::TestRelations::test_related_scenes_run_al
 GRID_MOTIONS = "tests/test_properties.py::TestRelations::test_rigid_motions_keep_the_grid_run"
 GRID_SCAN = E + "TestCachedFastPaths::test_memoised_sensing_equals_a_scan[grid-edges]"
 EMULATION_PIN = E + "TestPinnedHashes::test_shipped_scenario[emulation_cfg]"
+# one pytest run, unmutated or with one mutant; a run that hangs fails the harness
+TIMEOUT_S = 120
 
 class Mutant(NamedTuple):
     name: str
@@ -223,6 +230,18 @@ MUTANTS = (
            "                continue\n",
            "            if phase == P_ACCESS and not data[2].take_attempt(data[1]):\n"
            "                pass\n", (EMULATION_PIN,)),
+    # a data frame starting at the planned start voids the attempt, so the two never collide
+    Mutant("same_slot_data_voids", "wifi.py",
+           "        if start_us > start or (data and start_us == start):\n",
+           "        if start_us > start:\n", (SAME_SLOT,)),
+    # a frozen attempt is credited one slot more than the idle air counted down
+    Mutant("freeze_credits_a_slot_too_many", "wifi.py",
+           "            st.pending_slots -= elapsed\n",
+           "            st.pending_slots -= elapsed + 1\n", (FREEZE,)),
+    # an attempt is armed without waiting for the NAV to expire
+    Mutant("arm_ignores_nav", "wifi.py",
+           "        if self.nav_expiry_us > contend:\n",
+           "        if False:\n", (NAV_DEFERS,)),
 )
 
 
@@ -236,13 +255,18 @@ def copy_repo(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_tests(copy: Path, tests: tuple) -> int:
-    """Exit code of pytest over ``tests`` in ``copy``."""
-    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           "--hypothesis-profile=mutants", *tests],
-                          cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src"),
-                                             PYTHONDONTWRITEBYTECODE="1"),
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+def run_tests(copy: Path, tests: tuple) -> int | None:
+    """Exit code of pytest over ``tests`` in ``copy``, or None when it ran
+    past ``TIMEOUT_S`` and was stopped."""
+    try:
+        return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--hypothesis-profile=mutants", *tests],
+                              cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src"),
+                                                 PYTHONDONTWRITEBYTECODE="1"),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -261,8 +285,10 @@ def main() -> int:
         if not Path(found).resolve().is_relative_to(copy.resolve()):
             print(f"coexsim imports from {found}, not the copy", file=sys.stderr)
             return 2
-        if run_tests(copy, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))) != 0:
-            print("the named tests fail without a mutant", file=sys.stderr)
+        code = run_tests(copy, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+        if code != 0:
+            why = f"time out after {TIMEOUT_S} s" if code is None else "fail"
+            print(f"the named tests {why} without a mutant", file=sys.stderr)
             return 2
         survived = []
         for m in MUTANTS:
@@ -272,7 +298,8 @@ def main() -> int:
             began = time.monotonic()
             code = run_tests(copy, m.tests)
             path.write_text(original)
-            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            verdict = ("killed" if code == 1 else f"SURVIVED (timed out after {TIMEOUT_S} s)"
+                       if code is None else f"SURVIVED (pytest exit {code})")
             print(f"{m.name}: {verdict} in {time.monotonic() - began:.1f} s", flush=True)
             if code != 1:
                 survived.append(m.name)
