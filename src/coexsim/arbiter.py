@@ -81,15 +81,11 @@ def schedule_aware_check(desired: str, span_us: tuple[int, int],
     The co-located WiFi must not transmit over an interval in which the
     subscriber station is scheduled to receive (a DL slot), nor receive
     over a scheduled transmission (a UL slot).  Requests entirely in
-    unscheduled airtime are allowed.
+    unscheduled airtime are allowed.  ``desired`` is TX or RX, the only
+    modes the engine asks for.
     """
     lo, hi = span_us
-    if desired is TX:
-        conflicting = DL  # station receiving
-    elif desired is RX:
-        conflicting = UL  # station transmitting
-    else:
-        return GRANT
+    conflicting = DL if desired is TX else UL  # the station receiving, or sending
     for direction, start, end in slots:
         if direction == conflicting and start < hi and lo < end:
             return DENY

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Callable, Optional
 
 from .engine import Engine, LinkStats, RunResult, run
@@ -21,11 +21,10 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_LINK_COLUMNS = ["link", "offered_bytes", "delivered_bytes", "corrupted_frames",
-                 "retransmissions", "dropped_frames", "airtime_us", "airtime_share",
-                 "throughput_bytes_per_s", "mean_delay_us"]
+# a report's per-link keys, less the largest delay, which the CSV has never carried
+_LINK_COLUMNS = ["link", *(k for k in LinkStats().to_dict(1) if k != "max_delay_us")]
 # the per-link counters the TOTAL row sums; its share and throughput derive from them
-_SUMMED_COLUMNS = _LINK_COLUMNS[1:_LINK_COLUMNS.index("airtime_share")]
+_SUMMED_COLUMNS = [f.name for f in fields(LinkStats) if f.name in _LINK_COLUMNS]
 _SUMMARY_COLUMNS = ["fairness_index", "colocated_conflict_us", "cts_count",
                     "cts_airtime_us", "trace_hash"]
 
@@ -217,13 +216,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "run":
         return run_command(args.scenario, seed=args.seed, duration_us=args.duration_us,
                            out=args.out, fmt=args.format, trace_path=args.trace)
-    if args.command == "compare":
-        if not args.seeds:
-            print("error: empty seed list", file=sys.stderr)
-            return EXIT_USAGE
-        return compare_command(args.scenario, args.toggle, args.seeds,
-                               out=args.out, fmt=args.format)
-    return EXIT_USAGE
+    if not args.seeds:  # compare, the only other command
+        print("error: empty seed list", file=sys.stderr)
+        return EXIT_USAGE
+    return compare_command(args.scenario, args.toggle, args.seeds,
+                           out=args.out, fmt=args.format)
 
 
 if __name__ == "__main__":

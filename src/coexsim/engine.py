@@ -87,8 +87,8 @@ _SUBJECTS = {
 
 class _Grid:
     """A pool of interfaces in square cells of ``_CELL_M``, floored from
-    their coordinates, each cell's members as (pool index, x, y); and each
-    platform's members, by pool index."""
+    their coordinates, each occupied cell's members as (pool index, x, y);
+    and each platform's members, by pool index."""
 
     __slots__ = ("pool", "cells", "platforms")
 
@@ -110,24 +110,24 @@ class _Grid:
         Spillage rejection is never negative and path loss never falls with
         distance, so only these can receive, from ``center`` or at it, more
         than path loss alone over ``radius_m`` leaves.  The cells searched
-        reach ``_WINDOW_PAD_M`` past the radius; a window of more cells than
-        the pool occupies is a scan of the whole pool instead."""
-        plat, x, y = center.platform, center.position.x, center.position.y
+        are the window reaching ``_WINDOW_PAD_M`` past the radius, or every
+        occupied cell when the window holds more cells than that."""
+        x, y = center.position.x, center.position.y
         radius = radius_m * (1.0 + _REACH_MARGIN)
         radius2, reach = radius ** 2, radius + _WINDOW_PAD_M
         pool, cells = self.pool, self.cells
         x0, x1 = math.floor((x - reach) / _CELL_M), math.floor((x + reach) / _CELL_M)
         y0, y1 = math.floor((y - reach) / _CELL_M), math.floor((y + reach) / _CELL_M)
         if (x1 - x0 + 1) * (y1 - y0 + 1) > len(cells):
-            return [iface for iface in pool if iface is not center and (
-                (iface.platform is not None and iface.platform == plat)
-                or (iface.position.x - x) ** 2 + (iface.position.y - y) ** 2 <= radius2)]
-        hits = set(self.platforms.get(plat, ()))
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                for i, px, py in cells.get((cx, cy), ()):
-                    if (px - x) ** 2 + (py - y) ** 2 <= radius2:
-                        hits.add(i)
+            searched = cells.values()
+        else:
+            searched = [cells.get((cx, cy), ()) for cx in range(x0, x1 + 1)
+                        for cy in range(y0, y1 + 1)]
+        hits = set(self.platforms.get(center.platform, ()))
+        for members in searched:
+            for i, px, py in members:
+                if (px - x) ** 2 + (py - y) ** 2 <= radius2:
+                    hits.add(i)
         return [pool[i] for i in sorted(hits) if pool[i] is not center]
 
 
@@ -487,12 +487,8 @@ class Engine:
             self._hash.update(("\n".join(lines) + "\n").encode())
             lines.clear()
 
-    # the neighbour grids that the memo fills query, of the WiFi radios and
-    # of every interface; built on first use, as the fills run
-    @cached_property
-    def _wifi_grid(self) -> _Grid:
-        return _Grid(rt.iface for rt in self.stations.values())
-
+    # the neighbour grid of every interface, in config order, that each memo
+    # fill queries; built on first use, as the fills run
     @cached_property
     def _grid(self) -> _Grid:
         return _Grid(self.interfaces.values())
@@ -500,12 +496,15 @@ class Engine:
     def _reached(self, src: str, power_dbm: float, level: str) -> tuple[_WifiRt, ...]:
         """WiFi stations other than ``src`` that receive its emission at
         ``power_dbm`` at or above their ``level``, in config order.  Only
-        those near enough for path loss alone to leave ``power_dbm`` minus
-        the lowest threshold of that level take the exact test."""
+        the stations among the grid's interfaces near enough for path loss
+        alone to leave ``power_dbm`` minus the lowest threshold of that
+        level take the exact test."""
         radius = invert_path_loss(power_dbm - self._lowest[level], self.medium.path_loss)
-        return tuple(self.stations[iface.id]
-                     for iface in self._wifi_grid.near(self.interfaces[src], radius)
-                     if power_dbm - self._loss_rows[iface.id][src] >= getattr(iface, level))
+        stations = self.stations
+        return tuple(stations[iface.id]
+                     for iface in self._grid.near(self.interfaces[src], radius)
+                     if iface.id in stations
+                     and power_dbm - self._loss_rows[iface.id][src] >= getattr(iface, level))
 
     def _corrupting(self, src: str, power_dbm: float, dest: Optional[str],
                     hearers: tuple[_WifiRt, ...]) -> frozenset:
@@ -928,7 +927,7 @@ class Engine:
     def _finish_wifi_data(self, rec: _TxRec, decoded: bool) -> None:
         link = rec.link
         rt = self.stations[link.src]
-        res = rt.on_tx_outcome(decoded, self.now)
+        res = rt.on_tx_outcome(decoded)
         if decoded:
             self._count_delivery(link, rec.served_bytes, [self.now - rt.head_us])
         elif res == OUTCOME_RETRY:

@@ -174,9 +174,9 @@ class SpillageTable:
         if sep >= entries[-1][0]:
             return entries[-1][1]
         for (s0, r0), (s1, r1) in zip(entries, entries[1:]):
-            if s0 <= sep <= s1:
-                return r0 + (r1 - r0) * (sep - s0) / (s1 - s0)
-        raise AssertionError("unreachable")
+            if sep <= s1:  # the first segment that reaches sep, and s0 < sep
+                break
+        return r0 + (r1 - r0) * (sep - s0) / (s1 - s0)
 
 
 # the kinds of emission on the air, as the behaviour notes print them

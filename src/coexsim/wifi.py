@@ -173,7 +173,7 @@ class WifiStation:
 
     # -- transmission outcome ---------------------------------------------
 
-    def on_tx_outcome(self, acked: bool, now_us: int) -> str:
+    def on_tx_outcome(self, acked: bool) -> str:
         """Apply the ack/no-ack retry rules to the frame just transmitted."""
         self.transmitting = False
         outcome = OUTCOME_DONE

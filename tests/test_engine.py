@@ -9,13 +9,15 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import coexsim
 from coexsim import engine as engine_module
 from coexsim.cli import render_run_json
-from coexsim.engine import _HASH_BATCH_LINES, Engine, jain_index, run
+from coexsim.engine import (_CELL_M, _HASH_BATCH_LINES, _REACH_MARGIN, Engine, _Grid,
+                            jain_index, run)
 from coexsim.medium import (BELOW_SENSITIVITY, CORRUPTED, CTS, DATA, DECODED, WIMAX_BURST,
-                            Transmission, delivery_result)
+                            Position, RadioInterface, Transmission, delivery_result)
 from coexsim.reservation import NAV_FIELD_CAP_US, QosTarget, reservation_power
 from coexsim.scenario import ScenarioConfig, parse_scenario
 from coexsim.wimax import SsDemand, build_frame_map
@@ -536,6 +538,41 @@ class TestReportReplay:
         assert report_mismatches(cfg, engine.trace, report) == [
             "fairness_index", "links.bs->ss1.delivered_bytes", "links.ss1->bs.retransmissions",
             "links.sta1->ap1.delivered_bytes"]
+
+
+@st.composite
+def grid_pools(draw):
+    """Interfaces at points up to four grid cells either side of 0 on each
+    axis, several of them on one point, some sharing one of two platforms."""
+    coord = st.floats(-4 * _CELL_M, 4 * _CELL_M)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=14))
+    return [RadioInterface(id=f"n{k}", position=Position(*points[i]), channel_mhz=2412.0,
+                           tx_power_dbm=20.0, decode_sensitivity_dbm=-82.0,
+                           cca_threshold_dbm=-82.0,
+                           platform=draw(st.sampled_from([None, None, "p", "q"])))
+            for k, i in enumerate(picks)]
+
+
+class TestNeighbourGrid:
+    # radii from 0 to past the 362 m extent of any drawn pool, so the same
+    # pools are searched both through a window of cells and through every
+    # occupied cell
+    @given(grid_pools(), st.lists(st.floats(0.0, 1000.0), min_size=2, max_size=4))
+    def test_near_equals_a_scan_of_the_pool(self, pool, radii):
+        """``near`` finds, in pool order, every other interface that shares
+        the center's platform or lies within the radius.  The scan tests
+        distance in the grid's own arithmetic, so only the cells searched
+        are under test."""
+        grid = _Grid(pool)
+        for center in pool:
+            x, y = center.position.x, center.position.y
+            for radius_m in radii:
+                radius2 = (radius_m * (1.0 + _REACH_MARGIN)) ** 2
+                scan = [iface for iface in pool if iface is not center and (
+                    (iface.platform is not None and iface.platform == center.platform)
+                    or (iface.position.x - x) ** 2 + (iface.position.y - y) ** 2 <= radius2)]
+                assert grid.near(center, radius_m) == scan
 
 
 class TestCachedFastPaths:

@@ -420,6 +420,7 @@ nodes:
         ("medium: {sinr_threshold_db: 12}\n",
          ScenarioConfig(medium=MediumModel(sinr_threshold_db=12.0))),
         ("nodes: null\n", ScenarioConfig()),
+        ("nodes: 5\n", ["nodes: expected a list"]),
         ("medium: {spillage: 5}\n", ["medium.spillage: expected a list of entries"]),
         ("medium: {spillage: []}\n",
          ["medium.spillage: spillage table needs at least one entry"]),
@@ -486,15 +487,15 @@ nodes:
          " claim_interval_max_us: 5}\n",
          ["reservation.qos.max_mean_delay_us: must be >= 0.0",
           "reservation.claim_interval_max_us: must be >= claim_interval_min_us"]),
-    ], ids=["int_for_float", "null_nodes", "spillage_not_a_list", "spillage_empty",
-            "spillage_unsorted", "collocated_with_itself", "bs_not_a_base_station",
-            "ss_traffic", "bs_off_a_subscriber_station", "peer_not_wifi", "peer_itself",
-            "wimax_traffic_on_wifi", "base_station_traffic", "peer_wherever_set",
-            "id_unprintable", "id_carriage_return", "id_tab", "cw_min_below_bound",
-            "cw_min_not_an_int", "claim_interval_min_below_bound", "path_loss_kind_unknown",
-            "dl_ratio_above_bound", "warmup_below_bound", "window_past_the_run",
-            "id_not_a_string", "window_waits_for_a_valid_document", "cw_max_below_cw_min",
-            "claim_interval_beside_a_bad_qos"])
+    ], ids=["int_for_float", "null_nodes", "nodes_not_a_list", "spillage_not_a_list",
+            "spillage_empty", "spillage_unsorted", "collocated_with_itself",
+            "bs_not_a_base_station", "ss_traffic", "bs_off_a_subscriber_station",
+            "peer_not_wifi", "peer_itself", "wimax_traffic_on_wifi", "base_station_traffic",
+            "peer_wherever_set", "id_unprintable", "id_carriage_return", "id_tab",
+            "cw_min_below_bound", "cw_min_not_an_int", "claim_interval_min_below_bound",
+            "path_loss_kind_unknown", "dl_ratio_above_bound", "warmup_below_bound",
+            "window_past_the_run", "id_not_a_string", "window_waits_for_a_valid_document",
+            "cw_max_below_cw_min", "claim_interval_beside_a_bad_qos"])
     def test_each_rule_reports_its_path(self, text, expected):
         """A rejected document gives exactly its rule's errors; an accepted
         one parses as the config given, emitted alike, so an int given for a

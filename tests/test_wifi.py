@@ -217,7 +217,7 @@ class TestTxOutcome:
         st_.enqueue(0, 1500)
         st_.contention_window = 255
         st_.retry_count = 3
-        assert st_.on_tx_outcome(True, 2000) == OUTCOME_DONE
+        assert st_.on_tx_outcome(True) == OUTCOME_DONE
         assert st_.retry_count == 0
         assert st_.contention_window == PARAMS.cw_min
         assert not st_.queued
@@ -225,7 +225,7 @@ class TestTxOutcome:
     def test_no_ack_doubles_window(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
-        assert st_.on_tx_outcome(False, 2000) == OUTCOME_RETRY
+        assert st_.on_tx_outcome(False) == OUTCOME_RETRY
         assert st_.contention_window == 31
         assert st_.retry_count == 1
         assert st_.queued == 1  # frame stays queued for retry
@@ -233,7 +233,7 @@ class TestTxOutcome:
     def test_drop_past_retry_limit(self):
         st_ = make_station()
         st_.enqueue(0, 1500)
-        results = [st_.on_tx_outcome(False, 0) for _ in range(PARAMS.retry_limit + 1)]
+        results = [st_.on_tx_outcome(False) for _ in range(PARAMS.retry_limit + 1)]
         assert results[:-1] == [OUTCOME_RETRY] * PARAMS.retry_limit
         assert results[-1] == OUTCOME_DROP
         assert not st_.queued
@@ -245,7 +245,7 @@ class TestTxOutcome:
         st_ = make_station()
         for acked in outcomes:
             st_.enqueue(0, 1500)
-            st_.on_tx_outcome(acked, 0)
+            st_.on_tx_outcome(acked)
             assert PARAMS.cw_min <= st_.contention_window <= PARAMS.cw_max
             assert 0 <= st_.pending_slots <= st_.contention_window
 
@@ -256,7 +256,7 @@ class TestTxOutcome:
             seq = []
             for _ in range(16):
                 st_.enqueue(0, 1500)
-                st_.on_tx_outcome(False, 0)
+                st_.on_tx_outcome(False)
                 seq.append(st_.pending_slots)
             draws.append(seq)
         assert draws[0] == draws[1]

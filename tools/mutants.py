@@ -68,6 +68,8 @@ RUN_LENGTH = ("tests/test_properties.py::TestRunLength"
 RELATIONS = "tests/test_properties.py::TestRelations::test_related_scenes_run_alike"
 GRID_MOTIONS = "tests/test_properties.py::TestRelations::test_rigid_motions_keep_the_grid_run"
 GRID_SCAN = E + "TestCachedFastPaths::test_memoised_sensing_equals_a_scan[grid-edges]"
+GRID_SENSING = E + "TestCachedFastPaths::test_memoised_sensing_equals_a_scan[grid]"
+GRID_NEAR = E + "TestNeighbourGrid::test_near_equals_a_scan_of_the_pool"
 EMULATION_PIN = E + "TestPinnedHashes::test_shipped_scenario[emulation_cfg]"
 # one pytest run, unmutated or with one mutant; a run that hangs fails the harness
 TIMEOUT_S = 120
@@ -169,8 +171,8 @@ MUTANTS = (
            "                while False:\n", (SLOTS,)),
     # a schedule-aware arbiter lets WiFi send over a scheduled DL slot
     Mutant("dl_slots_ignored", "arbiter.py",
-           "        conflicting = DL  # station receiving\n",
-           "        conflicting = None\n",
+           "    conflicting = DL if desired is TX else UL",
+           "    conflicting = None if desired is TX else UL",
            ("tests/test_arbiter.py::TestScheduleAware"
             "::test_wifi_tx_over_scheduled_reception_denied",)),
     # the arbiter grants a transmit while a receive is held
@@ -218,12 +220,15 @@ MUTANTS = (
            "            raise ScenarioError(problems[:1])\n", (EVERY_NODE_PROBLEM,)),
     # the neighbour grid finds a platform mate only within the radius
     Mutant("grid_skips_platform_mates", ENGINE,
-           "        hits = set(self.platforms.get(plat, ()))\n",
+           "        hits = set(self.platforms.get(center.platform, ()))\n",
            "        hits = set()\n", (GRID_SCAN,)),
     # the window's lowest column is rounded toward zero, the cells down
     Mutant("grid_window_truncated", ENGINE,
            "        x0, x1 = math.floor((x - reach) / _CELL_M),",
            "        x0, x1 = int((x - reach) / _CELL_M),", (GRID_SCAN,)),
+    # the window of cells searched leaves out its last column
+    Mutant("grid_window_short_a_column", ENGINE,
+           "range(x0, x1 + 1)", "range(x0, x1)", (GRID_NEAR, GRID_SENSING)),
     # the run loop hands an attempt voided since it was armed to its handler
     Mutant("stale_attempt_dispatched", ENGINE,
            "            if phase == P_ACCESS and not data[2].take_attempt(data[1]):\n"
